@@ -15,6 +15,10 @@ from .driver import ProblemConfig, compare_volumes, run_simulation, write_output
 from .errors import PnDoseError
 
 
+def _plural(count, singular, plural=None):
+    return f"{count} {singular if count == 1 else plural or singular + 's'}"
+
+
 def _cmd_run(args, solver):
     config = ProblemConfig.load(args.config)
     from .driver import validate_output_paths
@@ -27,6 +31,11 @@ def _cmd_run(args, solver):
         f"{solver}: {d['n_steps']} steps, mean rank {d['mean_rank']:.2f}, "
         f"state memory {100 * d['state_memory_fraction']:.3f}% of full, "
         f"{d['runtime_s']:.1f} s"
+    )
+    print(
+        f"rays: {sum(d['rays_per_beam'])} hit, {sum(d['rays_missed_per_beam'])} missed; "
+        f"{_plural(sum(d['marches_per_beam']), 'march', 'marches')}; "
+        f"{_plural(d['energy_operator_assemblies'], 'energy operator')}"
     )
     neg = d["negativity"]
     if neg["negative_cells"]:

@@ -341,25 +341,37 @@ class Problem:
         if self.config.model == BOLTZMANN:
             moments = self.moments.moments_at(e_mev)          # (12, N+2)
             g_diags = moments[:, degrees]
-            sigma_t = moments[:, 0].copy()
             if self.config.boltzmann_correction:
-                g_next = moments[:, n_max + 1]
-                g_diags = g_diags - g_next[:, None]
-                sigma_t = sigma_t - g_next
-            return g_diags, sigma_t
+                g_diags = g_diags - moments[:, n_max + 1, None]
+            return g_diags, self._sigma_t(moments)
         xi1 = self.moments.xi1_at(e_mev)                      # (12,)
         g_diags = np.stack([scattering_matrix_fp(x, n_max) for x in xi1])
-        sigma_t = np.zeros(N_ELEMENTS)
         if self.config.fp_correction_scale > 0.0:
-            corrected = [
-                transport_correction_fp(
-                    g_diags[i], sigma_t[i], xi1[i], n_max, self.config.fp_correction_scale
-                )
-                for i in range(N_ELEMENTS)
-            ]
-            g_diags = np.stack([c[0] for c in corrected])
-            sigma_t = np.array([c[1] for c in corrected])
-        return g_diags, sigma_t
+            g_diags = transport_correction_fp(
+                g_diags, 0.0, xi1[:, None], n_max, self.config.fp_correction_scale
+            )[0]
+        return g_diags, self._sigma_t(xi1)
+
+    def sigma_t_at(self, e_mev):
+        """Corrected per-element sigma_t (12, ...) at energies e_mev, as in
+        scattering_tables but for a whole energy array at once."""
+        if self.config.model == BOLTZMANN:
+            return self._sigma_t(self.moments.moments_at(e_mev))
+        return self._sigma_t(self.moments.xi1_at(e_mev))
+
+    def _sigma_t(self, table):
+        """sigma_t from moments_at (Boltzmann) or xi1_at (Fokker-Planck)."""
+        if self.config.model == BOLTZMANN:
+            sigma_t = table[..., 0].copy()
+            if self.config.boltzmann_correction:
+                sigma_t = sigma_t - table[..., self.config.pn_order + 1]
+            return sigma_t
+        sigma_t = np.zeros(np.shape(table))
+        if self.config.fp_correction_scale > 0.0:
+            sigma_t = transport_correction_fp(
+                0.0, sigma_t, table, self.config.pn_order, self.config.fp_correction_scale
+            )[1]
+        return sigma_t
 
 
 def assemble_problem(config: ProblemConfig) -> Problem:
@@ -395,16 +407,21 @@ def assemble_problem(config: ProblemConfig) -> Problem:
     )
 
 
-def trace_all_beams(problem: Problem):
-    """Ray-trace every beam once; returns a list of UncollidedFlux."""
+def material_coefficients(problem: Problem):
+    """(material key per cell, key -> (s_star_fn, t_fn, sigma_t_fn)).
+
+    Cells of equal density and composition share a key. Each callable
+    maps an energy array to the material's S* = S + dT/dE / 2, straggling
+    T and total cross section sigma_t, in one pass over the array; the
+    values equal those of per-energy scalar evaluation bit for bit.
+    """
     material = problem.material
     rows = np.column_stack([material.density, material.weights])
-    _, keys = np.unique(rows, axis=0, return_inverse=True)
+    _, first_cells, keys = np.unique(rows, axis=0, return_index=True, return_inverse=True)
     atomic = material.atomic_densities
 
     coefficients = {}
-    for key in np.unique(keys):
-        cell = int(np.argmax(keys == key))
+    for key, cell in enumerate(first_cells):
         w = material.weights[cell]
         rho = material.density[cell]
         n_i = atomic[cell]
@@ -412,28 +429,32 @@ def trace_all_beams(problem: Problem):
         def s_star(e, w=w, rho=rho, n_i=n_i):
             e = np.asarray(e, dtype=float)
             s = mix_stopping_power(w, rho, e, problem.stopping)
-            dt_de = np.array(
-                [straggling_t_derivative(n_i, float(ei)) for ei in np.atleast_1d(e).ravel()]
-            ).reshape(np.shape(e))
-            return s + 0.5 * dt_de
+            return s + 0.5 * straggling_t_derivative(n_i, e)
 
         def t_coeff(e, n_i=n_i):
-            e = np.asarray(e, dtype=float)
-            return np.array(
-                [straggling_t(n_i, float(ei)) for ei in np.atleast_1d(e).ravel()]
-            ).reshape(np.shape(e))
+            return straggling_t(n_i, e)
 
         def sigma_t_fn(e, n_i=n_i):
             e = np.asarray(e, dtype=float)
-            flat = np.atleast_1d(e).ravel()
-            out = np.empty(flat.shape)
-            for j, ei in enumerate(flat):
-                _, per_atom_sigma = problem.scattering_tables(float(ei))
-                out[j] = float(n_i @ per_atom_sigma)
-            return out.reshape(np.shape(e))
+            per_atom = np.moveaxis(problem.sigma_t_at(e), 0, -1)     # (..., 12)
+            # one 1-D dot per energy, as a scalar evaluation would do it
+            per_energy = np.ascontiguousarray(per_atom).reshape(-1, N_ELEMENTS)
+            return np.array([n_i @ row for row in per_energy]).reshape(e.shape)
 
-        coefficients[int(key)] = (s_star, t_coeff, sigma_t_fn)
+        coefficients[key] = (s_star, t_coeff, sigma_t_fn)
+    return keys, coefficients
 
+
+def trace_all_beams(problem: Problem, operators=None):
+    """Ray-trace every beam once; returns a list of UncollidedFlux.
+
+    operators: mapping from material key to that material's energy
+    operator, filled lazily by the marches of all beams, so each material
+    is assembled once per run; a fresh one is used when None.
+    """
+    keys, coefficients = material_coefficients(problem)
+    if operators is None:
+        operators = {}
     return [
         trace_beam(
             beam,
@@ -444,6 +465,7 @@ def trace_all_beams(problem: Problem):
             n_side=problem.config.ray_n_side,
             span_sigmas=problem.config.ray_span_sigmas,
             max_step=problem.config.ray_step_cm,
+            operators=operators,
         )
         for beam in problem.config.beams
     ]
@@ -546,7 +568,8 @@ def run_simulation(config: ProblemConfig, solver: str = "dlra") -> SimulationRes
     problem = assemble_problem(config)
     n, m = problem.n_cells, problem.n_moments
 
-    fluxes = trace_all_beams(problem)
+    operators = {}
+    fluxes = trace_all_beams(problem, operators)
     t_ms = [beam_projection(config.pn_order, b.direction) for b in config.beams]
 
     edges = pseudo_time_edges(problem)
@@ -656,6 +679,9 @@ def run_simulation(config: ProblemConfig, solver: str = "dlra") -> SimulationRes
         "uncollided_undershoot": float(min((f.undershoot for f in fluxes), default=0.0)),
         "runtime_s": elapsed,
         "rays_per_beam": [f.n_rays for f in fluxes],
+        "rays_missed_per_beam": [f.n_rays_missed for f in fluxes],
+        "marches_per_beam": [f.n_marches for f in fluxes],
+        "energy_operator_assemblies": len(operators),
     }
     return SimulationResult(
         problem=problem,

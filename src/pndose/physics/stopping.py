@@ -135,31 +135,45 @@ _I_J = np.array([e.i_ev for e in ELEMENTS]) * ELEMENTARY_CHARGE_C  # [J]
 def straggling_t(atomic_densities, e_mev):
     """Straggling coefficient T [MeV^2/cm] of a mixture.
 
-    atomic_densities: (..., 12) N_i in atoms/cm^3; e_mev: scalar kinetic
-    energy. Linear in every N_i. Raises if the model's logarithm closes
-    (energy too low for any element present).
+    atomic_densities: (..., 12) N_i in atoms/cm^3; e_mev: kinetic energy,
+    scalar or array. The result has shape e_mev.shape +
+    atomic_densities.shape[:-1]. Linear in every N_i. Raises if the
+    model's logarithm closes (an energy too low for any element present).
+
+    The sum over elements is one dot product per energy, so an array
+    call returns bit for bit what the scalar calls return.
     """
     n_i = np.asarray(atomic_densities, dtype=float)
     if n_i.shape[-1] != N_ELEMENTS:
         raise PhysicsDataError("atomic_densities must have 12 element entries")
-    v = velocity_m_s(e_mev)
-    me_v2 = ELECTRON_MASS_KG * v * v                   # [J]
-    log_arg = 2.0 * me_v2 / _I_J                       # (12,)
+    e = np.asarray(e_mev, dtype=float)
+    flat = e.reshape(-1)
+    v = velocity_m_s(flat)
+    me_v2 = (ELECTRON_MASS_KG * v * v)[:, None]        # [J], (n_e, 1)
+    log_arg = 2.0 * me_v2 / _I_J                       # (n_e, 12)
     present = np.any(n_i > 0.0, axis=tuple(range(n_i.ndim - 1)))
-    if np.any(log_arg[present] <= 1.0):
-        bad = [ELEMENT_SYMBOLS[i] for i in np.nonzero(present & (log_arg <= 1.0))[0]]
+    closed = log_arg[:, present] <= 1.0
+    if np.any(closed):
+        bad = [ELEMENT_SYMBOLS[i] for i in np.nonzero(present)[0][np.any(closed, axis=0)]]
         raise PhysicsDataError(
-            f"energy below straggling model validity for {bad} at {e_mev:g} MeV"
+            f"energy below straggling model validity for {bad} at "
+            f"{flat[np.any(closed, axis=1)].min():g} MeV"
         )
     term = np.where(log_arg > 1.0, 4.0 * _I_J / (3.0 * me_v2) * np.log(log_arg), 0.0)
-    per_element = _STRAGGLE_PREFACTOR_SI * _Z * term   # [J^2 m^2]
-    t_si = n_i * 1e6 @ per_element                     # atoms/m^3 -> [J^2/m]
+    per_element = _STRAGGLE_PREFACTOR_SI * _Z * term   # [J^2 m^2], (n_e, 12)
+    n_si = n_i * 1e6                                   # atoms/m^3
+    t_si = np.array([n_si @ row for row in per_element])   # [J^2/m]
+    t_si = t_si.reshape(e.shape + n_i.shape[:-1])
     return t_si / MEV_IN_JOULE**2 / 100.0              # -> [MeV^2/cm]
 
 
 def straggling_t_derivative(atomic_densities, e_mev, rel_step=1e-4):
-    """dT/dE by central difference; T is smooth so this is plenty."""
-    h = rel_step * max(abs(e_mev), 1.0)
-    tp = straggling_t(atomic_densities, e_mev + h)
-    tm = straggling_t(atomic_densities, e_mev - h)
+    """dT/dE by central difference; T is smooth so this is plenty.
+
+    e_mev may be an array, as for straggling_t.
+    """
+    e = np.asarray(e_mev, dtype=float)
+    h = rel_step * np.maximum(np.abs(e), 1.0)
+    tp = straggling_t(atomic_densities, e + h)
+    tm = straggling_t(atomic_densities, e - h)
     return (tp - tm) / (2.0 * h)

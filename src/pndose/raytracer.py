@@ -16,7 +16,8 @@ A beam is a deterministic stratified bundle of parallel rays over +-3
 lateral sigma, weighted by the Gaussian density and renormalized to the
 beam weight. Rays traverse the grid exactly (Amanatides-Woo) and deposit
 track-length-weighted group-averaged flux at cell midpoints; rays sharing
-a material column reuse one march.
+a material column reuse one march, and the marches of a run can share one
+energy operator per material.
 """
 
 import math
@@ -24,6 +25,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import ConfigError, NumericalError
@@ -283,29 +285,41 @@ class RaySegmentRecord:
     residual_energy: float  # MeV carried below the cutoff inside this segment
 
 
-def march_ray(space, segments, coefficients, psi0, max_step=MAX_STEP_CM):
+def march_ray(space, segments, coefficients, psi0, max_step=MAX_STEP_CM, operators=None):
     """Crank-Nicolson march along a ray path.
 
     segments: list of (cell_index, length_cm, material_key);
     coefficients: material_key -> (s_star_fn, t_fn, sigma_t_fn).
-    Returns (records, psi_exit). Operator assembly and LU factors are
-    cached per (material_key, step) pair.
+    Returns (records, psi_exit).
+
+    operators: mapping material_key -> (sparse G, S*(e_min)), filled
+    lazily. Pass one mapping to every march over the same space and
+    coefficients, and each material's operator is assembled once for all
+    of them; without it, this march assembles its own. The Crank-Nicolson
+    LU factors are cached per (material_key, step) within this march
+    only, so a factor never depends on which march built it first.
     """
     mass = space.mass_diagonal()
     nl = space.n_local
     p_lo = np.polynomial.legendre.legvander([-1.0], space.degree)[0]
-    op_cache = {}
+    if operators is None:
+        operators = {}
     lu_cache = {}
 
     def operator(key):
-        if key not in op_cache:
-            op_cache[key] = assemble_energy_operators(space, *coefficients[key])[1]
-        return op_cache[key]
+        if key not in operators:
+            s_star_fn, t_fn, sigma_t_fn = coefficients[key]
+            g_mat = assemble_energy_operators(space, s_star_fn, t_fn, sigma_t_fn)[1]
+            s_min = float(np.atleast_1d(s_star_fn(np.array([space.e_min])))[0])
+            # G is block-tridiagonal, and a run keeps one per material: store
+            # its nonzeros only (toarray gives the same matrix back bit for bit)
+            operators[key] = (sparse.csr_matrix(g_mat), s_min)
+        return operators[key]
 
     def stepper(key, dz):
         ck = (key, round(dz, 14))
         if ck not in lu_cache:
-            g_mat = operator(key)
+            g_mat = operator(key)[0].toarray()
             lhs = np.diag(mass) + 0.5 * dz * g_mat
             rhs = np.diag(mass) - 0.5 * dz * g_mat
             try:
@@ -317,8 +331,7 @@ def march_ray(space, segments, coefficients, psi0, max_step=MAX_STEP_CM):
     psi = np.asarray(psi0, dtype=float).copy()
     records = []
     for cell, length, key in segments:
-        s_star_fn = coefficients[key][0]
-        s_min = float(np.atleast_1d(s_star_fn(np.array([space.e_min])))[0])
+        s_min = operator(key)[1]
         residual = 0.0
         half_records = []
         for half, take_snapshot in ((0.5 * length, True), (0.5 * length, False)):
@@ -427,7 +440,9 @@ class UncollidedFlux:
     space: EnergyDGSpace
     values: np.ndarray            # (n_cells, n_groups) flux [1/(MeV cm^2)]
     residual_energy: np.ndarray   # (n_cells,) deposited below cutoff [MeV/cm^3]
-    n_rays: int
+    n_rays: int                   # bundle rays that deposit
+    n_rays_missed: int            # bundle rays that deposit nothing
+    n_marches: int                # Crank-Nicolson marches the rays shared
 
     @property
     def group_energies(self) -> np.ndarray:
@@ -464,16 +479,20 @@ def trace_beam(
     span_sigmas=3.0,
     max_step=MAX_STEP_CM,
     spectra_dump=None,
+    operators=None,
 ):
     """Trace a stratified bundle and deposit track-length-averaged flux.
 
     material_key_of_cell: (n_cells,) int array; coefficients: key ->
     (s_star_fn, t_fn, sigma_t_fn). Rays whose cell-material sequence
-    coincides share one Crank-Nicolson march. Deposition order is fixed
-    by the ray enumeration, so results are bit-stable. spectra_dump, if
-    given, receives the per-ray group spectra as CSV (z_cm, group_index,
-    value; rays separated by comment lines), where z_cm is the z
-    coordinate of the segment midpoint.
+    coincides share one Crank-Nicolson march. operators is handed to
+    every march (see march_ray); pass one mapping to the beams of a run
+    to assemble each material's energy operator once. Deposition order
+    is fixed by the ray enumeration, so results are bit-stable.
+    spectra_dump, if given, receives the per-ray group spectra as CSV
+    (z_cm, group_index, value, cell; rays separated by comment lines),
+    where z_cm is the z coordinate of the segment midpoint and cell the
+    flat index of the segment's cell.
 
     Rays that leave the grid in part (Gaussian tails) are fine; n_rays
     counts the rays that deposit. A beam none of whose rays deposits
@@ -493,7 +512,7 @@ def trace_beam(
     n_alive = 0
     with open(spectra_dump, "w") if spectra_dump is not None else nullcontext() as dump:
         if dump is not None:
-            dump.write("z_cm,group_index,value\n")
+            dump.write("z_cm,group_index,value,cell\n")
         for ray_index, (offset, w_ray) in enumerate(zip(offsets, ray_weights)):
             start = origin + offset[0] * e1 + offset[1] * e2
             path = [
@@ -509,7 +528,9 @@ def trace_beam(
             ]
             signature = tuple((key, round(length, 12)) for _, length, key in segments)
             if signature not in march_cache:
-                records = march_ray(space, segments, coefficients, psi0, max_step=max_step)[0]
+                records = march_ray(
+                    space, segments, coefficients, psi0, max_step=max_step, operators=operators
+                )[0]
                 # cache only the spectra; cells belong to the individual ray
                 march_cache[signature] = [
                     (rec.group_averages, rec.residual_energy) for rec in records
@@ -525,7 +546,7 @@ def trace_beam(
                 if dump is not None:
                     z_mid = start[2] + 0.5 * (s0 + s1) * direction[2]
                     for g, value in enumerate(averages):
-                        dump.write(f"{z_mid:.9g},{g},{value:.12e}\n")
+                        dump.write(f"{z_mid:.9g},{g},{value:.12e},{cell}\n")
 
     if n_alive == 0:
         extent = " x ".join(f"[{lo:g}, {hi:g}]" for lo, hi in grid.extent())
@@ -540,4 +561,6 @@ def trace_beam(
         values=values,
         residual_energy=residual,
         n_rays=n_alive,
+        n_rays_missed=len(offsets) - n_alive,
+        n_marches=len(march_cache),
     )

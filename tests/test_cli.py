@@ -57,6 +57,7 @@ class TestRunCompare:
         run_dir = tmp_path / "out"
         path = smoke_config(tmp_path)
         assert main(["run", str(path)]) == 0
+        assert "rays: 9 hit, 0 missed; 1 march; 1 energy operator" in capsys.readouterr().out
         dose_dlra = run_dir / "dose.vtk"
         assert dose_dlra.exists()
         dlra_copy = tmp_path / "dose_dlra.vtk"

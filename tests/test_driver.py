@@ -9,9 +9,11 @@ import pytest
 from pndose.driver import (
     ProblemConfig,
     accumulate_dose,
+    assemble_problem,
     compare_volumes,
     depth_profile,
     lateral_profile,
+    material_coefficients,
     read_volume,
     run_simulation,
     write_outputs,
@@ -228,6 +230,45 @@ class TestSimulation:
         res = run_simulation(cfg, solver="dlra")
         assert np.isfinite(res.dose.deposited).all()
         assert res.diagnostics["tail_violations"] == 0
+
+
+class TestRayTracerCoupling:
+    def test_ray_march_and_operator_diagnostics(self):
+        # the second beam sits 0.1 cm inside a corner: of its 5 x 5 rays
+        # (offsets 0, +-0.36, +-0.72 cm) only the 3 x 3 with x, y >= 0 enter
+        raw = smoke_raw()
+        raw["beams"].append(
+            {"direction": [0, 0, 1], "energy_mev": 20.0, "position_cm": [0.1, 0.1, 0.0]}
+        )
+        d = run_simulation(ProblemConfig.from_dict(raw), solver="dlra").diagnostics
+        assert d["rays_per_beam"] == [25, 9]
+        assert d["rays_missed_per_beam"] == [0, 16]
+        assert d["marches_per_beam"] == [1, 1]
+        assert d["energy_operator_assemblies"] == 1
+
+    @pytest.mark.parametrize("model, physics", [
+        ("boltzmann", {}),
+        ("fokker-planck", {"fp_correction_scale": 0.5}),
+        ("fokker-planck", {"fp_correction_scale": 0.0}),
+    ])
+    def test_sigma_t_on_energy_arrays_is_bit_exact(self, model, physics):
+        raw = smoke_raw(model=model, physics=physics)
+        raw["phantom"] = {
+            "background_hu": 0.0,
+            "boxes": [
+                {"origin_cm": [0, 0, 1.0], "size_cm": [2, 2, 1.0], "hu": -400.0},
+                {"origin_cm": [0, 0, 2.0], "size_cm": [2, 2, 1.0], "hu": 700.0},
+            ],
+        }
+        problem = assemble_problem(ProblemConfig.from_dict(raw))
+        keys, coefficients = material_coefficients(problem)
+        assert len(coefficients) == 3
+        atomic = problem.material.atomic_densities
+        energies = problem.space.quadrature()[0]
+        for key, (_, _, sigma_t_fn) in coefficients.items():
+            n_i = atomic[int(np.argmax(keys == key))]
+            scalar = [n_i @ problem.scattering_tables(float(e))[1] for e in energies.ravel()]
+            assert np.array_equal(sigma_t_fn(energies), np.reshape(scalar, energies.shape))
 
 
 class TestOutputs:

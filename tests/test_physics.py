@@ -16,6 +16,7 @@ from pndose.physics import (
     moments_of_kernel,
     screening_parameters,
     straggling_t,
+    straggling_t_derivative,
     tau_lab,
 )
 
@@ -143,6 +144,22 @@ class TestStraggling:
         n = water_field().atomic_densities
         with pytest.raises(PhysicsDataError, match="validity"):
             straggling_t(n, 1e-4)
+
+    @pytest.mark.parametrize("hu", [0.0, -400.0, 700.0])
+    @pytest.mark.parametrize("fn", [straggling_t, straggling_t_derivative])
+    def test_energy_array_is_bit_exact(self, fn, hu):
+        # an array call must reproduce the scalar calls to the last bit: the
+        # ray tracer's energy operators are built from the array form
+        density, weights = hu_to_material(np.array([hu]))
+        n = MaterialField(density=density, weights=weights).atomic_densities[0]
+        e = np.linspace(1.0, 95.0, 6 * 40).reshape(40, 6)
+        scalar = np.array([fn(n, float(x)) for x in e.ravel()]).reshape(e.shape)
+        assert np.array_equal(fn(n, e), scalar)
+
+    def test_energy_array_below_validity_raises(self):
+        n = water_field().atomic_densities[0]
+        with pytest.raises(PhysicsDataError, match="validity.*at 0.0001 MeV"):
+            straggling_t(n, np.array([30.0, 1e-4, 5.0]))
 
 
 class TestMoliere:

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.polynomial.legendre as leg
 import pytest
 
+from pndose import raytracer
 from pndose.errors import ConfigError
 from pndose.raytracer import (
     BeamSource,
@@ -237,20 +238,22 @@ class TestDeposition:
         flux = trace_beam(beam, g, space, keys, coeff, n_side=2, spectra_dump=path)
         assert flux.n_rays == 4
         lines = path.read_text().splitlines()
-        assert lines[0] == "z_cm,group_index,value"
+        assert lines[0] == "z_cm,group_index,value,cell"
         ray_marks = [ln for ln in lines if ln.startswith("# ray")]
         assert len(ray_marks) == 4
         data = [ln for ln in lines[1:] if not ln.startswith("#")]
         assert len(data) == 4 * 4 * space.n_groups  # rays x segments x groups
-        z, gidx, val = data[0].split(",")
+        z, gidx, val, cell = data[0].split(",")
         assert float(z) == pytest.approx(0.1)
         assert int(gidx) == 0
+        corners = [(0, 0), (0, 2), (2, 0), (2, 2)]
+        assert int(cell) in {g.index(i, j, 0) for i, j in corners}
         # the dumped first-segment spectrum of ray 0, times its weight (1/4) and
         # track length over cell volume, is the flux deposited in its entry cell;
         # the four rays march identical columns, so every corner entry cell holds it
         first = np.array([float(ln.split(",")[2]) for ln in data[: space.n_groups]])
         deposit = 0.25 * (0.2 / (g.dx * g.dy * g.dz)) * first
-        for i, j in [(0, 0), (0, 2), (2, 0), (2, 2)]:
+        for i, j in corners:
             np.testing.assert_allclose(deposit, flux.values[g.index(i, j, 0)], rtol=1e-10)
 
     def test_spectra_dump_z_is_coordinate(self, tmp_path):
@@ -263,6 +266,24 @@ class TestDeposition:
         z = sorted({float(ln.split(",")[0]) for ln in data})
         np.testing.assert_allclose(z, [1.1, 1.3, 1.5, 1.7], atol=1e-12)
 
+    def test_spectra_dump_rows_name_their_cell(self, tmp_path):
+        # a ray along +y keeps one z for all its segments; the cell column
+        # tells the segments apart
+        g = Grid3D(3, 4, 3, 0.2, 0.2, 0.2)
+        space, keys, coeff = self.tracer_setup(g)
+        beam = BeamSource((0, 1, 0), 30.0, (0.3, -1.0, 0.3), sigma_xy_cm=0.1)
+        path = tmp_path / "spectra.csv"
+        trace_beam(beam, g, space, keys, coeff, n_side=1, spectra_dump=path)
+        rows = [ln.split(",") for ln in path.read_text().splitlines()[1:]
+                if not ln.startswith("#")]
+        assert len(rows) == 4 * space.n_groups
+        assert {float(r[0]) for r in rows} == {0.3}
+        cells = [int(r[3]) for r in rows[:: space.n_groups]]
+        assert cells == [g.index(1, j, 1) for j in range(4)]
+        for segment in range(4):
+            block = rows[segment * space.n_groups : (segment + 1) * space.n_groups]
+            assert {int(r[3]) for r in block} == {cells[segment]}
+
     def test_beam_missing_grid_raises(self, tmp_path):
         # sigma 0.3 with n_side=2 starts all four rays at x, y in {-0.15, 0.75}
         g = Grid3D(3, 3, 4, 0.2, 0.2, 0.2)
@@ -271,7 +292,7 @@ class TestDeposition:
         path = tmp_path / "spectra.csv"
         with pytest.raises(ConfigError, match="misses the grid"):
             trace_beam(beam, g, space, keys, coeff, n_side=2, spectra_dump=path)
-        assert path.read_text() == "z_cm,group_index,value\n"
+        assert path.read_text() == "z_cm,group_index,value,cell\n"
 
     def test_grazing_ray_is_not_counted(self):
         # the single ray clips the x = 0.6, z = 0 edge over ~1.4e-13 cm, below the
@@ -293,3 +314,76 @@ class TestDeposition:
         expected = 0.5 * (flux.values[:, 10] + flux.values[:, 11])
         np.testing.assert_allclose(flux.at_energy(mid), expected, atol=1e-14)
         assert np.all(flux.at_energy(0.1) == 0.0)
+
+
+class TestSharedOperators:
+    """One operators mapping handed to all marches of a run assembles each
+    material's energy operator once, and changes no flux."""
+
+    @pytest.fixture
+    def assemblies(self, monkeypatch):
+        calls = []
+        original = raytracer.assemble_energy_operators
+
+        def counting(space, *coefficients):
+            calls.append(coefficients)
+            return original(space, *coefficients)
+
+        monkeypatch.setattr(raytracer, "assemble_energy_operators", counting)
+        return calls
+
+    def setup_two_materials(self):
+        # material 1 fills the deeper half (z >= 0.4 cm)
+        g = Grid3D(5, 5, 8, 0.1, 0.1, 0.1)
+        space = EnergyDGSpace(1.0, 31.5, 32, 2)
+        keys = np.zeros(g.n_cells, dtype=int)
+        keys[g.n_cells // 2 :] = 1
+        coeff = {
+            0: (lambda e: 2.0 + 0.05 * np.asarray(e), const(0.01), const(0.3)),
+            1: (lambda e: 3.0 + 0.04 * np.asarray(e), const(0.02), const(0.5)),
+        }
+        return g, space, keys, coeff
+
+    @staticmethod
+    def materials_crossed(fluxes, keys):
+        return {int(keys[c]) for f in fluxes for c in np.nonzero(f.values.any(axis=1))[0]}
+
+    def assert_same_flux(self, a, b):
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.residual_energy, b.residual_energy)
+
+    def test_tilted_beam_through_two_materials(self, assemblies):
+        g, space, keys, coeff = self.setup_two_materials()
+        tilt = (math.sin(math.radians(10.0)), 0.0, math.cos(math.radians(10.0)))
+        beam = BeamSource(tilt, 30.0, (0.2, 0.25, 0.0), sigma_xy_cm=0.1)
+        operators = {}
+        shared = trace_beam(beam, g, space, keys, coeff, n_side=3, operators=operators)
+        assert shared.n_marches > 2      # the rays do not share one march
+        assert len(assemblies) == len(operators) == 2
+        assert self.materials_crossed([shared], keys) == {0, 1}
+        # a run keeps one operator per material: only the block-tridiagonal
+        # band (3 blocks of 3 x 3 per group) is stored
+        assert all(g_mat.nnz <= 9 * space.n_dof for g_mat, _ in operators.values())
+
+        del assemblies[:]
+        per_march = trace_beam(beam, g, space, keys, coeff, n_side=3)
+        assert len(assemblies) > 2
+        self.assert_same_flux(shared, per_march)
+
+    def test_two_beams_in_one_material(self, assemblies):
+        g, space, keys, coeff = self.setup_two_materials()
+        keys[:] = 0
+        beams = [
+            BeamSource((0, 0, 1), 30.0, (0.25, 0.25, 0.0), sigma_xy_cm=0.1),
+            BeamSource((0.1, 0.0, 1.0), 20.0, (0.15, 0.3, 0.0), sigma_xy_cm=0.05),
+        ]
+        operators = {}
+        shared = [
+            trace_beam(b, g, space, keys, coeff, n_side=3, operators=operators)
+            for b in beams
+        ]
+        assert len(assemblies) == len(operators) == len(self.materials_crossed(shared, keys)) == 1
+        fresh = [trace_beam(b, g, space, keys, coeff, n_side=3, operators={}) for b in beams]
+        assert len(assemblies) == 3
+        for a, b in zip(shared, fresh):
+            self.assert_same_flux(a, b)
