@@ -205,9 +205,9 @@ class PNOperators:
 def scattering_matrix_boltzmann(moments, n_max: int):
     """Diagonal Boltzmann scattering matrix from kernel moments.
 
-    moments must reach degree N+1 (needed by the transport correction);
-    returns (g_diag, sigma_t) with g_diag (m,) repeating each degree's
-    moment over its 2l+1 orders, sigma_t = g_0.
+    moments (..., >= N+2) must reach degree N+1 (needed by the transport
+    correction); returns (g_diag, sigma_t) with g_diag (..., m) repeating
+    each degree's moment over its 2l+1 orders, and sigma_t = g_0 (...).
     """
     moments = np.asarray(moments, dtype=float)
     if moments.shape[-1] < n_max + 2:
@@ -215,37 +215,46 @@ def scattering_matrix_boltzmann(moments, n_max: int):
             f"need moments up to degree {n_max + 1}, got {moments.shape[-1] - 1}"
         )
     degrees = PNBasis(n_max).degrees
-    return moments[degrees], float(moments[0])
+    # a contiguous sigma_t, so that dot products with it sum as for a vector
+    return moments[..., degrees], np.ascontiguousarray(moments[..., 0])
 
 
-def scattering_matrix_fp(xi1: float, n_max: int) -> np.ndarray:
-    """Diagonal Fokker-Planck matrix: -(xi1/2) l(l+1) per degree."""
-    if xi1 < 0.0:
+def scattering_matrix_fp(xi1, n_max: int) -> np.ndarray:
+    """Diagonal Fokker-Planck matrix: -(xi1/2) l(l+1) per degree.
+
+    xi1 (...) gives (..., m)."""
+    xi1 = np.asarray(xi1, dtype=float)
+    if np.any(xi1 < 0.0):
         raise ValueError("xi1 must be nonnegative")
     degrees = PNBasis(n_max).degrees
-    return -(xi1 / 2.0) * degrees * (degrees + 1.0)
+    return -(xi1[..., None] / 2.0) * degrees * (degrees + 1.0)
 
 
-def transport_correction_boltzmann(g_diag, sigma_t: float, g_next: float):
+def transport_correction_boltzmann(g_diag, sigma_t, g_next):
     """Extended transport correction: shift all moments and sigma_t by
     the degree-(N+1) moment so the truncated expansion matches moments
     0..N+1. The net in-minus-out operator is unchanged; only the bare
-    quantities (and the uncollided source coupling) shrink."""
-    return g_diag - g_next, sigma_t - g_next
+    quantities (and the uncollided source coupling) shrink.
+
+    g_diag (..., m); sigma_t and g_next (...)."""
+    g_next = np.asarray(g_next, dtype=float)
+    return g_diag - g_next[..., None], sigma_t - g_next
 
 
-def transport_correction_fp(g_diag, sigma_t: float, xi1: float, n_max: int, scale: float):
+def transport_correction_fp(g_diag, sigma_t, xi1, n_max: int, scale: float):
     """Fokker-Planck analog: remove the scaled degree-(N+1) eigenvalue.
 
     scale in [0, 1] interpolates between no correction and the full
     delta-corrected expansion (whose degree-(N+1) entry vanishes). The
     sigma_t shift keeps the net operator identical, so the knob trades
-    source-coupling smoothing against none.
+    source-coupling smoothing against none. g_diag (..., m); sigma_t and
+    xi1 (...).
     """
     if not 0.0 <= scale <= 1.0:
         raise ValueError("correction scale must lie in [0, 1]")
-    lam_next = -(xi1 / 2.0) * (n_max + 1.0) * (n_max + 2.0)
-    return g_diag - scale * lam_next, sigma_t - scale * lam_next
+    lam_next = -(np.asarray(xi1, dtype=float) / 2.0) * (n_max + 1.0) * (n_max + 2.0)
+    shift = scale * lam_next
+    return g_diag - shift[..., None], sigma_t - shift
 
 
 def beam_projection(n_max: int, omega_in) -> np.ndarray:

@@ -70,8 +70,7 @@ def _cmd_compare(args):
 
 def _cmd_tables_check(args):
     from .constants import ELEMENTS
-    from .physics import default_schneider_table, default_stopping_library
-    from .physics.moliere import ScatteringMomentTable
+    from .physics import MomentTables, default_schneider_table, default_stopping_library
 
     table = default_schneider_table()
     table.validate()
@@ -87,7 +86,7 @@ def _cmd_tables_check(args):
     print(f"stopping power: 12 tables ok, common range [{lo:g}, {hi:g}] MeV")
 
     energies = np.array([5.0, 30.0, 90.0])
-    moments = ScatteringMomentTable.build(energies, 3)
+    moments = MomentTables(energies, 3)
     moments.validate(rtol=1e-8)
     print("scattering moments: g0 > 0, |g_l| <= g0, xi1 identity ok")
     return 0

@@ -115,7 +115,8 @@ def truncate(state: LowRankState, policy: TruncationPolicy):
     return new, tail
 
 
-def _rk4(f, y0, dt):
+def rk4(f, y0, dt):
+    """One classical Runge-Kutta step of y' = f(y)."""
     k1 = f(y0)
     k2 = f(y0 + 0.5 * dt * k1)
     k3 = f(y0 + 0.5 * dt * k2)
@@ -214,14 +215,14 @@ def streaming_step(state: LowRankState, dt: float, ctx: StreamingContext) -> Low
     """Augmented BUG step for u' = F_S(u); returns the rank <= 2r state."""
     u0, s0, v0 = state.u, state.s, state.v
     k_factors = ctx._moment_factors(v0)
-    k1 = _rk4(lambda k: ctx.k_rhs(k, k_factors), u0 @ s0, dt)
+    k1 = rk4(lambda k: ctx.k_rhs(k, k_factors), u0 @ s0, dt)
     l_factors = ctx.l_step_factors(u0)
-    l1 = _rk4(lambda l: ctx.l_rhs(l, l_factors), v0 @ s0.T, dt)
+    l1 = rk4(lambda l: ctx.l_rhs(l, l_factors), v0 @ s0.T, dt)
     u_hat = orthonormal_columns(np.hstack([k1, u0]))
     v_hat = orthonormal_columns(np.hstack([l1, v0]))
     s_hat0 = (u_hat.T @ u0) @ s0 @ (v0.T @ v_hat)
     s_factors = ctx.s_step_factors(u_hat, v_hat)
-    s_hat = _rk4(lambda s: ctx.s_rhs(s, u_hat, s_factors), s_hat0, dt)
+    s_hat = rk4(lambda s: ctx.s_rhs(s, u_hat, s_factors), s_hat0, dt)
     return LowRankState(u=u_hat, s=s_hat, v=v_hat)
 
 
@@ -233,6 +234,10 @@ class ScatteringContext:
     inv_s: (n,) reciprocal stopping power; g_diags: (12, m) corrected
     per-atom scattering diagonals; sigma_t: (12,) corrected per-atom
     total cross sections; sources: per-beam (psi_u (n,), t_m (m,)) pairs.
+
+    On construction each beam's source becomes the factor pair
+    (w_i S^-1 psi_u (n, 12), g_i T_M (12, m)) whose product is its
+    n x m inscattering source; every solver contracts these pairs.
     """
 
     element_weights: np.ndarray
@@ -240,25 +245,26 @@ class ScatteringContext:
     g_diags: np.ndarray
     sigma_t: np.ndarray
     sources: list = field(default_factory=list)
+    source_factors: list = field(init=False)
 
-    def source_matrix_rows(self, v: np.ndarray) -> np.ndarray:
-        """sum_b sum_i (w_i S^-1 psi_u^b) (T_M^b g_i)^T V as (n, rv)."""
-        out = np.zeros((self.element_weights.shape[0], v.shape[1]))
-        for psi_u, t_m in self.sources:
-            spatial = self.element_weights * (self.inv_s * psi_u)[:, None]  # (n, 12)
-            rows = (self.g_diags * t_m[None, :]) @ v                        # (12, rv)
-            out += spatial @ rows
+    def __post_init__(self):
+        self.source_factors = [
+            (self.element_weights * (self.inv_s * psi_u)[:, None],
+             self.g_diags * t_m[None, :])
+            for psi_u, t_m in self.sources
+        ]
+
+    def source_sum(self, product, shape) -> np.ndarray:
+        """Sum over beams of product(w (n, 12), g (12, m)), from zeros."""
+        out = np.zeros(shape)
+        for w, g in self.source_factors:
+            out += product(w, g)
         return out
 
-    def source_full(self, m: int) -> np.ndarray:
+    def source_full(self) -> np.ndarray:
         """Full n x m source sum_b sum_i w_i S^-1 psi_u^b (T_M^b)^T G_i."""
-        n = self.element_weights.shape[0]
-        out = np.zeros((n, m))
-        for psi_u, t_m in self.sources:
-            spatial = self.element_weights * (self.inv_s * psi_u)[:, None]
-            rows = self.g_diags * t_m[None, :]
-            out += spatial @ rows
-        return out
+        shape = (self.element_weights.shape[0], self.g_diags.shape[1])
+        return self.source_sum(lambda w, g: w @ g, shape)
 
     def self_scattering_rates(self) -> np.ndarray:
         """(n, m) per-cell-and-moment decay rates sum_i w_i/S (sigma_t,i - g_i,q)."""
@@ -300,23 +306,18 @@ def scattering_step(state: LowRankState, dt: float, ctx: ScatteringContext) -> L
     s_tilde = r_tilde.T                                            # state: U0 S~ V~^T
 
     # substep 2: uncollided K-step (explicit), augment the spatial basis
-    k1 = u0 @ s0 + dt * ctx.source_matrix_rows(v0)
+    k_src = ctx.source_sum(lambda w, g: w @ (g @ v0), (n, v0.shape[1]))
+    k1 = u0 @ s0 + dt * k_src
     u_hat = orthonormal_columns(np.hstack([k1, u0]))
 
     # substep 3: uncollided L-step (explicit), augment the moment basis
-    proj_source = np.zeros((r, m))
-    for psi_u, t_m in ctx.sources:
-        left = u0.T @ (ctx.element_weights * (ctx.inv_s * psi_u)[:, None])  # (r, 12)
-        proj_source += left @ (ctx.g_diags * t_m[None, :])                  # (r, m)
-    l3 = v_tilde @ s_tilde.T + dt * proj_source.T
+    l_src = ctx.source_sum(lambda w, g: (u0.T @ w) @ g, (r, m))
+    l3 = v_tilde @ s_tilde.T + dt * l_src.T
     v_hat = orthonormal_columns(np.hstack([l3, v_tilde]))
 
     # substep 4: uncollided S-step from the post-substep-1 coefficient
     s_hat0 = (u_hat.T @ u0) @ s_tilde @ (v_tilde.T @ v_hat)
-    s_src = np.zeros_like(s_hat0)
-    for psi_u, t_m in ctx.sources:
-        left = u_hat.T @ (ctx.element_weights * (ctx.inv_s * psi_u)[:, None])
-        s_src += left @ ((ctx.g_diags * t_m[None, :]) @ v_hat)
+    s_src = ctx.source_sum(lambda w, g: (u_hat.T @ w) @ (g @ v_hat), s_hat0.shape)
     s1 = s_hat0 + dt * s_src
 
     return LowRankState(u=u_hat, s=s1, v=v_hat)

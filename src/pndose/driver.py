@@ -4,10 +4,11 @@ A simulation is: convert the HU phantom to a material field, ray-trace
 every beam once (uncollided flux + first-collision source), then march
 the collided flux in pseudo-time t = E_max - E from E_max down to E_min
 with a fixed CFL-derived step. Each step is a Lie split (streaming then
-scattering) followed by rank truncation, with the dose accumulated
-trapezoidally from the transformed degree-0 moment. The uncollided dose
-is tallied on the ray tracer's energy groups by default, which resolves
-narrow spectra far better than the pseudo-time grid.
+scattering), taken by the low-rank solver or the full-rank oracle through
+one loop, with the dose accumulated trapezoidally from the transformed
+degree-0 moment. The uncollided dose is tallied on the ray tracer's
+energy groups, which resolves narrow spectra far better than the
+pseudo-time grid.
 
 Identical configs produce byte-identical outputs: bases are seeded, all
 reductions have fixed order, and the ray bundle is deterministic.
@@ -27,6 +28,7 @@ from . import __version__
 from .angular import (
     PNOperators,
     beam_projection,
+    scattering_matrix_boltzmann,
     scattering_matrix_fp,
     transport_correction_boltzmann,
     transport_correction_fp,
@@ -45,9 +47,9 @@ from .errors import ConfigError, OutputIOError, PhysicsDataError
 from .fullrank import fullrank_scattering_step, fullrank_streaming_step
 from .physics import (
     MaterialField,
+    MomentTables,
     default_schneider_table,
     default_stopping_library,
-    legendre_moments,
     mix_stopping_power,
     straggling_t,
     straggling_t_derivative,
@@ -60,6 +62,28 @@ SQRT_4PI = math.sqrt(4.0 * math.pi)
 
 BOLTZMANN = "boltzmann"
 FOKKER_PLANCK = "fokker-planck"
+
+# Energies of the moment tables, spread over the run's range with a small
+# pad so that mid-step and group energies never extrapolate.
+MOMENT_TABLE_POINTS = 48
+
+# Keys that ProblemConfig.from_dict reads, per section ("" is the top level).
+CONFIG_KEYS = {
+    "": {"name", "grid", "phantom", "beams", "model", "pn_order", "transport",
+         "energy", "physics", "rays", "output", "seed"},
+    "grid": {"nx", "ny", "nz", "delta_x_cm", "delta_y_cm", "delta_z_cm", "origin_cm"},
+    "phantom": {"background_hu", "boxes", "volume_file"},
+    "phantom.boxes": {"origin_cm", "size_cm", "hu"},
+    "beams": {"direction", "energy_mev", "position_cm", "weight", "sigma_xy_cm",
+              "sigma_e_rel"},
+    "transport": {"truncation_tolerance", "rank_min", "rank_max", "cfl_number"},
+    "energy": {"e_min_mev", "e_max_mev", "groups"},
+    "physics": {"boltzmann_correction", "fp_correction_scale"},
+    "rays": {"n_side"},
+    "output": {"directory", "dose_volume", "depth_profile", "lateral_profile",
+               "rank_history", "manifest", "lateral_depth_cm"},
+}
+SECTIONS = ("grid", "phantom", "transport", "energy", "physics", "rays", "output")
 
 
 def _require(condition, message):
@@ -80,19 +104,12 @@ class ProblemConfig:
     rank_min: int = 2
     rank_max: int = 100
     cfl_number: float = 0.7
-    truncate_after: str = "both"
     e_min_mev: float = 1.0
     e_max_mev: float = None
     energy_groups: int = 128
-    screening_exponent: float = 1.0
     boltzmann_correction: bool = True
     fp_correction_scale: float = 0.5
-    moment_quadrature_nodes: int = 256
-    moment_table_points: int = 48
     ray_n_side: int = 21
-    ray_span_sigmas: float = 3.0
-    ray_step_cm: float = 0.01
-    uncollided_tally: str = "groups"
     seed: int = 20260809
     output_directory: Path = None
     output_names: dict = field(default_factory=dict)
@@ -110,13 +127,9 @@ class ProblemConfig:
         _require(1 <= self.rank_min <= self.rank_max,
                  "need 1 <= transport.rank_min <= transport.rank_max")
         _require(self.cfl_number > 0.0, "transport.cfl_number must be positive")
-        _require(self.truncate_after in ("streaming", "scattering", "both"),
-                 "transport.truncate_after must be streaming|scattering|both")
         _require(self.e_min_mev > 0.0, "energy.e_min_mev must be positive")
         _require(self.energy_groups >= 4, "energy.groups must be >= 4")
         _require(len(self.beams) >= 1, "at least one beam is required")
-        _require(self.uncollided_tally in ("groups", "steps"),
-                 "rays.uncollided_tally must be groups|steps")
         for n, label in ((self.grid.nx, "nx"), (self.grid.ny, "ny"), (self.grid.nz, "nz")):
             _require(n == 1 or n >= 3,
                      f"grid.{label}={n}: a used axis needs >= 3 cells for the "
@@ -138,6 +151,7 @@ class ProblemConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: Path = Path(".")) -> "ProblemConfig":
+        _check_keys(raw)
         try:
             grid_spec = raw["grid"]
             grid = Grid3D(
@@ -189,20 +203,13 @@ class ProblemConfig:
             rank_min=int(transport.get("rank_min", 2)),
             rank_max=int(transport.get("rank_max", 100)),
             cfl_number=float(transport.get("cfl_number", 0.7)),
-            truncate_after=str(transport.get("truncate_after", "both")),
             e_min_mev=float(energy.get("e_min_mev", 1.0)),
             e_max_mev=(None if energy.get("e_max_mev") is None
                        else float(energy.get("e_max_mev"))),
             energy_groups=int(energy.get("groups", 128)),
-            screening_exponent=float(physics.get("screening_exponent", 1.0)),
             boltzmann_correction=bool(physics.get("boltzmann_correction", True)),
             fp_correction_scale=float(physics.get("fp_correction_scale", 0.5)),
-            moment_quadrature_nodes=int(physics.get("moment_quadrature_nodes", 256)),
-            moment_table_points=int(physics.get("moment_table_points", 48)),
             ray_n_side=int(rays.get("n_side", 21)),
-            ray_span_sigmas=float(rays.get("span_sigmas", 3.0)),
-            ray_step_cm=float(rays.get("step_cm", 0.01)),
-            uncollided_tally=str(rays.get("uncollided_tally", "groups")),
             seed=int(raw.get("seed", 20260809)),
             output_directory=None if out_dir is None else (base_dir / out_dir),
             output_names={
@@ -236,6 +243,20 @@ class ProblemConfig:
         return cfg
 
 
+def _check_keys(raw: dict):
+    """Raise ConfigError naming the first key that from_dict does not read."""
+    phantom = raw.get("phantom") if isinstance(raw.get("phantom"), dict) else {}
+    mappings = [("", "", raw)]
+    mappings += [(name, f"{name}.", raw.get(name)) for name in SECTIONS]
+    mappings += [("beams", f"beams[{i}].", b) for i, b in enumerate(raw.get("beams") or [])]
+    mappings += [("phantom.boxes", f"phantom.boxes[{i}].", b)
+                 for i, b in enumerate(phantom.get("boxes") or [])]
+    for section, label, mapping in mappings:
+        for key in mapping if isinstance(mapping, dict) else ():
+            if key not in CONFIG_KEYS[section]:
+                raise ConfigError(f"unknown config key '{label}{key}'")
+
+
 def _build_phantom(spec: dict, grid: Grid3D, base_dir: Path, source_files: list):
     if "volume_file" in spec:
         path = base_dir / spec["volume_file"]
@@ -266,47 +287,6 @@ def _build_phantom(spec: dict, grid: Grid3D, base_dir: Path, source_files: list)
     return hu
 
 
-class MomentTables:
-    """Per-element angular moments and xi1 on an energy grid.
-
-    Moments are per-atom [cm^2]; linear interpolation in energy. The
-    grid spans the run's energy range with a small pad so mid-step and
-    group energies never extrapolate.
-    """
-
-    def __init__(self, e_min, e_max, max_degree, n_points=48, n_nodes=256, exponent=1.0):
-        self.energies = np.linspace(0.98 * e_min, 1.02 * e_max, n_points)
-        self.max_degree = max_degree
-        g = np.empty((N_ELEMENTS, n_points, max_degree + 1))
-        xi1 = np.empty((N_ELEMENTS, n_points))
-        for i, elem in enumerate(ELEMENTS):
-            for j, e in enumerate(self.energies):
-                g[i, j], xi1[i, j] = legendre_moments(
-                    elem, e, max_degree, n_nodes=n_nodes, exponent=exponent
-                )
-        self.g = g
-        self.xi1 = xi1
-
-    def _interp(self, table, e):
-        e = np.asarray(e, dtype=float)
-        idx = np.clip(
-            np.searchsorted(self.energies, e) - 1, 0, len(self.energies) - 2
-        )
-        w = (e - self.energies[idx]) / (self.energies[idx + 1] - self.energies[idx])
-        return (1.0 - w) * table[:, idx] + w * table[:, idx + 1]
-
-    def moments_at(self, e):
-        """(12, ..., max_degree+1) per-atom moments at energies e."""
-        return np.moveaxis(
-            np.stack([self._interp(self.g[..., d], e) for d in range(self.max_degree + 1)]),
-            0,
-            -1,
-        )
-
-    def xi1_at(self, e):
-        return self._interp(self.xi1, e)
-
-
 @dataclass
 class Problem:
     """Assembled, immutable inputs of one simulation."""
@@ -335,43 +315,24 @@ class Problem:
         )
 
     def scattering_tables(self, e_mev):
-        """Corrected per-element (g_diags (12, m), sigma_t (12,)) at one energy."""
+        """Corrected per-element (g_diags (12, ..., m), sigma_t (12, ...)) at
+        an energy or an array of energies (the ... axes)."""
         n_max = self.config.pn_order
-        degrees = self.ops.basis.degrees
         if self.config.model == BOLTZMANN:
-            moments = self.moments.moments_at(e_mev)          # (12, N+2)
-            g_diags = moments[:, degrees]
+            moments = self.moments.moments_at(e_mev)          # (12, ..., N+2)
+            g_diags, sigma_t = scattering_matrix_boltzmann(moments, n_max)
             if self.config.boltzmann_correction:
-                g_diags = g_diags - moments[:, n_max + 1, None]
-            return g_diags, self._sigma_t(moments)
-        xi1 = self.moments.xi1_at(e_mev)                      # (12,)
-        g_diags = np.stack([scattering_matrix_fp(x, n_max) for x in xi1])
+                g_diags, sigma_t = transport_correction_boltzmann(
+                    g_diags, sigma_t, moments[..., n_max + 1]
+                )
+            return g_diags, sigma_t
+        xi1 = self.moments.xi1_at(e_mev)                      # (12, ...)
+        g_diags, sigma_t = scattering_matrix_fp(xi1, n_max), np.zeros(xi1.shape)
         if self.config.fp_correction_scale > 0.0:
-            g_diags = transport_correction_fp(
-                g_diags, 0.0, xi1[:, None], n_max, self.config.fp_correction_scale
-            )[0]
-        return g_diags, self._sigma_t(xi1)
-
-    def sigma_t_at(self, e_mev):
-        """Corrected per-element sigma_t (12, ...) at energies e_mev, as in
-        scattering_tables but for a whole energy array at once."""
-        if self.config.model == BOLTZMANN:
-            return self._sigma_t(self.moments.moments_at(e_mev))
-        return self._sigma_t(self.moments.xi1_at(e_mev))
-
-    def _sigma_t(self, table):
-        """sigma_t from moments_at (Boltzmann) or xi1_at (Fokker-Planck)."""
-        if self.config.model == BOLTZMANN:
-            sigma_t = table[..., 0].copy()
-            if self.config.boltzmann_correction:
-                sigma_t = sigma_t - table[..., self.config.pn_order + 1]
-            return sigma_t
-        sigma_t = np.zeros(np.shape(table))
-        if self.config.fp_correction_scale > 0.0:
-            sigma_t = transport_correction_fp(
-                0.0, sigma_t, table, self.config.pn_order, self.config.fp_correction_scale
-            )[1]
-        return sigma_t
+            g_diags, sigma_t = transport_correction_fp(
+                g_diags, sigma_t, xi1, n_max, self.config.fp_correction_scale
+            )
+        return g_diags, sigma_t
 
 
 def assemble_problem(config: ProblemConfig) -> Problem:
@@ -387,12 +348,8 @@ def assemble_problem(config: ProblemConfig) -> Problem:
             f"the stopping power tables [{lo:.3g}, {hi:.3g}]"
         )
     moments = MomentTables(
-        config.e_min_mev,
-        config.e_max_mev,
+        np.linspace(0.98 * config.e_min_mev, 1.02 * config.e_max_mev, MOMENT_TABLE_POINTS),
         config.pn_order + 1,
-        n_points=config.moment_table_points,
-        n_nodes=config.moment_quadrature_nodes,
-        exponent=config.screening_exponent,
     )
     space = EnergyDGSpace(config.e_min_mev, config.e_max_mev, config.energy_groups, 2)
     return Problem(
@@ -436,7 +393,7 @@ def material_coefficients(problem: Problem):
 
         def sigma_t_fn(e, n_i=n_i):
             e = np.asarray(e, dtype=float)
-            per_atom = np.moveaxis(problem.sigma_t_at(e), 0, -1)     # (..., 12)
+            per_atom = np.moveaxis(problem.scattering_tables(e)[1], 0, -1)  # (..., 12)
             # one 1-D dot per energy, as a scalar evaluation would do it
             per_energy = np.ascontiguousarray(per_atom).reshape(-1, N_ELEMENTS)
             return np.array([n_i @ row for row in per_energy]).reshape(e.shape)
@@ -463,8 +420,6 @@ def trace_all_beams(problem: Problem, operators=None):
             keys,
             coefficients,
             n_side=problem.config.ray_n_side,
-            span_sigmas=problem.config.ray_span_sigmas,
-            max_step=problem.config.ray_step_cm,
             operators=operators,
         )
         for beam in problem.config.beams
@@ -480,19 +435,6 @@ def uncollided_dose(problem: Problem, fluxes) -> np.ndarray:
             s_field = problem.stopping_field(e_g)
             deposited += s_field * flux.values[:, g] * space.width
         deposited += flux.residual_energy
-    return deposited
-
-
-def accumulate_dose(deposited, state_u0_moment, psi_u_sum, s_field, de):
-    """One trapezoid slice of dose: de * (sqrt(4 pi) u0 + S * psi_u).
-
-    state_u0_moment is the transformed degree-0 moment (n,); psi_u_sum
-    may be None when the uncollided part is tallied on the group grid.
-    """
-    integrand = SQRT_4PI * state_u0_moment
-    if psi_u_sum is not None:
-        integrand = integrand + s_field * psi_u_sum
-    deposited += de * integrand
     return deposited
 
 
@@ -543,10 +485,9 @@ def pseudo_time_edges(problem: Problem) -> np.ndarray:
 
 
 def step_contexts(problem: Problem, fluxes, t_ms, e_hi, e_lo):
-    """(StreamingContext, ScatteringContext, s_field) frozen at mid-step."""
+    """(StreamingContext, ScatteringContext) frozen at mid-step."""
     e_mid = 0.5 * (e_hi + e_lo)
-    s_field = problem.stopping_field(e_mid)
-    inv_s = 1.0 / s_field
+    inv_s = 1.0 / problem.stopping_field(e_mid)
     stream_ctx = StreamingContext(inv_s, problem.stencils, problem.ops)
     g_diags, sigma_t = problem.scattering_tables(e_mid)
     sources = [(flux.at_energy(e_mid), t_m) for flux, t_m in zip(fluxes, t_ms)]
@@ -557,12 +498,75 @@ def step_contexts(problem: Problem, fluxes, t_ms, e_hi, e_lo):
         sigma_t=sigma_t,
         sources=sources,
     )
-    return stream_ctx, scat_ctx, s_field
+    return stream_ctx, scat_ctx
+
+
+def _numbers(state: LowRankState) -> int:
+    return state.u.size + state.s.size + state.v.size
+
+
+class LowRankSolver:
+    """Augmented-BUG stepper: streaming, truncation, scattering, truncation.
+
+    The solver calls (streaming_step, scattering_step, truncate) are looked
+    up as module globals, so a probe on this module sees every one of them.
+    """
+
+    def __init__(self, problem: Problem):
+        cfg = problem.config
+        n, m = problem.n_cells, problem.n_moments
+        self.state = LowRankState.zero(n, m, min(cfg.rank_min, n, m), seed=cfg.seed)
+        self.policy = TruncationPolicy(
+            cfg.truncation_tolerance, rank_min=cfg.rank_min, rank_max=cfg.rank_max
+        )
+        self.max_orth_defect = 0.0
+        self.max_tail = 0.0
+        self.tail_violations = 0
+        self.peak_state_numbers = 0
+        self.peak_transient_numbers = 0
+
+    def _truncate(self):
+        self.peak_transient_numbers = max(self.peak_transient_numbers, _numbers(self.state))
+        self.state, tail = truncate(self.state, self.policy)
+        self.max_tail = max(self.max_tail, tail)
+        self.tail_violations += tail > self.policy.threshold + 1e-15
+
+    def step(self, dt, stream_ctx, scat_ctx):
+        """Advance one step; returns (degree-0 moment (n,), rank)."""
+        self.state = streaming_step(self.state, dt, stream_ctx)
+        self._truncate()
+        self.state = scattering_step(self.state, dt, scat_ctx)
+        self._truncate()
+        state = self.state
+        self.max_orth_defect = max(self.max_orth_defect, state.orthonormality_defect())
+        self.peak_state_numbers = max(self.peak_state_numbers, _numbers(state))
+        return state.u @ (state.s @ state.v[0, :]), state.rank
+
+
+class FullRankSolver:
+    """Dense oracle stepper; its state is always n x m, never truncated."""
+
+    max_orth_defect = 0.0
+    max_tail = 0.0
+    tail_violations = 0
+
+    def __init__(self, problem: Problem):
+        self.u = np.zeros((problem.n_cells, problem.n_moments))
+        self.peak_state_numbers = self.peak_transient_numbers = self.u.size
+
+    def step(self, dt, stream_ctx, scat_ctx):
+        """Advance one step; returns (degree-0 moment (n,), rank)."""
+        self.u = fullrank_streaming_step(self.u, dt, stream_ctx)
+        self.u = fullrank_scattering_step(self.u, dt, scat_ctx)
+        return self.u[:, 0], min(self.u.shape)
+
+
+SOLVERS = {"dlra": LowRankSolver, "fullrank": FullRankSolver}
 
 
 def run_simulation(config: ProblemConfig, solver: str = "dlra") -> SimulationResult:
     """Full pipeline; solver is 'dlra' or 'fullrank' (the oracle)."""
-    if solver not in ("dlra", "fullrank"):
+    if solver not in SOLVERS:
         raise ConfigError(f"unknown solver '{solver}'")
     t_start = time.perf_counter()
     problem = assemble_problem(config)
@@ -576,76 +580,20 @@ def run_simulation(config: ProblemConfig, solver: str = "dlra") -> SimulationRes
     n_steps = len(edges) - 1
     de = float(edges[0] - edges[1])
 
-    policy = TruncationPolicy(
-        config.truncation_tolerance, rank_min=config.rank_min, rank_max=config.rank_max
-    )
-
-    state = None
-    u_dense = None
-    if solver == "dlra":
-        init_rank = min(config.rank_min, n, m)
-        state = LowRankState.zero(n, m, init_rank, seed=config.seed)
-    else:
-        u_dense = np.zeros((n, m))
-
+    stepper = SOLVERS[solver](problem)
     deposited = np.zeros(n)
     rank_history = []
-    max_orth_defect = 0.0
-    max_tail = 0.0
-    tail_violations = 0
-    peak_state_numbers = 0
-    peak_transient_numbers = 0
     prev_integrand = np.zeros(n)
-
     for k in range(n_steps):
         e_hi, e_lo = edges[k], edges[k + 1]
         dt = e_hi - e_lo
-        stream_ctx, scat_ctx, s_field = step_contexts(problem, fluxes, t_ms, e_hi, e_lo)
-
-        if solver == "dlra":
-            state = streaming_step(state, dt, stream_ctx)
-            peak_transient_numbers = max(
-                peak_transient_numbers,
-                state.u.size + state.s.size + state.v.size,
-            )
-            if config.truncate_after in ("streaming", "both"):
-                state, tail = truncate(state, policy)
-                max_tail = max(max_tail, tail)
-                tail_violations += tail > policy.threshold + 1e-15
-            state = scattering_step(state, dt, scat_ctx)
-            peak_transient_numbers = max(
-                peak_transient_numbers,
-                state.u.size + state.s.size + state.v.size,
-            )
-            if config.truncate_after in ("scattering", "both"):
-                state, tail = truncate(state, policy)
-                max_tail = max(max_tail, tail)
-                tail_violations += tail > policy.threshold + 1e-15
-            max_orth_defect = max(max_orth_defect, state.orthonormality_defect())
-            peak_state_numbers = max(
-                peak_state_numbers, state.u.size + state.s.size + state.v.size
-            )
-            rank_history.append((k, float(e_lo), state.rank))
-            u0_moment = state.u @ (state.s @ state.v[0, :])
-        else:
-            u_dense = fullrank_streaming_step(u_dense, dt, stream_ctx)
-            u_dense = fullrank_scattering_step(u_dense, dt, scat_ctx)
-            rank_history.append((k, float(e_lo), min(n, m)))
-            u0_moment = u_dense[:, 0]
-
-        psi_u_sum = None
-        if config.uncollided_tally == "steps":
-            psi_u_sum = np.zeros(n)
-            for flux in fluxes:
-                psi_u_sum += flux.at_energy(e_lo)
+        stream_ctx, scat_ctx = step_contexts(problem, fluxes, t_ms, e_hi, e_lo)
+        u0_moment, rank = stepper.step(dt, stream_ctx, scat_ctx)
+        rank_history.append((k, float(e_lo), rank))
         integrand = SQRT_4PI * u0_moment
-        if psi_u_sum is not None:
-            integrand = integrand + s_field * psi_u_sum
         deposited += 0.5 * dt * (prev_integrand + integrand)
         prev_integrand = integrand
-
-    if config.uncollided_tally == "groups":
-        deposited = deposited + uncollided_dose(problem, fluxes)
+    deposited = deposited + uncollided_dose(problem, fluxes)
 
     dose = DoseGrid(
         grid=problem.grid,
@@ -660,21 +608,15 @@ def run_simulation(config: ProblemConfig, solver: str = "dlra") -> SimulationRes
         "n_moments": m,
         "n_steps": n_steps,
         "energy_step_mev": float(de),
-        "max_orthonormality_defect": float(max_orth_defect),
-        "max_truncation_tail": float(max_tail),
-        "tail_violations": int(tail_violations),
+        "max_orthonormality_defect": float(stepper.max_orth_defect),
+        "max_truncation_tail": float(stepper.max_tail),
+        "tail_violations": int(stepper.tail_violations),
         "mean_rank": float(np.mean([r for _, _, r in rank_history])),
         "max_rank": int(max(r for _, _, r in rank_history)),
-        "peak_state_numbers": int(
-            peak_state_numbers if solver == "dlra" else full_numbers
-        ),
-        "peak_transient_numbers": int(
-            peak_transient_numbers if solver == "dlra" else full_numbers
-        ),
+        "peak_state_numbers": int(stepper.peak_state_numbers),
+        "peak_transient_numbers": int(stepper.peak_transient_numbers),
         "fullrank_numbers": int(full_numbers),
-        "state_memory_fraction": float(
-            (peak_state_numbers if solver == "dlra" else full_numbers) / full_numbers
-        ),
+        "state_memory_fraction": float(stepper.peak_state_numbers / full_numbers),
         "negativity": dose.negativity,
         "uncollided_undershoot": float(min((f.undershoot for f in fluxes), default=0.0)),
         "runtime_s": elapsed,

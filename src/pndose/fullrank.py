@@ -9,14 +9,14 @@ contexts) is shared. Everything is deterministic for a fixed config.
 
 import numpy as np
 
-from .dlra import ScatteringContext, StreamingContext, _rk4
+from .dlra import ScatteringContext, StreamingContext, rk4
 from .errors import NumericalError
 
 
 def fullrank_streaming_step(u: np.ndarray, dt: float, ctx: StreamingContext) -> np.ndarray:
     """One RK4 step of u' = F_S(u) on the dense moment matrix."""
     scale0 = np.abs(u).max()
-    u1 = _rk4(ctx.full_rhs, u, dt)
+    u1 = rk4(ctx.full_rhs, u, dt)
     scale1 = np.abs(u1).max()
     if scale0 > 0.0 and scale1 > 1e6 * scale0:
         raise NumericalError(
@@ -37,4 +37,4 @@ def fullrank_scattering_step(u: np.ndarray, dt: float, ctx: ScatteringContext) -
     """
     rates = ctx.self_scattering_rates()          # (n, m)
     u1 = u / (1.0 + dt * rates)
-    return u1 + dt * ctx.source_full(u.shape[1])
+    return u1 + dt * ctx.source_full()

@@ -10,7 +10,7 @@ from .materials import (
     hu_to_material,
 )
 from .moliere import (
-    ScatteringMomentTable,
+    MomentTables,
     kernel_amplitude,
     legendre_moments,
     moliere_dcs,
@@ -31,8 +31,8 @@ __all__ = [
     "HU_MAX",
     "HU_MIN",
     "MaterialField",
+    "MomentTables",
     "SchneiderTable",
-    "ScatteringMomentTable",
     "StoppingPowerLibrary",
     "StoppingPowerTable",
     "beta",

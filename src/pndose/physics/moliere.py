@@ -7,8 +7,8 @@ The per-atom differential cross section is
 with the screening parameter chi = chi_0^2 (1.13 + 3.76 a^2),
 chi_0 = 1.13 alpha Z^(1/3) m_e c / p(E), a = Z alpha / beta(E), and the
 center-of-mass to lab conversion factor tau_lab built with the mass ratio
-1/A. The denominator exponent q is 1 by default and kept configurable
-(see the screened-exponent note in the README).
+1/A. The denominator exponent q is 1 throughout pndose; the functions
+below keep it as a parameter so that the kernel can be studied alone.
 
 Angular moments g_l = 2 pi Int P_l(mu0) sigma dmu0 are near-singular at
 mu0 = 1 (chi ~ 1e-10), so they are integrated with Gauss-Legendre nodes
@@ -17,7 +17,6 @@ A doubled-node evaluation guards convergence. Everything here is
 per-atom [cm^2]; multiply by atomic densities N_i for macroscopic [1/cm].
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -147,29 +146,43 @@ def legendre_moments(
     return g2, xi12
 
 
-@dataclass
-class ScatteringMomentTable:
-    """Per-element angular moments on an energy grid.
+class MomentTables:
+    """Per-element angular moments and xi1 on an energy grid.
 
     g has shape (12, n_E, max_degree+1) and xi1 (12, n_E), both per-atom
     [cm^2]; macroscopic values follow by weighting with atomic densities.
+    Values between grid energies are interpolated linearly; the grid
+    should span every energy asked for, since the end intervals
+    extrapolate.
     """
 
-    energies: np.ndarray
-    g: np.ndarray
-    xi1: np.ndarray
-
-    @classmethod
-    def build(cls, energies, max_degree, n_nodes=DEFAULT_NODES, exponent=1.0):
-        energies = np.asarray(energies, dtype=float)
-        g = np.empty((len(ELEMENTS), energies.size, max_degree + 1))
-        xi1 = np.empty((len(ELEMENTS), energies.size))
+    def __init__(self, energies, max_degree, n_nodes=DEFAULT_NODES, exponent=1.0):
+        self.energies = np.asarray(energies, dtype=float)
+        self.g = np.empty((len(ELEMENTS), self.energies.size, max_degree + 1))
+        self.xi1 = np.empty((len(ELEMENTS), self.energies.size))
         for i, elem in enumerate(ELEMENTS):
-            for j, e in enumerate(energies):
-                g[i, j], xi1[i, j] = legendre_moments(
+            for j, e in enumerate(self.energies):
+                self.g[i, j], self.xi1[i, j] = legendre_moments(
                     elem, e, max_degree, n_nodes=n_nodes, exponent=exponent
                 )
-        return cls(energies=energies, g=g, xi1=xi1)
+
+    def _interp(self, table, e):
+        """table (12, n_E, ...) at energies e: (12, *e.shape, ...)."""
+        e = np.asarray(e, dtype=float)
+        idx = np.clip(
+            np.searchsorted(self.energies, e) - 1, 0, len(self.energies) - 2
+        )
+        w = (e - self.energies[idx]) / (self.energies[idx + 1] - self.energies[idx])
+        w = w.reshape(w.shape + (1,) * (table.ndim - 2))
+        return (1.0 - w) * table[:, idx] + w * table[:, idx + 1]
+
+    def moments_at(self, e):
+        """(12, *e.shape, max_degree+1) per-atom moments at energies e."""
+        return self._interp(self.g, e)
+
+    def xi1_at(self, e):
+        """(12, *e.shape) per-atom xi1 at energies e."""
+        return self._interp(self.xi1, e)
 
     def validate(self, rtol=1e-8):
         """Invariants: g0 > 0, |g_l| <= g0, xi1 = g0 - g1."""

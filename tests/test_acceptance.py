@@ -15,14 +15,9 @@ from scipy.integrate import quad
 
 from pndose.angular import PNBasis, PNOperators, beam_projection, scattering_matrix_fp
 from pndose.constants import ELEMENTS
-from pndose.dlra import (
-    LowRankState,
-    TruncationPolicy,
-    scattering_step,
-    streaming_step,
-    truncate,
-)
 from pndose.driver import (
+    FullRankSolver,
+    LowRankSolver,
     ProblemConfig,
     assemble_problem,
     depth_profile,
@@ -32,7 +27,6 @@ from pndose.driver import (
     trace_all_beams,
     write_outputs,
 )
-from pndose.fullrank import fullrank_scattering_step, fullrank_streaming_step
 from pndose.physics import (
     default_stopping_library,
     hu_to_material,
@@ -124,26 +118,22 @@ class TestCriterion2MaximalRankEquivalence:
         fluxes = trace_all_beams(problem)
         t_ms = [beam_projection(config.pn_order, b.direction) for b in config.beams]
         edges = pseudo_time_edges(problem)
-        n, m = problem.n_cells, problem.n_moments
-        assert min(n, m) == 16
-        state = LowRankState.zero(n, m, 16, seed=config.seed)
-        u = np.zeros((n, m))
-        policy = TruncationPolicy(0.0, rank_min=16, rank_max=16)
+        assert min(problem.n_cells, problem.n_moments) == 16
+        # the shipped steppers, as run_simulation drives them
+        lowrank, fullrank = LowRankSolver(problem), FullRankSolver(problem)
         worst = 0.0
         for k in range(len(edges) - 1):
             dt = edges[k] - edges[k + 1]
-            stream_ctx, scat_ctx, _ = step_contexts(
+            stream_ctx, scat_ctx = step_contexts(
                 problem, fluxes, t_ms, edges[k], edges[k + 1]
             )
-            state = streaming_step(state, dt, stream_ctx)
-            state, _ = truncate(state, policy)
-            state = scattering_step(state, dt, scat_ctx)
-            state, _ = truncate(state, policy)
-            u = fullrank_streaming_step(u, dt, stream_ctx)
-            u = fullrank_scattering_step(u, dt, scat_ctx)
+            _, rank = lowrank.step(dt, stream_ctx, scat_ctx)
+            fullrank.step(dt, stream_ctx, scat_ctx)
+            assert rank == 16
+            u = fullrank.u
             norm = np.linalg.norm(u)
             if norm > 0.0:
-                worst = max(worst, np.linalg.norm(state.matrix() - u) / norm)
+                worst = max(worst, np.linalg.norm(lowrank.state.matrix() - u) / norm)
         report(
             2,
             worst <= 1e-8,

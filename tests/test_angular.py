@@ -102,6 +102,13 @@ class TestScatteringMatrices:
         for ell in range(n_max + 1):
             block = g[basis.degrees == ell]
             assert np.all(block == moments[ell])  # isotropy in azimuth
+        # a stack of moment vectors gives the stack of matrices
+        stack = np.stack([moments, 2.0 * moments, 0.5 * moments]).reshape(3, 1, -1)
+        g_stack, sigma_stack = scattering_matrix_boltzmann(stack, n_max)
+        assert g_stack.shape == (3, 1, basis.size) and sigma_stack.shape == (3, 1)
+        for row, moment_row in zip(g_stack[:, 0], stack[:, 0]):
+            assert np.array_equal(row, scattering_matrix_boltzmann(moment_row, n_max)[0])
+        assert np.array_equal(sigma_stack[:, 0], stack[:, 0, 0])
 
     def test_boltzmann_arity(self):
         with pytest.raises(ValueError, match="degree"):
@@ -122,6 +129,13 @@ class TestScatteringMatrices:
         assert g[basis.index(0, 0)] == 0.0
         assert g[basis.index(1, 0)] == pytest.approx(-xi1)
         assert g[basis.index(2, 1)] == pytest.approx(-3.0 * xi1)
+        xi1s = np.array([[0.37, 0.0], [1.5, 2e-24]])
+        g_array = scattering_matrix_fp(xi1s, 3)
+        assert g_array.shape == (2, 2, basis.size)
+        for idx in np.ndindex(xi1s.shape):
+            assert np.array_equal(g_array[idx], scattering_matrix_fp(xi1s[idx], 3))
+        with pytest.raises(ValueError, match="nonnegative"):
+            scattering_matrix_fp(np.array([0.3, -1e-30]), 3)
 
 
 class TestTransportCorrections:
@@ -136,6 +150,16 @@ class TestTransportCorrections:
         g_corr, s_corr = transport_correction_boltzmann(g_diag, sigma_t, 0.5)
         # -sigma_t I + G is unchanged entrywise, in particular at degree 0
         np.testing.assert_allclose(g_corr - s_corr, g_diag - sigma_t, atol=1e-15)
+        # arrays, moment index last: each row corrected by its own g_next
+        moments = np.array([[3.0, 2.0, 1.0, 0.5], [1.0, 0.5, 0.25, 0.125]])
+        g_diags, sigma_ts = scattering_matrix_boltzmann(moments, 2)
+        g_rows, s_rows = transport_correction_boltzmann(g_diags, sigma_ts, moments[:, 3])
+        for i in range(2):
+            g_i, s_i = transport_correction_boltzmann(g_diags[i], sigma_ts[i], moments[i, 3])
+            assert np.array_equal(g_rows[i], g_i) and s_rows[i] == s_i
+        np.testing.assert_allclose(
+            g_rows - s_rows[:, None], g_diags - sigma_ts[:, None], atol=1e-15
+        )
 
     def test_fp_correction_cancellation(self):
         xi1, n_max, scale = 0.8, 5, 0.6
@@ -147,6 +171,14 @@ class TestTransportCorrections:
         g_full, s_full = transport_correction_fp(g, 0.0, xi1, n_max, 1.0)
         lam_next = -(xi1 / 2.0) * (n_max + 1) * (n_max + 2)
         assert g_full[0] == pytest.approx(-lam_next)
+        # arrays, moment index last: each row corrected by its own xi1
+        xi1s = np.array([0.8, 0.1, 0.0])
+        g_rows, s_rows = transport_correction_fp(
+            scattering_matrix_fp(xi1s, n_max), np.zeros(3), xi1s, n_max, scale
+        )
+        for i, x in enumerate(xi1s):
+            g_i, s_i = transport_correction_fp(scattering_matrix_fp(x, n_max), 0.0, x, n_max, scale)
+            assert np.array_equal(g_rows[i], g_i) and s_rows[i] == s_i
 
     def test_fp_scale_bounds(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Driver: config validation, simulation pipeline, outputs."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 
 from pndose.driver import (
     ProblemConfig,
-    accumulate_dose,
     assemble_problem,
     compare_volumes,
     depth_profile,
@@ -60,6 +60,32 @@ class TestConfigValidation:
     def test_bad_model(self):
         with pytest.raises(ConfigError, match="model"):
             ProblemConfig.from_dict(smoke_raw(model="diffusion"))
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("transport", "truncate_after", "both"),
+        ("rays", "uncollided_tally", "groups"),
+        ("physics", "moment_table_points", 48),
+        ("physics", "moment_quadrature_nodes", 256),
+        ("physics", "screening_exponent", 1.0),
+        ("rays", "span_sigmas", 3.0),
+        ("rays", "step_cm", 0.01),
+        ("transport", "rank_maximum", 10),
+        (None, "pn_ordre", 3),
+        ("beams", "energy", 20.0),
+    ])
+    def test_unknown_key_names_itself(self, section, key, value):
+        raw = smoke_raw()
+        if section is None:
+            raw[key] = value
+            label = key
+        elif section == "beams":
+            raw["beams"][0][key] = value
+            label = f"beams[0].{key}"
+        else:
+            raw.setdefault(section, {})[key] = value
+            label = f"{section}.{key}"
+        with pytest.raises(ConfigError, match=re.escape(f"'{label}'")):
+            ProblemConfig.from_dict(raw)
 
     def test_two_cell_axis(self):
         raw = smoke_raw()
@@ -174,47 +200,20 @@ class TestSimulation:
 
         # independent CSDA oracle on the shipped table (water at 0 HU)
         from pndose.physics import default_stopping_library, hu_to_material
-        from scipy.integrate import quad
+        from scipy.integrate import cumulative_trapezoid
 
         density, weights = hu_to_material(0.0)
         lib = default_stopping_library()
-
-        def s_of_e(e):
-            return float(
-                density * sum(
-                    w * lib.mass_stopping(sym, e)
-                    for w, sym in zip(weights, [el.symbol for el in lib.tables.values()])
-                )
-            )
-
-        def range_from(e0, e1):
-            val, _ = quad(lambda e: 1.0 / s_of_e(e), e1, e0, limit=200)
-            return val
-
-        # solve R(90) - R(E_exit) = 3.0 cm by bisection
-        lo, hi = 1.0, 90.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if range_from(90.0, mid) > 3.0:
-                lo = mid
-            else:
-                hi = mid
-        e_exit = 0.5 * (lo + hi)
+        energies = np.linspace(1.0, 90.0, 200_001)
+        s_of_e = density * sum(
+            w * lib.mass_stopping(sym, energies)
+            for w, sym in zip(weights, [el.symbol for el in lib.tables.values()])
+        )
+        # R(E) = range from E down to 1 MeV; solve R(90) - R(E_exit) = 3.0 cm
+        csda_range = cumulative_trapezoid(1.0 / s_of_e, energies, initial=0.0)
+        e_exit = np.interp(csda_range[-1] - 3.0, csda_range, energies)
         expected = 1.0 * (90.0 - e_exit)
         assert total == pytest.approx(expected, rel=0.01)
-
-    def test_accumulate_dose_helper(self):
-        deposited = np.zeros(4)
-        u0 = np.array([1.0, 2.0, 0.0, -1.0])
-        out = accumulate_dose(deposited, u0, None, None, 0.5)
-        np.testing.assert_allclose(out, 0.5 * np.sqrt(4 * np.pi) * u0)
-        # zero state and zero uncollided: no change
-        out2 = accumulate_dose(np.zeros(4), np.zeros(4), np.zeros(4), np.ones(4), 0.5)
-        assert np.all(out2 == 0.0)
-        # doubling the slice doubles the increment
-        a = accumulate_dose(np.zeros(4), u0, None, None, 0.25)
-        b = accumulate_dose(np.zeros(4), u0, None, None, 0.5)
-        np.testing.assert_allclose(b, 2.0 * a)
 
     def test_diagnostics_contract(self, smoke_result):
         d = smoke_result.diagnostics
@@ -250,6 +249,7 @@ class TestRayTracerCoupling:
         ("boltzmann", {}),
         ("fokker-planck", {"fp_correction_scale": 0.5}),
         ("fokker-planck", {"fp_correction_scale": 0.0}),
+        ("boltzmann", {"boltzmann_correction": False}),
     ])
     def test_sigma_t_on_energy_arrays_is_bit_exact(self, model, physics):
         raw = smoke_raw(model=model, physics=physics)
@@ -269,6 +269,15 @@ class TestRayTracerCoupling:
             n_i = atomic[int(np.argmax(keys == key))]
             scalar = [n_i @ problem.scattering_tables(float(e))[1] for e in energies.ravel()]
             assert np.array_equal(sigma_t_fn(energies), np.reshape(scalar, energies.shape))
+        # the array path of the tables equals the stacked scalar calls
+        g_diags, sigma_t = problem.scattering_tables(energies)
+        per_energy = [problem.scattering_tables(float(e)) for e in energies.ravel()]
+        assert np.array_equal(
+            g_diags, np.stack([g for g, _ in per_energy], axis=1).reshape(g_diags.shape)
+        )
+        assert np.array_equal(
+            sigma_t, np.stack([t for _, t in per_energy], axis=1).reshape(sigma_t.shape)
+        )
 
 
 class TestOutputs:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pndose.angular import PNOperators
-from pndose.dlra import ScatteringContext, StreamingContext, _rk4
+from pndose.dlra import ScatteringContext, StreamingContext, rk4
 from pndose.errors import NumericalError
 from pndose.fullrank import fullrank_scattering_step, fullrank_streaming_step
 from pndose.spatial import Grid3D, build_stencils
@@ -26,7 +26,7 @@ class TestStreaming:
     def test_rk4_exact_on_constant_rhs(self):
         rng = np.random.default_rng(2)
         c = rng.standard_normal((5, 3))
-        y = _rk4(lambda _: c, np.zeros((5, 3)), 0.7)
+        y = rk4(lambda _: c, np.zeros((5, 3)), 0.7)
         np.testing.assert_allclose(y, 0.7 * c, atol=1e-15)
 
     def test_blowup_detected(self):
