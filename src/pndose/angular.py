@@ -164,6 +164,27 @@ def eigen_split(a: np.ndarray):
     return v, np.maximum(lam, 0.0), np.minimum(lam, 0.0)
 
 
+# Eigenvalues with |lambda| <= this times the spectral radius are rounding
+# dust of the N+1 zero eigenvalues; the characteristic split drops them.
+EIGENVALUE_DUST = 1e-12
+
+
+def characteristic_split(v, lam_plus, lam_minus):
+    """(V+, V-, B) with A = V+ L+ V+^T + V- L- V-^T and B = -[L+ V+^T; L- V-^T].
+
+    V+ and V- are contiguous copies of the eigenvector columns whose
+    eigenvalue is positive or negative beyond rounding dust; B (k+ + k-, m)
+    rotates the characteristic fluxes back to moments with the minus sign
+    of F_S folded in.
+    """
+    lam = lam_plus + lam_minus
+    dust = EIGENVALUE_DUST * np.abs(lam).max()
+    pos, neg = lam > dust, lam < -dust
+    v_plus, v_minus = np.ascontiguousarray(v[:, pos]), np.ascontiguousarray(v[:, neg])
+    back = -np.vstack([lam[pos, None] * v_plus.T, lam[neg, None] * v_minus.T])
+    return v_plus, v_minus, back
+
+
 @dataclass(frozen=True)
 class PNOperators:
     """Immutable bundle of the angular operators for one PN order."""
@@ -175,11 +196,15 @@ class PNOperators:
     eig_v: tuple          # (V_x, V_y, V_z)
     lam_plus: tuple       # per direction, (m,)
     lam_minus: tuple
+    v_plus: tuple         # per direction, (m, k+), see characteristic_split
+    v_minus: tuple        # per direction, (m, k-)
+    back_rotation: tuple  # per direction, (k+ + k-, m)
 
     @classmethod
     def build(cls, n_max: int) -> "PNOperators":
         ax, ay, az = flux_matrices(n_max)
         splits = [eigen_split(a) for a in (ax, ay, az)]
+        chars = [characteristic_split(*s) for s in splits]
         return cls(
             basis=PNBasis(n_max),
             a_x=ax,
@@ -188,6 +213,9 @@ class PNOperators:
             eig_v=tuple(s[0] for s in splits),
             lam_plus=tuple(s[1] for s in splits),
             lam_minus=tuple(s[2] for s in splits),
+            v_plus=tuple(c[0] for c in chars),
+            v_minus=tuple(c[1] for c in chars),
+            back_rotation=tuple(c[2] for c in chars),
         )
 
     @property
@@ -250,11 +278,17 @@ def transport_correction_fp(g_diag, sigma_t, xi1, n_max: int, scale: float):
     source-coupling smoothing against none. g_diag (..., m); sigma_t and
     xi1 (...).
     """
+    shift = fp_correction_shift(xi1, n_max, scale)
+    return g_diag - shift[..., None], sigma_t - shift
+
+
+def fp_correction_shift(xi1, n_max: int, scale: float):
+    """scale times the degree-(N+1) Fokker-Planck eigenvalue: the amount
+    transport_correction_fp removes from every entry and from sigma_t."""
     if not 0.0 <= scale <= 1.0:
         raise ValueError("correction scale must lie in [0, 1]")
     lam_next = -(np.asarray(xi1, dtype=float) / 2.0) * (n_max + 1.0) * (n_max + 2.0)
-    shift = scale * lam_next
-    return g_diag - shift[..., None], sigma_t - shift
+    return scale * lam_next
 
 
 def beam_projection(n_max: int, omega_in) -> np.ndarray:

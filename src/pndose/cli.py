@@ -37,6 +37,9 @@ def _cmd_run(args, solver):
         f"{_plural(sum(d['marches_per_beam']), 'march', 'marches')}; "
         f"{_plural(d['energy_operator_assemblies'], 'energy operator')}"
     )
+    print("phases: " + ", ".join(
+        f"{name.replace('_', ' ')} {seconds:.2f} s" for name, seconds in d["phase_s"].items()
+    ))
     neg = d["negativity"]
     if neg["negative_cells"]:
         print(

@@ -139,11 +139,7 @@ class StreamingContext:
     ops: PNOperators
 
     def __post_init__(self):
-        from scipy import sparse
-
-        scale = sparse.diags(self.inv_s)
-        self.scaled_plus = tuple(d @ scale for d in self.stencils.plus)
-        self.scaled_minus = tuple(d @ scale for d in self.stencils.minus)
+        self.scaled_plus, self.scaled_minus = self.stencils.scaled(self.inv_s)
         self.active_axes = tuple(
             axis
             for axis in range(3)

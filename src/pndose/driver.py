@@ -28,6 +28,7 @@ from . import __version__
 from .angular import (
     PNOperators,
     beam_projection,
+    fp_correction_shift,
     scattering_matrix_boltzmann,
     scattering_matrix_fp,
     transport_correction_boltzmann,
@@ -322,17 +323,34 @@ class Problem:
             moments = self.moments.moments_at(e_mev)          # (12, ..., N+2)
             g_diags, sigma_t = scattering_matrix_boltzmann(moments, n_max)
             if self.config.boltzmann_correction:
-                g_diags, sigma_t = transport_correction_boltzmann(
+                g_diags, _ = transport_correction_boltzmann(
                     g_diags, sigma_t, moments[..., n_max + 1]
                 )
-            return g_diags, sigma_t
+        else:
+            xi1 = self.moments.xi1_at(e_mev)                  # (12, ...)
+            g_diags = scattering_matrix_fp(xi1, n_max)
+            if self.config.fp_correction_scale > 0.0:
+                g_diags, _ = transport_correction_fp(
+                    g_diags, 0.0, xi1, n_max, self.config.fp_correction_scale
+                )
+        return g_diags, self.total_cross_sections(e_mev)
+
+    def total_cross_sections(self, e_mev):
+        """Corrected per-element sigma_t (12, ...) at an energy or an array
+        of energies, without forming the (..., m) scattering diagonals."""
+        n_max = self.config.pn_order
+        if self.config.model == BOLTZMANN:
+            moments = self.moments.moments_at(e_mev)          # (12, ..., N+2)
+            # contiguous, so that dot products with it sum as for a vector
+            sigma_t = np.ascontiguousarray(moments[..., 0])
+            if self.config.boltzmann_correction:
+                sigma_t = sigma_t - moments[..., n_max + 1]
+            return sigma_t
         xi1 = self.moments.xi1_at(e_mev)                      # (12, ...)
-        g_diags, sigma_t = scattering_matrix_fp(xi1, n_max), np.zeros(xi1.shape)
+        sigma_t = np.zeros(xi1.shape)
         if self.config.fp_correction_scale > 0.0:
-            g_diags, sigma_t = transport_correction_fp(
-                g_diags, sigma_t, xi1, n_max, self.config.fp_correction_scale
-            )
-        return g_diags, sigma_t
+            sigma_t = sigma_t - fp_correction_shift(xi1, n_max, self.config.fp_correction_scale)
+        return sigma_t
 
 
 def assemble_problem(config: ProblemConfig) -> Problem:
@@ -393,7 +411,7 @@ def material_coefficients(problem: Problem):
 
         def sigma_t_fn(e, n_i=n_i):
             e = np.asarray(e, dtype=float)
-            per_atom = np.moveaxis(problem.scattering_tables(e)[1], 0, -1)  # (..., 12)
+            per_atom = np.moveaxis(problem.total_cross_sections(e), 0, -1)  # (..., 12)
             # one 1-D dot per energy, as a scalar evaluation would do it
             per_energy = np.ascontiguousarray(per_atom).reshape(-1, N_ELEMENTS)
             return np.array([n_i @ row for row in per_energy]).reshape(e.shape)
@@ -563,17 +581,29 @@ class FullRankSolver:
 
 SOLVERS = {"dlra": LowRankSolver, "fullrank": FullRankSolver}
 
+# Wall-time phases of run_simulation in diagnostics["phase_s"]; contexts
+# and steps are summed over the pseudo-time steps.
+PHASES = ("assembly", "ray_trace", "contexts", "steps", "uncollided_tally")
+
 
 def run_simulation(config: ProblemConfig, solver: str = "dlra") -> SimulationResult:
     """Full pipeline; solver is 'dlra' or 'fullrank' (the oracle)."""
     if solver not in SOLVERS:
         raise ConfigError(f"unknown solver '{solver}'")
     t_start = time.perf_counter()
-    problem = assemble_problem(config)
+    phase_s = dict.fromkeys(PHASES, 0.0)
+
+    def timed(phase, fn, *args):
+        start = time.perf_counter()
+        value = fn(*args)
+        phase_s[phase] += time.perf_counter() - start
+        return value
+
+    problem = timed("assembly", assemble_problem, config)
     n, m = problem.n_cells, problem.n_moments
 
     operators = {}
-    fluxes = trace_all_beams(problem, operators)
+    fluxes = timed("ray_trace", trace_all_beams, problem, operators)
     t_ms = [beam_projection(config.pn_order, b.direction) for b in config.beams]
 
     edges = pseudo_time_edges(problem)
@@ -587,13 +617,15 @@ def run_simulation(config: ProblemConfig, solver: str = "dlra") -> SimulationRes
     for k in range(n_steps):
         e_hi, e_lo = edges[k], edges[k + 1]
         dt = e_hi - e_lo
-        stream_ctx, scat_ctx = step_contexts(problem, fluxes, t_ms, e_hi, e_lo)
-        u0_moment, rank = stepper.step(dt, stream_ctx, scat_ctx)
+        stream_ctx, scat_ctx = timed(
+            "contexts", step_contexts, problem, fluxes, t_ms, e_hi, e_lo
+        )
+        u0_moment, rank = timed("steps", stepper.step, dt, stream_ctx, scat_ctx)
         rank_history.append((k, float(e_lo), rank))
         integrand = SQRT_4PI * u0_moment
         deposited += 0.5 * dt * (prev_integrand + integrand)
         prev_integrand = integrand
-    deposited = deposited + uncollided_dose(problem, fluxes)
+    deposited = deposited + timed("uncollided_tally", uncollided_dose, problem, fluxes)
 
     dose = DoseGrid(
         grid=problem.grid,
@@ -620,6 +652,7 @@ def run_simulation(config: ProblemConfig, solver: str = "dlra") -> SimulationRes
         "negativity": dose.negativity,
         "uncollided_undershoot": float(min((f.undershoot for f in fluxes), default=0.0)),
         "runtime_s": elapsed,
+        "phase_s": phase_s,
         "rays_per_beam": [f.n_rays for f in fluxes],
         "rays_missed_per_beam": [f.n_rays_missed for f in fluxes],
         "marches_per_beam": [f.n_marches for f in fluxes],

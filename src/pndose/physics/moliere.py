@@ -80,11 +80,15 @@ def _substitution_nodes(chi, n_nodes):
     which flattens the screening peak (1 - mu0 computed cancellation-free
     as chi * expm1(s - ln chi)), and mu0 in [-1, 0] under t = sqrt(1 + mu0),
     which absorbs the sqrt endpoint of the lab-frame factor for hydrogen.
-    Returns (mu0, one_minus_mu0, jacobian_weights).
+    Returns (mu0, one_minus_mu0, jacobian_weights), each (2 n_nodes,) for
+    a scalar chi and (E, 2 n_nodes) for an (E, 1) column of offsets.
     """
     x, w = _gauss_nodes(n_nodes)
+    chi = np.asarray(chi, dtype=float)
 
-    s_lo, s_hi = np.log(chi), np.log(1.0 + chi)
+    # the logarithms one offset at a time, as for a scalar chi
+    s_lo = np.reshape([np.log(c) for c in chi.flat], chi.shape)
+    s_hi = np.reshape([np.log(1.0 + c) for c in chi.flat], chi.shape)
     s = 0.5 * (s_hi - s_lo) * x + 0.5 * (s_hi + s_lo)
     jac_fwd = 0.5 * (s_hi - s_lo) * np.exp(s) * w
     omm_fwd = chi * np.expm1(s - s_lo)
@@ -93,10 +97,10 @@ def _substitution_nodes(chi, n_nodes):
     jac_bwd = 0.5 * 2.0 * t * w
     mu0_bwd = -1.0 + t * t
 
-    mu0 = np.concatenate([1.0 - omm_fwd, mu0_bwd])
-    one_minus_mu0 = np.concatenate([omm_fwd, 2.0 - t * t])
-    jac = np.concatenate([jac_fwd, jac_bwd])
-    return mu0, one_minus_mu0, jac
+    def join(fwd, bwd):
+        return np.concatenate([fwd, np.broadcast_to(bwd, fwd.shape)], axis=-1)
+
+    return join(1.0 - omm_fwd, mu0_bwd), join(omm_fwd, 2.0 - t * t), join(jac_fwd, jac_bwd)
 
 
 def moments_of_kernel(kernel, chi, max_degree, n_nodes=DEFAULT_NODES):
@@ -104,13 +108,21 @@ def moments_of_kernel(kernel, chi, max_degree, n_nodes=DEFAULT_NODES):
 
     kernel(mu0, one_minus_mu0) must be vectorized; chi is the screening
     offset used for the de-peaking substitution. Moments carry the 2 pi
-    azimuthal factor.
+    azimuthal factor. An (E, 1) column of offsets, with a kernel that
+    broadcasts over it, gives g (E, max_degree+1) and xi1 (E,); each row
+    is contracted on its own, as for a scalar offset.
     """
     mu0, omm, jac = _substitution_nodes(chi, n_nodes)
     vals = kernel(mu0, omm) * jac
-    p = np.polynomial.legendre.legvander(mu0, max_degree)   # (nodes, deg+1)
-    g = 2.0 * np.pi * (vals @ p)
-    xi1 = 2.0 * np.pi * np.dot(vals, omm)
+    p = np.polynomial.legendre.legvander(mu0, max_degree)   # (..., nodes, deg+1)
+    nodes = mu0.shape[-1]
+    vals, omm = vals.reshape(-1, nodes), omm.reshape(-1, nodes)
+    p = p.reshape((-1,) + p.shape[-2:])
+    # row by row, so that each row sums as for a scalar offset
+    g = np.array([2.0 * np.pi * (v @ q) for v, q in zip(vals, p)])
+    xi1 = np.array([2.0 * np.pi * np.dot(v, o) for v, o in zip(vals, omm)])
+    if mu0.ndim == 1:
+        return g[0], xi1[0]
     return g, xi1
 
 
@@ -125,10 +137,16 @@ def legendre_moments(
     """Per-atom moments (g_0..g_max_degree) [cm^2] and xi1 [cm^2].
 
     Uses the de-peaked quadrature with a doubled-node convergence check;
-    raises NumericalError with the achieved error if it fails.
+    raises NumericalError with the achieved error if it fails. A 1-D
+    array of energies gives g (E, max_degree+1) and xi1 (E,) whose rows
+    equal the scalar calls bit for bit.
     """
-    _, _, chi = screening_parameters(element, e_mev)
-    c = kernel_amplitude(element, e_mev)
+    energies = np.atleast_1d(np.asarray(e_mev, dtype=float))
+    # chi and the amplitude one energy at a time, as scalars: on an energy
+    # array, chi_0 ** 2 rounds differently from the scalar power at some
+    # energies, which moves every moment of that table row
+    chi = np.array([screening_parameters(element, e)[2] for e in energies])[:, None]
+    c = np.array([kernel_amplitude(element, e) for e in energies])[:, None]
     ratio = 1.0 / element.a
 
     def kernel(mu0, one_minus_mu0):
@@ -136,14 +154,22 @@ def legendre_moments(
 
     g, xi1 = moments_of_kernel(kernel, chi, max_degree, n_nodes)
     g2, xi12 = moments_of_kernel(kernel, chi, max_degree, 2 * n_nodes)
-    scale = max(abs(g2[0]), abs(xi12))
-    err = max(np.max(np.abs(g - g2)), abs(xi1 - xi12)) / scale
-    if err > rtol:
-        raise NumericalError(
-            f"moment quadrature for {element.symbol} at {e_mev:g} MeV did not "
-            f"converge: achieved {err:.3e}, tolerance {rtol:.3e}"
-        )
+    for e, row, row2, x, x2 in zip(energies, g, g2, xi1, xi12):
+        scale = max(abs(row2[0]), abs(x2))
+        err = max(np.max(np.abs(row - row2)), abs(x - x2)) / scale
+        if err > rtol:
+            raise NumericalError(
+                f"moment quadrature for {element.symbol} at {e:g} MeV did not "
+                f"converge: achieved {err:.3e}, tolerance {rtol:.3e}"
+            )
+    if np.ndim(e_mev) == 0:
+        return g2[0], xi12[0]
     return g2, xi12
+
+
+# Energies per legendre_moments call in MomentTables, sized so that the
+# doubled-node Legendre Vandermonde of one call stays within this many bytes.
+CHUNK_BYTES = 1 << 20
 
 
 class MomentTables:
@@ -160,10 +186,13 @@ class MomentTables:
         self.energies = np.asarray(energies, dtype=float)
         self.g = np.empty((len(ELEMENTS), self.energies.size, max_degree + 1))
         self.xi1 = np.empty((len(ELEMENTS), self.energies.size))
+        # 2 pieces of 2 n_nodes nodes each at the doubled node count
+        chunk = max(1, CHUNK_BYTES // (4 * n_nodes * (max_degree + 1) * 8))
         for i, elem in enumerate(ELEMENTS):
-            for j, e in enumerate(self.energies):
-                self.g[i, j], self.xi1[i, j] = legendre_moments(
-                    elem, e, max_degree, n_nodes=n_nodes, exponent=exponent
+            for lo in range(0, self.energies.size, chunk):
+                part = slice(lo, lo + chunk)
+                self.g[i, part], self.xi1[i, part] = legendre_moments(
+                    elem, self.energies[part], max_degree, n_nodes=n_nodes, exponent=exponent
                 )
 
     def _interp(self, table, e):

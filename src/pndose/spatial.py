@@ -15,12 +15,16 @@ differences; the outermost layer closes with zero-inflow ghost values
 (vacuum), so those rows intentionally do not sum to zero. The streaming
 right-hand side applies the eigen-split flux form
 
-    F_S(u) = - sum_d (D_d^+ (S^-1 u V_d) L_d^+ + D_d^- (S^-1 u V_d) L_d^-) V_d^T
+    F_S(u) = - sum_d (D_d^+ (S^-1 u V_d^+) L_d^+ (V_d^+)^T
+                      + D_d^- (S^-1 u V_d^-) L_d^- (V_d^-)^T)
 
-with the rotation into characteristic variables on the moment side.
+where V_d^+ (V_d^-) holds the eigenvectors of A_d with positive
+(negative) eigenvalues L_d^+ (L_d^-), so each stencil acts only on the
+characteristic variables it serves; the eigenvalues that are zero up to
+rounding contribute nothing and are left out (angular.characteristic_split).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -130,11 +134,35 @@ def _lift_to_grid(d1, grid: Grid3D, axis: int) -> sparse.csr_matrix:
 
 @dataclass(frozen=True)
 class UpwindStencils:
-    """Sparse (n, n) stencils; plus[i]/minus[i] for axis i in (x, y, z)."""
+    """Sparse (n, n) stencils; plus[i]/minus[i] for axis i in (x, y, z).
+
+    On construction each stencil is also stored in the entry order that
+    scipy's product D @ diag(s) emits, so that scaled() forms those
+    products by rescaling entries instead of multiplying matrices.
+    """
 
     plus: tuple
     minus: tuple
     grid: Grid3D
+    _product_order: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ones = sparse.diags(np.ones(self.grid.n_cells))
+        object.__setattr__(
+            self, "_product_order", tuple(d @ ones for d in self.plus + self.minus)
+        )
+
+    def scaled(self, s):
+        """(plus, minus) stencils times diag(s), as tuples over the axes.
+
+        Each equals scipy's D @ sparse.diags(s) in data, indices and
+        indptr, so products with it sum every row in the same order.
+        """
+        mats = tuple(
+            sparse.csr_matrix((p.data * s[p.indices], p.indices, p.indptr), shape=p.shape)
+            for p in self._product_order
+        )
+        return mats[:3], mats[3:]
 
 
 def build_stencils(grid: Grid3D) -> UpwindStencils:
@@ -159,9 +187,8 @@ def apply_streaming(u, inv_s, stencils: UpwindStencils, ops: PNOperators):
     for axis in range(3):
         if stencils.plus[axis].nnz == 0 and stencils.minus[axis].nnz == 0:
             continue
-        v = ops.eig_v[axis]
-        w = scaled @ v
-        flux = (stencils.plus[axis] @ w) * ops.lam_plus[axis][None, :]
-        flux += (stencils.minus[axis] @ w) * ops.lam_minus[axis][None, :]
-        out -= flux @ v.T
+        back = ops.back_rotation[axis]
+        k = ops.v_plus[axis].shape[1]
+        out += (stencils.plus[axis] @ (scaled @ ops.v_plus[axis])) @ back[:k]
+        out += (stencils.minus[axis] @ (scaled @ ops.v_minus[axis])) @ back[k:]
     return out

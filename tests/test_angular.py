@@ -90,6 +90,17 @@ class TestFluxMatrices:
             assert np.abs(v.T @ v - np.eye(a.shape[0])).max() < 1e-12
             assert np.all(lp >= 0.0) and np.all(lm <= 0.0)
 
+    def test_characteristic_split(self):
+        ops = PNOperators.build(7)
+        for a, v_plus, v_minus, back in zip(
+            ops.matrices, ops.v_plus, ops.v_minus, ops.back_rotation
+        ):
+            k = v_plus.shape[1]
+            assert (k, v_minus.shape[1]) == (28, 28)
+            assert back.shape == (56, 64)
+            # -[V+ V-] B = V+ L+ V+^T + V- L- V-^T
+            assert np.abs(-(v_plus @ back[:k] + v_minus @ back[k:]) - a).max() <= 1e-14
+
 
 class TestScatteringMatrices:
     def test_boltzmann_layout(self):

@@ -1,5 +1,7 @@
 """Command-line interface and exit codes."""
 
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -57,7 +59,10 @@ class TestRunCompare:
         run_dir = tmp_path / "out"
         path = smoke_config(tmp_path)
         assert main(["run", str(path)]) == 0
-        assert "rays: 9 hit, 0 missed; 1 march; 1 energy operator" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "rays: 9 hit, 0 missed; 1 march; 1 energy operator" in out
+        assert re.search(r"^phases: assembly [\d.]+ s, ray trace [\d.]+ s, contexts [\d.]+ s, "
+                         r"steps [\d.]+ s, uncollided tally [\d.]+ s$", out, re.MULTILINE)
         dose_dlra = run_dir / "dose.vtk"
         assert dose_dlra.exists()
         dlra_copy = tmp_path / "dose_dlra.vtk"

@@ -222,6 +222,13 @@ class TestSimulation:
         assert d["peak_state_numbers"] <= 100 * (8 * 8 * 12 + 16 + 100)
         assert len(smoke_result.rank_history) == d["n_steps"]
 
+    def test_phase_timings(self, smoke_result):
+        phases = smoke_result.diagnostics["phase_s"]
+        assert list(phases) == ["assembly", "ray_trace", "contexts", "steps",
+                                "uncollided_tally"]
+        assert all(seconds > 0.0 for seconds in phases.values())
+        assert sum(phases.values()) <= smoke_result.diagnostics["runtime_s"]
+
     def test_fokker_planck_model_runs(self):
         raw = smoke_raw(model="fokker-planck")
         raw["physics"] = {"fp_correction_scale": 0.5}
@@ -334,6 +341,7 @@ class TestOutputs:
 
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["diagnostics"]["tail_violations"] == 0
+        assert manifest["diagnostics"]["phase_s"] == res2.diagnostics["phase_s"]
         assert "H.csv" in manifest["data_checksums"]
 
     def test_manifest_checksum_tracks_table_changes(self, tmp_path, monkeypatch):

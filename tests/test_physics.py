@@ -7,6 +7,7 @@ from pndose.constants import ELEMENT_INDEX, ELEMENTS, N_ELEMENTS
 from pndose.errors import NumericalError, PhysicsDataError
 from pndose.physics import (
     MaterialField,
+    MomentTables,
     default_stopping_library,
     hu_to_material,
     kernel_amplitude,
@@ -230,6 +231,16 @@ class TestMoments:
     def test_nonconvergence_raises(self):
         with pytest.raises(NumericalError, match="converge"):
             legendre_moments(O, 80.0, 40, n_nodes=4)
+
+    @pytest.mark.parametrize("pn_order", [1, 7])
+    def test_tables_equal_scalar_moments(self, pn_order):
+        # the energy grid of a 90 MeV beam with a 1 % energy spread
+        energies = np.linspace(0.98 * 1.0, 1.02 * 94.5, 48)
+        tables = MomentTables(energies, pn_order + 1)
+        for i, elem in enumerate(ELEMENTS):
+            for j, e in enumerate(energies):
+                g, xi1 = legendre_moments(elem, e, pn_order + 1)
+                assert np.array_equal(tables.g[i, j], g) and tables.xi1[i, j] == xi1
 
     def test_moments_decreasing_forward_peaked(self):
         g, _ = legendre_moments(O, 80.0, 8)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from pndose.angular import PNOperators
 from pndose.errors import ConfigError, NumericalError
+from pndose.dlra import StreamingContext
 from pndose.spatial import Grid3D, apply_streaming, build_stencils
 
 
@@ -206,6 +208,32 @@ class TestStreaming:
         fast = apply_streaming(u, inv_s, st, ops)
         slow = dense_reference_streaming(u, inv_s, g, ops)
         assert np.abs(fast - slow).max() < 1e-12 * max(1.0, np.abs(slow).max())
+
+    @pytest.mark.parametrize("n_max, grid", [
+        (7, Grid3D(4, 5, 6, 0.25, 0.2, 0.3)),
+        (1, Grid3D(1, 5, 7, 1.0, 0.2, 0.1)),
+    ])
+    def test_characteristic_form_matches_dense_reference(self, n_max, grid):
+        rng = np.random.default_rng(17)
+        st = build_stencils(grid)
+        ops = PNOperators.build(n_max)
+        u = rng.standard_normal((grid.n_cells, ops.basis.size))
+        inv_s = 1.0 / rng.uniform(5.0, 15.0, grid.n_cells)
+        fast = apply_streaming(u, inv_s, st, ops)
+        slow = dense_reference_streaming(u, inv_s, grid, ops)
+        assert np.linalg.norm(fast - slow) <= 1e-12 * np.linalg.norm(slow)
+
+    def test_scaled_stencils_equal_the_sparse_product(self):
+        rng = np.random.default_rng(2)
+        g = Grid3D(5, 1, 6, 0.1, 0.1, 0.2)
+        st = build_stencils(g)
+        inv_s = 1.0 / rng.uniform(5.0, 20.0, g.n_cells)
+        ctx = StreamingContext(inv_s, st, PNOperators.build(1))
+        for d, scaled in zip(st.plus + st.minus, ctx.scaled_plus + ctx.scaled_minus):
+            product = d @ sparse.diags(inv_s)
+            assert np.array_equal(scaled.data, product.data)
+            assert np.array_equal(scaled.indices, product.indices)
+            assert np.array_equal(scaled.indptr, product.indptr)
 
     def test_eigen_rotation_roundtrip(self):
         rng = np.random.default_rng(5)
