@@ -199,6 +199,8 @@ class PNOperators:
     v_plus: tuple         # per direction, (m, k+), see characteristic_split
     v_minus: tuple        # per direction, (m, k-)
     back_rotation: tuple  # per direction, (k+ + k-, m)
+    a_plus: tuple         # per direction, A+ = V L+ V^T (m, m)
+    a_minus: tuple        # per direction, A- = V L- V^T (m, m)
 
     @classmethod
     def build(cls, n_max: int) -> "PNOperators":
@@ -216,6 +218,8 @@ class PNOperators:
             v_plus=tuple(c[0] for c in chars),
             v_minus=tuple(c[1] for c in chars),
             back_rotation=tuple(c[2] for c in chars),
+            a_plus=tuple((v * lp[None, :]) @ v.T for v, lp, _ in splits),
+            a_minus=tuple((v * lm[None, :]) @ v.T for v, _, lm in splits),
         )
 
     @property

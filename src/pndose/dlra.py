@@ -10,7 +10,10 @@ the singular-value tail rule.
 
 The projected right-hand sides never form the full n x m matrix: the
 moment-side rotations are contracted at width r, so one evaluation costs
-O(n m r) instead of O(n m^2).
+O(n m r) instead of O(n m^2). The Galerkin (S) phase precontracts its
+spatial factors once per step, so each of its RK4 stages costs O(r^3).
+The implicit scattering substep forms its m projected r x r systems with
+two matrix products and solves them as one batched solve.
 """
 
 from dataclasses import dataclass, field
@@ -129,9 +132,10 @@ class StreamingContext:
     """Frozen per-step streaming coefficients: 1/S field and operators.
 
     On construction the stopping-power diagonal is folded into the
-    stencils (Ds = D diag(1/S)), so every projected right-hand side is a
-    sparse product at width r followed by precontracted r x r moment
-    factors; no n x m intermediate is ever formed.
+    stencils (Ds = D diag(1/S)), so every K- and L-phase right-hand side
+    is a sparse product at width r followed by precontracted r x r moment
+    factors, and every S-phase one is r x r products only; no n x m
+    intermediate is ever formed.
     """
 
     inv_s: np.ndarray
@@ -171,15 +175,14 @@ class StreamingContext:
         return out
 
     def l_step_factors(self, u0: np.ndarray):
-        """Per axis ((Ds+- U0)^T U0, V_d L+- V_d^T) for the L phase."""
+        """Per axis (V_d L+- V_d^T, (Ds+- U0)^T U0) for the L phase."""
         factors = []
         for axis in self.active_axes:
-            vd = self.ops.eig_v[axis]
-            a_plus = (vd * self.ops.lam_plus[axis][None, :]) @ vd.T
-            a_minus = (vd * self.ops.lam_minus[axis][None, :]) @ vd.T
             q_plus = (self.scaled_plus[axis] @ u0).T @ u0
             q_minus = (self.scaled_minus[axis] @ u0).T @ u0
-            factors.append((a_plus, a_minus, q_plus, q_minus))
+            factors.append(
+                (self.ops.a_plus[axis], self.ops.a_minus[axis], q_plus, q_minus)
+            )
         return factors
 
     def l_rhs(self, l: np.ndarray, factors) -> np.ndarray:
@@ -191,20 +194,27 @@ class StreamingContext:
         return out
 
     def s_step_factors(self, u_hat: np.ndarray, v_hat: np.ndarray):
-        """Per axis (Ds+- U^, moment factors) for the Galerkin phase."""
+        """Precontracted Galerkin-phase factors (P, F), one pair per term.
+
+        Over the k = 2 x (active axes) upwind terms j, P (k, ru, ru) stacks
+        the spatial projections U^T Ds+-_d U^ and F (k, rv, rv) the moment
+        factors V^T V_d L+-_d V_d^T V^, so that F_S projects to
+        -sum_j P_j S F_j.
+        """
+        ru, rv = u_hat.shape[1], v_hat.shape[1]
         spatial = [
-            (self.scaled_plus[axis] @ u_hat, self.scaled_minus[axis] @ u_hat)
+            u_hat.T @ (stencils[axis] @ u_hat)
             for axis in self.active_axes
+            for stencils in (self.scaled_plus, self.scaled_minus)
         ]
-        return spatial, self._moment_factors(v_hat)
+        moment = [f for pair in self._moment_factors(v_hat) for f in pair]
+        return (np.array(spatial).reshape(-1, ru, ru),
+                np.array(moment).reshape(-1, rv, rv))
 
     def s_rhs(self, s: np.ndarray, u_hat: np.ndarray, factors) -> np.ndarray:
-        spatial, moment = factors
-        out = np.zeros_like(s)
-        for (w_plus, w_minus), (f_plus, f_minus) in zip(spatial, moment):
-            out -= u_hat.T @ (w_plus @ (s @ f_plus))
-            out -= u_hat.T @ (w_minus @ (s @ f_minus))
-        return out
+        """U^T F_S(U^ S V^T) V^ in O(r^3); u_hat enters only through factors."""
+        p, f = factors
+        return -(p @ (s @ f)).sum(axis=0)
 
 
 def streaming_step(state: LowRankState, dt: float, ctx: StreamingContext) -> LowRankState:
@@ -269,10 +279,42 @@ class ScatteringContext:
         return spatial @ moment
 
 
+def implicit_l_step(u0: np.ndarray, l0: np.ndarray, dt: float,
+                    ctx: ScatteringContext) -> np.ndarray:
+    """Implicit-Euler L-step of the collided self-scattering, L0 (m, r) -> L1.
+
+    Row q of L solves [I + dt sum_i (sigma_t,i - g_i,q) B_i] L1_q = L0_q
+    with the projected spatial weights B_i = U0^T diag(w_i/S) U0. The
+    twelve B_i come from one batched product, the m system matrices from
+    one GEMM over them, and the m r x r systems from one batched solve.
+    """
+    r = u0.shape[1]
+    m = l0.shape[0]
+    spatial = ctx.element_weights.T * ctx.inv_s                    # (12, n)
+    b_mats = (u0.T[None] * spatial[:, None, :]) @ u0               # (12, r, r)
+    coeffs = ctx.sigma_t[:, None] - ctx.g_diags                    # (12, m)
+    mats = np.eye(r) + dt * (coeffs.T @ b_mats.reshape(12, r * r)).reshape(m, r, r)
+    rhs = l0[:, :, None]
+    try:
+        return np.linalg.solve(mats, rhs)[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        # error path only: name the first singular moment column
+        for q in range(m):
+            try:
+                np.linalg.solve(mats[q], rhs[q])
+            except np.linalg.LinAlgError:
+                raise NumericalError(
+                    f"implicit scattering solve singular at moment column {q}; "
+                    f"the step size is too large for the scattering stiffness"
+                ) from exc
+        raise
+
+
 def scattering_step(state: LowRankState, dt: float, ctx: ScatteringContext) -> LowRankState:
     """The four-substep scattering update; returns an augmented state.
 
-    1. collided L-step, implicit Euler on the projected self-scattering;
+    1. collided L-step, implicit Euler on the projected self-scattering,
+       all m moment columns in one batched solve (implicit_l_step);
     2. uncollided K-step, explicit Euler, augments the spatial basis;
     3. uncollided L-step, explicit Euler, augments the moment basis;
     4. uncollided S-step, explicit Euler from the projected coefficient.
@@ -281,24 +323,9 @@ def scattering_step(state: LowRankState, dt: float, ctx: ScatteringContext) -> L
     n, r = u0.shape
     m = v0.shape[0]
 
-    # substep 1: per moment column q solve
-    # [I + dt sum_i (sigma_t,i - g_i,q) B_i] L_q(t1) = L_q(t0)
-    spatial = ctx.element_weights * ctx.inv_s[:, None]             # (n, 12)
-    b_mats = np.einsum("nr,ni,ns->irs", u0, spatial, u0)           # (12, r, r)
-    coeffs = ctx.sigma_t[:, None] - ctx.g_diags                    # (12, m)
-    l_cols = s0 @ v0.T                                             # (r, m)
-    l_new = np.empty_like(l_cols)
-    eye_r = np.eye(r)
-    for q in range(m):
-        mat = eye_r + dt * np.tensordot(coeffs[:, q], b_mats, axes=(0, 0))
-        try:
-            l_new[:, q] = np.linalg.solve(mat, l_cols[:, q])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"implicit scattering solve singular at moment column {q}; "
-                f"the step size is too large for the scattering stiffness"
-            ) from exc
-    v_tilde, r_tilde = np.linalg.qr(l_new.T)                       # L1^T = V~ R
+    # substep 1: collided L-step
+    l1 = implicit_l_step(u0, v0 @ s0.T, dt, ctx)
+    v_tilde, r_tilde = np.linalg.qr(l1)                            # L1 = V~ R
     s_tilde = r_tilde.T                                            # state: U0 S~ V~^T
 
     # substep 2: uncollided K-step (explicit), augment the spatial basis

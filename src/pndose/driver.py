@@ -523,11 +523,27 @@ def _numbers(state: LowRankState) -> int:
     return state.u.size + state.s.size + state.v.size
 
 
+# Wall-time phases of run_simulation in diagnostics["phase_s"]. The step
+# phases are timed by the steppers; contexts and the step phases are
+# summed over the pseudo-time steps. The phases are disjoint.
+STEP_PHASES = ("streaming", "scattering", "truncation")
+PHASES = ("assembly", "ray_trace", "contexts", *STEP_PHASES, "uncollided_tally")
+
+
+def timed(seconds: dict, phase: str, fn, *args):
+    """fn(*args), adding its wall time to seconds[phase]."""
+    start = time.perf_counter()
+    value = fn(*args)
+    seconds[phase] += time.perf_counter() - start
+    return value
+
+
 class LowRankSolver:
     """Augmented-BUG stepper: streaming, truncation, scattering, truncation.
 
     The solver calls (streaming_step, scattering_step, truncate) are looked
     up as module globals, so a probe on this module sees every one of them.
+    phase_s sums their wall times over the steps, by STEP_PHASES.
     """
 
     def __init__(self, problem: Problem):
@@ -542,18 +558,19 @@ class LowRankSolver:
         self.tail_violations = 0
         self.peak_state_numbers = 0
         self.peak_transient_numbers = 0
+        self.phase_s = dict.fromkeys(STEP_PHASES, 0.0)
 
     def _truncate(self):
         self.peak_transient_numbers = max(self.peak_transient_numbers, _numbers(self.state))
-        self.state, tail = truncate(self.state, self.policy)
+        self.state, tail = timed(self.phase_s, "truncation", truncate, self.state, self.policy)
         self.max_tail = max(self.max_tail, tail)
         self.tail_violations += tail > self.policy.threshold + 1e-15
 
     def step(self, dt, stream_ctx, scat_ctx):
         """Advance one step; returns (degree-0 moment (n,), rank)."""
-        self.state = streaming_step(self.state, dt, stream_ctx)
+        self.state = timed(self.phase_s, "streaming", streaming_step, self.state, dt, stream_ctx)
         self._truncate()
-        self.state = scattering_step(self.state, dt, scat_ctx)
+        self.state = timed(self.phase_s, "scattering", scattering_step, self.state, dt, scat_ctx)
         self._truncate()
         state = self.state
         self.max_orth_defect = max(self.max_orth_defect, state.orthonormality_defect())
@@ -562,7 +579,8 @@ class LowRankSolver:
 
 
 class FullRankSolver:
-    """Dense oracle stepper; its state is always n x m, never truncated."""
+    """Dense oracle stepper; its state is always n x m, never truncated,
+    so its truncation phase stays at zero."""
 
     max_orth_defect = 0.0
     max_tail = 0.0
@@ -571,19 +589,16 @@ class FullRankSolver:
     def __init__(self, problem: Problem):
         self.u = np.zeros((problem.n_cells, problem.n_moments))
         self.peak_state_numbers = self.peak_transient_numbers = self.u.size
+        self.phase_s = dict.fromkeys(STEP_PHASES, 0.0)
 
     def step(self, dt, stream_ctx, scat_ctx):
         """Advance one step; returns (degree-0 moment (n,), rank)."""
-        self.u = fullrank_streaming_step(self.u, dt, stream_ctx)
-        self.u = fullrank_scattering_step(self.u, dt, scat_ctx)
+        self.u = timed(self.phase_s, "streaming", fullrank_streaming_step, self.u, dt, stream_ctx)
+        self.u = timed(self.phase_s, "scattering", fullrank_scattering_step, self.u, dt, scat_ctx)
         return self.u[:, 0], min(self.u.shape)
 
 
 SOLVERS = {"dlra": LowRankSolver, "fullrank": FullRankSolver}
-
-# Wall-time phases of run_simulation in diagnostics["phase_s"]; contexts
-# and steps are summed over the pseudo-time steps.
-PHASES = ("assembly", "ray_trace", "contexts", "steps", "uncollided_tally")
 
 
 def run_simulation(config: ProblemConfig, solver: str = "dlra") -> SimulationResult:
@@ -593,17 +608,11 @@ def run_simulation(config: ProblemConfig, solver: str = "dlra") -> SimulationRes
     t_start = time.perf_counter()
     phase_s = dict.fromkeys(PHASES, 0.0)
 
-    def timed(phase, fn, *args):
-        start = time.perf_counter()
-        value = fn(*args)
-        phase_s[phase] += time.perf_counter() - start
-        return value
-
-    problem = timed("assembly", assemble_problem, config)
+    problem = timed(phase_s, "assembly", assemble_problem, config)
     n, m = problem.n_cells, problem.n_moments
 
     operators = {}
-    fluxes = timed("ray_trace", trace_all_beams, problem, operators)
+    fluxes = timed(phase_s, "ray_trace", trace_all_beams, problem, operators)
     t_ms = [beam_projection(config.pn_order, b.direction) for b in config.beams]
 
     edges = pseudo_time_edges(problem)
@@ -618,14 +627,15 @@ def run_simulation(config: ProblemConfig, solver: str = "dlra") -> SimulationRes
         e_hi, e_lo = edges[k], edges[k + 1]
         dt = e_hi - e_lo
         stream_ctx, scat_ctx = timed(
-            "contexts", step_contexts, problem, fluxes, t_ms, e_hi, e_lo
+            phase_s, "contexts", step_contexts, problem, fluxes, t_ms, e_hi, e_lo
         )
-        u0_moment, rank = timed("steps", stepper.step, dt, stream_ctx, scat_ctx)
+        u0_moment, rank = stepper.step(dt, stream_ctx, scat_ctx)
         rank_history.append((k, float(e_lo), rank))
         integrand = SQRT_4PI * u0_moment
         deposited += 0.5 * dt * (prev_integrand + integrand)
         prev_integrand = integrand
-    deposited = deposited + timed("uncollided_tally", uncollided_dose, problem, fluxes)
+    phase_s.update(stepper.phase_s)
+    deposited = deposited + timed(phase_s, "uncollided_tally", uncollided_dose, problem, fluxes)
 
     dose = DoseGrid(
         grid=problem.grid,

@@ -2,16 +2,35 @@
 
 Everything here deliberately avoids the library's closed-form assembly
 paths: sphere integrals use product quadrature over basis evaluations,
-and the Laplace-Beltrami matrix uses the integration-by-parts form with
-the associated-Legendre derivative recurrence.
+the Laplace-Beltrami matrix uses the integration-by-parts form with
+the associated-Legendre derivative recurrence, and CSDA ranges integrate
+the shipped stopping tables by cumulative trapezoid.
 """
 
 import math
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 from scipy.special import lpmv
 
 from pndose.angular import real_sph_eval
+from pndose.physics import default_stopping_library, hu_to_material
+
+
+def water_csda_ranges(e_max_mev, e_min_mev=1.0, n_points=200_001):
+    """(energies, R) with R(E) = int_{e_min}^{E} dE'/S(E') in cm.
+
+    S is the stopping power of water (0 HU) from the shipped tables,
+    summed over the 12 elements; R(e_max) is the CSDA range down to e_min.
+    """
+    density, weights = hu_to_material(0.0)
+    lib = default_stopping_library()
+    energies = np.linspace(e_min_mev, e_max_mev, n_points)
+    s_of_e = density * sum(
+        w * lib.mass_stopping(sym, energies)
+        for w, sym in zip(weights, [el.symbol for el in lib.tables.values()])
+    )
+    return energies, cumulative_trapezoid(1.0 / s_of_e, energies, initial=0.0)
 
 
 def sphere_quadrature_nodes(n_mu, n_phi):

@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from pndose.angular import PNBasis, PNOperators, beam_projection, scattering_matrix_fp
 from pndose.constants import ELEMENTS
@@ -28,8 +27,6 @@ from pndose.driver import (
     write_outputs,
 )
 from pndose.physics import (
-    default_stopping_library,
-    hu_to_material,
     kernel_amplitude,
     moments_of_kernel,
     screening_parameters,
@@ -37,7 +34,7 @@ from pndose.physics import (
 from pndose.raytracer import EnergyDGSpace, march_ray, project_initial_spectrum
 from pndose.spatial import Grid3D, apply_streaming, build_stencils
 
-from oracles import laplace_beltrami_matrix
+from oracles import laplace_beltrami_matrix, water_csda_ranges
 
 
 def report(criterion, passed, detail):
@@ -147,17 +144,9 @@ class TestCriterion3BraggPeakPosition:
         z, dep, _ = depth_profile(preset1_runs["dlra"])
         peak_depth = z[int(np.argmax(dep))]
 
-        # independent CSDA quadrature over the shipped stopping tables
-        density, weights = hu_to_material(0.0)
-        library = default_stopping_library()
-        symbols = [e.symbol for e in ELEMENTS]
-
-        def stopping(e):
-            return density * sum(
-                w * library.mass_stopping(sym, e) for w, sym in zip(weights, symbols)
-            )
-
-        csda_range, _ = quad(lambda e: 1.0 / stopping(e), 1.0, 30.0, limit=200)
+        # independent CSDA range over the shipped stopping tables
+        _, ranges = water_csda_ranges(30.0)
+        csda_range = ranges[-1]
         cells_off = abs(peak_depth - csda_range) / 0.1
         report(
             3,

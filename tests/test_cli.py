@@ -62,7 +62,8 @@ class TestRunCompare:
         out = capsys.readouterr().out
         assert "rays: 9 hit, 0 missed; 1 march; 1 energy operator" in out
         assert re.search(r"^phases: assembly [\d.]+ s, ray trace [\d.]+ s, contexts [\d.]+ s, "
-                         r"steps [\d.]+ s, uncollided tally [\d.]+ s$", out, re.MULTILINE)
+                         r"streaming [\d.]+ s, scattering [\d.]+ s, truncation [\d.]+ s, "
+                         r"uncollided tally [\d.]+ s$", out, re.MULTILINE)
         dose_dlra = run_dir / "dose.vtk"
         assert dose_dlra.exists()
         dlra_copy = tmp_path / "dose_dlra.vtk"

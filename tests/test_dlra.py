@@ -9,6 +9,7 @@ from pndose.dlra import (
     ScatteringContext,
     StreamingContext,
     TruncationPolicy,
+    implicit_l_step,
     orthonormal_columns,
     scattering_step,
     streaming_step,
@@ -49,6 +50,21 @@ def random_scattering_context(n, m, rng, homogeneous=True, with_source=True):
         sigma_t=sigma_t,
         sources=sources,
     )
+
+
+def per_column_implicit_l_step(u0, l0, dt, ctx):
+    """Substep 1 as one r x r solve per moment column: the reference loop."""
+    r = u0.shape[1]
+    spatial = ctx.element_weights * ctx.inv_s[:, None]             # (n, 12)
+    b_mats = np.einsum("nr,ni,ns->irs", u0, spatial, u0)           # (12, r, r)
+    coeffs = ctx.sigma_t[:, None] - ctx.g_diags                    # (12, m)
+    l_cols = l0.T                                                  # (r, m)
+    l_new = np.empty_like(l_cols)
+    eye_r = np.eye(r)
+    for q in range(l_cols.shape[1]):
+        mat = eye_r + dt * np.tensordot(coeffs[:, q], b_mats, axes=(0, 0))
+        l_new[:, q] = np.linalg.solve(mat, l_cols[:, q])
+    return l_new.T
 
 
 def full_rank_state(u_full):
@@ -189,6 +205,43 @@ class TestScatteringStep:
         )
         dev = np.linalg.norm(low.matrix() - full) / np.linalg.norm(full)
         assert dev < 1e-10
+
+    @pytest.mark.parametrize("r", [1, 2, 9, 26])
+    def test_batched_implicit_solve_matches_per_column_loop(self, r):
+        # O(1) stiffness dt (sigma_t,i - g_i,q) w_i / S, heterogeneous weights
+        rng = np.random.default_rng(31 + r)
+        n, m, dt = 90, 64, 0.5
+        g_diags = 0.5 * np.abs(rng.standard_normal((12, m)))
+        ctx = ScatteringContext(
+            element_weights=np.abs(rng.standard_normal((n, 12))),
+            inv_s=rng.uniform(0.5, 1.5, n),
+            g_diags=g_diags,
+            sigma_t=g_diags.max(axis=1) + np.abs(rng.standard_normal(12)),
+        )
+        u0 = orthonormal_columns(rng.standard_normal((n, r)))
+        l0 = rng.standard_normal((m, r))
+        got = implicit_l_step(u0, l0, dt, ctx)
+        want = per_column_implicit_l_step(u0, l0, dt, ctx)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_singular_middle_column_is_named(self):
+        n, m, r = 4, 5, 2
+        # as below, but only columns 2 and 4 have the vanishing matrix
+        # I + dt sum_i (-1) I/12; the error names the first of them
+        state = LowRankState(
+            u=np.eye(n)[:, :r], s=np.eye(r), v=np.eye(m)[:, :r]
+        )
+        g_diags = np.zeros((12, m))
+        g_diags[:, [2, 4]] = 1.0
+        ctx = ScatteringContext(
+            element_weights=np.ones((n, 12)) / 12.0,
+            inv_s=np.ones(n),
+            g_diags=g_diags,
+            sigma_t=np.zeros(12),
+            sources=[],
+        )
+        with pytest.raises(NumericalError, match="moment column 2;"):
+            scattering_step(state, 1.0, ctx)
 
     def test_singular_implicit_solve_reports_column(self):
         n, m, r = 4, 3, 2

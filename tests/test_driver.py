@@ -23,6 +23,8 @@ from pndose.driver import (
 from pndose.errors import ConfigError
 from pndose.spatial import Grid3D
 
+from oracles import water_csda_ranges
+
 
 def smoke_raw(**overrides):
     raw = {
@@ -198,19 +200,9 @@ class TestSimulation:
         cell_volume = 0.2 * 0.2 * 0.1
         total = res.dose.deposited.sum() * cell_volume
 
-        # independent CSDA oracle on the shipped table (water at 0 HU)
-        from pndose.physics import default_stopping_library, hu_to_material
-        from scipy.integrate import cumulative_trapezoid
-
-        density, weights = hu_to_material(0.0)
-        lib = default_stopping_library()
-        energies = np.linspace(1.0, 90.0, 200_001)
-        s_of_e = density * sum(
-            w * lib.mass_stopping(sym, energies)
-            for w, sym in zip(weights, [el.symbol for el in lib.tables.values()])
-        )
+        # independent CSDA oracle on the shipped table (water at 0 HU);
         # R(E) = range from E down to 1 MeV; solve R(90) - R(E_exit) = 3.0 cm
-        csda_range = cumulative_trapezoid(1.0 / s_of_e, energies, initial=0.0)
+        energies, csda_range = water_csda_ranges(90.0)
         e_exit = np.interp(csda_range[-1] - 3.0, csda_range, energies)
         expected = 1.0 * (90.0 - e_exit)
         assert total == pytest.approx(expected, rel=0.01)
@@ -224,8 +216,8 @@ class TestSimulation:
 
     def test_phase_timings(self, smoke_result):
         phases = smoke_result.diagnostics["phase_s"]
-        assert list(phases) == ["assembly", "ray_trace", "contexts", "steps",
-                                "uncollided_tally"]
+        assert list(phases) == ["assembly", "ray_trace", "contexts", "streaming",
+                                "scattering", "truncation", "uncollided_tally"]
         assert all(seconds > 0.0 for seconds in phases.values())
         assert sum(phases.values()) <= smoke_result.diagnostics["runtime_s"]
 
