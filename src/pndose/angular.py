@@ -10,6 +10,15 @@ with the (sparse, unitary) real-to-complex transform; tests validate them
 against direct sphere quadrature. Scattering matrices are diagonal:
 Boltzmann entries are Legendre moments of the kernel, Fokker-Planck
 entries are the Laplace-Beltrami eigenvalues -(xi1/2) l(l+1).
+
+boltzmann_tables and fokker_planck_tables form those entries and sigma_t
+for one model each, and are the only place the transport correction is
+applied: both subtract one shift, the model's degree-(N+1) entry, from
+every entry g_l and from sigma_t. The collided flux sees only the net
+operator sigma_t - g_l, in which the shift cancels, so the correction
+changes the bare quantities alone: the attenuation sigma_t of the
+ray-traced uncollided flux and the g_l that couple it into the collided
+source.
 """
 
 import math
@@ -234,65 +243,47 @@ class PNOperators:
         )
 
 
-def scattering_matrix_boltzmann(moments, n_max: int):
-    """Diagonal Boltzmann scattering matrix from kernel moments.
+def boltzmann_tables(moments, n_max: int, corrected: bool, degrees=None):
+    """Boltzmann entries (g (..., k), sigma_t (...)) at the given degrees.
 
-    moments (..., >= N+2) must reach degree N+1 (needed by the transport
-    correction); returns (g_diag, sigma_t) with g_diag (..., m) repeating
-    each degree's moment over its 2l+1 orders, and sigma_t = g_0 (...).
+    moments (..., >= N+2) are the kernel's Legendre moments g_0..g_{N+1};
+    degrees (k,) names the degree of each returned entry: 0..N by default,
+    PNBasis(N).degrees for the diagonal of the scattering matrix, which
+    repeats g_l over the 2l+1 orders of degree l. sigma_t = g_0. With
+    `corrected`, the extended transport correction shifts every entry and
+    sigma_t by g_{N+1}, so that the truncated expansion matches the
+    moments up to degree N+1.
     """
     moments = np.asarray(moments, dtype=float)
     if moments.shape[-1] < n_max + 2:
         raise ValueError(
             f"need moments up to degree {n_max + 1}, got {moments.shape[-1] - 1}"
         )
-    degrees = PNBasis(n_max).degrees
-    # a contiguous sigma_t, so that dot products with it sum as for a vector
-    return moments[..., degrees], np.ascontiguousarray(moments[..., 0])
+    if degrees is None:
+        degrees = np.arange(n_max + 1)
+    shift = moments[..., n_max + 1] if corrected else np.zeros(moments.shape[:-1])
+    return moments[..., degrees] - shift[..., None], moments[..., 0] - shift
 
 
-def scattering_matrix_fp(xi1, n_max: int) -> np.ndarray:
-    """Diagonal Fokker-Planck matrix: -(xi1/2) l(l+1) per degree.
+def fokker_planck_tables(xi1, n_max: int, scale: float, degrees=None):
+    """Fokker-Planck entries (g (..., k), sigma_t (...)) at the given degrees.
 
-    xi1 (...) gives (..., m)."""
+    The entries are the Laplace-Beltrami eigenvalues
+    lambda_l = -(xi1/2) l(l+1) and sigma_t = 0; degrees as for
+    boltzmann_tables. The correction shifts every entry and sigma_t by
+    scale * lambda_{N+1}: scale in [0, 1] interpolates between no
+    correction and the full one, whose degree-(N+1) entry vanishes.
+    """
     xi1 = np.asarray(xi1, dtype=float)
     if np.any(xi1 < 0.0):
         raise ValueError("xi1 must be nonnegative")
-    degrees = PNBasis(n_max).degrees
-    return -(xi1[..., None] / 2.0) * degrees * (degrees + 1.0)
-
-
-def transport_correction_boltzmann(g_diag, sigma_t, g_next):
-    """Extended transport correction: shift all moments and sigma_t by
-    the degree-(N+1) moment so the truncated expansion matches moments
-    0..N+1. The net in-minus-out operator is unchanged; only the bare
-    quantities (and the uncollided source coupling) shrink.
-
-    g_diag (..., m); sigma_t and g_next (...)."""
-    g_next = np.asarray(g_next, dtype=float)
-    return g_diag - g_next[..., None], sigma_t - g_next
-
-
-def transport_correction_fp(g_diag, sigma_t, xi1, n_max: int, scale: float):
-    """Fokker-Planck analog: remove the scaled degree-(N+1) eigenvalue.
-
-    scale in [0, 1] interpolates between no correction and the full
-    delta-corrected expansion (whose degree-(N+1) entry vanishes). The
-    sigma_t shift keeps the net operator identical, so the knob trades
-    source-coupling smoothing against none. g_diag (..., m); sigma_t and
-    xi1 (...).
-    """
-    shift = fp_correction_shift(xi1, n_max, scale)
-    return g_diag - shift[..., None], sigma_t - shift
-
-
-def fp_correction_shift(xi1, n_max: int, scale: float):
-    """scale times the degree-(N+1) Fokker-Planck eigenvalue: the amount
-    transport_correction_fp removes from every entry and from sigma_t."""
     if not 0.0 <= scale <= 1.0:
         raise ValueError("correction scale must lie in [0, 1]")
-    lam_next = -(np.asarray(xi1, dtype=float) / 2.0) * (n_max + 1.0) * (n_max + 2.0)
-    return scale * lam_next
+    if degrees is None:
+        degrees = np.arange(n_max + 1)
+    lam = -(xi1[..., None] / 2.0) * degrees * (degrees + 1.0)
+    shift = scale * (-(xi1 / 2.0) * (n_max + 1.0) * (n_max + 2.0))
+    return lam - shift[..., None], 0.0 - shift
 
 
 def beam_projection(n_max: int, omega_in) -> np.ndarray:

@@ -17,6 +17,7 @@ two matrix products and solves them as one batched solve.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -131,19 +132,31 @@ def rk4(f, y0, dt):
 class StreamingContext:
     """Frozen per-step streaming coefficients: 1/S field and operators.
 
-    On construction the stopping-power diagonal is folded into the
-    stencils (Ds = D diag(1/S)), so every K- and L-phase right-hand side
+    The low-rank phases read the stencils with the stopping-power diagonal
+    folded in (Ds = D diag(1/S)), so every K- and L-phase right-hand side
     is a sparse product at width r followed by precontracted r x r moment
     factors, and every S-phase one is r x r products only; no n x m
-    intermediate is ever formed.
+    intermediate is ever formed. Ds is built on first use, so the dense
+    full_rhs of the oracle never pays for it.
     """
 
     inv_s: np.ndarray
     stencils: UpwindStencils
     ops: PNOperators
 
+    @cached_property
+    def _scaled(self):
+        return self.stencils.scaled(self.inv_s)
+
+    @property
+    def scaled_plus(self):
+        return self._scaled[0]
+
+    @property
+    def scaled_minus(self):
+        return self._scaled[1]
+
     def __post_init__(self):
-        self.scaled_plus, self.scaled_minus = self.stencils.scaled(self.inv_s)
         self.active_axes = tuple(
             axis
             for axis in range(3)
@@ -211,8 +224,8 @@ class StreamingContext:
         return (np.array(spatial).reshape(-1, ru, ru),
                 np.array(moment).reshape(-1, rv, rv))
 
-    def s_rhs(self, s: np.ndarray, u_hat: np.ndarray, factors) -> np.ndarray:
-        """U^T F_S(U^ S V^T) V^ in O(r^3); u_hat enters only through factors."""
+    def s_rhs(self, s: np.ndarray, factors) -> np.ndarray:
+        """U^T F_S(U^ S V^T) V^ in O(r^3) from the s_step_factors of U^, V^."""
         p, f = factors
         return -(p @ (s @ f)).sum(axis=0)
 
@@ -228,7 +241,7 @@ def streaming_step(state: LowRankState, dt: float, ctx: StreamingContext) -> Low
     v_hat = orthonormal_columns(np.hstack([l1, v0]))
     s_hat0 = (u_hat.T @ u0) @ s0 @ (v0.T @ v_hat)
     s_factors = ctx.s_step_factors(u_hat, v_hat)
-    s_hat = rk4(lambda s: ctx.s_rhs(s, u_hat, s_factors), s_hat0, dt)
+    s_hat = rk4(lambda s: ctx.s_rhs(s, s_factors), s_hat0, dt)
     return LowRankState(u=u_hat, s=s_hat, v=v_hat)
 
 
@@ -241,7 +254,9 @@ class ScatteringContext:
     per-atom scattering diagonals; sigma_t: (12,) corrected per-atom
     total cross sections; sources: per-beam (psi_u (n,), t_m (m,)) pairs.
 
-    On construction each beam's source becomes the factor pair
+    On construction the per-atom absorption coefficients
+    sigma_t,i - g_i,q (12, m) of the self-scattering are formed once, and
+    each beam's source becomes the factor pair
     (w_i S^-1 psi_u (n, 12), g_i T_M (12, m)) whose product is its
     n x m inscattering source; every solver contracts these pairs.
     """
@@ -251,9 +266,11 @@ class ScatteringContext:
     g_diags: np.ndarray
     sigma_t: np.ndarray
     sources: list = field(default_factory=list)
+    absorption: np.ndarray = field(init=False)
     source_factors: list = field(init=False)
 
     def __post_init__(self):
+        self.absorption = self.sigma_t[:, None] - self.g_diags
         self.source_factors = [
             (self.element_weights * (self.inv_s * psi_u)[:, None],
              self.g_diags * t_m[None, :])
@@ -275,8 +292,7 @@ class ScatteringContext:
     def self_scattering_rates(self) -> np.ndarray:
         """(n, m) per-cell-and-moment decay rates sum_i w_i/S (sigma_t,i - g_i,q)."""
         spatial = self.element_weights * self.inv_s[:, None]       # (n, 12)
-        moment = self.sigma_t[:, None] - self.g_diags              # (12, m)
-        return spatial @ moment
+        return spatial @ self.absorption
 
 
 def implicit_l_step(u0: np.ndarray, l0: np.ndarray, dt: float,
@@ -292,8 +308,7 @@ def implicit_l_step(u0: np.ndarray, l0: np.ndarray, dt: float,
     m = l0.shape[0]
     spatial = ctx.element_weights.T * ctx.inv_s                    # (12, n)
     b_mats = (u0.T[None] * spatial[:, None, :]) @ u0               # (12, r, r)
-    coeffs = ctx.sigma_t[:, None] - ctx.g_diags                    # (12, m)
-    mats = np.eye(r) + dt * (coeffs.T @ b_mats.reshape(12, r * r)).reshape(m, r, r)
+    mats = np.eye(r) + dt * (ctx.absorption.T @ b_mats.reshape(12, r * r)).reshape(m, r, r)
     rhs = l0[:, :, None]
     try:
         return np.linalg.solve(mats, rhs)[:, :, 0]

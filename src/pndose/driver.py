@@ -25,15 +25,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .angular import (
-    PNOperators,
-    beam_projection,
-    fp_correction_shift,
-    scattering_matrix_boltzmann,
-    scattering_matrix_fp,
-    transport_correction_boltzmann,
-    transport_correction_fp,
-)
+from .angular import PNOperators, beam_projection, boltzmann_tables, fokker_planck_tables
 from .constants import ELEMENTS, N_ELEMENTS
 from .dlra import (
     LowRankState,
@@ -128,6 +120,8 @@ class ProblemConfig:
         _require(1 <= self.rank_min <= self.rank_max,
                  "need 1 <= transport.rank_min <= transport.rank_max")
         _require(self.cfl_number > 0.0, "transport.cfl_number must be positive")
+        _require(0.0 <= self.fp_correction_scale <= 1.0,
+                 "physics.fp_correction_scale must lie in [0, 1]")
         _require(self.e_min_mev > 0.0, "energy.e_min_mev must be positive")
         _require(self.energy_groups >= 4, "energy.groups must be >= 4")
         _require(len(self.beams) >= 1, "at least one beam is required")
@@ -315,42 +309,25 @@ class Problem:
             self.material.weights, self.material.density, e_mev, self.stopping
         )
 
-    def scattering_tables(self, e_mev):
-        """Corrected per-element (g_diags (12, ..., m), sigma_t (12, ...)) at
-        an energy or an array of energies (the ... axes)."""
-        n_max = self.config.pn_order
-        if self.config.model == BOLTZMANN:
-            moments = self.moments.moments_at(e_mev)          # (12, ..., N+2)
-            g_diags, sigma_t = scattering_matrix_boltzmann(moments, n_max)
-            if self.config.boltzmann_correction:
-                g_diags, _ = transport_correction_boltzmann(
-                    g_diags, sigma_t, moments[..., n_max + 1]
-                )
-        else:
-            xi1 = self.moments.xi1_at(e_mev)                  # (12, ...)
-            g_diags = scattering_matrix_fp(xi1, n_max)
-            if self.config.fp_correction_scale > 0.0:
-                g_diags, _ = transport_correction_fp(
-                    g_diags, 0.0, xi1, n_max, self.config.fp_correction_scale
-                )
-        return g_diags, self.total_cross_sections(e_mev)
+    def scattering_entries(self, e_mev, degrees=None):
+        """Corrected per-element (g (12, ..., k), sigma_t (12, ...)) at an
+        energy or an array of energies (the ... axes); g holds one entry
+        per listed degree, by default the degrees 0..N."""
+        cfg = self.config
+        if cfg.model == BOLTZMANN:
+            return boltzmann_tables(self.moments.moments_at(e_mev), cfg.pn_order,
+                                    cfg.boltzmann_correction, degrees)
+        return fokker_planck_tables(self.moments.xi1_at(e_mev), cfg.pn_order,
+                                    cfg.fp_correction_scale, degrees)
 
-    def total_cross_sections(self, e_mev):
-        """Corrected per-element sigma_t (12, ...) at an energy or an array
-        of energies, without forming the (..., m) scattering diagonals."""
-        n_max = self.config.pn_order
-        if self.config.model == BOLTZMANN:
-            moments = self.moments.moments_at(e_mev)          # (12, ..., N+2)
-            # contiguous, so that dot products with it sum as for a vector
-            sigma_t = np.ascontiguousarray(moments[..., 0])
-            if self.config.boltzmann_correction:
-                sigma_t = sigma_t - moments[..., n_max + 1]
-            return sigma_t
-        xi1 = self.moments.xi1_at(e_mev)                      # (12, ...)
-        sigma_t = np.zeros(xi1.shape)
-        if self.config.fp_correction_scale > 0.0:
-            sigma_t = sigma_t - fp_correction_shift(xi1, n_max, self.config.fp_correction_scale)
-        return sigma_t
+    def scattering_tables(self, e_mev):
+        """Corrected per-element (g_diags (12, ..., m), sigma_t (12, ...)):
+        each degree's entry repeated over its 2l+1 orders."""
+        # The model functions expand while they form the entries, so each
+        # table keeps its memory order (column-major for Boltzmann,
+        # row-major for Fokker-Planck) and every BLAS product with it its
+        # summation order; the low-rank solve amplifies last-bit changes.
+        return self.scattering_entries(e_mev, self.ops.basis.degrees)
 
 
 def assemble_problem(config: ProblemConfig) -> Problem:
@@ -411,7 +388,7 @@ def material_coefficients(problem: Problem):
 
         def sigma_t_fn(e, n_i=n_i):
             e = np.asarray(e, dtype=float)
-            per_atom = np.moveaxis(problem.total_cross_sections(e), 0, -1)  # (..., 12)
+            per_atom = np.moveaxis(problem.scattering_entries(e)[1], 0, -1)  # (..., 12)
             # one 1-D dot per energy, as a scalar evaluation would do it
             per_energy = np.ascontiguousarray(per_atom).reshape(-1, N_ELEMENTS)
             return np.array([n_i @ row for row in per_energy]).reshape(e.shape)

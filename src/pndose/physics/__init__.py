@@ -7,7 +7,6 @@ from .materials import (
     MaterialField,
     SchneiderTable,
     default_schneider_table,
-    hu_to_material,
 )
 from .moliere import (
     MomentTables,
@@ -39,7 +38,6 @@ __all__ = [
     "default_schneider_table",
     "default_stopping_library",
     "gamma",
-    "hu_to_material",
     "kernel_amplitude",
     "legendre_moments",
     "mix_stopping_power",

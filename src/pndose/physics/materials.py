@@ -129,13 +129,6 @@ def default_schneider_table() -> SchneiderTable:
     return _DEFAULT_TABLE
 
 
-def hu_to_material(hu, table: SchneiderTable | None = None):
-    """HU -> (density, 12-vector of mass fractions)."""
-    if table is None:
-        table = default_schneider_table()
-    return table.convert(hu)
-
-
 @dataclass
 class MaterialField:
     """Per-cell density and elemental mass fractions.
@@ -163,11 +156,6 @@ class MaterialField:
             raise PhysicsDataError("cell weight fractions do not sum to 1")
         self.density.flags.writeable = False
         self.weights.flags.writeable = False
-
-    @classmethod
-    def from_hu(cls, hu, table: SchneiderTable | None = None) -> "MaterialField":
-        density, weights = hu_to_material(np.asarray(hu, dtype=float).ravel(), table)
-        return cls(density=density, weights=weights)
 
     @property
     def n_cells(self) -> int:

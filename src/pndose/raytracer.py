@@ -134,17 +134,6 @@ class EnergyDGSpace:
         """Per-group mean value: the P0 coefficient (P0 = 1)."""
         return np.asarray(coeffs).reshape(self.n_groups, self.n_local)[:, 0].copy()
 
-    def evaluate(self, coeffs, e):
-        """Point values of the DG polynomial at energies e."""
-        e = np.atleast_1d(np.asarray(e, dtype=float))
-        c = np.asarray(coeffs).reshape(self.n_groups, self.n_local)
-        g = np.clip(
-            np.searchsorted(self.edges, e, side="right") - 1, 0, self.n_groups - 1
-        )
-        xi = 2.0 * (e - self.centers[g]) / self.width
-        vander = np.polynomial.legendre.legvander(xi, self.degree)
-        return np.einsum("ij,ij->i", vander, c[g])
-
     def moments(self, coeffs):
         """(integral, mean, variance) of the represented spectrum."""
         energies, w, p, _ = self.quadrature()
@@ -443,10 +432,6 @@ class UncollidedFlux:
     n_rays: int                   # bundle rays that deposit
     n_rays_missed: int            # bundle rays that deposit nothing
     n_marches: int                # Crank-Nicolson marches the rays shared
-
-    @property
-    def group_energies(self) -> np.ndarray:
-        return self.space.centers
 
     @property
     def undershoot(self) -> float:

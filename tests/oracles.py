@@ -14,7 +14,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.special import lpmv
 
 from pndose.angular import real_sph_eval
-from pndose.physics import default_stopping_library, hu_to_material
+from pndose.physics import default_schneider_table, default_stopping_library
 
 
 def water_csda_ranges(e_max_mev, e_min_mev=1.0, n_points=200_001):
@@ -23,7 +23,7 @@ def water_csda_ranges(e_max_mev, e_min_mev=1.0, n_points=200_001):
     S is the stopping power of water (0 HU) from the shipped tables,
     summed over the 12 elements; R(e_max) is the CSDA range down to e_min.
     """
-    density, weights = hu_to_material(0.0)
+    density, weights = default_schneider_table().convert(0.0)
     lib = default_stopping_library()
     energies = np.linspace(e_min_mev, e_max_mev, n_points)
     s_of_e = density * sum(

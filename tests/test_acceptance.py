@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from pndose.angular import PNBasis, PNOperators, beam_projection, scattering_matrix_fp
+from pndose.angular import PNBasis, PNOperators, beam_projection, fokker_planck_tables
 from pndose.constants import ELEMENTS
 from pndose.driver import (
     FullRankSolver,
@@ -192,7 +192,7 @@ class TestCriterion7FokkerPlanckSpectrum:
         xi1 = 1.0
         lb = laplace_beltrami_matrix(n_max)
         degrees = PNBasis(n_max).degrees
-        expected = scattering_matrix_fp(xi1, n_max)
+        expected = fokker_planck_tables(xi1, n_max, 0.0, degrees)[0]
         got = (xi1 / 2.0) * np.diag(lb)
         scale = np.abs(expected).max()
         diag_err = np.abs(got - expected).max() / scale

@@ -9,13 +9,11 @@ from pndose.angular import (
     PNBasis,
     PNOperators,
     beam_projection,
+    boltzmann_tables,
     eigen_split,
     flux_matrices,
+    fokker_planck_tables,
     real_sph_eval,
-    scattering_matrix_boltzmann,
-    scattering_matrix_fp,
-    transport_correction_boltzmann,
-    transport_correction_fp,
 )
 from pndose.constants import ELEMENT_INDEX, ELEMENTS
 from pndose.physics import legendre_moments
@@ -106,67 +104,77 @@ class TestScatteringMatrices:
     def test_boltzmann_layout(self):
         n_max = 4
         moments = np.linspace(1.0, 0.1, n_max + 2)
-        g, sigma_t = scattering_matrix_boltzmann(moments, n_max)
         basis = PNBasis(n_max)
+        g, sigma_t = boltzmann_tables(moments, n_max, False, basis.degrees)
+        assert g.shape == (basis.size,)
         assert sigma_t == moments[0]
         assert g[0] == sigma_t
         for ell in range(n_max + 1):
             block = g[basis.degrees == ell]
             assert np.all(block == moments[ell])  # isotropy in azimuth
-        # a stack of moment vectors gives the stack of matrices
+        # by default, one entry per degree
+        assert np.array_equal(boltzmann_tables(moments, n_max, False)[0], moments[:-1])
+        # a stack of moment vectors gives the stack of entries
         stack = np.stack([moments, 2.0 * moments, 0.5 * moments]).reshape(3, 1, -1)
-        g_stack, sigma_stack = scattering_matrix_boltzmann(stack, n_max)
+        g_stack, sigma_stack = boltzmann_tables(stack, n_max, False, basis.degrees)
         assert g_stack.shape == (3, 1, basis.size) and sigma_stack.shape == (3, 1)
         for row, moment_row in zip(g_stack[:, 0], stack[:, 0]):
-            assert np.array_equal(row, scattering_matrix_boltzmann(moment_row, n_max)[0])
+            assert np.array_equal(
+                row, boltzmann_tables(moment_row, n_max, False, basis.degrees)[0]
+            )
         assert np.array_equal(sigma_stack[:, 0], stack[:, 0, 0])
 
     def test_boltzmann_arity(self):
-        with pytest.raises(ValueError, match="degree"):
-            scattering_matrix_boltzmann(np.ones(4), 4)
+        for corrected in (False, True):
+            with pytest.raises(ValueError, match="degree"):
+                boltzmann_tables(np.ones(4), 4, corrected)
 
     def test_boltzmann_nonincreasing_for_moliere(self):
         elem = ELEMENTS[ELEMENT_INDEX["O"]]
         moments, _ = legendre_moments(elem, 80.0, 6)
-        g, _ = scattering_matrix_boltzmann(moments, 5)
-        degrees = PNBasis(5).degrees
-        per_degree = [g[degrees == ell][0] for ell in range(6)]
+        per_degree, _ = boltzmann_tables(moments, 5, corrected=False)
+        assert per_degree.shape == (6,)
         assert np.all(np.diff(per_degree) < 0)
 
     def test_fp_entries(self):
         xi1 = 0.37
-        g = scattering_matrix_fp(xi1, 3)
         basis = PNBasis(3)
+        g, sigma_t = fokker_planck_tables(xi1, 3, 0.0, basis.degrees)
+        assert sigma_t == 0.0
         assert g[basis.index(0, 0)] == 0.0
         assert g[basis.index(1, 0)] == pytest.approx(-xi1)
         assert g[basis.index(2, 1)] == pytest.approx(-3.0 * xi1)
         xi1s = np.array([[0.37, 0.0], [1.5, 2e-24]])
-        g_array = scattering_matrix_fp(xi1s, 3)
+        g_array, _ = fokker_planck_tables(xi1s, 3, 0.0, basis.degrees)
         assert g_array.shape == (2, 2, basis.size)
         for idx in np.ndindex(xi1s.shape):
-            assert np.array_equal(g_array[idx], scattering_matrix_fp(xi1s[idx], 3))
+            assert np.array_equal(
+                g_array[idx], fokker_planck_tables(xi1s[idx], 3, 0.0, basis.degrees)[0]
+            )
+        assert fokker_planck_tables(xi1s, 3, 0.0)[0].shape == (2, 2, 4)
         with pytest.raises(ValueError, match="nonnegative"):
-            scattering_matrix_fp(np.array([0.3, -1e-30]), 3)
+            fokker_planck_tables(np.array([0.3, -1e-30]), 3, 0.0)
 
 
 class TestTransportCorrections:
     def test_isotropic_identity(self):
-        g_diag, sigma_t = scattering_matrix_boltzmann([2.0, 0.0, 0.0], 1)
-        g_corr, s_corr = transport_correction_boltzmann(g_diag, sigma_t, 0.0)
+        g_diag, sigma_t = boltzmann_tables([2.0, 0.0, 0.0], 1, corrected=False)
+        g_corr, s_corr = boltzmann_tables([2.0, 0.0, 0.0], 1, corrected=True)
         np.testing.assert_array_equal(g_corr, g_diag)
         assert s_corr == sigma_t
 
     def test_net_operator_invariant(self):
-        g_diag, sigma_t = scattering_matrix_boltzmann([3.0, 2.0, 1.0, 0.5], 2)
-        g_corr, s_corr = transport_correction_boltzmann(g_diag, sigma_t, 0.5)
+        g_diag, sigma_t = boltzmann_tables([3.0, 2.0, 1.0, 0.5], 2, corrected=False)
+        g_corr, s_corr = boltzmann_tables([3.0, 2.0, 1.0, 0.5], 2, corrected=True)
+        assert s_corr == sigma_t - 0.5
         # -sigma_t I + G is unchanged entrywise, in particular at degree 0
         np.testing.assert_allclose(g_corr - s_corr, g_diag - sigma_t, atol=1e-15)
         # arrays, moment index last: each row corrected by its own g_next
         moments = np.array([[3.0, 2.0, 1.0, 0.5], [1.0, 0.5, 0.25, 0.125]])
-        g_diags, sigma_ts = scattering_matrix_boltzmann(moments, 2)
-        g_rows, s_rows = transport_correction_boltzmann(g_diags, sigma_ts, moments[:, 3])
+        g_diags, sigma_ts = boltzmann_tables(moments, 2, corrected=False)
+        g_rows, s_rows = boltzmann_tables(moments, 2, corrected=True)
         for i in range(2):
-            g_i, s_i = transport_correction_boltzmann(g_diags[i], sigma_ts[i], moments[i, 3])
+            g_i, s_i = boltzmann_tables(moments[i], 2, corrected=True)
             assert np.array_equal(g_rows[i], g_i) and s_rows[i] == s_i
         np.testing.assert_allclose(
             g_rows - s_rows[:, None], g_diags - sigma_ts[:, None], atol=1e-15
@@ -174,26 +182,26 @@ class TestTransportCorrections:
 
     def test_fp_correction_cancellation(self):
         xi1, n_max, scale = 0.8, 5, 0.6
-        g = scattering_matrix_fp(xi1, n_max)
-        g_corr, s_corr = transport_correction_fp(g, 0.0, xi1, n_max, scale)
+        g, _ = fokker_planck_tables(xi1, n_max, 0.0)
+        g_corr, s_corr = fokker_planck_tables(xi1, n_max, scale)
         np.testing.assert_allclose(g_corr - s_corr, g, atol=1e-15)
         assert s_corr == pytest.approx(scale * (xi1 / 2.0) * (n_max + 1) * (n_max + 2))
         # full correction zeroes the degree-(N+1) eigenvalue analog
-        g_full, s_full = transport_correction_fp(g, 0.0, xi1, n_max, 1.0)
+        g_full, s_full = fokker_planck_tables(xi1, n_max, 1.0)
         lam_next = -(xi1 / 2.0) * (n_max + 1) * (n_max + 2)
         assert g_full[0] == pytest.approx(-lam_next)
-        # arrays, moment index last: each row corrected by its own xi1
+        np.testing.assert_allclose(g_full - s_full, g, atol=1e-15)
+        # arrays, entry index last: each row corrected by its own xi1
         xi1s = np.array([0.8, 0.1, 0.0])
-        g_rows, s_rows = transport_correction_fp(
-            scattering_matrix_fp(xi1s, n_max), np.zeros(3), xi1s, n_max, scale
-        )
+        g_rows, s_rows = fokker_planck_tables(xi1s, n_max, scale)
         for i, x in enumerate(xi1s):
-            g_i, s_i = transport_correction_fp(scattering_matrix_fp(x, n_max), 0.0, x, n_max, scale)
+            g_i, s_i = fokker_planck_tables(x, n_max, scale)
             assert np.array_equal(g_rows[i], g_i) and s_rows[i] == s_i
 
     def test_fp_scale_bounds(self):
-        with pytest.raises(ValueError):
-            transport_correction_fp(np.zeros(4), 0.0, 1.0, 1, 1.5)
+        for scale in (1.5, -0.1):
+            with pytest.raises(ValueError, match="scale"):
+                fokker_planck_tables(1.0, 1, scale)
 
 
 class TestBeamProjection:
@@ -231,7 +239,7 @@ class TestFokkerPlanckSpectrum:
         n_max = 6
         xi1 = 1.7
         lb = laplace_beltrami_matrix(n_max)
-        expected = scattering_matrix_fp(xi1, n_max)
+        expected = fokker_planck_tables(xi1, n_max, 0.0, PNBasis(n_max).degrees)[0]
         got = (xi1 / 2.0) * np.diag(lb)
         scale = np.abs(expected).max()
         assert np.abs(got - expected).max() / scale < 1e-8

@@ -45,6 +45,13 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert "model" in capsys.readouterr().err
 
+    def test_fp_correction_scale_out_of_range(self, tmp_path, capsys):
+        path = smoke_config(
+            tmp_path, model="fokker-planck", physics={"fp_correction_scale": 1.5}
+        )
+        assert main(["validate", str(path)]) == 2
+        assert "physics.fp_correction_scale" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.yaml")]) == 2
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pndose.angular import PNBasis, PNOperators, scattering_matrix_fp
+from pndose.angular import PNBasis, PNOperators, fokker_planck_tables
 from pndose.dlra import (
     LowRankState,
     ScatteringContext,
@@ -125,7 +125,7 @@ class TestStreamingStep:
         )
         naive_s = u0.T @ ctx.full_rhs(u0 @ s @ v0.T) @ v0
         np.testing.assert_allclose(
-            ctx.s_rhs(s, u0, ctx.s_step_factors(u0, v0)), naive_s, atol=1e-12
+            ctx.s_rhs(s, ctx.s_step_factors(u0, v0)), naive_s, atol=1e-12
         )
 
     def test_rank1_advection_matches_full_step(self):
@@ -159,8 +159,9 @@ class TestScatteringStep:
         # G_i = sigma_t,i I: in- and out-scattering cancel, state preserved
         rng = np.random.default_rng(11)
         n, m = 60, 9
-        ctx = random_scattering_context(n, m, rng, with_source=False)
-        ctx.g_diags = np.tile(ctx.sigma_t[:, None], (1, m))
+        base = random_scattering_context(n, m, rng, with_source=False)
+        ctx = ScatteringContext(base.element_weights, base.inv_s,
+                                np.tile(base.sigma_t[:, None], (1, m)), base.sigma_t)
         u_full = rng.standard_normal((n, m))
         state = full_rank_state(u_full)
         out = scattering_step(state, 0.4, ctx)
@@ -172,7 +173,7 @@ class TestScatteringStep:
         basis = PNBasis(n_max)
         m = basis.size
         xi1 = 2.0e-24
-        g_fp = scattering_matrix_fp(xi1, n_max)
+        g_fp = fokker_planck_tables(xi1, n_max, 0.0, basis.degrees)[0]
         weights = np.tile(np.abs(rng.standard_normal(12)), (n, 1)) * 1e22
         ctx = ScatteringContext(
             element_weights=weights,

@@ -21,7 +21,7 @@ from pndose.driver import (
     _data_file_checksums,
 )
 from pndose.errors import ConfigError
-from pndose.spatial import Grid3D
+from pndose.spatial import Grid3D, UpwindStencils
 
 from oracles import water_csda_ranges
 
@@ -87,6 +87,13 @@ class TestConfigValidation:
             raw.setdefault(section, {})[key] = value
             label = f"{section}.{key}"
         with pytest.raises(ConfigError, match=re.escape(f"'{label}'")):
+            ProblemConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("model", ["boltzmann", "fokker-planck"])
+    @pytest.mark.parametrize("scale", [1.5, -0.1])
+    def test_fp_correction_scale_range(self, model, scale):
+        raw = smoke_raw(model=model, physics={"fp_correction_scale": scale})
+        with pytest.raises(ConfigError, match=re.escape("physics.fp_correction_scale")):
             ProblemConfig.from_dict(raw)
 
     def test_two_cell_axis(self):
@@ -228,6 +235,22 @@ class TestSimulation:
         res = run_simulation(cfg, solver="dlra")
         assert np.isfinite(res.dose.deposited).all()
         assert res.diagnostics["tail_violations"] == 0
+
+
+class TestStepContexts:
+    @pytest.mark.parametrize("solver, per_step", [("fullrank", 0), ("dlra", 1)])
+    def test_only_the_low_rank_solver_rescales_stencils(self, monkeypatch, solver, per_step):
+        # the oracle streams with full_rhs, which never reads D diag(1/S)
+        calls = []
+        scaled = UpwindStencils.scaled
+
+        def counting_scaled(self, s):
+            calls.append(s)
+            return scaled(self, s)
+
+        monkeypatch.setattr(UpwindStencils, "scaled", counting_scaled)
+        result = run_simulation(ProblemConfig.from_dict(smoke_raw()), solver=solver)
+        assert len(calls) == per_step * result.diagnostics["n_steps"]
 
 
 class TestRayTracerCoupling:

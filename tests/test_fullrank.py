@@ -55,12 +55,13 @@ class TestScattering:
         np.testing.assert_allclose(fullrank_scattering_step(u, dt, ctx), expected, atol=1e-14)
 
     def test_fp_degree_zero_column_unchanged(self):
-        from pndose.angular import PNBasis, scattering_matrix_fp
+        from pndose.angular import PNBasis, fokker_planck_tables
 
         n, n_max = 10, 2
         m = PNBasis(n_max).size
         rng = np.random.default_rng(8)
-        g_fp = np.tile(scattering_matrix_fp(3.0e-24, n_max), (12, 1))
+        g_fp, _ = fokker_planck_tables(3.0e-24, n_max, 0.0, PNBasis(n_max).degrees)
+        g_fp = np.tile(g_fp, (12, 1))
         ctx = ScatteringContext(
             element_weights=np.abs(rng.standard_normal((n, 12))) * 1e22,
             inv_s=np.full(n, 0.08),

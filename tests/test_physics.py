@@ -8,8 +8,8 @@ from pndose.errors import NumericalError, PhysicsDataError
 from pndose.physics import (
     MaterialField,
     MomentTables,
+    default_schneider_table,
     default_stopping_library,
-    hu_to_material,
     kernel_amplitude,
     legendre_moments,
     mix_stopping_power,
@@ -36,7 +36,7 @@ def water_field(density=1.0):
 
 class TestHuConversion:
     def test_zero_hu_soft_tissue(self):
-        density, weights = hu_to_material(0.0)
+        density, weights = default_schneider_table().convert(0.0)
         assert density == pytest.approx(1.018, abs=1e-12)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         # water-like: H and O dominate
@@ -45,26 +45,26 @@ class TestHuConversion:
 
     def test_lung_bin(self):
         # density from the shipped piecewise ramp: 1.031 + 1.031e-3 * (-400)
-        density, weights = hu_to_material(-400.0)
+        density, weights = default_schneider_table().convert(-400.0)
         assert density == pytest.approx(0.6186, abs=1e-12)
         assert weights[ELEMENT_INDEX["O"]] == pytest.approx(0.749)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic(self):
-        a = hu_to_material(123.4)
-        b = hu_to_material(123.4)
+        a = default_schneider_table().convert(123.4)
+        b = default_schneider_table().convert(123.4)
         assert a[0] == b[0]
         np.testing.assert_array_equal(a[1], b[1])
 
     @pytest.mark.parametrize("hu", [-1500.0, 3500.0])
     def test_out_of_range(self, hu):
         with pytest.raises(PhysicsDataError, match="range"):
-            hu_to_material(hu)
+            default_schneider_table().convert(hu)
 
     def test_all_bins_sum_to_one(self):
         rng = np.random.default_rng(1)
         hu = rng.uniform(-1024, 3000, 500)
-        density, weights = hu_to_material(hu)
+        density, weights = default_schneider_table().convert(hu)
         assert np.all(density > 0)
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
 
@@ -78,7 +78,7 @@ class TestStoppingPower:
         assert s == pytest.approx(1.7 * lib.mass_stopping("C", 25.0), rel=1e-14)
 
     def test_density_linearity(self):
-        w = hu_to_material(0.0)[1]
+        w = default_schneider_table().convert(0.0)[1]
         assert mix_stopping_power(w, 2.0, 40.0) == pytest.approx(
             2.0 * mix_stopping_power(w, 1.0, 40.0), rel=1e-14
         )
@@ -151,7 +151,7 @@ class TestStraggling:
     def test_energy_array_is_bit_exact(self, fn, hu):
         # an array call must reproduce the scalar calls to the last bit: the
         # ray tracer's energy operators are built from the array form
-        density, weights = hu_to_material(np.array([hu]))
+        density, weights = default_schneider_table().convert(np.array([hu]))
         n = MaterialField(density=density, weights=weights).atomic_densities[0]
         e = np.linspace(1.0, 95.0, 6 * 40).reshape(40, 6)
         scalar = np.array([fn(n, float(x)) for x in e.ravel()]).reshape(e.shape)
