@@ -1,11 +1,14 @@
-"""Micro-benchmarks of the two low-rank step kernels, outside tier-1.
+"""Micro-benchmarks of the low-rank step kernels and the ray tracer, outside tier-1.
 
-Each case times one call of scattering_step or streaming_step at P7
-(m = 64) on a random state: (n = 2520, r = 2) is the water90_lowrank
-benchmark grid at its rank, (n = 3000, r = 26) the preset30 grid at the
-mean rank a tight truncation tolerance reaches there (~26 at 3e-4 with a
-Wentzel scattering kernel). Run from the repository root, with the BLAS
-thread count pinned:
+Each step case times one call of scattering_step, streaming_step or the
+K-phase right-hand side k_rhs at P7 (m = 64) on a random state:
+(n = 2520, r = 2) is the water90_lowrank benchmark grid at its rank,
+(n = 3000, r = 26) the preset30 grid at the mean rank a tight truncation
+tolerance reaches there (~26 at 3e-4 with a Wentzel scattering kernel).
+The ray-tracer case times trace_beam on the water90_lowrank beam: 441
+rays through 6 x 6 x 70 water cells that share one Crank-Nicolson march,
+with the energy operator already assembled, as the second beam of a run
+finds it. Run from the repository root, with the BLAS thread count pinned:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest benchmarks --benchmark-only
 
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 
 from pndose.angular import PNOperators
+from pndose.driver import ProblemConfig, assemble_problem, material_coefficients
 from pndose.dlra import (
     LowRankState,
     ScatteringContext,
@@ -24,6 +28,7 @@ from pndose.dlra import (
     scattering_step,
     streaming_step,
 )
+from pndose.raytracer import trace_beam
 from pndose.spatial import Grid3D, build_stencils
 
 PN_ORDER = 7
@@ -70,3 +75,34 @@ def test_streaming_step(benchmark, case):
     state, stream_ctx, _ = case
     out = benchmark(streaming_step, state, 0.2, stream_ctx)
     assert out.rank == 2 * state.rank
+
+
+def test_k_rhs(benchmark, case):
+    state, stream_ctx, _ = case
+    k = state.u @ state.s
+    factors = stream_ctx._moment_factors(state.v)
+    out = benchmark(stream_ctx.k_rhs, k, factors)
+    assert out.shape == k.shape
+
+
+# The water90_lowrank benchmark's grid and beam (perfbench/configs).
+WATER90 = {
+    "grid": {"nx": 6, "ny": 6, "nz": 70,
+             "delta_x_cm": 0.1, "delta_y_cm": 0.1, "delta_z_cm": 0.1},
+    "phantom": {"background_hu": 0.0},
+    "beams": [{"direction": [0.0, 0.0, 1.0], "energy_mev": 90.0,
+               "position_cm": [0.3, 0.3, 0.0], "sigma_xy_cm": 0.09}],
+    "pn_order": PN_ORDER,
+    "energy": {"e_min_mev": 1.0, "groups": 128},
+}
+
+
+def test_trace_beam_water90(benchmark):
+    problem = assemble_problem(ProblemConfig.from_dict(WATER90))
+    keys, coefficients = material_coefficients(problem)
+    beam = problem.config.beams[0]
+    operators = {}
+    args = (beam, problem.grid, problem.space, keys, coefficients)
+    trace_beam(*args, operators=operators)          # assembles the operator
+    flux = benchmark(trace_beam, *args, operators=operators)
+    assert (flux.n_rays, flux.n_marches) == (441, 1)

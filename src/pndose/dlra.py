@@ -10,8 +10,10 @@ the singular-value tail rule.
 
 The projected right-hand sides never form the full n x m matrix: the
 moment-side rotations are contracted at width r, so one evaluation costs
-O(n m r) instead of O(n m^2). The Galerkin (S) phase precontracts its
-spatial factors once per step, so each of its RK4 stages costs O(r^3).
+O(n m r) instead of O(n m^2). Each K-stage and the L- and S-phase set-up
+apply every upwind stencil with one stacked sparse product (spatial).
+The Galerkin (S) phase precontracts its spatial factors once per step,
+so each of its RK4 stages costs O(r^3).
 The implicit scattering substep forms its m projected r x r systems with
 two matrix products and solves them as one batched solve.
 """
@@ -130,14 +132,16 @@ def rk4(f, y0, dt):
 
 @dataclass
 class StreamingContext:
-    """Frozen per-step streaming coefficients: 1/S field and operators.
+    """Per-step streaming coefficients: 1/S field and operators.
 
     The low-rank phases read the stencils with the stopping-power diagonal
-    folded in (Ds = D diag(1/S)), so every K- and L-phase right-hand side
-    is a sparse product at width r followed by precontracted r x r moment
-    factors, and every S-phase one is r x r products only; no n x m
-    intermediate is ever formed. Ds is built on first use, so the dense
-    full_rhs of the oracle never pays for it.
+    folded in (Ds = D diag(1/S)), stacked over the upwind terms, so every
+    K- and L-phase right-hand side is one sparse product at width r
+    followed by precontracted r x r moment factors, and every S-phase one
+    is r x r products only; no n x m intermediate is ever formed. Ds is
+    built on first use, so the dense full_rhs of the oracle never pays for
+    it. The dataclass is not frozen because cached_property stores Ds in
+    the instance dict; nothing assigns a field after construction.
     """
 
     inv_s: np.ndarray
@@ -145,23 +149,16 @@ class StreamingContext:
     ops: PNOperators
 
     @cached_property
-    def _scaled(self):
+    def scaled(self):
+        """Stacked Ds, (2 a n, n): plus_x, minus_x, plus_y, ... (UpwindStencils.scaled)."""
         return self.stencils.scaled(self.inv_s)
 
-    @property
-    def scaled_plus(self):
-        return self._scaled[0]
-
-    @property
-    def scaled_minus(self):
-        return self._scaled[1]
-
-    def __post_init__(self):
-        self.active_axes = tuple(
-            axis
-            for axis in range(3)
-            if self.stencils.plus[axis].nnz or self.stencils.minus[axis].nnz
-        )
+    def stencil_products(self, x: np.ndarray):
+        """[Ds_j x] over the upwind terms j, from one sparse product: the
+        (n, r) row blocks of scaled @ x, plus and minus alternating."""
+        n = x.shape[0]
+        products = self.scaled @ x
+        return [products[j * n:(j + 1) * n] for j in range(products.shape[0] // n)]
 
     def full_rhs(self, u: np.ndarray) -> np.ndarray:
         return apply_streaming(u, self.inv_s, self.stencils, self.ops)
@@ -169,7 +166,7 @@ class StreamingContext:
     def _moment_factors(self, w: np.ndarray):
         """Per axis (W^T V_d L+- V_d^T W) pairs for a moment basis W."""
         factors = []
-        for axis in self.active_axes:
+        for axis in self.stencils.active_axes:
             c = w.T @ self.ops.eig_v[axis]
             factors.append(
                 (
@@ -182,21 +179,21 @@ class StreamingContext:
     def k_rhs(self, k: np.ndarray, factors) -> np.ndarray:
         """F_S(K V0^T) V0 with precontracted moment factors."""
         out = np.zeros_like(k)
-        for axis, (f_plus, f_minus) in zip(self.active_axes, factors):
-            out -= (self.scaled_plus[axis] @ k) @ f_plus
-            out -= (self.scaled_minus[axis] @ k) @ f_minus
+        products = self.stencil_products(k)
+        for (f_plus, f_minus), d_plus, d_minus in zip(factors, products[0::2], products[1::2]):
+            out -= d_plus @ f_plus
+            out -= d_minus @ f_minus
         return out
 
     def l_step_factors(self, u0: np.ndarray):
         """Per axis (V_d L+- V_d^T, (Ds+- U0)^T U0) for the L phase."""
-        factors = []
-        for axis in self.active_axes:
-            q_plus = (self.scaled_plus[axis] @ u0).T @ u0
-            q_minus = (self.scaled_minus[axis] @ u0).T @ u0
-            factors.append(
-                (self.ops.a_plus[axis], self.ops.a_minus[axis], q_plus, q_minus)
+        products = self.stencil_products(u0)
+        return [
+            (self.ops.a_plus[axis], self.ops.a_minus[axis], d_plus.T @ u0, d_minus.T @ u0)
+            for axis, d_plus, d_minus in zip(
+                self.stencils.active_axes, products[0::2], products[1::2]
             )
-        return factors
+        ]
 
     def l_rhs(self, l: np.ndarray, factors) -> np.ndarray:
         """F_S(U0 L^T)^T U0, result shaped like L (m x r)."""
@@ -215,11 +212,7 @@ class StreamingContext:
         -sum_j P_j S F_j.
         """
         ru, rv = u_hat.shape[1], v_hat.shape[1]
-        spatial = [
-            u_hat.T @ (stencils[axis] @ u_hat)
-            for axis in self.active_axes
-            for stencils in (self.scaled_plus, self.scaled_minus)
-        ]
+        spatial = [u_hat.T @ d for d in self.stencil_products(u_hat)]
         moment = [f for pair in self._moment_factors(v_hat) for f in pair]
         return (np.array(spatial).reshape(-1, ru, ru),
                 np.array(moment).reshape(-1, rv, rv))
@@ -245,7 +238,7 @@ def streaming_step(state: LowRankState, dt: float, ctx: StreamingContext) -> Low
     return LowRankState(u=u_hat, s=s_hat, v=v_hat)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScatteringContext:
     """Frozen per-step scattering coefficients.
 
@@ -258,7 +251,9 @@ class ScatteringContext:
     sigma_t,i - g_i,q (12, m) of the self-scattering are formed once, and
     each beam's source becomes the factor pair
     (w_i S^-1 psi_u (n, 12), g_i T_M (12, m)) whose product is its
-    n x m inscattering source; every solver contracts these pairs.
+    n x m inscattering source; every solver contracts these pairs. The
+    context is frozen, so these derived arrays cannot go stale: assigning
+    a field after construction raises FrozenInstanceError.
     """
 
     element_weights: np.ndarray
@@ -270,12 +265,12 @@ class ScatteringContext:
     source_factors: list = field(init=False)
 
     def __post_init__(self):
-        self.absorption = self.sigma_t[:, None] - self.g_diags
-        self.source_factors = [
+        object.__setattr__(self, "absorption", self.sigma_t[:, None] - self.g_diags)
+        object.__setattr__(self, "source_factors", [
             (self.element_weights * (self.inv_s * psi_u)[:, None],
              self.g_diags * t_m[None, :])
             for psi_u, t_m in self.sources
-        ]
+        ])
 
     def source_sum(self, product, shape) -> np.ndarray:
         """Sum over beams of product(w (n, 12), g (12, m)), from zeros."""

@@ -10,6 +10,12 @@ degree-0 moment. The uncollided dose is tallied on the ray tracer's
 energy groups, which resolves narrow spectra far better than the
 pseudo-time grid.
 
+The per-element stopping powers and the scattering model's table are
+evaluated once per run, at every mid-step (and group-centre) energy in
+one array call each (StepTables); a step only mixes its row into the
+stopping-power field and expands its column to the m moments, with the
+same operations, in the same order, that a per-step evaluation makes.
+
 Identical configs produce byte-identical outputs: bases are seeded, all
 reductions have fixed order, and the ray bundle is deterministic.
 """
@@ -41,6 +47,7 @@ from .fullrank import fullrank_scattering_step, fullrank_streaming_step
 from .physics import (
     MaterialField,
     MomentTables,
+    bragg_mixture,
     default_schneider_table,
     default_stopping_library,
     mix_stopping_power,
@@ -309,25 +316,42 @@ class Problem:
             self.material.weights, self.material.density, e_mev, self.stopping
         )
 
-    def scattering_entries(self, e_mev, degrees=None):
-        """Corrected per-element (g (12, ..., k), sigma_t (12, ...)) at an
-        energy or an array of energies (the ... axes); g holds one entry
-        per listed degree, by default the degrees 0..N."""
+    def element_stopping(self, energies):
+        """(K, 12) per-element mass stopping powers at K energies, one
+        contiguous row per energy, from one array evaluation."""
+        return np.ascontiguousarray(self.stopping.mass_stopping_all(energies).T)
+
+    def stopping_from(self, element_stopping):
+        """S on all cells from one row of element_stopping(energies): the
+        stopping_field of that row's energy, bit for bit."""
+        return bragg_mixture(self.material.weights, self.material.density, element_stopping)
+
+    def model_table(self, e_mev):
+        """The scattering model's per-element table at an energy or an
+        array of energies (the ... axes): the kernel's Legendre moments
+        (12, ..., N+2) for Boltzmann, xi1 (12, ...) for Fokker-Planck."""
+        if self.config.model == BOLTZMANN:
+            return self.moments.moments_at(e_mev)
+        return self.moments.xi1_at(e_mev)
+
+    def scattering_entries(self, table, degrees=None):
+        """Corrected per-element (g (12, ..., k), sigma_t (12, ...)) from a
+        model_table; g holds one entry per listed degree, by default the
+        degrees 0..N."""
         cfg = self.config
         if cfg.model == BOLTZMANN:
-            return boltzmann_tables(self.moments.moments_at(e_mev), cfg.pn_order,
-                                    cfg.boltzmann_correction, degrees)
-        return fokker_planck_tables(self.moments.xi1_at(e_mev), cfg.pn_order,
-                                    cfg.fp_correction_scale, degrees)
+            return boltzmann_tables(table, cfg.pn_order, cfg.boltzmann_correction, degrees)
+        return fokker_planck_tables(table, cfg.pn_order, cfg.fp_correction_scale, degrees)
 
-    def scattering_tables(self, e_mev):
-        """Corrected per-element (g_diags (12, ..., m), sigma_t (12, ...)):
-        each degree's entry repeated over its 2l+1 orders."""
+    def scattering_tables(self, table):
+        """Corrected per-element (g_diags (12, ..., m), sigma_t (12, ...))
+        from a model_table: each degree's entry repeated over its 2l+1
+        orders."""
         # The model functions expand while they form the entries, so each
         # table keeps its memory order (column-major for Boltzmann,
         # row-major for Fokker-Planck) and every BLAS product with it its
         # summation order; the low-rank solve amplifies last-bit changes.
-        return self.scattering_entries(e_mev, self.ops.basis.degrees)
+        return self.scattering_entries(table, self.ops.basis.degrees)
 
 
 def assemble_problem(config: ProblemConfig) -> Problem:
@@ -388,7 +412,8 @@ def material_coefficients(problem: Problem):
 
         def sigma_t_fn(e, n_i=n_i):
             e = np.asarray(e, dtype=float)
-            per_atom = np.moveaxis(problem.scattering_entries(e)[1], 0, -1)  # (..., 12)
+            sigma_t = problem.scattering_entries(problem.model_table(e))[1]
+            per_atom = np.moveaxis(sigma_t, 0, -1)                           # (..., 12)
             # one 1-D dot per energy, as a scalar evaluation would do it
             per_energy = np.ascontiguousarray(per_atom).reshape(-1, N_ELEMENTS)
             return np.array([n_i @ row for row in per_energy]).reshape(e.shape)
@@ -424,10 +449,11 @@ def trace_all_beams(problem: Problem, operators=None):
 def uncollided_dose(problem: Problem, fluxes) -> np.ndarray:
     """Group-sum tally: sum_g S(E_g, r) psi_g h + below-cutoff residual."""
     space = problem.space
+    element_stopping = problem.element_stopping(space.centers)      # (G, 12)
     deposited = np.zeros(problem.n_cells)
     for flux in fluxes:
-        for g, e_g in enumerate(space.centers):
-            s_field = problem.stopping_field(e_g)
+        for g, s_elem in enumerate(element_stopping):
+            s_field = problem.stopping_from(s_elem)
             deposited += s_field * flux.values[:, g] * space.width
         deposited += flux.residual_energy
     return deposited
@@ -479,12 +505,34 @@ def pseudo_time_edges(problem: Problem) -> np.ndarray:
     return np.linspace(cfg.e_max_mev, cfg.e_min_mev, n_steps + 1)
 
 
-def step_contexts(problem: Problem, fluxes, t_ms, e_hi, e_lo):
-    """(StreamingContext, ScatteringContext) frozen at mid-step."""
-    e_mid = 0.5 * (e_hi + e_lo)
-    inv_s = 1.0 / problem.stopping_field(e_mid)
+@dataclass(frozen=True)
+class StepTables:
+    """The energy tables of a run, evaluated once at its K mid-step energies.
+
+    energies (K,); stopping (K, 12) per-element mass stopping powers, one
+    row per step (Problem.element_stopping); model the scattering model's
+    table (Problem.model_table), per degree and never expanded to the m
+    moments, its step axis second. Step k's row and column give what
+    stopping_field and model_table give at energies[k], bit for bit.
+    """
+
+    energies: np.ndarray
+    stopping: np.ndarray
+    model: np.ndarray
+
+
+def step_tables(problem: Problem, edges) -> StepTables:
+    """StepTables at the midpoints of the pseudo-time step edges."""
+    e_mid = 0.5 * (edges[:-1] + edges[1:])
+    return StepTables(e_mid, problem.element_stopping(e_mid), problem.model_table(e_mid))
+
+
+def step_contexts(problem: Problem, tables: StepTables, k, fluxes, t_ms):
+    """(StreamingContext, ScatteringContext) of step k, frozen at mid-step."""
+    e_mid = tables.energies[k]
+    inv_s = 1.0 / problem.stopping_from(tables.stopping[k])
     stream_ctx = StreamingContext(inv_s, problem.stencils, problem.ops)
-    g_diags, sigma_t = problem.scattering_tables(e_mid)
+    g_diags, sigma_t = problem.scattering_tables(tables.model[:, k])
     sources = [(flux.at_energy(e_mid), t_m) for flux, t_m in zip(fluxes, t_ms)]
     scat_ctx = ScatteringContext(
         element_weights=problem.material.atomic_densities,
@@ -596,6 +644,7 @@ def run_simulation(config: ProblemConfig, solver: str = "dlra") -> SimulationRes
     n_steps = len(edges) - 1
     de = float(edges[0] - edges[1])
 
+    tables = timed(phase_s, "contexts", step_tables, problem, edges)
     stepper = SOLVERS[solver](problem)
     deposited = np.zeros(n)
     rank_history = []
@@ -604,7 +653,7 @@ def run_simulation(config: ProblemConfig, solver: str = "dlra") -> SimulationRes
         e_hi, e_lo = edges[k], edges[k + 1]
         dt = e_hi - e_lo
         stream_ctx, scat_ctx = timed(
-            phase_s, "contexts", step_contexts, problem, fluxes, t_ms, e_hi, e_lo
+            phase_s, "contexts", step_contexts, problem, tables, k, fluxes, t_ms
         )
         u0_moment, rank = stepper.step(dt, stream_ctx, scat_ctx)
         rank_history.append((k, float(e_lo), rank))

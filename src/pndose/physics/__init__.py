@@ -20,6 +20,7 @@ from .moliere import (
 from .stopping import (
     StoppingPowerLibrary,
     StoppingPowerTable,
+    bragg_mixture,
     default_stopping_library,
     mix_stopping_power,
     straggling_t,
@@ -35,6 +36,7 @@ __all__ = [
     "StoppingPowerLibrary",
     "StoppingPowerTable",
     "beta",
+    "bragg_mixture",
     "default_schneider_table",
     "default_stopping_library",
     "gamma",

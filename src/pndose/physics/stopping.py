@@ -113,10 +113,19 @@ def mix_stopping_power(weights, density, e_mev, library=None):
     """
     if library is None:
         library = default_stopping_library()
+    return bragg_mixture(weights, density, library.mass_stopping_all(e_mev))
+
+
+def bragg_mixture(weights, density, mass_stopping):
+    """rho * sum_i w_i s_i from per-element mass stopping powers.
+
+    mass_stopping: (12, ...) values s_i at one energy or more, as
+    mass_stopping_all returns them; weights and density as for
+    mix_stopping_power, which is this at library.mass_stopping_all(e).
+    """
     weights = np.asarray(weights, dtype=float)
     density = np.asarray(density, dtype=float)
-    s_elem = library.mass_stopping_all(e_mev)        # (12, ...)
-    mixture = np.tensordot(weights, s_elem, axes=([-1], [0]))
+    mixture = np.tensordot(weights, mass_stopping, axes=([-1], [0]))
     return density * mixture
 
 

@@ -14,10 +14,11 @@ cutoff is far smaller than a cell).
 
 A beam is a deterministic stratified bundle of parallel rays over +-3
 lateral sigma, weighted by the Gaussian density and renormalized to the
-beam weight. Rays traverse the grid exactly (Amanatides-Woo) and deposit
-track-length-weighted group-averaged flux at cell midpoints; rays sharing
-a material column reuse one march, and the marches of a run can share one
-energy operator per material.
+beam weight. Rays traverse the grid exactly (Amanatides-Woo, with all
+boundary crossings of a ray formed and merged as arrays) and deposit
+track-length-weighted group-averaged flux at cell midpoints, one indexed
+add per ray; rays sharing a material column reuse one march, and the
+marches of a run can share one energy operator per material.
 """
 
 import math
@@ -354,7 +355,11 @@ def march_ray(space, segments, coefficients, psi0, max_step=MAX_STEP_CM, operato
 
 
 def traverse_grid(grid: Grid3D, origin, direction):
-    """Amanatides-Woo traversal: [(cell_flat, s_enter, s_exit)] along a ray."""
+    """Amanatides-Woo traversal: [(cell_flat, s_enter, s_exit)] along a ray.
+
+    Equal, entry for entry, to the walk that advances one cell at a time
+    (tests/oracles.traverse_grid_reference).
+    """
     p0 = np.asarray(origin, dtype=float)
     d = np.asarray(direction, dtype=float)
     bounds = grid.extent()
@@ -391,19 +396,36 @@ def traverse_grid(grid: Grid3D, origin, direction):
             t_max[a] = (nxt - p0[a]) / d[a]
             t_delta[a] = -grid.spacings[a] / d[a]
 
-    out = []
-    t = t_lo
-    while t < t_hi - 1e-14:
-        axis = int(np.argmin(t_max))
-        t_next = min(t_max[axis], t_hi)
-        if t_next > t:
-            out.append((grid.index(*idx), t, t_next))
-        t = t_next
-        idx[axis] += step[axis]
-        if not (0 <= idx[axis] < grid.shape[axis]):
-            break
-        t_max[axis] += t_delta[axis]
-    return out
+    # Every boundary crossing at once: per moving axis, the running sums of
+    # its first crossing and its spacing (the sums an incremental walk
+    # forms), up to the crossing that leaves the grid. A stable sort on
+    # (time, axis) orders them as a walk that always advances the axis
+    # crossing next, the lowest one on ties. A ray along no axis (no unit
+    # direction is one) has a single crossing at infinity instead.
+    times, axes, moves, leaves = [[math.inf]], [[0]], [[0]], [[False]]
+    for a in range(3):
+        if step[a] == 0:
+            continue
+        count = grid.shape[a] - idx[a] if step[a] > 0 else idx[a] + 1
+        times.append(np.cumsum([t_max[a]] + [t_delta[a]] * (count - 1)))
+        axes.append(np.full(count, a))
+        moves.append(np.full(count, step[a]))
+        leaves.append(np.arange(count) == count - 1)
+    times, axes, moves, leaves = map(np.concatenate, (times, axes, moves, leaves))
+    order = np.lexsort((axes, times))
+    order = order[: np.argmax(leaves[order]) + 1]   # the walk ends leaving the grid
+    t_next = np.minimum(times[order], t_hi)
+    t_prev = np.concatenate(([t_lo], t_next[:-1]))
+    stops = np.flatnonzero(~(t_prev < t_hi - 1e-14))
+    n = stops[0] if stops.size else order.size
+    order, t_prev, t_next = order[:n], t_prev[:n], t_next[:n]
+    # the cell of each stretch: the start cell plus the moves before it
+    moved = np.zeros((n, 3), dtype=int)
+    moved[np.arange(n), axes[order]] = moves[order]
+    position = np.asarray(idx) + np.cumsum(moved, axis=0) - moved
+    cells = position @ np.array([1, grid.nx, grid.nx * grid.ny])
+    keep = t_next > t_prev
+    return list(zip(cells[keep].tolist(), t_prev[keep].tolist(), t_next[keep].tolist()))
 
 
 def stratified_ray_offsets(sigma, n_side=21, span_sigmas=3.0):
@@ -501,36 +523,40 @@ def trace_beam(
         for ray_index, (offset, w_ray) in enumerate(zip(offsets, ray_weights)):
             start = origin + offset[0] * e1 + offset[1] * e2
             path = [
-                (cell, s0, s1)
-                for cell, s0, s1 in traverse_grid(grid, start, direction)
-                if s1 - s0 > 1e-12
+                seg for seg in traverse_grid(grid, start, direction) if seg[2] - seg[1] > 1e-12
             ]
             if not path:
                 continue  # ray misses the domain (vacuum)
             n_alive += 1
-            segments = [
-                (cell, s1 - s0, int(material_key_of_cell[cell])) for cell, s0, s1 in path
-            ]
-            signature = tuple((key, round(length, 12)) for _, length, key in segments)
+            cells, s0, s1 = (np.array(column) for column in zip(*path))
+            lengths = s1 - s0
+            keys = material_key_of_cell[cells].tolist()
+            # np.round, like round() on a float64 and unlike round() on a
+            # Python float, rounds by scaling; the keys decide which rays
+            # share a march
+            signature = tuple(zip(keys, np.round(lengths, 12).tolist()))
             if signature not in march_cache:
+                # float64 lengths: march_ray keys its LU factors by round(dz, 14)
+                segments = list(zip(cells.tolist(), lengths, keys))
                 records = march_ray(
                     space, segments, coefficients, psi0, max_step=max_step, operators=operators
                 )[0]
                 # cache only the spectra; cells belong to the individual ray
-                march_cache[signature] = [
-                    (rec.group_averages, rec.residual_energy) for rec in records
-                ]
-            cached = march_cache[signature]
+                march_cache[signature] = (
+                    np.array([rec.group_averages for rec in records]),
+                    np.array([rec.residual_energy for rec in records]),
+                )
+            averages, res_energy = march_cache[signature]
             weight = beam.weight * w_ray
+            # the cells of one ray are distinct, so each indexed add is one
+            # add per cell, as a per-cell loop would make it
+            values[cells] += (weight * (lengths / cell_volume))[:, None] * averages
+            residual[cells] += weight * res_energy / cell_volume
             if dump is not None:
                 dump.write(f"# ray {ray_index}\n")
-            for (cell, s0, s1), (averages, res_energy) in zip(path, cached):
-                track = (s1 - s0) / cell_volume
-                values[cell] += weight * track * averages
-                residual[cell] += weight * res_energy / cell_volume
-                if dump is not None:
-                    z_mid = start[2] + 0.5 * (s0 + s1) * direction[2]
-                    for g, value in enumerate(averages):
+                for cell, a, b, spectrum in zip(cells.tolist(), s0, s1, averages):
+                    z_mid = start[2] + 0.5 * (a + b) * direction[2]
+                    for g, value in enumerate(spectrum):
                         dump.write(f"{z_mid:.9g},{g},{value:.12e},{cell}\n")
 
     if n_alive == 0:

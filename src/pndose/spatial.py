@@ -22,6 +22,12 @@ where V_d^+ (V_d^-) holds the eigenvectors of A_d with positive
 (negative) eigenvalues L_d^+ (L_d^-), so each stencil acts only on the
 characteristic variables it serves; the eigenvalues that are zero up to
 rounding contribute nothing and are left out (angular.characteristic_split).
+
+The low-rank solver applies all upwind terms of the active axes at once:
+UpwindStencils stacks them row-wise into one sparse matrix, and scaled()
+folds a diagonal into it per step by rescaling its entries, so each
+product with it is one sparse call whose rows sum exactly as the
+per-stencil products would.
 """
 
 from dataclasses import dataclass, field
@@ -136,33 +142,39 @@ def _lift_to_grid(d1, grid: Grid3D, axis: int) -> sparse.csr_matrix:
 class UpwindStencils:
     """Sparse (n, n) stencils; plus[i]/minus[i] for axis i in (x, y, z).
 
-    On construction each stencil is also stored in the entry order that
-    scipy's product D @ diag(s) emits, so that scaled() forms those
-    products by rescaling entries instead of multiplying matrices.
+    On construction the stencils of the active axes (those with entries)
+    are also stacked row-wise into one (2 a n, n) matrix, in the order
+    plus_x, minus_x, plus_y, ..., each block in the entry order that
+    scipy's product D @ diag(s) emits. So scaled() forms all those
+    products by rescaling one array of entries, and one sparse product
+    with the result applies every upwind term.
     """
 
     plus: tuple
     minus: tuple
     grid: Grid3D
-    _product_order: tuple = field(init=False, repr=False, compare=False)
+    active_axes: tuple = field(init=False, repr=False, compare=False)
+    _stacked: sparse.csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ones = sparse.diags(np.ones(self.grid.n_cells))
-        object.__setattr__(
-            self, "_product_order", tuple(d @ ones for d in self.plus + self.minus)
-        )
+        n = self.grid.n_cells
+        active = tuple(a for a in range(3) if self.plus[a].nnz or self.minus[a].nnz)
+        ones = sparse.diags(np.ones(n))
+        blocks = [d @ ones for a in active for d in (self.plus[a], self.minus[a])]
+        stacked = sparse.vstack(blocks, format="csr") if blocks else sparse.csr_matrix((0, n))
+        object.__setattr__(self, "active_axes", active)
+        object.__setattr__(self, "_stacked", stacked)
 
     def scaled(self, s):
-        """(plus, minus) stencils times diag(s), as tuples over the axes.
+        """The stacked stencils times diag(s), (2 a n, n).
 
-        Each equals scipy's D @ sparse.diags(s) in data, indices and
-        indptr, so products with it sum every row in the same order.
+        Rows j n .. (j+1) n - 1 hold the j-th upwind term of the order
+        plus_x, minus_x, plus_y, ... over the active axes; each block equals
+        scipy's D @ sparse.diags(s) in data, indices and indptr, so products
+        with it sum every row in the same order.
         """
-        mats = tuple(
-            sparse.csr_matrix((p.data * s[p.indices], p.indices, p.indptr), shape=p.shape)
-            for p in self._product_order
-        )
-        return mats[:3], mats[3:]
+        p = self._stacked
+        return sparse.csr_matrix((p.data * s[p.indices], p.indices, p.indptr), shape=p.shape)
 
 
 def build_stencils(grid: Grid3D) -> UpwindStencils:
@@ -184,9 +196,7 @@ def apply_streaming(u, inv_s, stencils: UpwindStencils, ops: PNOperators):
         raise NumericalError("non-finite streaming input")
     scaled = inv_s[:, None] * u
     out = np.zeros_like(u)
-    for axis in range(3):
-        if stencils.plus[axis].nnz == 0 and stencils.minus[axis].nnz == 0:
-            continue
+    for axis in stencils.active_axes:
         back = ops.back_rotation[axis]
         k = ops.v_plus[axis].shape[1]
         out += (stencils.plus[axis] @ (scaled @ ops.v_plus[axis])) @ back[:k]

@@ -134,3 +134,61 @@ def laplace_beltrami_matrix(n_max, n_mu=200, n_phi=None):
                 + np.outer(grad_phi, grad_phi) / one_minus_mu2
             )
     return out
+
+
+def traverse_grid_reference(grid, origin, direction):
+    """Amanatides-Woo traversal as a per-cell loop: [(cell, s_enter, s_exit)].
+
+    Each step advances the axis whose next boundary crossing comes first
+    (the lowest axis on ties, as argmin picks it) and adds that axis's
+    crossing spacing to its next crossing time.
+    """
+    p0 = np.asarray(origin, dtype=float)
+    d = np.asarray(direction, dtype=float)
+    bounds = grid.extent()
+    t_lo, t_hi = 0.0, math.inf
+    for axis in range(3):
+        lo, hi = bounds[axis]
+        if abs(d[axis]) < 1e-14:
+            if not (lo <= p0[axis] <= hi):
+                return []
+            continue
+        t1 = (lo - p0[axis]) / d[axis]
+        t2 = (hi - p0[axis]) / d[axis]
+        t_lo = max(t_lo, min(t1, t2))
+        t_hi = min(t_hi, max(t1, t2))
+    if t_hi <= t_lo:
+        return []
+
+    eps = 1e-10 * max(grid.spacings)
+    p = p0 + (t_lo + eps) * d
+    idx = [
+        min(grid.shape[a] - 1, max(0, int((p[a] - bounds[a][0]) / grid.spacings[a])))
+        for a in range(3)
+    ]
+    step, t_max, t_delta = [0] * 3, [math.inf] * 3, [math.inf] * 3
+    for a in range(3):
+        if d[a] > 1e-14:
+            step[a] = 1
+            nxt = bounds[a][0] + (idx[a] + 1) * grid.spacings[a]
+            t_max[a] = (nxt - p0[a]) / d[a]
+            t_delta[a] = grid.spacings[a] / d[a]
+        elif d[a] < -1e-14:
+            step[a] = -1
+            nxt = bounds[a][0] + idx[a] * grid.spacings[a]
+            t_max[a] = (nxt - p0[a]) / d[a]
+            t_delta[a] = -grid.spacings[a] / d[a]
+
+    out = []
+    t = t_lo
+    while t < t_hi - 1e-14:
+        axis = int(np.argmin(t_max))
+        t_next = min(t_max[axis], t_hi)
+        if t_next > t:
+            out.append((grid.index(*idx), t, t_next))
+        t = t_next
+        idx[axis] += step[axis]
+        if not (0 <= idx[axis] < grid.shape[axis]):
+            break
+        t_max[axis] += t_delta[axis]
+    return out

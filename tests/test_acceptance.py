@@ -23,6 +23,7 @@ from pndose.driver import (
     pseudo_time_edges,
     run_simulation,
     step_contexts,
+    step_tables,
     trace_all_beams,
     write_outputs,
 )
@@ -115,15 +116,14 @@ class TestCriterion2MaximalRankEquivalence:
         fluxes = trace_all_beams(problem)
         t_ms = [beam_projection(config.pn_order, b.direction) for b in config.beams]
         edges = pseudo_time_edges(problem)
+        tables = step_tables(problem, edges)
         assert min(problem.n_cells, problem.n_moments) == 16
         # the shipped steppers, as run_simulation drives them
         lowrank, fullrank = LowRankSolver(problem), FullRankSolver(problem)
         worst = 0.0
         for k in range(len(edges) - 1):
             dt = edges[k] - edges[k + 1]
-            stream_ctx, scat_ctx = step_contexts(
-                problem, fluxes, t_ms, edges[k], edges[k + 1]
-            )
+            stream_ctx, scat_ctx = step_contexts(problem, tables, k, fluxes, t_ms)
             _, rank = lowrank.step(dt, stream_ctx, scat_ctx)
             fullrank.step(dt, stream_ctx, scat_ctx)
             assert rank == 16

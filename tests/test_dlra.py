@@ -1,5 +1,7 @@
 """Low-rank integrator: BUG streaming, scattering substeps, truncation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,17 @@ class TestScatteringStep:
         state = full_rank_state(u_full)
         out = scattering_step(state, 0.4, ctx)
         assert np.abs(out.matrix() - u_full).max() < 1e-12 * np.abs(u_full).max()
+
+    def test_context_is_frozen(self):
+        # its absorption and source factors derive from the fields on
+        # construction, so assigning a field afterwards must fail loudly
+        rng = np.random.default_rng(12)
+        ctx = random_scattering_context(20, 9, rng)
+        absorption = ctx.absorption.copy()
+        for name in ("g_diags", "sigma_t", "sources", "absorption"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ctx, name, getattr(ctx, name))
+        assert np.array_equal(ctx.absorption, absorption)
 
     def test_fp_no_source_decay_and_constant_degree_zero(self):
         rng = np.random.default_rng(13)

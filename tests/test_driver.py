@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pndose.angular import beam_projection
 from pndose.driver import (
     ProblemConfig,
     assemble_problem,
@@ -14,8 +15,12 @@ from pndose.driver import (
     depth_profile,
     lateral_profile,
     material_coefficients,
+    pseudo_time_edges,
     read_volume,
     run_simulation,
+    step_contexts,
+    step_tables,
+    trace_all_beams,
     write_outputs,
     write_volume,
     _data_file_checksums,
@@ -24,6 +29,11 @@ from pndose.errors import ConfigError
 from pndose.spatial import Grid3D, UpwindStencils
 
 from oracles import water_csda_ranges
+
+
+def scattering_tables(problem, e_mev):
+    """The per-energy path: the model table at e_mev, then its entries."""
+    return problem.scattering_tables(problem.model_table(e_mev))
 
 
 def smoke_raw(**overrides):
@@ -240,17 +250,56 @@ class TestSimulation:
 class TestStepContexts:
     @pytest.mark.parametrize("solver, per_step", [("fullrank", 0), ("dlra", 1)])
     def test_only_the_low_rank_solver_rescales_stencils(self, monkeypatch, solver, per_step):
-        # the oracle streams with full_rhs, which never reads D diag(1/S)
-        calls = []
+        # the oracle streams with full_rhs, which never reads D diag(1/S);
+        # the low-rank solver rescales the one stacked operator once a step
+        shapes = []
         scaled = UpwindStencils.scaled
 
         def counting_scaled(self, s):
-            calls.append(s)
-            return scaled(self, s)
+            stacked = scaled(self, s)
+            shapes.append(stacked.shape)
+            return stacked
 
         monkeypatch.setattr(UpwindStencils, "scaled", counting_scaled)
         result = run_simulation(ProblemConfig.from_dict(smoke_raw()), solver=solver)
-        assert len(calls) == per_step * result.diagnostics["n_steps"]
+        assert len(shapes) == per_step * result.diagnostics["n_steps"]
+        n = result.diagnostics["n_cells"]
+        assert set(shapes) <= {(6 * n, n)}
+
+    @pytest.mark.parametrize("model, physics", [
+        ("boltzmann", {}),
+        ("boltzmann", {"boltzmann_correction": False}),
+        ("fokker-planck", {"fp_correction_scale": 0.5}),
+        ("fokker-planck", {"fp_correction_scale": 0.0}),
+    ])
+    def test_run_tables_equal_the_per_step_evaluation(self, model, physics):
+        # step k's S, g_diags and sigma_t from the tables of the run equal,
+        # bit for bit and in memory layout, a per-step evaluation at its
+        # mid-step energy
+        raw = smoke_raw(model=model, physics=physics)
+        raw["phantom"] = {
+            "background_hu": 0.0,
+            "boxes": [{"origin_cm": [0, 0, 1.0], "size_cm": [2, 2, 1.0], "hu": 700.0}],
+        }
+        problem = assemble_problem(ProblemConfig.from_dict(raw))
+        edges = pseudo_time_edges(problem)
+        tables = step_tables(problem, edges)
+        fluxes = trace_all_beams(problem)
+        t_ms = [beam_projection(problem.config.pn_order, b.direction)
+                for b in problem.config.beams]
+        layout = ("C_CONTIGUOUS", "F_CONTIGUOUS")
+        for k in range(len(edges) - 1):
+            e_mid = 0.5 * (edges[k] + edges[k + 1])
+            assert tables.energies[k] == e_mid
+            stream_ctx, scat_ctx = step_contexts(problem, tables, k, fluxes, t_ms)
+            s_field = problem.stopping_field(e_mid)
+            assert np.array_equal(problem.stopping_from(tables.stopping[k]), s_field)
+            assert np.array_equal(stream_ctx.inv_s, 1.0 / s_field)
+            assert np.array_equal(scat_ctx.inv_s, 1.0 / s_field)
+            g_diags, sigma_t = scattering_tables(problem, e_mid)
+            for run, step in ((scat_ctx.g_diags, g_diags), (scat_ctx.sigma_t, sigma_t)):
+                assert np.array_equal(run, step)
+                assert [run.flags[f] for f in layout] == [step.flags[f] for f in layout]
 
 
 class TestRayTracerCoupling:
@@ -289,11 +338,11 @@ class TestRayTracerCoupling:
         energies = problem.space.quadrature()[0]
         for key, (_, _, sigma_t_fn) in coefficients.items():
             n_i = atomic[int(np.argmax(keys == key))]
-            scalar = [n_i @ problem.scattering_tables(float(e))[1] for e in energies.ravel()]
+            scalar = [n_i @ scattering_tables(problem, float(e))[1] for e in energies.ravel()]
             assert np.array_equal(sigma_t_fn(energies), np.reshape(scalar, energies.shape))
         # the array path of the tables equals the stacked scalar calls
-        g_diags, sigma_t = problem.scattering_tables(energies)
-        per_energy = [problem.scattering_tables(float(e)) for e in energies.ravel()]
+        g_diags, sigma_t = scattering_tables(problem, energies)
+        per_energy = [scattering_tables(problem, float(e)) for e in energies.ravel()]
         assert np.array_equal(
             g_diags, np.stack([g for g, _ in per_energy], axis=1).reshape(g_diags.shape)
         )

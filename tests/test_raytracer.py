@@ -21,6 +21,8 @@ from pndose.raytracer import (
 )
 from pndose.spatial import Grid3D
 
+from oracles import traverse_grid_reference
+
 
 def const(v):
     return lambda e: np.full_like(np.asarray(e, dtype=float), v)
@@ -172,6 +174,87 @@ class TestBeamGeometry:
         offsets, w = stratified_ray_offsets(0.3, 21, 3.0)
         assert offsets.shape == (441, 2)
         assert w.sum() == pytest.approx(1.0, rel=1e-14)
+
+
+class TestTraversalAgainstReference:
+    """traverse_grid returns exactly the list of the per-cell reference walk."""
+
+    GRIDS = (
+        Grid3D(6, 6, 70, 0.1, 0.1, 0.1),
+        Grid3D(5, 4, 7, 0.2, 0.25, 0.3, origin=(-0.5, 0.2, 0.0)),
+        Grid3D(1, 5, 9, 1.0, 0.2, 0.1),
+    )
+
+    @staticmethod
+    def check(grid, origin, direction):
+        origin = np.asarray(origin, dtype=float)
+        d = np.asarray(direction, dtype=float)
+        d = d / np.linalg.norm(d)
+        path = traverse_grid(grid, origin, d)
+        assert path == traverse_grid_reference(grid, origin, d)
+        return path
+
+    def test_random_rays(self):
+        # lines through a random point of the grid, started before it,
+        # inside the grid or beyond the point, in random directions
+        rng = np.random.default_rng(2024)
+        hits = 0
+        for i in range(300):
+            g = self.GRIDS[i % len(self.GRIDS)]
+            lo, hi = np.array(g.extent()).T
+            target = lo + rng.uniform(0.0, 1.0, 3) * (hi - lo)
+            d = rng.standard_normal(3)
+            d /= np.linalg.norm(d)
+            back = rng.uniform(-0.5, 1.5) * np.linalg.norm(hi - lo)
+            hits += bool(self.check(g, target - back * d, d))
+        assert hits >= 200
+
+    def test_corners_and_edges(self):
+        # two or three axes cross at once at every grid node on the way
+        g = Grid3D(4, 4, 4, 0.25, 0.25, 0.25)
+        assert len(self.check(g, (-0.5, -0.5, -0.5), (1, 1, 1))) == 4
+        assert len(self.check(g, (1.5, 1.5, 1.5), (-1, -1, -1))) == 4
+        assert self.check(g, (0.5, -0.5, 0.3), (0, 1, 0))
+        assert self.check(g, (-0.25, -0.25, 0.3), (1, 1, 0))
+        assert self.check(g, (0.0, 1.0, -0.5), (1, -1, 2))
+        assert self.check(g, (0.25, 0.5, 0.0), (1, 2, 2))
+        assert self.check(self.GRIDS[1], (-0.5, 0.2, 0.0), (0.2, 0.25, 0.3))
+
+    def test_axis_parallel_rays(self):
+        g = self.GRIDS[1]
+        for axis in range(3):
+            for sign in (1.0, -1.0):
+                d = np.zeros(3)
+                d[axis] = sign
+                lo, hi = np.array(g.extent()).T
+                centre = 0.5 * (lo + hi)
+                # from outside, from inside, and along interior cell faces
+                assert self.check(g, centre - 2.0 * d * (hi - lo), d)
+                assert self.check(g, centre, d)
+                face = lo + np.array(g.spacings)
+                face[axis] = centre[axis]
+                assert self.check(g, face, d)
+
+    def test_negative_components_and_outside_starts(self):
+        g = self.GRIDS[0]
+        assert self.check(g, (1.0, 1.2, 8.0), (-0.1, -0.2, -1.0))
+        assert self.check(g, (0.61, 0.58, 7.05), (-0.3, -0.1, -1.0))
+        assert self.check(g, (5.0, 5.0, -1.0), (0, 0, 1)) == []
+        assert self.check(g, (0.3, 0.3, 10.0), (0, 0, 1)) == []
+
+    def test_grazing_rays(self):
+        g = Grid3D(3, 3, 4, 0.2, 0.2, 0.2)
+        # in the x = 0 boundary face, and in an interior face
+        assert self.check(g, (0.0, -0.1, -0.1), (0.0, 0.6, 0.8))
+        assert self.check(g, (0.2, -0.1, -0.1), (0.0, 0.6, 0.8))
+        # clipping the x = 0.6, z = 0 edge over ~1.4e-13 cm
+        self.check(g, (-0.4 - 1e-13, 0.3, -1.0), (1, 0, 1))
+        # along the edge x = 0, y = 0
+        assert self.check(g, (0.0, 0.0, -1.0), (0, 0, 1))
+        # crossing x = 0.4 within 1e-14 of leaving through z = 0.8: the walk
+        # stops there, so the last cell is not entered
+        path = self.check(g, (-1.4 + 4e-15, 0.3, -1.0), (1, 0, 1))
+        assert [cell for cell, _, _ in path][-1] == g.index(1, 1, 3)
 
 
 class TestDeposition:
