@@ -5,10 +5,12 @@ K-phase right-hand side k_rhs at P7 (m = 64) on a random state:
 (n = 2520, r = 2) is the water90_lowrank benchmark grid at its rank,
 (n = 3000, r = 26) the preset30 grid at the mean rank a tight truncation
 tolerance reaches there (~26 at 3e-4 with a Wentzel scattering kernel).
-The ray-tracer case times trace_beam on the water90_lowrank beam: 441
-rays through 6 x 6 x 70 water cells that share one Crank-Nicolson march,
-with the energy operator already assembled, as the second beam of a run
-finds it. Run from the repository root, with the BLAS thread count pinned:
+The ray-tracer cases use the water90_lowrank beam: 441 rays through
+6 x 6 x 70 water cells that share one Crank-Nicolson march. They time
+assemble_energy_operators for water (128 groups), the one march_ray of
+the beam, and trace_beam; the last two with the energy operator already
+assembled, as the second beam of a run finds it. Run from the repository
+root, with the BLAS thread count pinned:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest benchmarks --benchmark-only
 
@@ -28,7 +30,13 @@ from pndose.dlra import (
     scattering_step,
     streaming_step,
 )
-from pndose.raytracer import trace_beam
+from pndose.raytracer import (
+    assemble_energy_operators,
+    march_ray,
+    project_initial_spectrum,
+    trace_beam,
+    traverse_grid,
+)
 from pndose.spatial import Grid3D, build_stencils
 
 PN_ORDER = 7
@@ -97,9 +105,36 @@ WATER90 = {
 }
 
 
-def test_trace_beam_water90(benchmark):
+@pytest.fixture(scope="module")
+def water90():
     problem = assemble_problem(ProblemConfig.from_dict(WATER90))
     keys, coefficients = material_coefficients(problem)
+    return problem, keys, coefficients
+
+
+def test_assemble_energy_operators_water(benchmark, water90):
+    problem, _, coefficients = water90
+    (water,) = coefficients.values()
+    _, g_mat = benchmark(assemble_energy_operators, problem.space, *water)
+    assert g_mat.shape == (problem.space.n_dof, problem.space.n_dof)
+
+
+def test_march_ray_water90(benchmark, water90):
+    problem, keys, coefficients = water90
+    space, beam = problem.space, problem.config.beams[0]
+    path = traverse_grid(problem.grid, beam.position_cm, beam.direction)
+    segments = [(cell, s1 - s0, int(keys[cell])) for cell, s0, s1 in path]
+    psi0 = project_initial_spectrum(space, beam.energy_mev, beam.sigma_e_mev)
+    operators = {}
+    march_ray(space, segments, coefficients, psi0, operators=operators)  # assembles the operator
+    averages, residuals, _ = benchmark(
+        march_ray, space, segments, coefficients, psi0, operators=operators
+    )
+    assert averages.shape == (70, space.n_groups) and residuals.shape == (70,)
+
+
+def test_trace_beam_water90(benchmark, water90):
+    problem, keys, coefficients = water90
     beam = problem.config.beams[0]
     operators = {}
     args = (beam, problem.grid, problem.space, keys, coefficients)

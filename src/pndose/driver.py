@@ -129,6 +129,10 @@ class ProblemConfig:
         _require(self.cfl_number > 0.0, "transport.cfl_number must be positive")
         _require(0.0 <= self.fp_correction_scale <= 1.0,
                  "physics.fp_correction_scale must lie in [0, 1]")
+        _require(isinstance(self.boltzmann_correction, bool),
+                 f"physics.boltzmann_correction must be true or false, "
+                 f"got {self.boltzmann_correction!r}")
+        _require(self.ray_n_side >= 1, "rays.n_side must be >= 1")
         _require(self.e_min_mev > 0.0, "energy.e_min_mev must be positive")
         _require(self.energy_groups >= 4, "energy.groups must be >= 4")
         _require(len(self.beams) >= 1, "at least one beam is required")
@@ -174,6 +178,7 @@ class ProblemConfig:
         beams = []
         for i, spec in enumerate(raw.get("beams", [])):
             try:
+                _check_beam_vectors(spec, f"beams[{i}]")
                 sigma_rel = float(spec.get("sigma_e_rel", 0.01))
                 beams.append(
                     BeamSource(
@@ -209,7 +214,7 @@ class ProblemConfig:
             e_max_mev=(None if energy.get("e_max_mev") is None
                        else float(energy.get("e_max_mev"))),
             energy_groups=int(energy.get("groups", 128)),
-            boltzmann_correction=bool(physics.get("boltzmann_correction", True)),
+            boltzmann_correction=physics.get("boltzmann_correction", True),
             fp_correction_scale=float(physics.get("fp_correction_scale", 0.5)),
             ray_n_side=int(rays.get("n_side", 21)),
             seed=int(raw.get("seed", 20260809)),
@@ -243,6 +248,20 @@ class ProblemConfig:
         cfg = cls.from_dict(raw, base_dir=path.parent)
         cfg.source_files.append(path)
         return cfg
+
+
+def _check_beam_vectors(spec: dict, label: str):
+    """Raise ConfigError unless direction and position_cm are finite
+    3-vectors and direction is nonzero (KeyError if one is missing)."""
+    for key in ("direction", "position_cm"):
+        try:
+            v = np.asarray(spec[key], dtype=float)
+        except (TypeError, ValueError):
+            v = np.zeros(0)
+        _require(v.shape == (3,) and np.all(np.isfinite(v)),
+                 f"{label}.{key} must be 3 finite numbers, got {spec[key]!r}")
+        _require(key != "direction" or np.any(v != 0.0),
+                 f"{label}.direction must not be the zero vector")
 
 
 def _check_keys(raw: dict):

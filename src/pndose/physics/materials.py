@@ -106,9 +106,9 @@ class SchneiderTable:
     def convert(self, hu):
         """Map HU values to (density [g/cm^3], weights (..., 12))."""
         hu = np.asarray(hu, dtype=float)
-        if np.any(hu < HU_MIN) or np.any(hu > HU_MAX):
+        if not np.all((hu >= HU_MIN) & (hu <= HU_MAX)):  # NaN fails both
             raise PhysicsDataError(
-                f"HU outside supported range [{HU_MIN:g}, {HU_MAX:g}]"
+                f"HU outside supported range [{HU_MIN:g}, {HU_MAX:g}] or not a number"
             )
         di = self._locate(hu, self.density_edges)
         a = self.density_coeffs[di, 0]

@@ -2,10 +2,13 @@
 
 Energy is discretized with a discontinuous Galerkin space: equal-width
 groups, modal Legendre polynomials up to degree 2 per group (3 dof). The
-slowing-down term uses a local Lax-Friedrichs flux, straggling uses SIPG
-with penalty eta = 10 (p+1)^2 / h, and absorption is a mass term. The
-resulting ODE system M psi' + G(z) psi = 0 marches in depth with
-Crank-Nicolson at steps <= 0.01 cm.
+slowing-down term uses a local Lax-Friedrichs flux whose alpha = S*
+makes it the full upwind flux (from the group above each face),
+straggling uses SIPG with penalty eta = 10 (p+1)^2 / h, and absorption is
+a mass term. The resulting ODE system M psi' + G(z) psi = 0 marches in
+depth with Crank-Nicolson at steps <= 0.01 cm. G is block-tridiagonal
+and is built as three block diagonals: one block per group, and one
+above and one below the diagonal per interior face.
 
 The drift coefficient is S* = S + dT/dE / 2, which puts straggling into
 standard diffusion form. Content leaving through the low-energy boundary
@@ -23,9 +26,10 @@ marches of a run can share one energy operator per material.
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import numpy.polynomial.legendre as leg
 from scipy import sparse
 from scipy.linalg import lu_factor, lu_solve
 
@@ -115,19 +119,16 @@ class EnergyDGSpace:
             raise NumericalError("energy mass matrix is not positive definite")
         return diag
 
+    def basis(self, x):
+        """(P, dP/dxi) of the local modes at reference points x, each (len(x), nl)."""
+        x = np.asarray(x, dtype=float)
+        dp = leg.legval(x, leg.legder(np.eye(self.n_local))).T
+        return leg.legvander(x, self.degree), dp
+
     def quadrature(self):
         """GL nodes per element: (energies (G, q), weights (q,), P (q, nl), dP)."""
-        x, w = np.polynomial.legendre.leggauss(_QUAD_NODES)
-        p = np.polynomial.legendre.legvander(x, self.degree)
-        dp = np.stack(
-            [
-                np.polynomial.legendre.legval(
-                    x, np.polynomial.legendre.legder(np.eye(self.n_local)[j])
-                )
-                for j in range(self.n_local)
-            ],
-            axis=1,
-        )
+        x, w = leg.leggauss(_QUAD_NODES)
+        p, dp = self.basis(x)
         energies = self.centers[:, None] + 0.5 * self.width * x[None, :]
         return energies, w, p, dp
 
@@ -159,120 +160,81 @@ def project_initial_spectrum(space: EnergyDGSpace, mean_mev, sigma_mev) -> np.nd
     return (rhs / mass_local).ravel()
 
 
+def _outer(a, b):
+    """Outer products a_i b_j, stacked over the leading axes."""
+    return a[..., :, None] * b[..., None, :]
+
+
 def assemble_energy_operators(space: EnergyDGSpace, s_star_fn, t_fn, sigma_t_fn):
     """(mass diagonal, G) with M psi' + G psi = 0 along depth.
 
     Coefficient callables map an energy array to values; t_fn may be None
     (no straggling) and sigma_t_fn may be None (no absorption). With both
-    absent G reduces to the pure Lax-Friedrichs advection operator.
-    """
-    nl, ng, ndof = space.n_local, space.n_groups, space.n_dof
-    h = space.width
-    energies, w, p, dp = space.quadrature()
-    jac = 0.5 * h
-    g_mat = np.zeros((ndof, ndof))
+    absent G reduces to the pure upwind advection operator.
 
-    s_star_q = np.asarray(s_star_fn(energies))              # (G, q)
-    edge_e = space.edges
-    s_star_edges = np.asarray(s_star_fn(edge_e))            # (G+1,)
+    G is built as three block diagonals: one (nl, nl) block per group, and
+    one above and one below the diagonal per interior face. Each volume
+    term is one batched Gram product, each face term one stack of outer
+    products of the Legendre traces. With alpha = S* the local
+    Lax-Friedrichs drift flux is the full upwind flux qhat = -S* psi_above,
+    so only straggling fills the blocks below the diagonal. G equals the
+    per-group, per-face loop form (tests/oracles.py) bit for bit; that
+    needs the Gram products scaled as (E * h/2) * (2/h), and each diagonal
+    block to take its lower face's SIPG term before its upper face's.
+    """
+    ng, nl, h = space.n_groups, space.n_local, space.width
+    energies, w, p, dp = space.quadrature()
+    (p_hi, p_lo), (dp_hi, dp_lo) = space.basis([1.0, -1.0])
+
+    def gram(coeff_q, a, b):
+        """Per group, Int coeff a_i b_j dE over the group, (G, nl, nl)."""
+        return np.einsum("gq,qi,qj->gij", w * np.asarray(coeff_q), a, b) * (0.5 * h)
 
     # volume advection: + Int dphi_test/dE * S* * phi_trial (dphi/dE = P' 2/h)
-    for g in range(ng):
-        block = np.einsum("q,qi,qj->ij", w * s_star_q[g], dp, p) * jac * (2.0 / h)
-        sl = slice(g * nl, (g + 1) * nl)
-        g_mat[sl, sl] += block
-
-    p_hi = np.polynomial.legendre.legvander([1.0], space.degree)[0]
-    p_lo = np.polynomial.legendre.legvander([-1.0], space.degree)[0]
-
-    # interior faces between group g (below) and g+1 (above), LF flux for
-    # q(psi) = -S* psi with wind toward lower energies
-    for g in range(ng - 1):
-        sf = s_star_edges[g + 1]
-        alpha = sf
-        lo_sl = slice(g * nl, (g + 1) * nl)
-        hi_sl = slice((g + 1) * nl, (g + 2) * nl)
-        # qhat = -sf/2 (psi_lo + psi_hi) - alpha/2 (psi_hi - psi_lo)
-        c_lo = -0.5 * sf + 0.5 * alpha      # coefficient of lower trace
-        c_hi = -0.5 * sf - 0.5 * alpha      # coefficient of upper trace
-        # element g test functions gain +phi(1) * qhat; G accumulates +
-        g_mat[lo_sl, lo_sl] += np.outer(p_hi, c_lo * p_hi)
-        g_mat[lo_sl, hi_sl] += np.outer(p_hi, c_hi * p_lo)
-        # element g+1 test functions gain -phi(-1) * qhat
-        g_mat[hi_sl, lo_sl] -= np.outer(p_lo, c_lo * p_hi)
-        g_mat[hi_sl, hi_sl] -= np.outer(p_lo, c_hi * p_lo)
-
-    # bottom boundary: outflow, pure upwind from the interior trace
-    sl0 = slice(0, nl)
-    g_mat[sl0, sl0] -= np.outer(p_lo, -s_star_edges[0] * p_lo)
-    # top boundary: inflow from vacuum, qhat = 0
+    diag = gram(s_star_fn(energies), dp, p) * (2.0 / h)
+    # interior faces, upwind flux from the group above: group g+1's test
+    # functions gain -phi(-1) qhat, group g's gain +phi(1) qhat
+    s_star_edges = np.asarray(s_star_fn(space.edges))
+    c_face = -s_star_edges[1:-1, None]                      # (G-1, 1)
+    upper = _outer(p_hi, c_face * p_lo)
+    diag[1:] -= _outer(p_lo, c_face * p_lo)
+    lower = np.zeros_like(upper)
+    # bottom boundary: outflow, pure upwind from the interior trace; the
+    # top boundary takes inflow from vacuum, qhat = 0
+    diag[0] -= _outer(p_lo, -s_star_edges[0] * p_lo)
 
     if sigma_t_fn is not None:
-        sig_q = np.asarray(sigma_t_fn(energies))
-        for g in range(ng):
-            block = np.einsum("q,qi,qj->ij", w * sig_q[g], p, p) * jac
-            sl = slice(g * nl, (g + 1) * nl)
-            g_mat[sl, sl] += block
+        diag += gram(sigma_t_fn(energies), p, p)
 
     if t_fn is not None:
-        kappa_q = 0.5 * np.asarray(t_fn(energies))
-        kappa_edges = 0.5 * np.asarray(t_fn(edge_e))
-        dp_hi = (2.0 / h) * np.array(
-            [
-                np.polynomial.legendre.legval(
-                    1.0, np.polynomial.legendre.legder(np.eye(nl)[j])
-                )
-                for j in range(nl)
-            ]
-        )
-        dp_lo = (2.0 / h) * np.array(
-            [
-                np.polynomial.legendre.legval(
-                    -1.0, np.polynomial.legendre.legder(np.eye(nl)[j])
-                )
-                for j in range(nl)
-            ]
-        )
-        for g in range(ng):
-            block = (
-                np.einsum("q,qi,qj->ij", w * kappa_q[g], dp, dp) * jac * (2.0 / h) ** 2
+        diag += gram(0.5 * np.asarray(t_fn(energies)), dp, dp) * (2.0 / h) ** 2
+        # SIPG on each interior face: the lower group's trace at xi = 1 and
+        # the upper group's at xi = -1, jump [v] = v_lo - v_hi, average
+        # {kappa v'} = kappa (v_lo' + v_hi') / 2
+        kappa_f = 0.5 * np.asarray(t_fn(space.edges))[1:-1]
+        penalty = (SIPG_ETA * kappa_f / h)[:, None, None]
+        jump = np.array([p_hi, -p_lo])
+        avg = 0.5 * kappa_f[:, None, None] * ((2.0 / h) * np.array([dp_hi, dp_lo]))
+
+        def sipg(a, b):
+            """(G-1, nl, nl) coupling of side a's test to side b's trial functions."""
+            return (
+                -_outer(jump[a], avg[:, b])
+                - _outer(avg[:, a], jump[b])
+                + penalty * _outer(jump[a], jump[b])
             )
-            sl = slice(g * nl, (g + 1) * nl)
-            g_mat[sl, sl] += block
-        for g in range(ng - 1):
-            kf = kappa_edges[g + 1]
-            sigma_pen = SIPG_ETA * kf / h
-            lo_sl = slice(g * nl, (g + 1) * nl)
-            hi_sl = slice((g + 1) * nl, (g + 2) * nl)
-            # traces: lower element at xi=1, upper element at xi=-1
-            # jump [v] = v_lo - v_hi, average {v} = (v_lo + v_hi)/2
-            trace = np.zeros((2, nl, 2))    # (side, mode, [value, derivative])
-            trace[0, :, 0], trace[0, :, 1] = p_hi, dp_hi
-            trace[1, :, 0], trace[1, :, 1] = p_lo, dp_lo
-            sides = (lo_sl, hi_sl)
-            sign = (1.0, -1.0)
-            for a in range(2):
-                for b in range(2):
-                    jump_a = sign[a] * trace[a, :, 0]
-                    jump_b = sign[b] * trace[b, :, 0]
-                    avg_da = 0.5 * kf * trace[a, :, 1]
-                    avg_db = 0.5 * kf * trace[b, :, 1]
-                    block = (
-                        -np.outer(jump_a, avg_db)
-                        - np.outer(avg_da, jump_b)
-                        + sigma_pen * np.outer(jump_a, jump_b)
-                    )
-                    g_mat[sides[a], sides[b]] += block
 
-    return space.mass_diagonal(), g_mat
+        diag[1:] += sipg(1, 1)
+        diag[:-1] += sipg(0, 0)
+        upper += sipg(0, 1)
+        lower += sipg(1, 0)
 
-
-@dataclass
-class RaySegmentRecord:
-    cell: int
-    length: float
-    group_averages: np.ndarray
-    residual_energy: float  # MeV carried below the cutoff inside this segment
+    g_mat = np.zeros((ng, nl, ng, nl))
+    groups = np.arange(ng)
+    g_mat[groups, :, groups] = diag
+    g_mat[groups[:-1], :, groups[1:]] = upper
+    g_mat[groups[1:], :, groups[:-1]] = lower
+    return space.mass_diagonal(), g_mat.reshape(space.n_dof, space.n_dof)
 
 
 def march_ray(space, segments, coefficients, psi0, max_step=MAX_STEP_CM, operators=None):
@@ -280,7 +242,10 @@ def march_ray(space, segments, coefficients, psi0, max_step=MAX_STEP_CM, operato
 
     segments: list of (cell_index, length_cm, material_key);
     coefficients: material_key -> (s_star_fn, t_fn, sigma_t_fn).
-    Returns (records, psi_exit).
+    Returns (averages, residuals, psi_exit): the group averages at each
+    segment's midpoint (n_segments, n_groups), the energy [MeV] carried
+    below the cutoff inside each segment (n_segments,), and the exit
+    coefficients.
 
     operators: mapping material_key -> (sparse G, S*(e_min)), filled
     lazily. Pass one mapping to every march over the same space and
@@ -291,7 +256,7 @@ def march_ray(space, segments, coefficients, psi0, max_step=MAX_STEP_CM, operato
     """
     mass = space.mass_diagonal()
     nl = space.n_local
-    p_lo = np.polynomial.legendre.legvander([-1.0], space.degree)[0]
+    p_lo = space.basis([-1.0])[0][0]
     if operators is None:
         operators = {}
     lu_cache = {}
@@ -319,39 +284,28 @@ def march_ray(space, segments, coefficients, psi0, max_step=MAX_STEP_CM, operato
         return lu_cache[ck]
 
     psi = np.asarray(psi0, dtype=float).copy()
-    records = []
-    for cell, length, key in segments:
+    averages = np.empty((len(segments), space.n_groups))
+    residuals = np.empty(len(segments))
+    for k, (cell, length, key) in enumerate(segments):
         s_min = operator(key)[1]
+        # two halves of n_sub equal steps each, the averages taken between them
+        n_sub = max(1, math.ceil(0.5 * length / max_step))
+        dz = 0.5 * length / n_sub
+        lu, rhs = stepper(key, dz)
         residual = 0.0
-        half_records = []
-        for half, take_snapshot in ((0.5 * length, True), (0.5 * length, False)):
-            if half <= 0.0:
-                continue
-            n_sub = max(1, math.ceil(half / max_step))
-            dz = half / n_sub
-            lu, rhs = stepper(key, dz)
-            for _ in range(n_sub):
-                trace_before = float(psi[:nl] @ p_lo)
-                psi = lu_solve(lu, rhs @ psi)
-                trace_after = float(psi[:nl] @ p_lo)
-                # trapezoidal trace reproduces the CN content identity, so
-                # the below-cutoff energy bookkeeping closes exactly
-                residual += (
-                    space.e_min * s_min * 0.5 * (trace_before + trace_after) * dz
-                )
-            if take_snapshot:
-                half_records.append(space.group_averages(psi))
+        for step in range(2 * n_sub):
+            if step == n_sub:
+                averages[k] = space.group_averages(psi)
+            trace_before = float(psi[:nl] @ p_lo)
+            psi = lu_solve(lu, rhs @ psi)
+            trace_after = float(psi[:nl] @ p_lo)
+            # trapezoidal trace reproduces the CN content identity, so
+            # the below-cutoff energy bookkeeping closes exactly
+            residual += space.e_min * s_min * 0.5 * (trace_before + trace_after) * dz
         if not np.all(np.isfinite(psi)):
             raise NumericalError(f"ray march produced non-finite flux in cell {cell}")
-        records.append(
-            RaySegmentRecord(
-                cell=cell,
-                length=length,
-                group_averages=half_records[0],
-                residual_energy=residual,
-            )
-        )
-    return records, psi
+        residuals[k] = residual
+    return averages, residuals, psi
 
 
 def traverse_grid(grid: Grid3D, origin, direction):
@@ -538,14 +492,10 @@ def trace_beam(
             if signature not in march_cache:
                 # float64 lengths: march_ray keys its LU factors by round(dz, 14)
                 segments = list(zip(cells.tolist(), lengths, keys))
-                records = march_ray(
-                    space, segments, coefficients, psi0, max_step=max_step, operators=operators
-                )[0]
                 # cache only the spectra; cells belong to the individual ray
-                march_cache[signature] = (
-                    np.array([rec.group_averages for rec in records]),
-                    np.array([rec.residual_energy for rec in records]),
-                )
+                march_cache[signature] = march_ray(
+                    space, segments, coefficients, psi0, max_step=max_step, operators=operators
+                )[:2]
             averages, res_energy = march_cache[signature]
             weight = beam.weight * w_ray
             # the cells of one ray are distinct, so each indexed add is one

@@ -171,10 +171,12 @@ class UpwindStencils:
         Rows j n .. (j+1) n - 1 hold the j-th upwind term of the order
         plus_x, minus_x, plus_y, ... over the active axes; each block equals
         scipy's D @ sparse.diags(s) in data, indices and indptr, so products
-        with it sum every row in the same order.
+        with it sum every row in the same order. take() gathers through the
+        int32 indices as they are; s[p.indices] would first convert them to
+        intp, which costs more than the gather itself.
         """
         p = self._stacked
-        return sparse.csr_matrix((p.data * s[p.indices], p.indices, p.indptr), shape=p.shape)
+        return sparse.csr_matrix((p.data * s.take(p.indices), p.indices, p.indptr), shape=p.shape)
 
 
 def build_stencils(grid: Grid3D) -> UpwindStencils:

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the library's closed-form assembly
 paths: sphere integrals use product quadrature over basis evaluations,
 the Laplace-Beltrami matrix uses the integration-by-parts form with
-the associated-Legendre derivative recurrence, and CSDA ranges integrate
-the shipped stopping tables by cumulative trapezoid.
+the associated-Legendre derivative recurrence, CSDA ranges integrate
+the shipped stopping tables by cumulative trapezoid, the grid traversal
+walks one cell at a time, and the ray tracer's energy operator is
+accumulated one group and one face block at a time.
 """
 
 import math
@@ -15,6 +17,7 @@ from scipy.special import lpmv
 
 from pndose.angular import real_sph_eval
 from pndose.physics import default_schneider_table, default_stopping_library
+from pndose.raytracer import _QUAD_NODES, SIPG_ETA
 
 
 def water_csda_ranges(e_max_mev, e_min_mev=1.0, n_points=200_001):
@@ -192,3 +195,123 @@ def traverse_grid_reference(grid, origin, direction):
             break
         t_max[axis] += t_delta[axis]
     return out
+
+
+def assemble_energy_operators_reference(space, s_star_fn, t_fn, sigma_t_fn):
+    """(mass diagonal, G) of the ray tracer's energy DG, as per-group and per-face loops.
+
+    Accumulates each element and face block into the dense G one at a
+    time, with the Legendre traces and derivatives from legvander and
+    legder; raytracer.assemble_energy_operators builds the same G bit for
+    bit from three block diagonals.
+    """
+    nl, ng, ndof = space.n_local, space.n_groups, space.n_dof
+    h = space.width
+    x, w = np.polynomial.legendre.leggauss(_QUAD_NODES)
+    p = np.polynomial.legendre.legvander(x, space.degree)
+    dp = np.stack(
+        [
+            np.polynomial.legendre.legval(
+                x, np.polynomial.legendre.legder(np.eye(nl)[j])
+            )
+            for j in range(nl)
+        ],
+        axis=1,
+    )
+    energies = space.centers[:, None] + 0.5 * h * x[None, :]
+    jac = 0.5 * h
+    g_mat = np.zeros((ndof, ndof))
+
+    s_star_q = np.asarray(s_star_fn(energies))              # (G, q)
+    edge_e = space.edges
+    s_star_edges = np.asarray(s_star_fn(edge_e))            # (G+1,)
+
+    # volume advection: + Int dphi_test/dE * S* * phi_trial (dphi/dE = P' 2/h)
+    for g in range(ng):
+        block = np.einsum("q,qi,qj->ij", w * s_star_q[g], dp, p) * jac * (2.0 / h)
+        sl = slice(g * nl, (g + 1) * nl)
+        g_mat[sl, sl] += block
+
+    p_hi = np.polynomial.legendre.legvander([1.0], space.degree)[0]
+    p_lo = np.polynomial.legendre.legvander([-1.0], space.degree)[0]
+
+    # interior faces between group g (below) and g+1 (above), LF flux for
+    # q(psi) = -S* psi with wind toward lower energies
+    for g in range(ng - 1):
+        sf = s_star_edges[g + 1]
+        alpha = sf
+        lo_sl = slice(g * nl, (g + 1) * nl)
+        hi_sl = slice((g + 1) * nl, (g + 2) * nl)
+        # qhat = -sf/2 (psi_lo + psi_hi) - alpha/2 (psi_hi - psi_lo)
+        c_lo = -0.5 * sf + 0.5 * alpha      # coefficient of lower trace
+        c_hi = -0.5 * sf - 0.5 * alpha      # coefficient of upper trace
+        # element g test functions gain +phi(1) * qhat; G accumulates +
+        g_mat[lo_sl, lo_sl] += np.outer(p_hi, c_lo * p_hi)
+        g_mat[lo_sl, hi_sl] += np.outer(p_hi, c_hi * p_lo)
+        # element g+1 test functions gain -phi(-1) * qhat
+        g_mat[hi_sl, lo_sl] -= np.outer(p_lo, c_lo * p_hi)
+        g_mat[hi_sl, hi_sl] -= np.outer(p_lo, c_hi * p_lo)
+
+    # bottom boundary: outflow, pure upwind from the interior trace
+    sl0 = slice(0, nl)
+    g_mat[sl0, sl0] -= np.outer(p_lo, -s_star_edges[0] * p_lo)
+    # top boundary: inflow from vacuum, qhat = 0
+
+    if sigma_t_fn is not None:
+        sig_q = np.asarray(sigma_t_fn(energies))
+        for g in range(ng):
+            block = np.einsum("q,qi,qj->ij", w * sig_q[g], p, p) * jac
+            sl = slice(g * nl, (g + 1) * nl)
+            g_mat[sl, sl] += block
+
+    if t_fn is not None:
+        kappa_q = 0.5 * np.asarray(t_fn(energies))
+        kappa_edges = 0.5 * np.asarray(t_fn(edge_e))
+        dp_hi = (2.0 / h) * np.array(
+            [
+                np.polynomial.legendre.legval(
+                    1.0, np.polynomial.legendre.legder(np.eye(nl)[j])
+                )
+                for j in range(nl)
+            ]
+        )
+        dp_lo = (2.0 / h) * np.array(
+            [
+                np.polynomial.legendre.legval(
+                    -1.0, np.polynomial.legendre.legder(np.eye(nl)[j])
+                )
+                for j in range(nl)
+            ]
+        )
+        for g in range(ng):
+            block = (
+                np.einsum("q,qi,qj->ij", w * kappa_q[g], dp, dp) * jac * (2.0 / h) ** 2
+            )
+            sl = slice(g * nl, (g + 1) * nl)
+            g_mat[sl, sl] += block
+        for g in range(ng - 1):
+            kf = kappa_edges[g + 1]
+            sigma_pen = SIPG_ETA * kf / h
+            lo_sl = slice(g * nl, (g + 1) * nl)
+            hi_sl = slice((g + 1) * nl, (g + 2) * nl)
+            # traces: lower element at xi=1, upper element at xi=-1
+            # jump [v] = v_lo - v_hi, average {v} = (v_lo + v_hi)/2
+            trace = np.zeros((2, nl, 2))    # (side, mode, [value, derivative])
+            trace[0, :, 0], trace[0, :, 1] = p_hi, dp_hi
+            trace[1, :, 0], trace[1, :, 1] = p_lo, dp_lo
+            sides = (lo_sl, hi_sl)
+            sign = (1.0, -1.0)
+            for a in range(2):
+                for b in range(2):
+                    jump_a = sign[a] * trace[a, :, 0]
+                    jump_b = sign[b] * trace[b, :, 0]
+                    avg_da = 0.5 * kf * trace[a, :, 1]
+                    avg_db = 0.5 * kf * trace[b, :, 1]
+                    block = (
+                        -np.outer(jump_a, avg_db)
+                        - np.outer(avg_da, jump_b)
+                        + sigma_pen * np.outer(jump_a, jump_b)
+                    )
+                    g_mat[sides[a], sides[b]] += block
+
+    return space.mass_diagonal(), g_mat

@@ -52,6 +52,16 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert "physics.fp_correction_scale" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, code, named", [
+        ({"phantom": {"background_hu": float("nan")}}, 3, "HU"),
+        ({"rays": {"n_side": 0}}, 2, "rays.n_side"),
+    ])
+    def test_bad_input_exits_with_its_category(self, tmp_path, capsys, overrides, code, named):
+        # a physics-data error (3) or a config error (2), not a traceback (1)
+        path = smoke_config(tmp_path, **overrides)
+        assert main(["validate", str(path)]) == code
+        assert named in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.yaml")]) == 2
 

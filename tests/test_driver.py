@@ -106,6 +106,31 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=re.escape("physics.fp_correction_scale")):
             ProblemConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1])
+    def test_boltzmann_correction_must_be_boolean(self, value):
+        # bool("false") is True: a quoted or numeric value must not pass
+        raw = smoke_raw(physics={"boltzmann_correction": value})
+        with pytest.raises(ConfigError, match=re.escape("physics.boltzmann_correction")):
+            ProblemConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("beams", "direction", [0, 0, 0]),
+        ("beams", "direction", [0, 1]),
+        ("beams", "direction", [0, 0, float("nan")]),
+        ("beams", "position_cm", [1.0, 1.0]),
+        ("rays", "n_side", 0),
+    ])
+    def test_bad_beam_or_ray_value_names_key(self, section, key, value):
+        raw = smoke_raw()
+        if section == "beams":
+            raw["beams"][0][key] = value
+            label = f"beams[0].{key}"
+        else:
+            raw[section][key] = value
+            label = f"{section}.{key}"
+        with pytest.raises(ConfigError, match=re.escape(label)):
+            ProblemConfig.from_dict(raw)
+
     def test_two_cell_axis(self):
         raw = smoke_raw()
         raw["grid"]["nx"] = 2

@@ -56,7 +56,7 @@ class TestHuConversion:
         assert a[0] == b[0]
         np.testing.assert_array_equal(a[1], b[1])
 
-    @pytest.mark.parametrize("hu", [-1500.0, 3500.0])
+    @pytest.mark.parametrize("hu", [-1500.0, 3500.0, np.nan, [0.0, np.nan]])
     def test_out_of_range(self, hu):
         with pytest.raises(PhysicsDataError, match="range"):
             default_schneider_table().convert(hu)
