@@ -1,16 +1,19 @@
-"""Micro-benchmarks of the low-rank step kernels and the ray tracer, outside tier-1.
+"""Micro-benchmarks of the step kernels and the ray tracer, outside tier-1.
 
-Each step case times one call of scattering_step, streaming_step or the
-K-phase right-hand side k_rhs at P7 (m = 64) on a random state:
-(n = 2520, r = 2) is the water90_lowrank benchmark grid at its rank,
-(n = 3000, r = 26) the preset30 grid at the mean rank a tight truncation
-tolerance reaches there (~26 at 3e-4 with a Wentzel scattering kernel).
-The ray-tracer cases use the water90_lowrank beam: 441 rays through
-6 x 6 x 70 water cells that share one Crank-Nicolson march. They time
-assemble_energy_operators for water (128 groups), the one march_ray of
-the beam, and trace_beam; the last two with the energy operator already
-assembled, as the second beam of a run finds it. Run from the repository
-root, with the BLAS thread count pinned:
+Each step case times one call of scattering_step, streaming_step, the
+K-phase right-hand side k_rhs or truncate at P7 (m = 64) on a random
+state: (n = 2520, r = 2) is the water90_lowrank benchmark grid at its
+rank, (n = 3000, r = 26) the preset30 grid at the mean rank a tight
+truncation tolerance reaches there (~26 at 3e-4 with a Wentzel scattering
+kernel). truncate takes an augmented state of rank 2r back to r. One
+more case times the oracle's streaming right-hand side, apply_streaming,
+on a dense (n = 3000, m = 64) moment matrix. The ray-tracer cases use the
+water90_lowrank beam: 441 rays through 6 x 6 x 70 water cells that share
+one Crank-Nicolson march. They time assemble_energy_operators for water
+(128 groups), the one march_ray of the beam, and trace_beam; the last two
+with the energy-operator table already filled, as the second beam of a
+run finds it. Run from the repository root, with the BLAS thread count
+pinned:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest benchmarks --benchmark-only
 
@@ -26,18 +29,21 @@ from pndose.dlra import (
     LowRankState,
     ScatteringContext,
     StreamingContext,
+    TruncationPolicy,
     orthonormal_columns,
     scattering_step,
     streaming_step,
+    truncate,
 )
 from pndose.raytracer import (
+    EnergyOperators,
     assemble_energy_operators,
     march_ray,
     project_initial_spectrum,
     trace_beam,
     traverse_grid,
 )
-from pndose.spatial import Grid3D, build_stencils
+from pndose.spatial import Grid3D, apply_streaming, build_stencils
 
 PN_ORDER = 7
 CASES = {
@@ -93,6 +99,26 @@ def test_k_rhs(benchmark, case):
     assert out.shape == k.shape
 
 
+def test_truncate(benchmark, case):
+    state, _, _ = case
+    n, m, r = state.u.shape[0], state.v.shape[0], state.rank
+    augmented = random_state(n, m, 2 * r, np.random.default_rng(8))
+    sigma = np.diag(augmented.s)
+    policy = TruncationPolicy(threshold=sigma[r:].sum(), rank_min=1, rank_max=2 * r)
+    out, _ = benchmark(truncate, augmented, policy)
+    assert out.rank == r
+
+
+def test_apply_streaming(benchmark):
+    grid = CASES["n3000-r26"][0]
+    rng = np.random.default_rng(9)
+    ops = PNOperators.build(PN_ORDER)
+    u = rng.standard_normal((grid.n_cells, ops.basis.size))
+    inv_s = 1.0 / rng.uniform(8.0, 20.0, grid.n_cells)
+    out = benchmark(apply_streaming, u, inv_s, build_stencils(grid), ops)
+    assert out.shape == u.shape
+
+
 # The water90_lowrank benchmark's grid and beam (perfbench/configs).
 WATER90 = {
     "grid": {"nx": 6, "ny": 6, "nz": 70,
@@ -125,19 +151,16 @@ def test_march_ray_water90(benchmark, water90):
     path = traverse_grid(problem.grid, beam.position_cm, beam.direction)
     segments = [(cell, s1 - s0, int(keys[cell])) for cell, s0, s1 in path]
     psi0 = project_initial_spectrum(space, beam.energy_mev, beam.sigma_e_mev)
-    operators = {}
-    march_ray(space, segments, coefficients, psi0, operators=operators)  # assembles the operator
-    averages, residuals, _ = benchmark(
-        march_ray, space, segments, coefficients, psi0, operators=operators
-    )
+    operators = EnergyOperators(space, coefficients)
+    march_ray(segments, operators, psi0)            # assembles the operator
+    averages, residuals, _ = benchmark(march_ray, segments, operators, psi0)
     assert averages.shape == (70, space.n_groups) and residuals.shape == (70,)
 
 
 def test_trace_beam_water90(benchmark, water90):
     problem, keys, coefficients = water90
-    beam = problem.config.beams[0]
-    operators = {}
-    args = (beam, problem.grid, problem.space, keys, coefficients)
-    trace_beam(*args, operators=operators)          # assembles the operator
-    flux = benchmark(trace_beam, *args, operators=operators)
+    args = (problem.config.beams[0], problem.grid, keys,
+            EnergyOperators(problem.space, coefficients))
+    trace_beam(*args)                               # assembles the operator
+    flux = benchmark(trace_beam, *args)
     assert (flux.n_rays, flux.n_marches) == (441, 1)

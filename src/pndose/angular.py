@@ -199,9 +199,6 @@ class PNOperators:
     """Immutable bundle of the angular operators for one PN order."""
 
     basis: PNBasis
-    a_x: np.ndarray
-    a_y: np.ndarray
-    a_z: np.ndarray
     eig_v: tuple          # (V_x, V_y, V_z)
     lam_plus: tuple       # per direction, (m,)
     lam_minus: tuple
@@ -213,14 +210,10 @@ class PNOperators:
 
     @classmethod
     def build(cls, n_max: int) -> "PNOperators":
-        ax, ay, az = flux_matrices(n_max)
-        splits = [eigen_split(a) for a in (ax, ay, az)]
+        splits = [eigen_split(a) for a in flux_matrices(n_max)]
         chars = [characteristic_split(*s) for s in splits]
         return cls(
             basis=PNBasis(n_max),
-            a_x=ax,
-            a_y=ay,
-            a_z=az,
             eig_v=tuple(s[0] for s in splits),
             lam_plus=tuple(s[1] for s in splits),
             lam_minus=tuple(s[2] for s in splits),
@@ -230,10 +223,6 @@ class PNOperators:
             a_plus=tuple((v * lp[None, :]) @ v.T for v, lp, _ in splits),
             a_minus=tuple((v * lm[None, :]) @ v.T for v, _, lm in splits),
         )
-
-    @property
-    def matrices(self):
-        return (self.a_x, self.a_y, self.a_z)
 
     @property
     def spectral_radius(self) -> float:

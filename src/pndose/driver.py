@@ -55,7 +55,7 @@ from .physics import (
     straggling_t_derivative,
 )
 from .physics.materials import data_path
-from .raytracer import BeamSource, EnergyDGSpace, trace_beam
+from .raytracer import BeamSource, EnergyDGSpace, EnergyOperators, trace_beam
 from .spatial import Grid3D, build_stencils
 
 SQRT_4PI = math.sqrt(4.0 * math.pi)
@@ -178,13 +178,12 @@ class ProblemConfig:
         beams = []
         for i, spec in enumerate(raw.get("beams", [])):
             try:
-                _check_beam_vectors(spec, f"beams[{i}]")
                 sigma_rel = float(spec.get("sigma_e_rel", 0.01))
                 beams.append(
                     BeamSource(
-                        direction=tuple(spec["direction"]),
+                        direction=spec["direction"],
                         energy_mev=float(spec["energy_mev"]),
-                        position_cm=tuple(spec["position_cm"]),
+                        position_cm=spec["position_cm"],
                         weight=float(spec.get("weight", 1.0)),
                         sigma_xy_cm=float(spec.get("sigma_xy_cm", 0.3)),
                         sigma_e_mev=sigma_rel * float(spec["energy_mev"]),
@@ -192,6 +191,8 @@ class ProblemConfig:
                 )
             except KeyError as exc:
                 raise ConfigError(f"beams[{i}] is missing field {exc}") from exc
+            except ConfigError as exc:
+                raise ConfigError(f"beams[{i}].{exc}") from exc
 
         transport = raw.get("transport", {})
         energy = raw.get("energy", {})
@@ -248,20 +249,6 @@ class ProblemConfig:
         cfg = cls.from_dict(raw, base_dir=path.parent)
         cfg.source_files.append(path)
         return cfg
-
-
-def _check_beam_vectors(spec: dict, label: str):
-    """Raise ConfigError unless direction and position_cm are finite
-    3-vectors and direction is nonzero (KeyError if one is missing)."""
-    for key in ("direction", "position_cm"):
-        try:
-            v = np.asarray(spec[key], dtype=float)
-        except (TypeError, ValueError):
-            v = np.zeros(0)
-        _require(v.shape == (3,) and np.all(np.isfinite(v)),
-                 f"{label}.{key} must be 3 finite numbers, got {spec[key]!r}")
-        _require(key != "direction" or np.any(v != 0.0),
-                 f"{label}.direction must not be the zero vector")
 
 
 def _check_keys(raw: dict):
@@ -441,26 +428,16 @@ def material_coefficients(problem: Problem):
     return keys, coefficients
 
 
-def trace_all_beams(problem: Problem, operators=None):
+def trace_all_beams(problem: Problem, keys, operators: EnergyOperators):
     """Ray-trace every beam once; returns a list of UncollidedFlux.
 
-    operators: mapping from material key to that material's energy
-    operator, filled lazily by the marches of all beams, so each material
-    is assembled once per run; a fresh one is used when None.
+    keys and operators: the material key of each cell and the run's table
+    of energy operators over the coefficients of material_coefficients.
+    All beams share the table, so each material's operator is assembled
+    once per run.
     """
-    keys, coefficients = material_coefficients(problem)
-    if operators is None:
-        operators = {}
     return [
-        trace_beam(
-            beam,
-            problem.grid,
-            problem.space,
-            keys,
-            coefficients,
-            n_side=problem.config.ray_n_side,
-            operators=operators,
-        )
+        trace_beam(beam, problem.grid, keys, operators, n_side=problem.config.ray_n_side)
         for beam in problem.config.beams
     ]
 
@@ -655,8 +632,9 @@ def run_simulation(config: ProblemConfig, solver: str = "dlra") -> SimulationRes
     problem = timed(phase_s, "assembly", assemble_problem, config)
     n, m = problem.n_cells, problem.n_moments
 
-    operators = {}
-    fluxes = timed(phase_s, "ray_trace", trace_all_beams, problem, operators)
+    keys, coefficients = timed(phase_s, "ray_trace", material_coefficients, problem)
+    operators = EnergyOperators(problem.space, coefficients)
+    fluxes = timed(phase_s, "ray_trace", trace_all_beams, problem, keys, operators)
     t_ms = [beam_projection(config.pn_order, b.direction) for b in config.beams]
 
     edges = pseudo_time_edges(problem)
@@ -747,42 +725,43 @@ def write_volume(path, grid: Grid3D, arrays: dict, title="pndose dose grid"):
 
 
 def read_volume(path):
-    """Read back a write_volume file: (grid, {name: values})."""
+    """Read back a write_volume file: (grid, {name: values}).
+
+    A file that cannot be read, lacks a DIMENSIONS, ORIGIN or SPACING line
+    of three numbers, or holds an array short of values or with a value
+    that is not a number raises OutputIOError naming the file.
+    """
     try:
         with open(path) as fh:
             lines = [ln.rstrip("\n") for ln in fh]
     except OSError as exc:
         raise OutputIOError(f"cannot read volume file {path}: {exc}") from exc
-    dims = None
-    origin = spacing = None
-    arrays = {}
+    header, arrays = {}, {}
     i = 0
-    while i < len(lines):
-        line = lines[i]
-        if line.startswith("DIMENSIONS"):
-            dims = tuple(int(v) for v in line.split()[1:4])
-        elif line.startswith("ORIGIN"):
-            origin = tuple(float(v) for v in line.split()[1:4])
-        elif line.startswith("SPACING"):
-            spacing = tuple(float(v) for v in line.split()[1:4])
-        elif line.startswith("SCALARS"):
-            name = line.split()[1]
-            count = dims[0] * dims[1] * dims[2]
-            vals = np.array([float(v) for v in lines[i + 2 : i + 2 + count]])
-            arrays[name] = vals
-            i += 1 + count
-        i += 1
-    if dims is None or spacing is None:
-        raise OutputIOError(f"{path} is not a structured-points volume")
-    grid = Grid3D(
-        nx=dims[0], ny=dims[1], nz=dims[2],
-        dx=spacing[0], dy=spacing[1], dz=spacing[2],
-        origin=(
-            origin[0] - 0.5 * spacing[0],
-            origin[1] - 0.5 * spacing[1],
-            origin[2] - 0.5 * spacing[2],
-        ),
-    )
+    try:
+        while i < len(lines):
+            word, *fields = lines[i].split() or [""]
+            if word in ("DIMENSIONS", "ORIGIN", "SPACING"):
+                header[word] = [(int if word == "DIMENSIONS" else float)(v) for v in fields]
+            elif word == "SCALARS":
+                nx, ny, nz = header["DIMENSIONS"]
+                values = lines[i + 2 : i + 2 + nx * ny * nz]
+                if len(values) < nx * ny * nz:
+                    raise OutputIOError(f"{path} is truncated: array '{fields[0]}' has "
+                                        f"{len(values)} of {nx * ny * nz} values")
+                arrays[fields[0]] = np.array([float(v) for v in values])
+                i += 1 + len(values)
+            i += 1
+        (nx, ny, nz), (ox, oy, oz), (dx, dy, dz) = (
+            header[word] for word in ("DIMENSIONS", "ORIGIN", "SPACING")
+        )
+    except KeyError as exc:
+        raise OutputIOError(f"{path} is not a structured-points volume: "
+                            f"no {exc.args[0]} line") from exc
+    except ValueError as exc:
+        raise OutputIOError(f"{path} holds a malformed line: {exc}") from exc
+    origin = (ox - 0.5 * dx, oy - 0.5 * dy, oz - 0.5 * dz)
+    grid = Grid3D(nx=nx, ny=ny, nz=nz, dx=dx, dy=dy, dz=dz, origin=origin)
     return grid, arrays
 
 
@@ -790,6 +769,11 @@ def compare_volumes(path_a, path_b, array="deposited_energy"):
     """Relative L2 and Linf of A against reference B."""
     grid_a, arrays_a = read_volume(path_a)
     grid_b, arrays_b = read_volume(path_b)
+    for path, arrays in ((path_a, arrays_a), (path_b, arrays_b)):
+        if array not in arrays:
+            raise OutputIOError(
+                f"{path} holds no array '{array}'; it holds {', '.join(arrays) or 'none'}"
+            )
     if grid_a.shape != grid_b.shape:
         raise ConfigError(
             f"volumes have different shapes {grid_a.shape} vs {grid_b.shape}"

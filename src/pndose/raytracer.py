@@ -21,7 +21,8 @@ beam weight. Rays traverse the grid exactly (Amanatides-Woo, with all
 boundary crossings of a ray formed and merged as arrays) and deposit
 track-length-weighted group-averaged flux at cell midpoints, one indexed
 add per ray; rays sharing a material column reuse one march, and the
-marches of a run can share one energy operator per material.
+marches of a run share one table (EnergyOperators) that assembles each
+material's energy operator once.
 """
 
 import math
@@ -53,17 +54,27 @@ class BeamSource:
     sigma_e_mev: float = None  # defaults to 1% of the mean energy
 
     def __post_init__(self):
-        d = np.asarray(self.direction, dtype=float)
-        norm = np.linalg.norm(d)
+        """Raise ConfigError, its message led by the field's name, on a bad value."""
+        for name in ("direction", "position_cm"):
+            value = getattr(self, name)
+            try:
+                v = np.asarray(value, dtype=float)
+            except (TypeError, ValueError):
+                v = np.zeros(0)
+            if v.shape != (3,) or not np.all(np.isfinite(v)):
+                raise ConfigError(f"{name} must be 3 finite numbers, got {value!r}")
+            object.__setattr__(self, name, tuple(v))
+        norm = np.linalg.norm(self.direction)
+        if norm == 0.0:
+            raise ConfigError("direction must not be the zero vector")
         if abs(norm - 1.0) > 1e-9:
-            d = d / norm
-        object.__setattr__(self, "direction", tuple(d))
+            object.__setattr__(self, "direction", tuple(np.asarray(self.direction) / norm))
+        if self.energy_mev <= 0.0:
+            raise ConfigError("energy_mev must be positive")
         if self.sigma_e_mev is None:
             object.__setattr__(self, "sigma_e_mev", 0.01 * self.energy_mev)
         if self.sigma_e_mev <= 0.0 or self.sigma_xy_cm <= 0.0:
-            raise ConfigError("beam spreads must be positive")
-        if self.energy_mev <= 0.0:
-            raise ConfigError("beam energy must be positive")
+            raise ConfigError("sigma_xy_cm and sigma_e_mev must be positive")
 
     def transverse_frame(self):
         """Two unit vectors spanning the plane perpendicular to the beam."""
@@ -237,44 +248,54 @@ def assemble_energy_operators(space: EnergyDGSpace, s_star_fn, t_fn, sigma_t_fn)
     return space.mass_diagonal(), g_mat.reshape(space.n_dof, space.n_dof)
 
 
-def march_ray(space, segments, coefficients, psi0, max_step=MAX_STEP_CM, operators=None):
+class EnergyOperators(dict):
+    """Material key -> (CSR G, S*(e_min)) on one energy space, filled on lookup.
+
+    coefficients maps a material key to (s_star_fn, t_fn, sigma_t_fn). A
+    key's entry is assembled the first time it is looked up and kept for
+    every later march, so a run that hands one table to all its marches
+    assembles each material's operator once; len() counts the
+    assemblies. G is block-tridiagonal, so only its nonzeros are stored
+    (toarray gives the same matrix back bit for bit).
+    """
+
+    def __init__(self, space: EnergyDGSpace, coefficients):
+        super().__init__()
+        self.space = space
+        self.coefficients = coefficients
+
+    def __missing__(self, key):
+        s_star_fn, t_fn, sigma_t_fn = self.coefficients[key]
+        g_mat = assemble_energy_operators(self.space, s_star_fn, t_fn, sigma_t_fn)[1]
+        s_min = float(np.atleast_1d(s_star_fn(np.array([self.space.e_min])))[0])
+        self[key] = entry = (sparse.csr_matrix(g_mat), s_min)
+        return entry
+
+
+def march_ray(segments, operators: EnergyOperators, psi0, max_step=MAX_STEP_CM):
     """Crank-Nicolson march along a ray path.
 
-    segments: list of (cell_index, length_cm, material_key);
-    coefficients: material_key -> (s_star_fn, t_fn, sigma_t_fn).
+    segments: list of (cell_index, length_cm, material_key); operators:
+    the run's table of energy operators, on whose space the march runs.
     Returns (averages, residuals, psi_exit): the group averages at each
     segment's midpoint (n_segments, n_groups), the energy [MeV] carried
     below the cutoff inside each segment (n_segments,), and the exit
     coefficients.
 
-    operators: mapping material_key -> (sparse G, S*(e_min)), filled
-    lazily. Pass one mapping to every march over the same space and
-    coefficients, and each material's operator is assembled once for all
-    of them; without it, this march assembles its own. The Crank-Nicolson
-    LU factors are cached per (material_key, step) within this march
-    only, so a factor never depends on which march built it first.
+    The Crank-Nicolson LU factors are cached per (material_key, step)
+    within this march only, so a factor never depends on which march
+    built it first.
     """
+    space = operators.space
     mass = space.mass_diagonal()
     nl = space.n_local
     p_lo = space.basis([-1.0])[0][0]
-    if operators is None:
-        operators = {}
     lu_cache = {}
-
-    def operator(key):
-        if key not in operators:
-            s_star_fn, t_fn, sigma_t_fn = coefficients[key]
-            g_mat = assemble_energy_operators(space, s_star_fn, t_fn, sigma_t_fn)[1]
-            s_min = float(np.atleast_1d(s_star_fn(np.array([space.e_min])))[0])
-            # G is block-tridiagonal, and a run keeps one per material: store
-            # its nonzeros only (toarray gives the same matrix back bit for bit)
-            operators[key] = (sparse.csr_matrix(g_mat), s_min)
-        return operators[key]
 
     def stepper(key, dz):
         ck = (key, round(dz, 14))
         if ck not in lu_cache:
-            g_mat = operator(key)[0].toarray()
+            g_mat = operators[key][0].toarray()
             lhs = np.diag(mass) + 0.5 * dz * g_mat
             rhs = np.diag(mass) - 0.5 * dz * g_mat
             try:
@@ -287,7 +308,7 @@ def march_ray(space, segments, coefficients, psi0, max_step=MAX_STEP_CM, operato
     averages = np.empty((len(segments), space.n_groups))
     residuals = np.empty(len(segments))
     for k, (cell, length, key) in enumerate(segments):
-        s_min = operator(key)[1]
+        s_min = operators[key][1]
         # two halves of n_sub equal steps each, the averages taken between them
         n_sub = max(1, math.ceil(0.5 * length / max_step))
         dz = 0.5 * length / n_sub
@@ -382,13 +403,13 @@ def traverse_grid(grid: Grid3D, origin, direction):
     return list(zip(cells[keep].tolist(), t_prev[keep].tolist(), t_next[keep].tolist()))
 
 
-def stratified_ray_offsets(sigma, n_side=21, span_sigmas=3.0):
-    """Deterministic midpoint-stratified offsets and Gaussian weights.
+def stratified_ray_offsets(sigma, n_side=21):
+    """Deterministic midpoint-stratified offsets over +-3 sigma, Gaussian weights.
 
     Weights are renormalized to sum to one, so no source weight is lost
-    to the +-span truncation.
+    to the truncation at 3 sigma.
     """
-    half = span_sigmas * sigma
+    half = 3.0 * sigma
     delta = 2.0 * half / n_side
     centers = -half + (np.arange(n_side) + 0.5) * delta
     o1, o2 = np.meshgrid(centers, centers, indexing="ij")
@@ -430,37 +451,27 @@ def _format_vector(v) -> str:
     return "(" + ", ".join(f"{float(x):g}" for x in v) + ")"
 
 
-def trace_beam(
-    beam: BeamSource,
-    grid: Grid3D,
-    space: EnergyDGSpace,
-    material_key_of_cell,
-    coefficients,
-    n_side=21,
-    span_sigmas=3.0,
-    max_step=MAX_STEP_CM,
-    spectra_dump=None,
-    operators=None,
-):
+def trace_beam(beam: BeamSource, grid: Grid3D, material_key_of_cell, operators: EnergyOperators,
+               n_side=21, spectra_dump=None):
     """Trace a stratified bundle and deposit track-length-averaged flux.
 
-    material_key_of_cell: (n_cells,) int array; coefficients: key ->
-    (s_star_fn, t_fn, sigma_t_fn). Rays whose cell-material sequence
-    coincides share one Crank-Nicolson march. operators is handed to
-    every march (see march_ray); pass one mapping to the beams of a run
-    to assemble each material's energy operator once. Deposition order
-    is fixed by the ray enumeration, so results are bit-stable.
-    spectra_dump, if given, receives the per-ray group spectra as CSV
-    (z_cm, group_index, value, cell; rays separated by comment lines),
-    where z_cm is the z coordinate of the segment midpoint and cell the
-    flat index of the segment's cell.
+    material_key_of_cell: (n_cells,) int array of keys into operators,
+    the run's table of energy operators (see march_ray); hand one table
+    to the beams of a run to assemble each material's operator once.
+    Rays whose cell-material sequence coincides share one Crank-Nicolson
+    march. Deposition order is fixed by the ray enumeration, so results
+    are bit-stable. spectra_dump, if given, receives the per-ray group
+    spectra as CSV (z_cm, group_index, value, cell; rays separated by
+    comment lines), where z_cm is the z coordinate of the segment
+    midpoint and cell the flat index of the segment's cell.
 
     Rays that leave the grid in part (Gaussian tails) are fine; n_rays
     counts the rays that deposit. A beam none of whose rays deposits
     anything raises ConfigError naming the beam and the grid extent.
     """
+    space = operators.space
     e1, e2 = beam.transverse_frame()
-    offsets, ray_weights = stratified_ray_offsets(beam.sigma_xy_cm, n_side, span_sigmas)
+    offsets, ray_weights = stratified_ray_offsets(beam.sigma_xy_cm, n_side)
     psi0 = project_initial_spectrum(space, beam.energy_mev, beam.sigma_e_mev)
 
     cell_volume = grid.dx * grid.dy * grid.dz
@@ -493,9 +504,7 @@ def trace_beam(
                 # float64 lengths: march_ray keys its LU factors by round(dz, 14)
                 segments = list(zip(cells.tolist(), lengths, keys))
                 # cache only the spectra; cells belong to the individual ray
-                march_cache[signature] = march_ray(
-                    space, segments, coefficients, psi0, max_step=max_step, operators=operators
-                )[:2]
+                march_cache[signature] = march_ray(segments, operators, psi0)[:2]
             averages, res_energy = march_cache[signature]
             weight = beam.weight * w_ray
             # the cells of one ray are distinct, so each indexed add is one

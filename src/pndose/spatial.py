@@ -23,14 +23,17 @@ where V_d^+ (V_d^-) holds the eigenvectors of A_d with positive
 characteristic variables it serves; the eigenvalues that are zero up to
 rounding contribute nothing and are left out (angular.characteristic_split).
 
-The low-rank solver applies all upwind terms of the active axes at once:
-UpwindStencils stacks them row-wise into one sparse matrix, and scaled()
-folds a diagonal into it per step by rescaling its entries, so each
-product with it is one sparse call whose rows sum exactly as the
-per-stencil products would.
+The stencils are stored once: UpwindStencils stacks the upwind terms of
+the active axes row-wise into one sparse matrix. The low-rank solver
+applies them all at once, scaled() folding a diagonal into the stack per
+step by rescaling its entries, so each product with it is one sparse
+call whose rows sum exactly as the per-stencil products would.
+apply_streaming, the oracle's right-hand side, reads each term as a view
+of one row block of the stack.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -97,35 +100,12 @@ def _axis_stencil_1d(n: int, h: float, biased_minus: bool) -> sparse.csr_matrix:
             "grids with 2 cells along a used axis cannot host the 3-point "
             "one-sided stencil; use 1 (inactive) or >= 3"
         )
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    for i in range(n):
-        if biased_minus:
-            if i >= 2:
-                add(i, i, 3.0 / (2 * h))
-                add(i, i - 1, -4.0 / (2 * h))
-                add(i, i - 2, 1.0 / (2 * h))
-            elif i == 1:
-                add(i, i, 1.0 / h)
-                add(i, i - 1, -1.0 / h)
-            else:  # zero-inflow ghost at i-1
-                add(i, i, 1.0 / h)
-        else:
-            if i <= n - 3:
-                add(i, i, -3.0 / (2 * h))
-                add(i, i + 1, 4.0 / (2 * h))
-                add(i, i + 2, -1.0 / (2 * h))
-            elif i == n - 2:
-                add(i, i, -1.0 / h)
-                add(i, i + 1, 1.0 / h)
-            else:
-                add(i, i, -1.0 / h)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    wide, near, far, first = 3.0 / (2 * h), 4.0 / (2 * h), 1.0 / (2 * h), 1.0 / h
+    if biased_minus:  # rows 0 and 1 close with a zero-inflow ghost at -1
+        bands = ([first, first] + [wide] * (n - 2), [-first] + [-near] * (n - 2), [far] * (n - 2))
+        return sparse.diags(bands, (0, -1, -2), shape=(n, n), format="csr")
+    bands = ([-wide] * (n - 2) + [-first, -first], [near] * (n - 2) + [first], [-far] * (n - 2))
+    return sparse.diags(bands, (0, 1, 2), shape=(n, n), format="csr")
 
 
 def _lift_to_grid(d1, grid: Grid3D, axis: int) -> sparse.csr_matrix:
@@ -140,51 +120,84 @@ def _lift_to_grid(d1, grid: Grid3D, axis: int) -> sparse.csr_matrix:
 
 @dataclass(frozen=True)
 class UpwindStencils:
-    """Sparse (n, n) stencils; plus[i]/minus[i] for axis i in (x, y, z).
+    """The upwind stencils of the active axes, stacked row-wise, (2 a n, n).
 
-    On construction the stencils of the active axes (those with entries)
-    are also stacked row-wise into one (2 a n, n) matrix, in the order
-    plus_x, minus_x, plus_y, ..., each block in the entry order that
-    scipy's product D @ diag(s) emits. So scaled() forms all those
-    products by rescaling one array of entries, and one sparse product
-    with the result applies every upwind term.
+    Rows j n .. (j+1) n - 1 hold the j-th upwind term of the order plus_x,
+    minus_x, plus_y, ... over the active axes (those a grid extends
+    along), each block in the entry order that scipy's product
+    D @ diag(s) emits. So scaled() forms all those products by rescaling
+    one array of entries, and one sparse product with the result applies
+    every upwind term; blocks holds each term without a copy of its
+    entries.
     """
 
-    plus: tuple
-    minus: tuple
-    grid: Grid3D
-    active_axes: tuple = field(init=False, repr=False, compare=False)
-    _stacked: sparse.csr_matrix = field(init=False, repr=False, compare=False)
+    active_axes: tuple
+    stacked: sparse.csr_matrix
 
-    def __post_init__(self):
-        n = self.grid.n_cells
-        active = tuple(a for a in range(3) if self.plus[a].nnz or self.minus[a].nnz)
-        ones = sparse.diags(np.ones(n))
-        blocks = [d @ ones for a in active for d in (self.plus[a], self.minus[a])]
-        stacked = sparse.vstack(blocks, format="csr") if blocks else sparse.csr_matrix((0, n))
-        object.__setattr__(self, "active_axes", active)
-        object.__setattr__(self, "_stacked", stacked)
+    @cached_property
+    def blocks(self):
+        """The upwind terms in stack order, (n, n) each, formed on first use.
+
+        Each block views the stacked data and indices; only its indptr,
+        shifted to start at 0, is a copy. The arrays are assigned after
+        construction because the constructor copies any slice that is less
+        than half of the array it views.
+        """
+        p, n = self.stacked, self.stacked.shape[1]
+        views = []
+        for j in range(p.shape[0] // n):
+            ptr = p.indptr[j * n:(j + 1) * n + 1]
+            lo, hi = ptr[0], ptr[-1]
+            view = sparse.csr_matrix((n, n), dtype=p.dtype)
+            view.data, view.indices, view.indptr = p.data[lo:hi], p.indices[lo:hi], ptr - lo
+            views.append(view)
+        return tuple(views)
 
     def scaled(self, s):
         """The stacked stencils times diag(s), (2 a n, n).
 
-        Rows j n .. (j+1) n - 1 hold the j-th upwind term of the order
-        plus_x, minus_x, plus_y, ... over the active axes; each block equals
-        scipy's D @ sparse.diags(s) in data, indices and indptr, so products
-        with it sum every row in the same order. take() gathers through the
-        int32 indices as they are; s[p.indices] would first convert them to
-        intp, which costs more than the gather itself.
+        Each block equals scipy's D @ sparse.diags(s) in data, indices and
+        indptr, so products with it sum every row in the same order.
+        take() gathers through the int32 indices as they are; s[p.indices]
+        would first convert them to intp, which costs more than the gather
+        itself.
         """
-        p = self._stacked
+        p = self.stacked
         return sparse.csr_matrix((p.data * s.take(p.indices), p.indices, p.indptr), shape=p.shape)
 
 
 def build_stencils(grid: Grid3D) -> UpwindStencils:
-    plus, minus = [], []
-    for axis, (n, h) in enumerate(zip(grid.shape, grid.spacings)):
-        plus.append(_lift_to_grid(_axis_stencil_1d(n, h, True), grid, axis))
-        minus.append(_lift_to_grid(_axis_stencil_1d(n, h, False), grid, axis))
-    return UpwindStencils(plus=tuple(plus), minus=tuple(minus), grid=grid)
+    """Stack the plus- and minus-biased stencil of every active axis.
+
+    Each block is formed as the product D @ diag(1), which puts its
+    entries in scipy's product order, and copied into arrays allocated
+    once for the whole stack, so only one block is ever held twice.
+    """
+    n = grid.n_cells
+    terms = [
+        (axis, d1)
+        for axis, (size, h) in enumerate(zip(grid.shape, grid.spacings))
+        for d1 in (_axis_stencil_1d(size, h, True), _axis_stencil_1d(size, h, False))
+        if d1.nnz
+    ]
+    # the lifted stencil repeats the 1-D one over the cells of the other axes
+    nnz = sum(d1.nnz * (n // d1.shape[0]) for _, d1 in terms)
+    index_dtype = np.int32 if max(nnz, len(terms) * n) < 2**31 else np.int64
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=index_dtype)
+    indptr = np.zeros(len(terms) * n + 1, dtype=index_dtype)
+    ones = sparse.diags(np.ones(n))
+    start = 0
+    for j, (axis, d1) in enumerate(terms):
+        block = _lift_to_grid(d1, grid, axis) @ ones
+        end = start + block.nnz
+        data[start:end] = block.data
+        indices[start:end] = block.indices
+        indptr[j * n + 1:(j + 1) * n + 1] = block.indptr[1:] + start
+        start = end
+        del block  # not held while the next block is formed
+    stacked = sparse.csr_matrix((data, indices, indptr), shape=(len(terms) * n, n))
+    return UpwindStencils(active_axes=tuple(dict.fromkeys(a for a, _ in terms)), stacked=stacked)
 
 
 def apply_streaming(u, inv_s, stencils: UpwindStencils, ops: PNOperators):
@@ -198,9 +211,9 @@ def apply_streaming(u, inv_s, stencils: UpwindStencils, ops: PNOperators):
         raise NumericalError("non-finite streaming input")
     scaled = inv_s[:, None] * u
     out = np.zeros_like(u)
-    for axis in stencils.active_axes:
+    for j, axis in enumerate(stencils.active_axes):
         back = ops.back_rotation[axis]
         k = ops.v_plus[axis].shape[1]
-        out += (stencils.plus[axis] @ (scaled @ ops.v_plus[axis])) @ back[:k]
-        out += (stencils.minus[axis] @ (scaled @ ops.v_minus[axis])) @ back[k:]
+        out += (stencils.blocks[2 * j] @ (scaled @ ops.v_plus[axis])) @ back[:k]
+        out += (stencils.blocks[2 * j + 1] @ (scaled @ ops.v_minus[axis])) @ back[k:]
     return out

@@ -20,6 +20,7 @@ from pndose.driver import (
     ProblemConfig,
     assemble_problem,
     depth_profile,
+    material_coefficients,
     pseudo_time_edges,
     run_simulation,
     step_contexts,
@@ -32,7 +33,7 @@ from pndose.physics import (
     moments_of_kernel,
     screening_parameters,
 )
-from pndose.raytracer import EnergyDGSpace, march_ray, project_initial_spectrum
+from pndose.raytracer import EnergyDGSpace, EnergyOperators, march_ray, project_initial_spectrum
 from pndose.spatial import Grid3D, apply_streaming, build_stencils
 
 from oracles import laplace_beltrami_matrix, water_csda_ranges
@@ -113,7 +114,8 @@ class TestCriterion2MaximalRankEquivalence:
         }
         config = ProblemConfig.from_dict(raw)
         problem = assemble_problem(config)
-        fluxes = trace_all_beams(problem)
+        keys, coefficients = material_coefficients(problem)
+        fluxes = trace_all_beams(problem, keys, EnergyOperators(problem.space, coefficients))
         t_ms = [beam_projection(config.pn_order, b.direction) for b in config.beams]
         edges = pseudo_time_edges(problem)
         tables = step_tables(problem, edges)
@@ -281,7 +283,7 @@ class TestCriterion10RayTracerOracle:
         ok = True
         details = []
         for depth in (1.0, 2.0, 3.0):
-            psi = march_ray(space, [(0, 1.0, 0)], coeff, psi)[2]
+            psi = march_ray([(0, 1.0, 0)], EnergyOperators(space, coeff), psi)[2]
             _, mean, var = space.moments(psi)
             mean_exact = 30.0 - s_value * depth
             var_exact = 0.3**2 + t_value * depth

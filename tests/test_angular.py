@@ -83,7 +83,7 @@ class TestFluxMatrices:
 
     def test_eigen_split_reconstruction(self):
         ops = PNOperators.build(5)
-        for a, v, lp, lm in zip(ops.matrices, ops.eig_v, ops.lam_plus, ops.lam_minus):
+        for a, v, lp, lm in zip(flux_matrices(5), ops.eig_v, ops.lam_plus, ops.lam_minus):
             assert np.abs(v @ np.diag(lp + lm) @ v.T - a).max() < 1e-10
             assert np.abs(v.T @ v - np.eye(a.shape[0])).max() < 1e-12
             assert np.all(lp >= 0.0) and np.all(lm <= 0.0)
@@ -91,7 +91,7 @@ class TestFluxMatrices:
     def test_characteristic_split(self):
         ops = PNOperators.build(7)
         for a, v_plus, v_minus, back in zip(
-            ops.matrices, ops.v_plus, ops.v_minus, ops.back_rotation
+            flux_matrices(7), ops.v_plus, ops.v_minus, ops.back_rotation
         ):
             k = v_plus.shape[1]
             assert (k, v_minus.shape[1]) == (28, 28)

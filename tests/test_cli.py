@@ -102,6 +102,37 @@ class TestRunCompare:
         out = capsys.readouterr().out
         assert "relative L2:   0.000000e+00" in out
 
+    @staticmethod
+    def volume(tmp_path):
+        from pndose.driver import write_volume
+
+        path = tmp_path / "a.vtk"
+        write_volume(path, Grid3D(3, 3, 3, 0.1, 0.1, 0.1), {"deposited_energy": np.arange(27.0)})
+        return path
+
+    def test_truncated_volume_exits_5(self, tmp_path, capsys):
+        # cut after 10 of the 27 values: no silent short array, no traceback
+        path = self.volume(tmp_path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[: lines.index("LOOKUP_TABLE default") + 11]) + "\n")
+        assert main(["compare", str(path), str(path)]) == 5
+        err = capsys.readouterr().err
+        assert str(path) in err and "10 of 27 values" in err
+
+    def test_volume_without_dimensions_exits_5(self, tmp_path, capsys):
+        path = self.volume(tmp_path)
+        text = path.read_text()
+        path.write_text(text.replace("DIMENSIONS 3 3 3\n", ""))
+        assert main(["compare", str(path), str(path)]) == 5
+        err = capsys.readouterr().err
+        assert str(path) in err and "DIMENSIONS" in err
+
+    def test_unknown_array_exits_5(self, tmp_path, capsys):
+        path = self.volume(tmp_path)
+        assert main(["compare", str(path), str(path), "--array", "nope"]) == 5
+        err = capsys.readouterr().err
+        assert str(path) in err and "'nope'" in err and "deposited_energy" in err
+
 
 class TestTables:
     def test_tables_check(self, capsys):

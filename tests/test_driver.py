@@ -26,6 +26,7 @@ from pndose.driver import (
     _data_file_checksums,
 )
 from pndose.errors import ConfigError
+from pndose.raytracer import EnergyOperators
 from pndose.spatial import Grid3D, UpwindStencils
 
 from oracles import water_csda_ranges
@@ -309,7 +310,8 @@ class TestStepContexts:
         problem = assemble_problem(ProblemConfig.from_dict(raw))
         edges = pseudo_time_edges(problem)
         tables = step_tables(problem, edges)
-        fluxes = trace_all_beams(problem)
+        keys, coefficients = material_coefficients(problem)
+        fluxes = trace_all_beams(problem, keys, EnergyOperators(problem.space, coefficients))
         t_ms = [beam_projection(problem.config.pn_order, b.direction)
                 for b in problem.config.beams]
         layout = ("C_CONTIGUOUS", "F_CONTIGUOUS")

@@ -1,6 +1,7 @@
 """DG-in-energy ray tracer: operators, marching, deposition."""
 
 import math
+import re
 
 import numpy as np
 import numpy.polynomial.legendre as leg
@@ -13,6 +14,7 @@ from pndose.errors import ConfigError
 from pndose.raytracer import (
     BeamSource,
     EnergyDGSpace,
+    EnergyOperators,
     UncollidedFlux,
     assemble_energy_operators,
     march_ray,
@@ -143,7 +145,7 @@ class TestOperators:
         space = EnergyDGSpace(1.0, 31.5, 32, 2)
         coeff = {0: (const(0.0), None, const(1.7))}
         psi0 = project_initial_spectrum(space, 20.0, 1.0)
-        psi = march_ray(space, [(0, 1.0, 0)], coeff, psi0)[2]
+        psi = march_ray([(0, 1.0, 0)], EnergyOperators(space, coeff), psi0)[2]
         ratio = space.moments(psi)[0] / space.moments(psi0)[0]
         assert ratio == pytest.approx(math.exp(-1.7), rel=2e-4)
 
@@ -153,7 +155,7 @@ class TestOperators:
         psi0 = project_initial_spectrum(space, 20.0, 1.0)
 
         def run(step):
-            return march_ray(space, [(0, 1.0, 0)], coeff, psi0, max_step=step)[2]
+            return march_ray([(0, 1.0, 0)], EnergyOperators(space, coeff), psi0, max_step=step)[2]
 
         ref = run(0.0005)
         errs = [np.linalg.norm(run(s) - ref) for s in (0.02, 0.01, 0.005)]
@@ -166,7 +168,7 @@ class TestOperators:
         coeff = {0: (const(5.0), const(0.05), None)}
         psi = project_initial_spectrum(space, 30.0, 0.3)
         for depth in (1.0, 2.0, 3.0):
-            psi = march_ray(space, [(0, 1.0, 0)], coeff, psi)[2]
+            psi = march_ray([(0, 1.0, 0)], EnergyOperators(space, coeff), psi)[2]
             _, mean, var = space.moments(psi)
             assert abs(mean - (30.0 - 5.0 * depth)) < space.width
             assert var == pytest.approx(0.09 + 0.05 * depth, rel=0.01)
@@ -176,7 +178,8 @@ class TestOperators:
         space = EnergyDGSpace(1.0, 12.0, 64, 2)
         coeff = {0: (const(5.0), None, None)}
         psi0 = project_initial_spectrum(space, 10.0, 0.1)
-        _, residuals, psi_exit = march_ray(space, [(i, 0.1, 0) for i in range(40)], coeff, psi0)
+        segments = [(i, 0.1, 0) for i in range(40)]
+        _, residuals, psi_exit = march_ray(segments, EnergyOperators(space, coeff), psi0)
         assert space.moments(psi_exit)[0] == pytest.approx(0.0, abs=1e-12)
         injected = space.moments(psi0)[0]  # projected content, not exactly 1
         assert residuals.sum() == pytest.approx(injected, rel=1e-12)
@@ -191,6 +194,19 @@ class TestBeamGeometry:
     def test_bad_beam(self):
         with pytest.raises(ConfigError):
             BeamSource((0, 0, 1), -5.0, (0, 0, 0))
+
+    @pytest.mark.parametrize("direction, position, named", [
+        ((0, 0, 0), (0, 0, 0), "direction must not be the zero vector"),
+        ((0, float("nan"), 1), (0, 0, 0), "direction must be 3 finite numbers"),
+        ((0, 1), (0, 0, 0), "direction must be 3 finite numbers"),
+        ((0, 0, 1), (0, float("inf"), 0), "position_cm must be 3 finite numbers"),
+        ((0, 0, 1), (1.0, 1.0), "position_cm must be 3 finite numbers"),
+        ((0, 0, 1), "origin", "position_cm must be 3 finite numbers"),
+    ])
+    def test_bad_vectors_name_their_field(self, direction, position, named):
+        # constructed directly, not only through a config
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            BeamSource(direction, 30.0, position)
 
     def test_traversal_axis_aligned(self):
         g = Grid3D(4, 4, 10, 0.1, 0.1, 0.1)
@@ -213,7 +229,7 @@ class TestBeamGeometry:
         assert traverse_grid(g, np.array([5.0, 5.0, -1.0]), np.array([0.0, 0.0, 1.0])) == []
 
     def test_stratified_offsets_normalized(self):
-        offsets, w = stratified_ray_offsets(0.3, 21, 3.0)
+        offsets, w = stratified_ray_offsets(0.3, 21)
         assert offsets.shape == (441, 2)
         assert w.sum() == pytest.approx(1.0, rel=1e-14)
 
@@ -303,14 +319,13 @@ class TestDeposition:
     def tracer_setup(self, grid, s_value=2.0):
         space = EnergyDGSpace(1.0, 31.5, 32, 2)
         keys = np.zeros(grid.n_cells, dtype=int)
-        coeff = {0: (const(s_value), None, None)}
-        return space, keys, coeff
+        return space, keys, EnergyOperators(space, {0: (const(s_value), None, None)})
 
     def test_single_ray_column(self):
         g = Grid3D(5, 5, 6, 0.1, 0.1, 0.1)
-        space, keys, coeff = self.tracer_setup(g)
+        space, keys, ops = self.tracer_setup(g)
         beam = BeamSource((0, 0, 1), 30.0, (0.25, 0.35, 0.0), sigma_xy_cm=0.3)
-        flux = trace_beam(beam, g, space, keys, coeff, n_side=1)
+        flux = trace_beam(beam, g, keys, ops, n_side=1)
         hit = flux.values.sum(axis=1) > 0
         expected = np.zeros(g.n_cells, dtype=bool)
         for k in range(6):
@@ -319,11 +334,11 @@ class TestDeposition:
 
     def test_weight_linearity(self):
         g = Grid3D(3, 3, 4, 0.2, 0.2, 0.2)
-        space, keys, coeff = self.tracer_setup(g)
+        space, keys, ops = self.tracer_setup(g)
         b1 = BeamSource((0, 0, 1), 30.0, (0.3, 0.3, 0.0), weight=1.0)
         b2 = BeamSource((0, 0, 1), 30.0, (0.3, 0.3, 0.0), weight=2.0)
-        f1 = trace_beam(b1, g, space, keys, coeff, n_side=5)
-        f2 = trace_beam(b2, g, space, keys, coeff, n_side=5)
+        f1 = trace_beam(b1, g, keys, ops, n_side=5)
+        f2 = trace_beam(b2, g, keys, ops, n_side=5)
         # a partial miss still traces: of the 5x5 rays only the central one enters
         assert f1.n_rays == f2.n_rays == 1
         np.testing.assert_allclose(f2.values, 2.0 * f1.values, rtol=1e-14)
@@ -337,9 +352,9 @@ class TestDeposition:
         nxy = 7
         delta = width / nxy
         g = Grid3D(nxy, nxy, 3, delta, delta, 0.1, origin=(-width / 2, -width / 2, 0.0))
-        space, keys, coeff = self.tracer_setup(g, s_value=1.0)
+        space, keys, ops = self.tracer_setup(g, s_value=1.0)
         beam = BeamSource((0, 0, 1), 30.0, (0.0, 0.0, 0.0), sigma_xy_cm=sigma)
-        flux = trace_beam(beam, g, space, keys, coeff, n_side=n_side)
+        flux = trace_beam(beam, g, keys, ops, n_side=n_side)
 
         first_layer = flux.values.reshape(g.nz, g.ny, g.nx, space.n_groups)[0]
         profile = first_layer.sum(axis=(0, 2)) * space.width  # column totals over y
@@ -356,11 +371,11 @@ class TestDeposition:
 
     def test_spectra_dump(self, tmp_path):
         g = Grid3D(3, 3, 4, 0.2, 0.2, 0.2)
-        space, keys, coeff = self.tracer_setup(g)
+        space, keys, ops = self.tracer_setup(g)
         # sigma 0.1 with n_side=2 puts one ray in each corner column (x, y = 0.15 | 0.45)
         beam = BeamSource((0, 0, 1), 30.0, (0.3, 0.3, 0.0), sigma_xy_cm=0.1)
         path = tmp_path / "spectra.csv"
-        flux = trace_beam(beam, g, space, keys, coeff, n_side=2, spectra_dump=path)
+        flux = trace_beam(beam, g, keys, ops, n_side=2, spectra_dump=path)
         assert flux.n_rays == 4
         lines = path.read_text().splitlines()
         assert lines[0] == "z_cm,group_index,value,cell"
@@ -383,10 +398,10 @@ class TestDeposition:
 
     def test_spectra_dump_z_is_coordinate(self, tmp_path):
         g = Grid3D(3, 3, 4, 0.2, 0.2, 0.2, origin=(0.0, 0.0, 1.0))
-        space, keys, coeff = self.tracer_setup(g)
+        space, keys, ops = self.tracer_setup(g)
         beam = BeamSource((0, 0, 1), 30.0, (0.3, 0.3, 0.0), sigma_xy_cm=0.1)
         path = tmp_path / "spectra.csv"
-        trace_beam(beam, g, space, keys, coeff, n_side=2, spectra_dump=path)
+        trace_beam(beam, g, keys, ops, n_side=2, spectra_dump=path)
         data = [ln for ln in path.read_text().splitlines()[1:] if not ln.startswith("#")]
         z = sorted({float(ln.split(",")[0]) for ln in data})
         np.testing.assert_allclose(z, [1.1, 1.3, 1.5, 1.7], atol=1e-12)
@@ -395,10 +410,10 @@ class TestDeposition:
         # a ray along +y keeps one z for all its segments; the cell column
         # tells the segments apart
         g = Grid3D(3, 4, 3, 0.2, 0.2, 0.2)
-        space, keys, coeff = self.tracer_setup(g)
+        space, keys, ops = self.tracer_setup(g)
         beam = BeamSource((0, 1, 0), 30.0, (0.3, -1.0, 0.3), sigma_xy_cm=0.1)
         path = tmp_path / "spectra.csv"
-        trace_beam(beam, g, space, keys, coeff, n_side=1, spectra_dump=path)
+        trace_beam(beam, g, keys, ops, n_side=1, spectra_dump=path)
         rows = [ln.split(",") for ln in path.read_text().splitlines()[1:]
                 if not ln.startswith("#")]
         assert len(rows) == 4 * space.n_groups
@@ -412,28 +427,28 @@ class TestDeposition:
     def test_beam_missing_grid_raises(self, tmp_path):
         # sigma 0.3 with n_side=2 starts all four rays at x, y in {-0.15, 0.75}
         g = Grid3D(3, 3, 4, 0.2, 0.2, 0.2)
-        space, keys, coeff = self.tracer_setup(g)
+        space, keys, ops = self.tracer_setup(g)
         beam = BeamSource((0, 0, 1), 30.0, (0.3, 0.3, 0.0))
         path = tmp_path / "spectra.csv"
         with pytest.raises(ConfigError, match="misses the grid"):
-            trace_beam(beam, g, space, keys, coeff, n_side=2, spectra_dump=path)
+            trace_beam(beam, g, keys, ops, n_side=2, spectra_dump=path)
         assert path.read_text() == "z_cm,group_index,value,cell\n"
 
     def test_grazing_ray_is_not_counted(self):
         # the single ray clips the x = 0.6, z = 0 edge over ~1.4e-13 cm, below the
         # 1e-12 segment cut-off, so it deposits nothing and the beam is a miss
         g = Grid3D(3, 3, 4, 0.2, 0.2, 0.2)
-        space, keys, coeff = self.tracer_setup(g)
+        space, keys, ops = self.tracer_setup(g)
         beam = BeamSource((1, 0, 1), 30.0, (-0.4 - 1e-13, 0.3, -1.0))
         assert traverse_grid(g, np.array(beam.position_cm), np.array(beam.direction))
         with pytest.raises(ConfigError, match="misses the grid"):
-            trace_beam(beam, g, space, keys, coeff, n_side=1)
+            trace_beam(beam, g, keys, ops, n_side=1)
 
     def test_interpolation_at_energy(self):
         g = Grid3D(1, 1, 3, 1.0, 1.0, 0.5)
-        space, keys, coeff = self.tracer_setup(g)
+        space, keys, ops = self.tracer_setup(g)
         beam = BeamSource((0, 0, 1), 30.0, (0.5, 0.5, 0.0))
-        flux = trace_beam(beam, g, space, keys, coeff, n_side=1)
+        flux = trace_beam(beam, g, keys, ops, n_side=1)
         centers = space.centers
         mid = 0.5 * (centers[10] + centers[11])
         expected = 0.5 * (flux.values[:, 10] + flux.values[:, 11])
@@ -442,8 +457,8 @@ class TestDeposition:
 
 
 class TestSharedOperators:
-    """One operators mapping handed to all marches of a run assembles each
-    material's energy operator once, and changes no flux."""
+    """One EnergyOperators table handed to all marches of a run assembles
+    each material's energy operator once, and changes no flux."""
 
     @pytest.fixture
     def assemblies(self, monkeypatch):
@@ -481,19 +496,19 @@ class TestSharedOperators:
         g, space, keys, coeff = self.setup_two_materials()
         tilt = (math.sin(math.radians(10.0)), 0.0, math.cos(math.radians(10.0)))
         beam = BeamSource(tilt, 30.0, (0.2, 0.25, 0.0), sigma_xy_cm=0.1)
-        operators = {}
-        shared = trace_beam(beam, g, space, keys, coeff, n_side=3, operators=operators)
-        assert shared.n_marches > 2      # the rays do not share one march
+        operators = EnergyOperators(space, coeff)
+        first = trace_beam(beam, g, keys, operators, n_side=3)
+        assert first.n_marches > 2      # the rays do not share one march
         assert len(assemblies) == len(operators) == 2
-        assert self.materials_crossed([shared], keys) == {0, 1}
+        assert self.materials_crossed([first], keys) == {0, 1}
         # a run keeps one operator per material: only the block-tridiagonal
         # band (3 blocks of 3 x 3 per group) is stored
         assert all(g_mat.nnz <= 9 * space.n_dof for g_mat, _ in operators.values())
 
-        del assemblies[:]
-        per_march = trace_beam(beam, g, space, keys, coeff, n_side=3)
-        assert len(assemblies) > 2
-        self.assert_same_flux(shared, per_march)
+        # a later beam finds the table filled: it assembles nothing more
+        again = trace_beam(beam, g, keys, operators, n_side=3)
+        assert len(assemblies) == 2
+        self.assert_same_flux(first, again)
 
     def test_two_beams_in_one_material(self, assemblies):
         g, space, keys, coeff = self.setup_two_materials()
@@ -502,13 +517,10 @@ class TestSharedOperators:
             BeamSource((0, 0, 1), 30.0, (0.25, 0.25, 0.0), sigma_xy_cm=0.1),
             BeamSource((0.1, 0.0, 1.0), 20.0, (0.15, 0.3, 0.0), sigma_xy_cm=0.05),
         ]
-        operators = {}
-        shared = [
-            trace_beam(b, g, space, keys, coeff, n_side=3, operators=operators)
-            for b in beams
-        ]
+        operators = EnergyOperators(space, coeff)
+        shared = [trace_beam(b, g, keys, operators, n_side=3) for b in beams]
         assert len(assemblies) == len(operators) == len(self.materials_crossed(shared, keys)) == 1
-        fresh = [trace_beam(b, g, space, keys, coeff, n_side=3, operators={}) for b in beams]
+        fresh = [trace_beam(b, g, keys, EnergyOperators(space, coeff), n_side=3) for b in beams]
         assert len(assemblies) == 3
         for a, b in zip(shared, fresh):
             self.assert_same_flux(a, b)

@@ -7,11 +7,32 @@ from scipy import sparse
 from pndose.angular import PNOperators
 from pndose.errors import ConfigError, NumericalError
 from pndose.dlra import StreamingContext
-from pndose.spatial import Grid3D, apply_streaming, build_stencils
+from pndose.spatial import (
+    Grid3D,
+    _axis_stencil_1d,
+    _lift_to_grid,
+    apply_streaming,
+    build_stencils,
+)
 
 
 def grid_1d_z(nz, dz=0.1):
     return Grid3D(nx=1, ny=1, nz=nz, dx=1.0, dy=1.0, dz=dz)
+
+
+def axis_blocks(st, axis):
+    """(plus, minus) stencil of an active axis, read from the stack."""
+    j = st.active_axes.index(axis)
+    return st.blocks[2 * j], st.blocks[2 * j + 1]
+
+
+def lifted_terms(grid, axes):
+    """Kron-lifted plus and minus stencils of the given axes, in stack order."""
+    return [
+        _lift_to_grid(_axis_stencil_1d(grid.shape[a], grid.spacings[a], biased), grid, a)
+        for a in axes
+        for biased in (True, False)
+    ]
 
 
 def dense_reference_streaming(u, inv_s, grid, ops):
@@ -93,7 +114,7 @@ class TestStencils:
         g = grid_1d_z(12)
         st = build_stencils(g)
         c = np.full(g.n_cells, 3.7)
-        for d in (st.plus[2], st.minus[2]):
+        for d in axis_blocks(st, 2):
             res = d @ c
             assert np.abs(res[2:-2]).max() == 0.0
 
@@ -101,7 +122,7 @@ class TestStencils:
         g = grid_1d_z(16, dz=0.05)
         st = build_stencils(g)
         z = g.cell_centers()[:, 2]
-        for d in (st.plus[2], st.minus[2]):
+        for d in axis_blocks(st, 2):
             res = d @ z
             np.testing.assert_allclose(res[2:-2], 1.0, atol=1e-12)
 
@@ -112,9 +133,26 @@ class TestStencils:
         interior = np.zeros(g.shape, dtype=bool)
         interior[2:-2, 2:-2, 2:-2] = True
         mask = interior.transpose(2, 1, 0).ravel()
-        for mats in (st.plus, st.minus):
-            for d in mats:
-                assert np.abs((d @ ones)[mask]).max() == 0.0
+        assert st.active_axes == (0, 1, 2)
+        for d in st.blocks:
+            assert np.abs((d @ ones)[mask]).max() == 0.0
+
+    @pytest.mark.parametrize("grid", [
+        Grid3D(5, 1, 6, 0.1, 0.1, 0.2),
+        Grid3D(4, 3, 5, 0.1, 0.2, 0.3),
+        Grid3D(1, 1, 7, 1.0, 1.0, 0.2),
+    ])
+    def test_blocks_view_the_stack(self, grid):
+        # the stencils are stored once: each block reads the stacked entries
+        # in place and is, as a matrix, the kron-lifted 1-D stencil
+        st = build_stencils(grid)
+        terms = lifted_terms(grid, st.active_axes)
+        assert st.stacked.shape == (len(terms) * grid.n_cells, grid.n_cells)
+        assert len(st.blocks) == len(terms)
+        for block, lifted in zip(st.blocks, terms):
+            assert np.shares_memory(block.data, st.stacked.data)
+            assert np.shares_memory(block.indices, st.stacked.indices)
+            assert np.array_equal(block.toarray(), lifted.toarray())
 
     def test_sin_convergence_order(self):
         errors = []
@@ -122,7 +160,7 @@ class TestStencils:
             g = grid_1d_z(nz, dz=1.0 / nz)
             st = build_stencils(g)
             z = g.cell_centers()[:, 2]
-            err = np.abs((st.plus[2] @ np.sin(z)) - np.cos(z))[4:-4].max()
+            err = np.abs((axis_blocks(st, 2)[0] @ np.sin(z)) - np.cos(z))[4:-4].max()
             errors.append(err)
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all(orders >= 1.9)
@@ -235,7 +273,7 @@ class TestStreaming:
             n = g.n_cells
             inv_s = 1.0 / rng.uniform(5.0, 20.0, n)
             stacked = StreamingContext(inv_s, st, PNOperators.build(1)).scaled
-            terms = [d for axis in active for d in (st.plus[axis], st.minus[axis])]
+            terms = lifted_terms(g, active)
             assert stacked.shape == (len(terms) * n, n)
             for j, d in enumerate(terms):
                 block = stacked[j * n:(j + 1) * n]
@@ -252,7 +290,7 @@ class TestStreaming:
         ctx = StreamingContext(inv_s, st, PNOperators.build(1))
         x = rng.standard_normal((g.n_cells, 3))
         products = ctx.stencil_products(x)
-        terms = [d for axis in (0, 2) for d in (st.plus[axis], st.minus[axis])]
+        terms = lifted_terms(g, (0, 2))
         assert len(products) == len(terms)
         for d, product in zip(terms, products):
             assert np.array_equal(product, (d @ sparse.diags(inv_s)) @ x)
