@@ -7,13 +7,16 @@ rank, (n = 3000, r = 26) the preset30 grid at the mean rank a tight
 truncation tolerance reaches there (~26 at 3e-4 with a Wentzel scattering
 kernel). truncate takes an augmented state of rank 2r back to r. One
 more case times the oracle's streaming right-hand side, apply_streaming,
-on a dense (n = 3000, m = 64) moment matrix. The ray-tracer cases use the
-water90_lowrank beam: 441 rays through 6 x 6 x 70 water cells that share
-one Crank-Nicolson march. They time assemble_energy_operators for water
-(128 groups), the one march_ray of the beam, and trace_beam; the last two
-with the energy-operator table already filled, as the second beam of a
-run finds it. Run from the repository root, with the BLAS thread count
-pinned:
+on a dense (n = 3000, m = 64) moment matrix into preallocated buffers,
+and one more its whole streaming step (four right-hand sides and the RK4
+updates, in place in a FullRankWorkspace) on the preset30 benchmark grid
+(n = 3000) and the 20 x 20 x 30 acceptance grid (n = 12000), both P7.
+The ray-tracer cases use the water90_lowrank beam: 441 rays through
+6 x 6 x 70 water cells that share one Crank-Nicolson march. They time
+assemble_energy_operators for water (128 groups), the one march_ray of
+the beam, and trace_beam; the last two with the energy-operator table
+already filled, as the second beam of a run finds it. Run from the
+repository root, with the BLAS thread count pinned:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest benchmarks --benchmark-only
 
@@ -35,6 +38,7 @@ from pndose.dlra import (
     streaming_step,
     truncate,
 )
+from pndose.fullrank import FullRankWorkspace, fullrank_streaming_step
 from pndose.raytracer import (
     EnergyOperators,
     assemble_energy_operators,
@@ -43,7 +47,7 @@ from pndose.raytracer import (
     trace_beam,
     traverse_grid,
 )
-from pndose.spatial import Grid3D, apply_streaming, build_stencils
+from pndose.spatial import Grid3D, apply_streaming, build_stencils, streaming_buffers
 
 PN_ORDER = 7
 CASES = {
@@ -95,7 +99,7 @@ def test_k_rhs(benchmark, case):
     state, stream_ctx, _ = case
     k = state.u @ state.s
     factors = stream_ctx._moment_factors(state.v)
-    out = benchmark(stream_ctx.k_rhs, k, factors)
+    out = benchmark(stream_ctx.k_rhs, k, factors, np.empty_like(k))
     assert out.shape == k.shape
 
 
@@ -115,8 +119,24 @@ def test_apply_streaming(benchmark):
     ops = PNOperators.build(PN_ORDER)
     u = rng.standard_normal((grid.n_cells, ops.basis.size))
     inv_s = 1.0 / rng.uniform(8.0, 20.0, grid.n_cells)
-    out = benchmark(apply_streaming, u, inv_s, build_stencils(grid), ops)
-    assert out.shape == u.shape
+    out, work = np.empty_like(u), streaming_buffers(grid.n_cells, ops)
+    benchmark(apply_streaming, u, inv_s, build_stencils(grid), ops, out, work)
+    assert np.isfinite(out).all() and np.abs(out).max() > 0.0
+
+
+@pytest.mark.parametrize("grid", [Grid3D(10, 10, 30, 0.1, 0.1, 0.1),
+                                  Grid3D(20, 20, 30, 0.1, 0.1, 0.1)],
+                         ids=["n3000", "n12000"])
+def test_fullrank_streaming_step(benchmark, grid):
+    rng = np.random.default_rng(10)
+    ops = PNOperators.build(PN_ORDER)
+    n, m = grid.n_cells, ops.basis.size
+    ctx = StreamingContext(1.0 / rng.uniform(8.0, 20.0, n), build_stencils(grid), ops)
+    u = rng.standard_normal((n, m))
+    work = FullRankWorkspace(n, m, ops)
+    # a tiny step: the state stays bounded however often it is advanced
+    benchmark(fullrank_streaming_step, u, 1e-4, ctx, work)
+    assert np.isfinite(u).all()
 
 
 # The water90_lowrank benchmark's grid and beam (perfbench/configs).

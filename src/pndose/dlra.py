@@ -121,13 +121,36 @@ def truncate(state: LowRankState, policy: TruncationPolicy):
     return new, tail
 
 
-def rk4(f, y0, dt):
-    """One classical Runge-Kutta step of y' = f(y)."""
-    k1 = f(y0)
-    k2 = f(y0 + 0.5 * dt * k1)
-    k3 = f(y0 + 0.5 * dt * k2)
-    k4 = f(y0 + dt * k3)
-    return y0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def rk4(f, y, dt, work=None):
+    """One classical Runge-Kutta step of y' = f(y), written over y.
+
+    f(x, out) stores f(x) in out. The step runs in three arrays shaped
+    like y, the slope, the stage input and the accumulator, taken from
+    work or allocated; none may share memory with y. The sums keep the
+    textbook order, y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), so the
+    result is bit for bit that of the four-stage form with fresh arrays.
+    Returns y.
+    """
+    slope, stage, acc = work if work is not None else [np.empty_like(y) for _ in range(3)]
+    half = 0.5 * dt
+    f(y, acc)                                      # acc = k1
+    np.multiply(acc, half, out=stage)
+    stage += y
+    f(stage, slope)                                # k2
+    np.multiply(slope, 2.0, out=stage)
+    acc += stage
+    np.multiply(slope, half, out=stage)
+    stage += y
+    f(stage, slope)                                # k3
+    np.multiply(slope, 2.0, out=stage)
+    acc += stage
+    np.multiply(slope, dt, out=stage)
+    stage += y
+    f(stage, slope)                                # k4
+    acc += slope
+    acc *= dt / 6.0
+    y += acc
+    return y
 
 
 @dataclass
@@ -160,8 +183,9 @@ class StreamingContext:
         products = self.scaled @ x
         return [products[j * n:(j + 1) * n] for j in range(products.shape[0] // n)]
 
-    def full_rhs(self, u: np.ndarray) -> np.ndarray:
-        return apply_streaming(u, self.inv_s, self.stencils, self.ops)
+    def full_rhs(self, u: np.ndarray, out=None, work=None) -> np.ndarray:
+        """F_S(u) on the dense n x m matrix, written into out (apply_streaming)."""
+        return apply_streaming(u, self.inv_s, self.stencils, self.ops, out, work)
 
     def _moment_factors(self, w: np.ndarray):
         """Per axis (W^T V_d L+- V_d^T W) pairs for a moment basis W."""
@@ -176,9 +200,9 @@ class StreamingContext:
             )
         return factors
 
-    def k_rhs(self, k: np.ndarray, factors) -> np.ndarray:
-        """F_S(K V0^T) V0 with precontracted moment factors."""
-        out = np.zeros_like(k)
+    def k_rhs(self, k: np.ndarray, factors, out: np.ndarray) -> np.ndarray:
+        """F_S(K V0^T) V0 with precontracted moment factors, into out."""
+        out.fill(0.0)
         products = self.stencil_products(k)
         for (f_plus, f_minus), d_plus, d_minus in zip(factors, products[0::2], products[1::2]):
             out -= d_plus @ f_plus
@@ -195,9 +219,9 @@ class StreamingContext:
             )
         ]
 
-    def l_rhs(self, l: np.ndarray, factors) -> np.ndarray:
-        """F_S(U0 L^T)^T U0, result shaped like L (m x r)."""
-        out = np.zeros_like(l)
+    def l_rhs(self, l: np.ndarray, factors, out: np.ndarray) -> np.ndarray:
+        """F_S(U0 L^T)^T U0 into out, shaped like L (m x r)."""
+        out.fill(0.0)
         for a_plus, a_minus, q_plus, q_minus in factors:
             out -= a_plus @ (l @ q_plus)
             out -= a_minus @ (l @ q_minus)
@@ -217,24 +241,24 @@ class StreamingContext:
         return (np.array(spatial).reshape(-1, ru, ru),
                 np.array(moment).reshape(-1, rv, rv))
 
-    def s_rhs(self, s: np.ndarray, factors) -> np.ndarray:
-        """U^T F_S(U^ S V^T) V^ in O(r^3) from the s_step_factors of U^, V^."""
+    def s_rhs(self, s: np.ndarray, factors, out: np.ndarray) -> np.ndarray:
+        """U^T F_S(U^ S V^T) V^ in O(r^3) from the s_step_factors of U^, V^, into out."""
         p, f = factors
-        return -(p @ (s @ f)).sum(axis=0)
+        return np.negative((p @ (s @ f)).sum(axis=0), out=out)
 
 
 def streaming_step(state: LowRankState, dt: float, ctx: StreamingContext) -> LowRankState:
     """Augmented BUG step for u' = F_S(u); returns the rank <= 2r state."""
     u0, s0, v0 = state.u, state.s, state.v
     k_factors = ctx._moment_factors(v0)
-    k1 = rk4(lambda k: ctx.k_rhs(k, k_factors), u0 @ s0, dt)
+    k1 = rk4(lambda k, out: ctx.k_rhs(k, k_factors, out), u0 @ s0, dt)
     l_factors = ctx.l_step_factors(u0)
-    l1 = rk4(lambda l: ctx.l_rhs(l, l_factors), v0 @ s0.T, dt)
+    l1 = rk4(lambda l, out: ctx.l_rhs(l, l_factors, out), v0 @ s0.T, dt)
     u_hat = orthonormal_columns(np.hstack([k1, u0]))
     v_hat = orthonormal_columns(np.hstack([l1, v0]))
     s_hat0 = (u_hat.T @ u0) @ s0 @ (v0.T @ v_hat)
     s_factors = ctx.s_step_factors(u_hat, v_hat)
-    s_hat = rk4(lambda s: ctx.s_rhs(s, s_factors), s_hat0, dt)
+    s_hat = rk4(lambda s, out: ctx.s_rhs(s, s_factors, out), s_hat0, dt)
     return LowRankState(u=u_hat, s=s_hat, v=v_hat)
 
 
@@ -278,16 +302,6 @@ class ScatteringContext:
         for w, g in self.source_factors:
             out += product(w, g)
         return out
-
-    def source_full(self) -> np.ndarray:
-        """Full n x m source sum_b sum_i w_i S^-1 psi_u^b (T_M^b)^T G_i."""
-        shape = (self.element_weights.shape[0], self.g_diags.shape[1])
-        return self.source_sum(lambda w, g: w @ g, shape)
-
-    def self_scattering_rates(self) -> np.ndarray:
-        """(n, m) per-cell-and-moment decay rates sum_i w_i/S (sigma_t,i - g_i,q)."""
-        spatial = self.element_weights * self.inv_s[:, None]       # (n, 12)
-        return spatial @ self.absorption
 
 
 def implicit_l_step(u0: np.ndarray, l0: np.ndarray, dt: float,

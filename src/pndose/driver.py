@@ -23,6 +23,7 @@ reductions have fixed order, and the ray bundle is deterministic.
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,7 +44,7 @@ from .dlra import (
     truncate,
 )
 from .errors import ConfigError, OutputIOError, PhysicsDataError
-from .fullrank import fullrank_scattering_step, fullrank_streaming_step
+from .fullrank import FullRankWorkspace, fullrank_scattering_step, fullrank_streaming_step
 from .physics import (
     MaterialField,
     MomentTables,
@@ -89,6 +90,26 @@ SECTIONS = ("grid", "phantom", "transport", "energy", "physics", "rays", "output
 def _require(condition, message):
     if not condition:
         raise ConfigError(message)
+
+
+def _number(value, key):
+    """value as a float; ConfigError naming key unless it is a real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, key):
+    """value as an int; ConfigError naming key unless it is a whole number."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if not _number(value, key).is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _optional_number(value, key):
+    return None if value is None else _number(value, key)
 
 
 @dataclass
@@ -161,12 +182,12 @@ class ProblemConfig:
         try:
             grid_spec = raw["grid"]
             grid = Grid3D(
-                nx=int(grid_spec["nx"]),
-                ny=int(grid_spec["ny"]),
-                nz=int(grid_spec["nz"]),
-                dx=float(grid_spec["delta_x_cm"]),
-                dy=float(grid_spec["delta_y_cm"]),
-                dz=float(grid_spec["delta_z_cm"]),
+                nx=_integer(grid_spec["nx"], "grid.nx"),
+                ny=_integer(grid_spec["ny"], "grid.ny"),
+                nz=_integer(grid_spec["nz"], "grid.nz"),
+                dx=_number(grid_spec["delta_x_cm"], "grid.delta_x_cm"),
+                dy=_number(grid_spec["delta_y_cm"], "grid.delta_y_cm"),
+                dz=_number(grid_spec["delta_z_cm"], "grid.delta_z_cm"),
                 origin=tuple(grid_spec.get("origin_cm", (0.0, 0.0, 0.0))),
             )
         except KeyError as exc:
@@ -178,15 +199,17 @@ class ProblemConfig:
         beams = []
         for i, spec in enumerate(raw.get("beams", [])):
             try:
-                sigma_rel = float(spec.get("sigma_e_rel", 0.01))
+                # keys without their beams[i]. prefix, which the handler adds
+                energy_mev = _number(spec["energy_mev"], "energy_mev")
+                sigma_rel = _number(spec.get("sigma_e_rel", 0.01), "sigma_e_rel")
                 beams.append(
                     BeamSource(
                         direction=spec["direction"],
-                        energy_mev=float(spec["energy_mev"]),
+                        energy_mev=energy_mev,
                         position_cm=spec["position_cm"],
-                        weight=float(spec.get("weight", 1.0)),
-                        sigma_xy_cm=float(spec.get("sigma_xy_cm", 0.3)),
-                        sigma_e_mev=sigma_rel * float(spec["energy_mev"]),
+                        weight=_number(spec.get("weight", 1.0), "weight"),
+                        sigma_xy_cm=_number(spec.get("sigma_xy_cm", 0.3), "sigma_xy_cm"),
+                        sigma_e_mev=sigma_rel * energy_mev,
                     )
                 )
             except KeyError as exc:
@@ -206,19 +229,20 @@ class ProblemConfig:
             hu_values=hu,
             beams=beams,
             model=str(raw.get("model", BOLTZMANN)),
-            pn_order=int(raw.get("pn_order", 7)),
-            truncation_tolerance=float(transport.get("truncation_tolerance", 0.01)),
-            rank_min=int(transport.get("rank_min", 2)),
-            rank_max=int(transport.get("rank_max", 100)),
-            cfl_number=float(transport.get("cfl_number", 0.7)),
-            e_min_mev=float(energy.get("e_min_mev", 1.0)),
-            e_max_mev=(None if energy.get("e_max_mev") is None
-                       else float(energy.get("e_max_mev"))),
-            energy_groups=int(energy.get("groups", 128)),
+            pn_order=_integer(raw.get("pn_order", 7), "pn_order"),
+            truncation_tolerance=_number(transport.get("truncation_tolerance", 0.01),
+                                         "transport.truncation_tolerance"),
+            rank_min=_integer(transport.get("rank_min", 2), "transport.rank_min"),
+            rank_max=_integer(transport.get("rank_max", 100), "transport.rank_max"),
+            cfl_number=_number(transport.get("cfl_number", 0.7), "transport.cfl_number"),
+            e_min_mev=_number(energy.get("e_min_mev", 1.0), "energy.e_min_mev"),
+            e_max_mev=_optional_number(energy.get("e_max_mev"), "energy.e_max_mev"),
+            energy_groups=_integer(energy.get("groups", 128), "energy.groups"),
             boltzmann_correction=physics.get("boltzmann_correction", True),
-            fp_correction_scale=float(physics.get("fp_correction_scale", 0.5)),
-            ray_n_side=int(rays.get("n_side", 21)),
-            seed=int(raw.get("seed", 20260809)),
+            fp_correction_scale=_number(physics.get("fp_correction_scale", 0.5),
+                                        "physics.fp_correction_scale"),
+            ray_n_side=_integer(rays.get("n_side", 21), "rays.n_side"),
+            seed=_integer(raw.get("seed", 20260809), "seed"),
             output_directory=None if out_dir is None else (base_dir / out_dir),
             output_names={
                 "dose_volume": output.get("dose_volume", "dose.vtk"),
@@ -227,7 +251,8 @@ class ProblemConfig:
                 "rank_history": output.get("rank_history", "rank_history.csv"),
                 "manifest": output.get("manifest", "manifest.json"),
             },
-            lateral_depth_cm=output.get("lateral_depth_cm"),
+            lateral_depth_cm=_optional_number(output.get("lateral_depth_cm"),
+                                              "output.lateral_depth_cm"),
             name=str(raw.get("name", "run")),
             source_files=source_files,
             resolved=raw,
@@ -281,13 +306,13 @@ def _build_phantom(spec: dict, grid: Grid3D, base_dir: Path, source_files: list)
             )
         source_files.append(path)
         return values
-    hu = np.full(grid.n_cells, float(spec.get("background_hu", 0.0)))
+    hu = np.full(grid.n_cells, _number(spec.get("background_hu", 0.0), "phantom.background_hu"))
     centers = grid.cell_centers()
     for i, box in enumerate(spec.get("boxes", [])):
         try:
             lo = np.asarray(box["origin_cm"], dtype=float)
             size = np.asarray(box["size_cm"], dtype=float)
-            value = float(box["hu"])
+            value = _number(box["hu"], f"phantom.boxes[{i}].hu")
         except KeyError as exc:
             raise ConfigError(f"phantom.boxes[{i}] is missing field {exc}") from exc
         inside = np.all((centers >= lo) & (centers < lo + size), axis=1)
@@ -601,21 +626,31 @@ class LowRankSolver:
 
 class FullRankSolver:
     """Dense oracle stepper; its state is always n x m, never truncated,
-    so its truncation phase stays at zero."""
+    so its truncation phase stays at zero.
+
+    The state is advanced in place, in one FullRankWorkspace allocated
+    here, so a step holds the state plus the workspace
+    (peak_transient_numbers). The step calls are looked up as module
+    globals, like LowRankSolver's.
+    """
 
     max_orth_defect = 0.0
     max_tail = 0.0
     tail_violations = 0
 
     def __init__(self, problem: Problem):
-        self.u = np.zeros((problem.n_cells, problem.n_moments))
-        self.peak_state_numbers = self.peak_transient_numbers = self.u.size
+        n, m = problem.n_cells, problem.n_moments
+        self.u = np.zeros((n, m))
+        self.work = FullRankWorkspace(n, m, problem.ops)
+        self.peak_state_numbers = self.u.size
+        self.peak_transient_numbers = self.u.size + self.work.numbers
         self.phase_s = dict.fromkeys(STEP_PHASES, 0.0)
 
     def step(self, dt, stream_ctx, scat_ctx):
         """Advance one step; returns (degree-0 moment (n,), rank)."""
-        self.u = timed(self.phase_s, "streaming", fullrank_streaming_step, self.u, dt, stream_ctx)
-        self.u = timed(self.phase_s, "scattering", fullrank_scattering_step, self.u, dt, scat_ctx)
+        timed(self.phase_s, "streaming", fullrank_streaming_step, self.u, dt, stream_ctx, self.work)
+        timed(self.phase_s, "scattering", fullrank_scattering_step, self.u, dt, scat_ctx,
+              self.work.scratch)
         return self.u[:, 0], min(self.u.shape)
 
 

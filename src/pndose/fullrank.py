@@ -2,39 +2,87 @@
 
 Evolves the dense n x m moment matrix with the same Lie splitting as the
 low-rank path: RK4 for streaming and implicit/explicit Euler for
-scattering. The stepping code is deliberately naive and independent of
-the low-rank module; only the operator assembly (stencils, PN matrices,
-contexts) is shared. Everything is deterministic for a fixed config.
+scattering. Only the operator assembly (stencils, PN matrices, contexts)
+and the one rk4 are shared with the low-rank module.
+
+A step allocates no n x m array: it runs in a FullRankWorkspace made once
+per run. rk4 advances the state in place through three of its n x m
+buffers, each stage's right-hand side (spatial.apply_streaming) scales
+the state into a fourth and forms each characteristic product in one
+(n, k) buffer, and the scattering step forms its rates and source in the
+workspace's scratch, which rk4 leaves free. Sums and products keep the
+order of the textbook form with fresh arrays (tests/oracles.py), so the
+doses are bit for bit the same. Everything is deterministic for a fixed
+config.
 """
 
 import numpy as np
+from scipy.linalg import blas
 
+from .angular import PNOperators
 from .dlra import ScatteringContext, StreamingContext, rk4
 from .errors import NumericalError
+from .spatial import streaming_buffers
 
 
-def fullrank_streaming_step(u: np.ndarray, dt: float, ctx: StreamingContext) -> np.ndarray:
-    """One RK4 step of u' = F_S(u) on the dense moment matrix."""
-    scale0 = np.abs(u).max()
-    u1 = rk4(ctx.full_rhs, u, dt)
-    scale1 = np.abs(u1).max()
+class FullRankWorkspace:
+    """The buffers of the oracle's step for n cells and m moments.
+
+    rk4 holds the slope, stage input and accumulator (n, m) of
+    dlra.rk4; streaming the scratch of spatial.apply_streaming. scratch
+    is rk4's slope, which is free outside rk4: the streaming step forms
+    |u| there, the scattering step its rates and source.
+    """
+
+    def __init__(self, n: int, m: int, ops: PNOperators):
+        self.rk4 = [np.empty((n, m)) for _ in range(3)]
+        self.streaming = streaming_buffers(n, ops)
+        self.scratch = self.rk4[0]
+
+    @property
+    def numbers(self) -> int:
+        """Float64 entries held, as in the solvers' *_numbers diagnostics."""
+        return sum(a.size for a in (*self.rk4, *self.streaming))
+
+
+def fullrank_streaming_step(u: np.ndarray, dt: float, ctx: StreamingContext,
+                            work: FullRankWorkspace) -> np.ndarray:
+    """One RK4 step of u' = F_S(u) on the dense moment matrix, in place."""
+    scale0 = np.abs(u, out=work.scratch).max()
+    rk4(lambda x, out: ctx.full_rhs(x, out, work.streaming), u, dt, work.rk4)
+    scale1 = np.abs(u, out=work.scratch).max()
     if scale0 > 0.0 and scale1 > 1e6 * scale0:
         raise NumericalError(
             f"streaming step amplified the solution by {scale1 / scale0:.2e}; "
             f"reduce the step size"
         )
-    return u1
+    return u
 
 
-def fullrank_scattering_step(u: np.ndarray, dt: float, ctx: ScatteringContext) -> np.ndarray:
-    """Implicit Euler for self-scattering, explicit Euler for the source.
+def fullrank_scattering_step(u: np.ndarray, dt: float, ctx: ScatteringContext,
+                             scratch: np.ndarray) -> np.ndarray:
+    """Implicit Euler for self-scattering, explicit Euler for the source, in place.
 
     The self-scattering term is diagonal per (cell, moment) because the
     spatial weights and the scattering matrices are diagonal, so the
-    implicit solve is a scalar update; the sub-term order matches the
-    low-rank scattering step (implicit first, source from the updated
-    state).
+    implicit solve is a scalar update u / (1 + dt sum_i w_i/S (sigma_t,i
+    - g_i,q)); the sub-term order matches the low-rank scattering step
+    (implicit first, source from the updated state). The source
+    sum_b sum_i w_i S^-1 psi_u^b (T_M^b)^T G_i is accumulated over the
+    beams from zero, each beam's product added by one GEMM with beta = 1.
+    The rates and then the source are formed in scratch, a C-contiguous
+    (n, m) float64 array apart from u.
     """
-    rates = ctx.self_scattering_rates()          # (n, m)
-    u1 = u / (1.0 + dt * rates)
-    return u1 + dt * ctx.source_full()
+    if not (scratch.flags.c_contiguous and scratch.dtype == np.float64):
+        raise ValueError("the scattering scratch must be a C-contiguous float64 array")
+    spatial = ctx.element_weights * ctx.inv_s[:, None]           # (n, 12)
+    np.matmul(spatial, ctx.absorption, out=scratch)              # decay rates
+    scratch *= dt
+    scratch += 1.0
+    u /= scratch
+    scratch.fill(0.0)
+    for w, g in ctx.source_factors:
+        blas.dgemm(1.0, g.T, w.T, beta=1.0, c=scratch.T, overwrite_c=True)
+    scratch *= dt
+    u += scratch
+    return u

@@ -29,7 +29,12 @@ applies them all at once, scaled() folding a diagonal into the stack per
 step by rescaling its entries, so each product with it is one sparse
 call whose rows sum exactly as the per-stencil products would.
 apply_streaming, the oracle's right-hand side, reads each term as a view
-of one row block of the stack.
+of one row block of the stack. It runs in buffers the caller may keep
+across calls (streaming_buffers): the scaled input S^-1 u (n, m) and one
+(n, k) characteristic product, reused by every term. Each term's
+back-rotation is accumulated straight into the output by a BLAS GEMM
+with beta = 1, so a call allocates only the (n, k) sparse products, one
+at a time, and sums every entry in the order of out += (D y) B.
 """
 
 from dataclasses import dataclass
@@ -37,6 +42,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import blas
 
 from .angular import PNOperators
 from .errors import ConfigError, NumericalError
@@ -200,20 +206,45 @@ def build_stencils(grid: Grid3D) -> UpwindStencils:
     return UpwindStencils(active_axes=tuple(dict.fromkeys(a for a, _ in terms)), stacked=stacked)
 
 
-def apply_streaming(u, inv_s, stencils: UpwindStencils, ops: PNOperators):
+def streaming_buffers(n: int, ops: PNOperators):
+    """apply_streaming's scratch for n cells: (scaled (n, m), product).
+
+    product is flat, with room for the widest (n, k) characteristic
+    product of any axis, so each term reads a contiguous (n, k) view.
+    """
+    k_max = max(v.shape[1] for v in ops.v_plus + ops.v_minus)
+    return np.empty((n, ops.basis.size)), np.empty(n * k_max)
+
+
+def apply_streaming(u, inv_s, stencils: UpwindStencils, ops: PNOperators, out=None, work=None):
     """F_S(u) for the transformed moments u (n, m); inv_s is 1/S per cell.
 
-    Pure and linear in u; raises on non-finite input instead of emitting
-    NaNs.
+    Linear in u; raises on non-finite input instead of emitting NaNs.
+    The result is written into out (n, m) and returned; work is the
+    scratch of streaming_buffers. Both are allocated when not given, and
+    neither may share memory with u. Each term's back-rotation is
+    accumulated into out by one GEMM with beta = 1, which adds the same
+    product to the same partial sum as out += (D y) B would, without
+    its temporaries.
     """
     u = np.asarray(u)
     if not np.all(np.isfinite(u)):
         raise NumericalError("non-finite streaming input")
-    scaled = inv_s[:, None] * u
-    out = np.zeros_like(u)
+    n = u.shape[0]
+    if out is None:
+        out = np.empty(u.shape)
+    elif not (out.flags.c_contiguous and out.dtype == np.float64):
+        raise ValueError("apply_streaming writes only into a C-contiguous float64 out")
+    scaled, product = streaming_buffers(n, ops) if work is None else work
+    np.multiply(inv_s[:, None], u, out=scaled)
+    out.fill(0.0)
     for j, axis in enumerate(stencils.active_axes):
         back = ops.back_rotation[axis]
         k = ops.v_plus[axis].shape[1]
-        out += (stencils.blocks[2 * j] @ (scaled @ ops.v_plus[axis])) @ back[:k]
-        out += (stencils.blocks[2 * j + 1] @ (scaled @ ops.v_minus[axis])) @ back[k:]
+        terms = ((stencils.blocks[2 * j], ops.v_plus[axis], back[:k]),
+                 (stencils.blocks[2 * j + 1], ops.v_minus[axis], back[k:]))
+        for block, v, rotation in terms:
+            y = np.matmul(scaled, v, out=product[:n * v.shape[1]].reshape(n, v.shape[1]))
+            # out^T += rotation^T (block y)^T, all transposes free views
+            blas.dgemm(1.0, rotation.T, (block @ y).T, beta=1.0, c=out.T, overwrite_c=True)
     return out

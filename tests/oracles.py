@@ -5,8 +5,9 @@ paths: sphere integrals use product quadrature over basis evaluations,
 the Laplace-Beltrami matrix uses the integration-by-parts form with
 the associated-Legendre derivative recurrence, CSDA ranges integrate
 the shipped stopping tables by cumulative trapezoid, the grid traversal
-walks one cell at a time, and the ray tracer's energy operator is
-accumulated one group and one face block at a time.
+walks one cell at a time, the ray tracer's energy operator is
+accumulated one group and one face block at a time, and the full-rank
+oracle's step allocates a fresh array for every stage and term.
 """
 
 import math
@@ -315,3 +316,45 @@ def assemble_energy_operators_reference(space, s_star_fn, t_fn, sigma_t_fn):
                     g_mat[sides[a], sides[b]] += block
 
     return space.mass_diagonal(), g_mat
+
+
+def naive_streaming_rhs(u, ctx):
+    """F_S(u) with a fresh product per upwind term, added to zeros in stack order."""
+    scaled = ctx.inv_s[:, None] * u
+    out = np.zeros_like(u)
+    for j, axis in enumerate(ctx.stencils.active_axes):
+        back = ctx.ops.back_rotation[axis]
+        k = ctx.ops.v_plus[axis].shape[1]
+        out += (ctx.stencils.blocks[2 * j] @ (scaled @ ctx.ops.v_plus[axis])) @ back[:k]
+        out += (ctx.stencils.blocks[2 * j + 1] @ (scaled @ ctx.ops.v_minus[axis])) @ back[k:]
+    return out
+
+
+def naive_rk4(f, y0, dt):
+    """The four-stage classical Runge-Kutta step, one fresh array per stage."""
+    k1 = f(y0)
+    k2 = f(y0 + 0.5 * dt * k1)
+    k3 = f(y0 + 0.5 * dt * k2)
+    k4 = f(y0 + dt * k3)
+    return y0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def self_scattering_rates(ctx):
+    """(n, m) per-cell-and-moment decay rates sum_i w_i/S (sigma_t,i - g_i,q)."""
+    spatial = ctx.element_weights * ctx.inv_s[:, None]       # (n, 12)
+    return spatial @ ctx.absorption
+
+
+def source_full(ctx):
+    """Full n x m source sum_b sum_i w_i S^-1 psi_u^b (T_M^b)^T G_i, summed from zeros."""
+    out = np.zeros((ctx.element_weights.shape[0], ctx.g_diags.shape[1]))
+    for w, g in ctx.source_factors:
+        out += w @ g
+    return out
+
+
+def naive_fullrank_step(u, dt, stream_ctx, scat_ctx):
+    """One full-rank oracle step with fresh arrays: RK4 streaming, then
+    implicit-Euler self-scattering and the explicit-Euler source."""
+    u1 = naive_rk4(lambda x: naive_streaming_rhs(x, stream_ctx), u, dt)
+    return u1 / (1.0 + dt * self_scattering_rates(scat_ctx)) + dt * source_full(scat_ctx)

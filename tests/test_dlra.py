@@ -18,7 +18,7 @@ from pndose.dlra import (
     truncate,
 )
 from pndose.errors import NumericalError
-from pndose.fullrank import fullrank_scattering_step, fullrank_streaming_step
+from pndose.fullrank import FullRankWorkspace, fullrank_scattering_step, fullrank_streaming_step
 from pndose.spatial import Grid3D, build_stencils
 
 
@@ -119,15 +119,15 @@ class TestStreamingStep:
 
         naive_k = ctx.full_rhs(k @ v0.T) @ v0
         np.testing.assert_allclose(
-            ctx.k_rhs(k, ctx._moment_factors(v0)), naive_k, atol=1e-12
+            ctx.k_rhs(k, ctx._moment_factors(v0), np.empty_like(k)), naive_k, atol=1e-12
         )
         naive_l = ctx.full_rhs(u0 @ l.T).T @ u0
         np.testing.assert_allclose(
-            ctx.l_rhs(l, ctx.l_step_factors(u0)), naive_l, atol=1e-12
+            ctx.l_rhs(l, ctx.l_step_factors(u0), np.empty_like(l)), naive_l, atol=1e-12
         )
         naive_s = u0.T @ ctx.full_rhs(u0 @ s @ v0.T) @ v0
         np.testing.assert_allclose(
-            ctx.s_rhs(s, ctx.s_step_factors(u0, v0)), naive_s, atol=1e-12
+            ctx.s_rhs(s, ctx.s_step_factors(u0, v0), np.empty_like(s)), naive_s, atol=1e-12
         )
 
     def test_rank1_advection_matches_full_step(self):
@@ -141,7 +141,9 @@ class TestStreamingStep:
         u_full = np.outer(bump, ops.eig_v[2][:, j])
         state = full_rank_state(u_full)
         dt = 0.05
-        full = fullrank_streaming_step(u_full, dt, ctx)
+        full = fullrank_streaming_step(
+            u_full.copy(), dt, ctx, FullRankWorkspace(grid.n_cells, ops.basis.size, ops)
+        )
         low = streaming_step(state, dt, ctx)
         low_t, _ = truncate(low, TruncationPolicy(0.0, rank_min=1, rank_max=16))
         dev = np.linalg.norm(low_t.matrix() - full) / np.linalg.norm(full)
@@ -213,7 +215,7 @@ class TestScatteringStep:
         u_full = rng.standard_normal((n, m))
         state = full_rank_state(u_full)
         dt = 0.3
-        full = fullrank_scattering_step(u_full, dt, ctx)
+        full = fullrank_scattering_step(u_full.copy(), dt, ctx, np.empty_like(u_full))
         low, _ = truncate(
             scattering_step(state, dt, ctx), TruncationPolicy(0.0, rank_min=m, rank_max=m)
         )

@@ -132,6 +132,42 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=re.escape(label)):
             ProblemConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("beams", "energy_mev", "abc"),
+        ("beams", "sigma_xy_cm", None),
+        ("beams", "weight", [1]),
+        ("grid", "nx", "ten"),
+        ("grid", "nx", 2.7),
+        ("grid", "delta_z_cm", True),
+        ("transport", "rank_max", None),
+        ("energy", "groups", "x"),
+        ("rays", "n_side", None),
+        (None, "pn_order", 7.5),
+        (None, "seed", float("nan")),
+    ])
+    def test_bad_scalar_names_key(self, section, key, value):
+        # a non-number raises no bare ValueError/TypeError, and an integer
+        # field is not truncated from a fractional value
+        raw = smoke_raw()
+        if section is None:
+            raw[key] = value
+            label = key
+        elif section == "beams":
+            raw["beams"][0][key] = value
+            label = f"beams[0].{key}"
+        else:
+            raw.setdefault(section, {})[key] = value
+            label = f"{section}.{key}"
+        with pytest.raises(ConfigError, match=re.escape(f"{label} must be")):
+            ProblemConfig.from_dict(raw)
+
+    def test_whole_float_is_an_integer(self):
+        raw = smoke_raw(pn_order=3.0)
+        raw["grid"]["nx"] = 8.0
+        cfg = ProblemConfig.from_dict(raw)
+        assert (cfg.pn_order, cfg.grid.nx) == (3, 8)
+        assert isinstance(cfg.pn_order, int) and isinstance(cfg.grid.nx, int)
+
     def test_two_cell_axis(self):
         raw = smoke_raw()
         raw["grid"]["nx"] = 2

@@ -1,12 +1,17 @@
 """Full-rank reference solver."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from oracles import naive_fullrank_step
 from pndose.angular import PNOperators
 from pndose.dlra import ScatteringContext, StreamingContext, rk4
+from pndose.driver import FullRankSolver
 from pndose.errors import NumericalError
-from pndose.fullrank import fullrank_scattering_step, fullrank_streaming_step
+from pndose.fullrank import FullRankWorkspace, fullrank_scattering_step, fullrank_streaming_step
 from pndose.spatial import Grid3D, build_stencils
 
 
@@ -17,24 +22,53 @@ def advection_context(nz=40):
     )
 
 
+def oracle_contexts(grid, n_max, n_beams, rng):
+    """Streaming and scattering contexts of one step with random coefficients."""
+    ops = PNOperators.build(n_max)
+    n, m = grid.n_cells, ops.basis.size
+    inv_s = 1.0 / rng.uniform(8.0, 20.0, n)
+    g_diags = 0.5 * np.abs(rng.standard_normal((12, m)))
+    scat_ctx = ScatteringContext(
+        element_weights=np.abs(rng.standard_normal((n, 12))),
+        inv_s=inv_s,
+        g_diags=g_diags,
+        sigma_t=g_diags.max(axis=1) + np.abs(rng.standard_normal(12)),
+        sources=[(np.abs(rng.standard_normal(n)), rng.standard_normal(m))
+                 for _ in range(n_beams)],
+    )
+    return StreamingContext(inv_s, build_stencils(grid), ops), scat_ctx
+
+
+def oracle_solver(stream_ctx):
+    """The driver's FullRankSolver for the contexts' grid and PN order."""
+    n, m = stream_ctx.inv_s.size, stream_ctx.ops.basis.size
+    return FullRankSolver(SimpleNamespace(n_cells=n, n_moments=m, ops=stream_ctx.ops))
+
+
 class TestStreaming:
     def test_zero_state(self):
         grid, ctx = advection_context()
         u = np.zeros((grid.n_cells, 4))
-        assert np.abs(fullrank_streaming_step(u, 0.1, ctx)).max() == 0.0
+        work = FullRankWorkspace(grid.n_cells, 4, ctx.ops)
+        assert np.abs(fullrank_streaming_step(u, 0.1, ctx, work)).max() == 0.0
 
     def test_rk4_exact_on_constant_rhs(self):
         rng = np.random.default_rng(2)
         c = rng.standard_normal((5, 3))
-        y = rk4(lambda _: c, np.zeros((5, 3)), 0.7)
+
+        def constant(_, out):
+            out[...] = c
+
+        y = rk4(constant, np.zeros((5, 3)), 0.7)
         np.testing.assert_allclose(y, 0.7 * c, atol=1e-15)
 
     def test_blowup_detected(self):
         grid, ctx = advection_context()
         rng = np.random.default_rng(4)
         u = rng.standard_normal((grid.n_cells, 4))
+        work = FullRankWorkspace(grid.n_cells, 4, ctx.ops)
         with pytest.raises(NumericalError, match="amplified"):
-            fullrank_streaming_step(u, 1e4, ctx)
+            fullrank_streaming_step(u, 1e4, ctx, work)
 
 
 class TestScattering:
@@ -52,7 +86,9 @@ class TestScattering:
         dt = 0.7
         rates = (weights * inv_s[:, None]) @ (sigma_t[:, None] - g_diags)
         expected = u / (1.0 + dt * rates)
-        np.testing.assert_allclose(fullrank_scattering_step(u, dt, ctx), expected, atol=1e-14)
+        np.testing.assert_allclose(
+            fullrank_scattering_step(u, dt, ctx, np.empty_like(u)), expected, atol=1e-14
+        )
 
     def test_fp_degree_zero_column_unchanged(self):
         from pndose.angular import PNBasis, fokker_planck_tables
@@ -70,7 +106,7 @@ class TestScattering:
             sources=[],
         )
         u = rng.standard_normal((n, m))
-        out = fullrank_scattering_step(u, 0.5, ctx)
+        out = fullrank_scattering_step(u.copy(), 0.5, ctx, np.empty_like(u))
         np.testing.assert_allclose(out[:, 0], u[:, 0], atol=1e-15)
 
     def test_source_linearity(self):
@@ -83,8 +119,8 @@ class TestScattering:
             sigma_t=np.abs(rng.standard_normal(12)),
             sources=[(np.abs(rng.standard_normal(n)), rng.standard_normal(m))],
         )
-        u = np.zeros((n, m))
-        one = fullrank_scattering_step(u, 0.3, base)
+        scratch = np.empty((n, m))
+        one = fullrank_scattering_step(np.zeros((n, m)), 0.3, base, scratch)
         doubled = ScatteringContext(
             base.element_weights,
             base.inv_s,
@@ -92,5 +128,67 @@ class TestScattering:
             base.sigma_t,
             [(2.0 * base.sources[0][0], base.sources[0][1])],
         )
-        two = fullrank_scattering_step(u, 0.3, doubled)
+        two = fullrank_scattering_step(np.zeros((n, m)), 0.3, doubled, scratch)
         np.testing.assert_allclose(two, 2.0 * one, atol=1e-14)
+
+
+class TestWorkspaceStep:
+    CASES = {
+        "p7-three-axes": (Grid3D(5, 4, 6, 0.1, 0.12, 0.1), 7, 1),
+        "inactive-x-axis": (Grid3D(1, 5, 6, 0.1, 0.1, 0.1), 7, 1),
+        "two-beams": (Grid3D(4, 3, 5, 0.1, 0.1, 0.1), 3, 2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bit_identical_to_the_naive_step(self, case):
+        # the workspace step keeps every sum and product of the form with
+        # fresh arrays, so the states agree bit for bit, step after step
+        grid, n_max, n_beams = self.CASES[case]
+        rng = np.random.default_rng(23)
+        stream_ctx, scat_ctx = oracle_contexts(grid, n_max, n_beams, rng)
+        solver = oracle_solver(stream_ctx)
+        solver.u[...] = rng.standard_normal(solver.u.shape)
+        naive = solver.u.copy()
+        for _ in range(4):
+            naive = naive_fullrank_step(naive, 0.2, stream_ctx, scat_ctx)
+            solver.step(0.2, stream_ctx, scat_ctx)
+            assert np.array_equal(solver.u, naive)
+        assert np.abs(naive).max() > 0.0
+
+    def test_steps_allocate_no_state_sized_arrays(self):
+        # what a step allocates beyond the workspace: one (n, k) stencil
+        # product at a time and small per-step factors; the fresh-array
+        # form peaks at about 7.4 n m doubles
+        grid = Grid3D(6, 6, 10, 0.1, 0.1, 0.1)
+        stream_ctx, scat_ctx = oracle_contexts(grid, 7, 1, np.random.default_rng(29))
+        solver = oracle_solver(stream_ctx)
+        state_bytes = solver.u.nbytes
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(4):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                solver.step(0.2, stream_ctx, scat_ctx)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks[1:]) <= 2.5 * state_bytes, [p / state_bytes for p in peaks]
+
+    def test_peak_transient_numbers_count_the_workspace(self):
+        # the state plus every workspace buffer, as tracemalloc sees the
+        # solver allocate them
+        grid = Grid3D(4, 5, 6, 0.1, 0.1, 0.1)
+        stream_ctx, _ = oracle_contexts(grid, 7, 1, np.random.default_rng(31))
+        ops = stream_ctx.ops
+        n, m = grid.n_cells, ops.basis.size
+        k_max = max(v.shape[1] for v in ops.v_plus + ops.v_minus)
+        tracemalloc.start()
+        try:
+            solver = oracle_solver(stream_ctx)
+            allocated = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert solver.peak_state_numbers == n * m
+        assert solver.peak_transient_numbers == 5 * n * m + n * k_max
+        assert abs(allocated - 8 * solver.peak_transient_numbers) < 4096
