@@ -15,19 +15,30 @@ The ray-tracer cases use the water90_lowrank beam: 441 rays through
 6 x 6 x 70 water cells that share one Crank-Nicolson march. They time
 assemble_energy_operators for water (128 groups), the one march_ray of
 the beam, and trace_beam; the last two with the energy-operator table
-already filled, as the second beam of a run finds it. Run from the
-repository root, with the BLAS thread count pinned:
+already filled, as the second beam of a run finds it. One more case times
+the whole ray trace of the oblique30_hetero benchmark, trace_all_beams on
+its config (read from perfbench/configs): a tilted beam whose 25 rays need
+10 marches through water, lung and bone, each call with a fresh
+energy-operator table as a run starts with. Run from the repository root,
+with the BLAS thread count pinned:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest benchmarks --benchmark-only
 
 The tier-1 suite does not collect this directory (pyproject's testpaths).
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pndose.angular import PNOperators
-from pndose.driver import ProblemConfig, assemble_problem, material_coefficients
+from pndose.driver import (
+    ProblemConfig,
+    assemble_problem,
+    material_coefficients,
+    trace_all_beams,
+)
 from pndose.dlra import (
     LowRankState,
     ScatteringContext,
@@ -184,3 +195,17 @@ def test_trace_beam_water90(benchmark, water90):
     trace_beam(*args)                               # assembles the operator
     flux = benchmark(trace_beam, *args)
     assert (flux.n_rays, flux.n_marches) == (441, 1)
+
+
+OBLIQUE30 = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "oblique30_hetero.yaml"
+
+
+def test_trace_all_beams_oblique30(benchmark):
+    problem = assemble_problem(ProblemConfig.load(OBLIQUE30))
+    keys, coefficients = material_coefficients(problem)
+
+    def trace():
+        return trace_all_beams(problem, keys, EnergyOperators(problem.space, coefficients))
+
+    (flux,) = benchmark(trace)
+    assert (flux.n_rays, flux.n_marches, flux.n_factorizations) == (25, 10, 27)

@@ -35,7 +35,8 @@ def _cmd_run(args, solver):
     print(
         f"rays: {sum(d['rays_per_beam'])} hit, {sum(d['rays_missed_per_beam'])} missed; "
         f"{_plural(sum(d['marches_per_beam']), 'march', 'marches')}; "
-        f"{_plural(d['energy_operator_assemblies'], 'energy operator')}"
+        f"{_plural(d['energy_operator_assemblies'], 'energy operator')}; "
+        f"{_plural(d['cn_factorizations'], 'Crank-Nicolson factorization')}"
     )
     print("phases: " + ", ".join(
         f"{name.replace('_', ' ')} {seconds:.2f} s" for name, seconds in d["phase_s"].items()

@@ -56,7 +56,13 @@ from .physics import (
     straggling_t_derivative,
 )
 from .physics.materials import data_path
-from .raytracer import BeamSource, EnergyDGSpace, EnergyOperators, trace_beam
+from .raytracer import (
+    BeamSource,
+    CrankNicolsonFactors,
+    EnergyDGSpace,
+    EnergyOperators,
+    trace_beam,
+)
 from .spatial import Grid3D, build_stencils
 
 SQRT_4PI = math.sqrt(4.0 * math.pi)
@@ -110,6 +116,17 @@ def _integer(value, key):
 
 def _optional_number(value, key):
     return None if value is None else _number(value, key)
+
+
+def _vector(value, key):
+    """value as 3 floats; ConfigError naming key unless it is 3 finite numbers."""
+    items = value if isinstance(value, (list, tuple, np.ndarray)) else ()
+    if len(items) != 3 or not all(
+        isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+        for x in items
+    ):
+        raise ConfigError(f"{key} must be 3 finite numbers, got {value!r}")
+    return tuple(float(x) for x in items)
 
 
 @dataclass
@@ -188,7 +205,7 @@ class ProblemConfig:
                 dx=_number(grid_spec["delta_x_cm"], "grid.delta_x_cm"),
                 dy=_number(grid_spec["delta_y_cm"], "grid.delta_y_cm"),
                 dz=_number(grid_spec["delta_z_cm"], "grid.delta_z_cm"),
-                origin=tuple(grid_spec.get("origin_cm", (0.0, 0.0, 0.0))),
+                origin=_vector(grid_spec.get("origin_cm", (0.0, 0.0, 0.0)), "grid.origin_cm"),
             )
         except KeyError as exc:
             raise ConfigError(f"grid section is missing field {exc}") from exc
@@ -310,8 +327,8 @@ def _build_phantom(spec: dict, grid: Grid3D, base_dir: Path, source_files: list)
     centers = grid.cell_centers()
     for i, box in enumerate(spec.get("boxes", [])):
         try:
-            lo = np.asarray(box["origin_cm"], dtype=float)
-            size = np.asarray(box["size_cm"], dtype=float)
+            lo = np.array(_vector(box["origin_cm"], f"phantom.boxes[{i}].origin_cm"))
+            size = np.array(_vector(box["size_cm"], f"phantom.boxes[{i}].size_cm"))
             value = _number(box["hu"], f"phantom.boxes[{i}].hu")
         except KeyError as exc:
             raise ConfigError(f"phantom.boxes[{i}] is missing field {exc}") from exc
@@ -459,10 +476,14 @@ def trace_all_beams(problem: Problem, keys, operators: EnergyOperators):
     keys and operators: the material key of each cell and the run's table
     of energy operators over the coefficients of material_coefficients.
     All beams share the table, so each material's operator is assembled
-    once per run.
+    once per run. They also share one CrankNicolsonFactors table, so each
+    (material, dz) pair is factored once; it is dropped when the trace
+    returns.
     """
+    factors = CrankNicolsonFactors(operators)
     return [
-        trace_beam(beam, problem.grid, keys, operators, n_side=problem.config.ray_n_side)
+        trace_beam(beam, problem.grid, keys, operators, n_side=problem.config.ray_n_side,
+                   factors=factors)
         for beam in problem.config.beams
     ]
 
@@ -724,6 +745,7 @@ def run_simulation(config: ProblemConfig, solver: str = "dlra") -> SimulationRes
         "rays_per_beam": [f.n_rays for f in fluxes],
         "rays_missed_per_beam": [f.n_rays_missed for f in fluxes],
         "marches_per_beam": [f.n_marches for f in fluxes],
+        "cn_factorizations": sum(f.n_factorizations for f in fluxes),
         "energy_operator_assemblies": len(operators),
     }
     return SimulationResult(

@@ -20,9 +20,18 @@ lateral sigma, weighted by the Gaussian density and renormalized to the
 beam weight. Rays traverse the grid exactly (Amanatides-Woo, with all
 boundary crossings of a ray formed and merged as arrays) and deposit
 track-length-weighted group-averaged flux at cell midpoints, one indexed
-add per ray; rays sharing a material column reuse one march, and the
-marches of a run share one table (EnergyOperators) that assembles each
-material's energy operator once.
+add per ray; rays sharing a material column reuse one march.
+
+Two tables are shared by the marches. EnergyOperators, one per run,
+assembles each material's G once and keeps it as CSR.
+CrankNicolsonFactors, one per ray trace and dropped with it, factors
+M + dz/2 G once per (material, exact dz) pair and keeps the LU factors
+and M - dz/2 G compactly: the positions and values of the entries that
+are not +0.0, since both have G's block-tridiagonal pattern. A march
+groups its step sizes by round(dz, 14) and uses the first exact dz of a
+group for the whole group, so a factor never depends on which march met
+it first; only the march's current operator is expanded to dense (see
+march_ray for the memory orders that keep every dose's bits).
 """
 
 import math
@@ -32,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.legendre as leg
 from scipy import sparse
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor
+from scipy.linalg.lapack import dgetrs
 
 from .errors import ConfigError, NumericalError
 from .spatial import Grid3D
@@ -272,37 +282,112 @@ class EnergyOperators(dict):
         return entry
 
 
-def march_ray(segments, operators: EnergyOperators, psi0, max_step=MAX_STEP_CM):
+@dataclass(frozen=True)
+class CrankNicolsonFactor:
+    """One Crank-Nicolson step operator, M + dz/2 G factored, in compact form.
+
+    The LU factors (Fortran order, as lu_factor returns them) and the
+    right-hand side M - dz/2 G (C order) are each kept as the flat
+    positions and values of the entries whose bit pattern is not +0.0,
+    so row swaps, fill and -0.0 all come back exactly. The rhs has G's
+    block-tridiagonal pattern, and so does the LU when no row is swapped
+    (none is on water, lung or bone): 3 438 of 384^2 entries at 128
+    groups.
+    """
+
+    lu_positions: np.ndarray
+    lu_values: np.ndarray
+    pivots: np.ndarray
+    rhs_positions: np.ndarray
+    rhs_values: np.ndarray
+
+    @staticmethod
+    def _compact(flat):
+        positions = np.flatnonzero(flat.view(np.int64)).astype(np.int32)
+        return positions, flat[positions]
+
+    @classmethod
+    def factor(cls, mass, g_csr, dz):
+        """Factor M + dz/2 G for a CSR G.
+
+        h = (0.5 dz) G is formed once, in Fortran order. The rhs takes
+        0.0 - h off the diagonal and mass - h_ii on it, the lhs 0.0 + h
+        and mass + h_ii, which are the bits of diag(M) -/+ 0.5 * dz * G;
+        the lhs is factored in place.
+        """
+        h = g_csr.toarray(order="F")
+        h *= 0.5 * dz
+        h_diag = np.diagonal(h).copy()
+        rhs = np.subtract(0.0, h, order="C")
+        np.fill_diagonal(rhs, mass - h_diag)
+        lhs = np.add(h, 0.0, out=h)
+        np.fill_diagonal(lhs, mass + h_diag)
+        try:
+            lu, pivots = lu_factor(lhs, overwrite_a=True)
+        except Exception as exc:  # singular CN system
+            raise NumericalError(f"Crank-Nicolson solve failed: {exc}") from exc
+        return cls(*cls._compact(lu.ravel(order="F")), pivots, *cls._compact(rhs.ravel()))
+
+    def expand(self, lu_flat, rhs_flat):
+        """Write the dense factors into flat buffers (LU in Fortran, rhs in C order)."""
+        lu_flat.fill(0.0)
+        lu_flat[self.lu_positions] = self.lu_values
+        rhs_flat.fill(0.0)
+        rhs_flat[self.rhs_positions] = self.rhs_values
+
+
+class CrankNicolsonFactors(dict):
+    """(material key, exact dz) -> CrankNicolsonFactor over one EnergyOperators.
+
+    A pair's factor is computed the first time it is looked up and kept
+    for every later march, so marches and beams that share one table
+    factor each (material, dz) pair once; len() counts the
+    factorizations. Hand one table to the marches of a ray trace and
+    drop it with the trace: only the march's current operator is ever
+    dense.
+    """
+
+    def __init__(self, operators: EnergyOperators):
+        super().__init__()
+        self.operators = operators
+        self.mass = operators.space.mass_diagonal()
+
+    def __missing__(self, pair):
+        key, dz = pair
+        self[pair] = factor = CrankNicolsonFactor.factor(self.mass, self.operators[key][0], dz)
+        return factor
+
+
+def march_ray(segments, operators: EnergyOperators, psi0, max_step=MAX_STEP_CM, factors=None):
     """Crank-Nicolson march along a ray path.
 
     segments: list of (cell_index, length_cm, material_key); operators:
-    the run's table of energy operators, on whose space the march runs.
-    Returns (averages, residuals, psi_exit): the group averages at each
-    segment's midpoint (n_segments, n_groups), the energy [MeV] carried
-    below the cutoff inside each segment (n_segments,), and the exit
-    coefficients.
+    the run's table of energy operators, on whose space the march runs;
+    factors: the trace's CrankNicolsonFactors over operators (a fresh
+    table, dropped with the march, if None). Returns (averages,
+    residuals, psi_exit): the group averages at each segment's midpoint
+    (n_segments, n_groups), the energy [MeV] carried below the cutoff
+    inside each segment (n_segments,), and the exit coefficients.
 
-    The Crank-Nicolson LU factors are cached per (material_key, step)
-    within this march only, so a factor never depends on which march
-    built it first.
+    The factors live in the shared table, keyed by (material, exact dz).
+    Within a march, all steps whose dz agree to round(dz, 14) use the
+    factor of the first such dz the march met, so which marches share a
+    table, and their order, never changes a factor's bits. Only the
+    current operator is expanded to dense, into buffers the march
+    reuses: the LU in the Fortran order lu_factor returns, the rhs in C
+    order, whose matrix-vector product is the kernel the doses were
+    computed with (a Fortran-ordered rhs selects another and moves every
+    dose in the last bits).
     """
     space = operators.space
-    mass = space.mass_diagonal()
-    nl = space.n_local
+    if factors is None:
+        factors = CrankNicolsonFactors(operators)
+    n, nl = space.n_dof, space.n_local
     p_lo = space.basis([-1.0])[0][0]
-    lu_cache = {}
-
-    def stepper(key, dz):
-        ck = (key, round(dz, 14))
-        if ck not in lu_cache:
-            g_mat = operators[key][0].toarray()
-            lhs = np.diag(mass) + 0.5 * dz * g_mat
-            rhs = np.diag(mass) - 0.5 * dz * g_mat
-            try:
-                lu_cache[ck] = (lu_factor(lhs), rhs)
-            except Exception as exc:  # singular CN system
-                raise NumericalError(f"Crank-Nicolson solve failed: {exc}") from exc
-        return lu_cache[ck]
+    first_dz = {}          # (material key, round(dz, 14)) -> first exact dz seen
+    lu_flat, rhs_flat = np.empty(n * n), np.empty(n * n)
+    lu, rhs = lu_flat.reshape((n, n), order="F"), rhs_flat.reshape((n, n))
+    current = pivots = None
 
     psi = np.asarray(psi0, dtype=float).copy()
     averages = np.empty((len(segments), space.n_groups))
@@ -312,17 +397,22 @@ def march_ray(segments, operators: EnergyOperators, psi0, max_step=MAX_STEP_CM):
         # two halves of n_sub equal steps each, the averages taken between them
         n_sub = max(1, math.ceil(0.5 * length / max_step))
         dz = 0.5 * length / n_sub
-        lu, rhs = stepper(key, dz)
+        pair = (key, first_dz.setdefault((key, round(dz, 14)), dz))
+        if pair != current:
+            factor = factors[pair]
+            factor.expand(lu_flat, rhs_flat)
+            current, pivots = pair, factor.pivots
         residual = 0.0
+        trace = float(psi[:nl] @ p_lo)
         for step in range(2 * n_sub):
             if step == n_sub:
                 averages[k] = space.group_averages(psi)
-            trace_before = float(psi[:nl] @ p_lo)
-            psi = lu_solve(lu, rhs @ psi)
+            psi = dgetrs(lu, pivots, rhs @ psi, overwrite_b=True)[0]
             trace_after = float(psi[:nl] @ p_lo)
             # trapezoidal trace reproduces the CN content identity, so
             # the below-cutoff energy bookkeeping closes exactly
-            residual += space.e_min * s_min * 0.5 * (trace_before + trace_after) * dz
+            residual += space.e_min * s_min * 0.5 * (trace + trace_after) * dz
+            trace = trace_after
         if not np.all(np.isfinite(psi)):
             raise NumericalError(f"ray march produced non-finite flux in cell {cell}")
         residuals[k] = residual
@@ -429,6 +519,7 @@ class UncollidedFlux:
     n_rays: int                   # bundle rays that deposit
     n_rays_missed: int            # bundle rays that deposit nothing
     n_marches: int                # Crank-Nicolson marches the rays shared
+    n_factorizations: int         # Crank-Nicolson systems this trace factored
 
     @property
     def undershoot(self) -> float:
@@ -452,12 +543,16 @@ def _format_vector(v) -> str:
 
 
 def trace_beam(beam: BeamSource, grid: Grid3D, material_key_of_cell, operators: EnergyOperators,
-               n_side=21, spectra_dump=None):
+               n_side=21, spectra_dump=None, factors=None):
     """Trace a stratified bundle and deposit track-length-averaged flux.
 
     material_key_of_cell: (n_cells,) int array of keys into operators,
     the run's table of energy operators (see march_ray); hand one table
     to the beams of a run to assemble each material's operator once.
+    factors: the CrankNicolsonFactors over operators that the marches
+    share (a fresh one for this beam if None); hand one to the beams of
+    a ray trace to factor each (material, dz) pair once. n_factorizations
+    counts the pairs this beam added to it.
     Rays whose cell-material sequence coincides share one Crank-Nicolson
     march. Deposition order is fixed by the ray enumeration, so results
     are bit-stable. spectra_dump, if given, receives the per-ray group
@@ -470,6 +565,9 @@ def trace_beam(beam: BeamSource, grid: Grid3D, material_key_of_cell, operators: 
     anything raises ConfigError naming the beam and the grid extent.
     """
     space = operators.space
+    if factors is None:
+        factors = CrankNicolsonFactors(operators)
+    n_factored = len(factors)
     e1, e2 = beam.transverse_frame()
     offsets, ray_weights = stratified_ray_offsets(beam.sigma_xy_cm, n_side)
     psi0 = project_initial_spectrum(space, beam.energy_mev, beam.sigma_e_mev)
@@ -501,10 +599,11 @@ def trace_beam(beam: BeamSource, grid: Grid3D, material_key_of_cell, operators: 
             # share a march
             signature = tuple(zip(keys, np.round(lengths, 12).tolist()))
             if signature not in march_cache:
-                # float64 lengths: march_ray keys its LU factors by round(dz, 14)
+                # float64 lengths: march_ray classes its steps by round(dz, 14)
                 segments = list(zip(cells.tolist(), lengths, keys))
                 # cache only the spectra; cells belong to the individual ray
-                march_cache[signature] = march_ray(segments, operators, psi0)[:2]
+                march_cache[signature] = march_ray(segments, operators, psi0,
+                                                   factors=factors)[:2]
             averages, res_energy = march_cache[signature]
             weight = beam.weight * w_ray
             # the cells of one ray are distinct, so each indexed add is one
@@ -533,4 +632,5 @@ def trace_beam(beam: BeamSource, grid: Grid3D, material_key_of_cell, operators: 
         n_rays=n_alive,
         n_rays_missed=len(offsets) - n_alive,
         n_marches=len(march_cache),
+        n_factorizations=len(factors) - n_factored,
     )

@@ -6,14 +6,16 @@ the Laplace-Beltrami matrix uses the integration-by-parts form with
 the associated-Legendre derivative recurrence, CSDA ranges integrate
 the shipped stopping tables by cumulative trapezoid, the grid traversal
 walks one cell at a time, the ray tracer's energy operator is
-accumulated one group and one face block at a time, and the full-rank
-oracle's step allocates a fresh array for every stage and term.
+accumulated one group and one face block at a time, the ray march
+factors its dense Crank-Nicolson systems afresh in every march, and the
+full-rank oracle's step allocates a fresh array for every stage and term.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
+from scipy.linalg import lu_factor, lu_solve
 from scipy.special import lpmv
 
 from pndose.angular import real_sph_eval
@@ -316,6 +318,49 @@ def assemble_energy_operators_reference(space, s_star_fn, t_fn, sigma_t_fn):
                     g_mat[sides[a], sides[b]] += block
 
     return space.mass_diagonal(), g_mat
+
+
+def march_ray_reference(segments, operators, psi0, max_step=0.01):
+    """(averages, residuals, psi_exit) of a Crank-Nicolson ray march, each
+    system factored densely within the march.
+
+    The LU factors and right-hand sides are cached per (material key,
+    round(dz, 14)) for this march only, built by the first step of each
+    class; every step solves with lu_solve.
+    """
+    space = operators.space
+    mass = space.mass_diagonal()
+    nl = space.n_local
+    p_lo = space.basis([-1.0])[0][0]
+    lu_cache = {}
+
+    def stepper(key, dz):
+        ck = (key, round(dz, 14))
+        if ck not in lu_cache:
+            g_mat = operators[key][0].toarray()
+            lhs = np.diag(mass) + 0.5 * dz * g_mat
+            rhs = np.diag(mass) - 0.5 * dz * g_mat
+            lu_cache[ck] = (lu_factor(lhs), rhs)
+        return lu_cache[ck]
+
+    psi = np.asarray(psi0, dtype=float).copy()
+    averages = np.empty((len(segments), space.n_groups))
+    residuals = np.empty(len(segments))
+    for k, (_, length, key) in enumerate(segments):
+        s_min = operators[key][1]
+        n_sub = max(1, math.ceil(0.5 * length / max_step))
+        dz = 0.5 * length / n_sub
+        lu, rhs = stepper(key, dz)
+        residual = 0.0
+        for step in range(2 * n_sub):
+            if step == n_sub:
+                averages[k] = space.group_averages(psi)
+            trace_before = float(psi[:nl] @ p_lo)
+            psi = lu_solve(lu, rhs @ psi)
+            trace_after = float(psi[:nl] @ p_lo)
+            residual += space.e_min * s_min * 0.5 * (trace_before + trace_after) * dz
+        residuals[k] = residual
+    return averages, residuals, psi
 
 
 def naive_streaming_rhs(u, ctx):

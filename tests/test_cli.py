@@ -77,7 +77,8 @@ class TestRunCompare:
         path = smoke_config(tmp_path)
         assert main(["run", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "rays: 9 hit, 0 missed; 1 march; 1 energy operator" in out
+        assert ("rays: 9 hit, 0 missed; 1 march; 1 energy operator; "
+                "1 Crank-Nicolson factorization\n") in out
         assert re.search(r"^phases: assembly [\d.]+ s, ray trace [\d.]+ s, contexts [\d.]+ s, "
                          r"streaming [\d.]+ s, scattering [\d.]+ s, truncation [\d.]+ s, "
                          r"uncollided tally [\d.]+ s$", out, re.MULTILINE)

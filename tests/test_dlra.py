@@ -240,6 +240,21 @@ class TestScatteringStep:
         want = per_column_implicit_l_step(u0, l0, dt, ctx)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("r", [2, 26])
+    def test_implicit_solve_equals_broadcast_form_bit_for_bit(self, r):
+        # the B_i as one broadcast product u0.T[None] * (w_i/S)[:, None, :]
+        # times u0, the form the per-element fill replaced
+        rng = np.random.default_rng(47 + r)
+        n, m, dt = 2520, 64, 0.5
+        ctx = random_scattering_context(n, m, rng, homogeneous=False)
+        u0 = orthonormal_columns(rng.standard_normal((n, r)))
+        l0 = rng.standard_normal((m, r))
+        spatial = ctx.element_weights.T * ctx.inv_s
+        b_mats = (u0.T[None] * spatial[:, None, :]) @ u0
+        mats = np.eye(r) + dt * (ctx.absorption.T @ b_mats.reshape(12, r * r)).reshape(m, r, r)
+        want = np.linalg.solve(mats, l0[:, :, None])[:, :, 0]
+        assert np.array_equal(implicit_l_step(u0, l0, dt, ctx), want)
+
     def test_singular_middle_column_is_named(self):
         n, m, r = 4, 5, 2
         # as below, but only columns 2 and 4 have the vanishing matrix

@@ -161,6 +161,39 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=re.escape(f"{label} must be")):
             ProblemConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("key, value", [
+        ("grid.origin_cm", "abc"),
+        ("grid.origin_cm", [0, 0]),
+        ("grid.origin_cm", [0, 0, 0, 0]),
+        ("grid.origin_cm", [0, "a", 0]),
+        ("grid.origin_cm", [0, float("inf"), 0]),
+        ("grid.origin_cm", None),
+        ("phantom.boxes[0].origin_cm", "abc"),
+        ("phantom.boxes[0].origin_cm", [0, 0]),
+        ("phantom.boxes[0].origin_cm", [True, 0, 0]),
+        ("phantom.boxes[0].size_cm", "abc"),
+        ("phantom.boxes[0].size_cm", [1, 1, float("nan")]),
+        ("phantom.boxes[0].size_cm", 1.0),
+    ])
+    def test_bad_vector_names_key(self, key, value):
+        # no UFuncTypeError, IndexError or ValueError traceback
+        raw = smoke_raw()
+        raw["phantom"]["boxes"] = [{"origin_cm": [0, 0, 0], "size_cm": [1, 1, 1], "hu": 100.0}]
+        if key.startswith("grid."):
+            raw["grid"]["origin_cm"] = value
+        else:
+            raw["phantom"]["boxes"][0][key.rsplit(".", 1)[1]] = value
+        with pytest.raises(ConfigError, match=re.escape(f"{key} must be 3 finite numbers")):
+            ProblemConfig.from_dict(raw)
+
+    def test_vector_fields_accept_integers_and_tuples(self):
+        raw = smoke_raw()
+        raw["grid"]["origin_cm"] = (0, 0.0, -1)
+        raw["phantom"]["boxes"] = [{"origin_cm": [0, 0, -1], "size_cm": [2, 2, 1], "hu": 100.0}]
+        cfg = ProblemConfig.from_dict(raw)
+        assert cfg.grid.origin == (0.0, 0.0, -1.0)
+        assert np.all(cfg.hu_values.reshape(12, 8, 8)[:4] == 100.0)
+
     def test_whole_float_is_an_integer(self):
         raw = smoke_raw(pn_order=3.0)
         raw["grid"]["nx"] = 8.0
@@ -378,6 +411,9 @@ class TestRayTracerCoupling:
         assert d["rays_missed_per_beam"] == [0, 16]
         assert d["marches_per_beam"] == [1, 1]
         assert d["energy_operator_assemblies"] == 1
+        # both beams step through water cells of one length: the second
+        # beam's march reuses the first one's factors
+        assert d["cn_factorizations"] == 1
 
     @pytest.mark.parametrize("model, physics", [
         ("boltzmann", {}),

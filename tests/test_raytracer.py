@@ -2,17 +2,22 @@
 
 import math
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.polynomial.legendre as leg
 import pytest
 from scipy import sparse
+from scipy.linalg import lu_factor
 
 from pndose import raytracer
-from pndose.driver import ProblemConfig, assemble_problem, material_coefficients
-from pndose.errors import ConfigError
+from pndose.driver import ProblemConfig, assemble_problem, material_coefficients, trace_all_beams
+from pndose.errors import ConfigError, NumericalError
 from pndose.raytracer import (
     BeamSource,
+    CrankNicolsonFactor,
+    CrankNicolsonFactors,
     EnergyDGSpace,
     EnergyOperators,
     UncollidedFlux,
@@ -25,7 +30,11 @@ from pndose.raytracer import (
 )
 from pndose.spatial import Grid3D
 
-from oracles import assemble_energy_operators_reference, traverse_grid_reference
+from oracles import (
+    assemble_energy_operators_reference,
+    march_ray_reference,
+    traverse_grid_reference,
+)
 
 
 def const(v):
@@ -456,6 +465,22 @@ class TestDeposition:
         assert np.all(flux.at_energy(0.1) == 0.0)
 
 
+def two_materials():
+    """(grid, space, keys, coefficients): material 1 fills the deeper half (z >= 0.4 cm)."""
+    g = Grid3D(5, 5, 8, 0.1, 0.1, 0.1)
+    space = EnergyDGSpace(1.0, 31.5, 32, 2)
+    keys = np.zeros(g.n_cells, dtype=int)
+    keys[g.n_cells // 2 :] = 1
+    coeff = {
+        0: (lambda e: 2.0 + 0.05 * np.asarray(e), const(0.01), const(0.3)),
+        1: (lambda e: 3.0 + 0.04 * np.asarray(e), const(0.02), const(0.5)),
+    }
+    return g, space, keys, coeff
+
+
+TILT_10 = (math.sin(math.radians(10.0)), 0.0, math.cos(math.radians(10.0)))
+
+
 class TestSharedOperators:
     """One EnergyOperators table handed to all marches of a run assembles
     each material's energy operator once, and changes no flux."""
@@ -472,18 +497,6 @@ class TestSharedOperators:
         monkeypatch.setattr(raytracer, "assemble_energy_operators", counting)
         return calls
 
-    def setup_two_materials(self):
-        # material 1 fills the deeper half (z >= 0.4 cm)
-        g = Grid3D(5, 5, 8, 0.1, 0.1, 0.1)
-        space = EnergyDGSpace(1.0, 31.5, 32, 2)
-        keys = np.zeros(g.n_cells, dtype=int)
-        keys[g.n_cells // 2 :] = 1
-        coeff = {
-            0: (lambda e: 2.0 + 0.05 * np.asarray(e), const(0.01), const(0.3)),
-            1: (lambda e: 3.0 + 0.04 * np.asarray(e), const(0.02), const(0.5)),
-        }
-        return g, space, keys, coeff
-
     @staticmethod
     def materials_crossed(fluxes, keys):
         return {int(keys[c]) for f in fluxes for c in np.nonzero(f.values.any(axis=1))[0]}
@@ -493,9 +506,8 @@ class TestSharedOperators:
         assert np.array_equal(a.residual_energy, b.residual_energy)
 
     def test_tilted_beam_through_two_materials(self, assemblies):
-        g, space, keys, coeff = self.setup_two_materials()
-        tilt = (math.sin(math.radians(10.0)), 0.0, math.cos(math.radians(10.0)))
-        beam = BeamSource(tilt, 30.0, (0.2, 0.25, 0.0), sigma_xy_cm=0.1)
+        g, space, keys, coeff = two_materials()
+        beam = BeamSource(TILT_10, 30.0, (0.2, 0.25, 0.0), sigma_xy_cm=0.1)
         operators = EnergyOperators(space, coeff)
         first = trace_beam(beam, g, keys, operators, n_side=3)
         assert first.n_marches > 2      # the rays do not share one march
@@ -511,7 +523,7 @@ class TestSharedOperators:
         self.assert_same_flux(first, again)
 
     def test_two_beams_in_one_material(self, assemblies):
-        g, space, keys, coeff = self.setup_two_materials()
+        g, space, keys, coeff = two_materials()
         keys[:] = 0
         beams = [
             BeamSource((0, 0, 1), 30.0, (0.25, 0.25, 0.0), sigma_xy_cm=0.1),
@@ -524,3 +536,125 @@ class TestSharedOperators:
         assert len(assemblies) == 3
         for a, b in zip(shared, fresh):
             self.assert_same_flux(a, b)
+
+
+def step_classes(segments, max_step=raytracer.MAX_STEP_CM):
+    """(material key, exact dz) of each march step class, the first dz of a
+    round(dz, 14) class standing for the class, as a march picks them."""
+    first = {}
+    for _, length, key in segments:
+        n_sub = max(1, math.ceil(0.5 * length / max_step))
+        dz = 0.5 * length / n_sub
+        first.setdefault((key, round(dz, 14)), dz)
+    return {(key, dz) for (key, _), dz in first.items()}
+
+
+class TestCrankNicolsonFactors:
+    """The marches of a trace share one table of compact Crank-Nicolson
+    factors: each (material, dz) pair is factored once, and every march
+    gives the per-march dense factorization's results bit for bit."""
+
+    @pytest.fixture
+    def tilted_marches(self, monkeypatch):
+        """(operators, psi0, segments of each march) of a tilted bundle
+        through two materials."""
+        g, space, keys, coeff = two_materials()
+        beam = BeamSource(TILT_10, 30.0, (0.2, 0.25, 0.0), sigma_xy_cm=0.1)
+        operators = EnergyOperators(space, coeff)
+        marches = []
+        original = raytracer.march_ray
+
+        def recording(segments, *args, **kwargs):
+            marches.append(segments)
+            return original(segments, *args, **kwargs)
+
+        monkeypatch.setattr(raytracer, "march_ray", recording)
+        trace_beam(beam, g, keys, operators, n_side=3)
+        monkeypatch.undo()
+        psi0 = project_initial_spectrum(space, beam.energy_mev, beam.sigma_e_mev)
+        return operators, psi0, marches
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+    def test_shared_table_equals_per_march_factors(self, tilted_marches, reverse):
+        operators, psi0, marches = tilted_marches
+        assert len(marches) > 2 and {key for m in marches for _, _, key in m} == {0, 1}
+        factors = CrankNicolsonFactors(operators)
+        order = range(len(marches))[::-1] if reverse else range(len(marches))
+        for i in order:
+            got = march_ray(marches[i], operators, psi0, factors=factors)
+            want = march_ray_reference(marches[i], operators, psi0)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+        pairs = set().union(*(step_classes(m) for m in marches))
+        assert set(factors) == pairs
+        # the marches share factors: fewer than one per march and class
+        assert len(pairs) < sum(len(step_classes(m)) for m in marches)
+
+    def test_compact_factor_round_trips_every_bit(self):
+        # M + dz/2 G = diag(1) + G: a negative first pivot over zeros, which
+        # LAPACK scales to -0.0, and a zero pivot that forces a row swap
+        g_dense = np.zeros((6, 6))
+        g_dense[[0, 0, 1, 1, 2, 3, 3, 4, 4, 5], [0, 1, 1, 2, 2, 3, 4, 3, 4, 5]] = (
+            -3.0, 1.0, 1.0, 0.5, 2.0, -1.0, 2.0, 5.0, 1.0, 1.0
+        )
+        mass, dz = np.ones(6), 2.0
+        factor = CrankNicolsonFactor.factor(mass, sparse.csr_matrix(g_dense), dz)
+        lu_ref, piv_ref = lu_factor(np.diag(mass) + 0.5 * dz * g_dense)
+        rhs_ref = np.diag(mass) - 0.5 * dz * g_dense
+        assert np.any(piv_ref != np.arange(6))
+        assert np.any((lu_ref == 0.0) & np.signbit(lu_ref))
+        lu_flat, rhs_flat = np.full(36, np.nan), np.full(36, np.nan)
+        factor.expand(lu_flat, rhs_flat)
+        assert np.array_equal(lu_flat.view(np.int64), lu_ref.ravel(order="F").view(np.int64))
+        assert np.array_equal(rhs_flat.view(np.int64), rhs_ref.ravel().view(np.int64))
+        assert np.array_equal(factor.pivots, piv_ref)
+        assert factor.lu_values.size < 36
+
+    def test_singular_system_raises_numerical_error(self):
+        with pytest.raises(NumericalError, match="Crank-Nicolson"):
+            CrankNicolsonFactor.factor(np.ones(2), sparse.csr_matrix(np.full((2, 2), np.inf)), 0.01)
+
+
+OBLIQUE30 = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "oblique30_hetero.yaml"
+
+
+@pytest.fixture(scope="module")
+def oblique30_trace():
+    """Ray trace of the oblique30_hetero benchmark: (fluxes, lu_factor
+    calls, tracemalloc peak in bytes, step classes of each march)."""
+    problem = assemble_problem(ProblemConfig.load(OBLIQUE30))
+    keys, coefficients = material_coefficients(problem)
+    calls, marches = [], []
+    originals = raytracer.lu_factor, raytracer.march_ray
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return originals[0](*args, **kwargs)
+
+    def recording(segments, *args, **kwargs):
+        marches.append(step_classes(segments))
+        return originals[1](segments, *args, **kwargs)
+
+    raytracer.lu_factor, raytracer.march_ray = counting, recording
+    tracemalloc.start()
+    try:
+        fluxes = trace_all_beams(problem, keys, EnergyOperators(problem.space, coefficients))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        raytracer.lu_factor, raytracer.march_ray = originals
+    return fluxes, len(calls), peak, marches
+
+
+class TestObliqueTrace:
+    def test_one_factorization_per_material_and_step(self, oblique30_trace):
+        fluxes, lu_calls, _, marches = oblique30_trace
+        assert sum(f.n_marches for f in fluxes) == len(marches) == 10
+        pairs = set().union(*marches)
+        assert lu_calls == sum(f.n_factorizations for f in fluxes) == len(pairs) == 27
+        # factoring each march's classes afresh takes twice as many
+        assert sum(len(m) for m in marches) == 54
+
+    def test_trace_memory_peak(self, oblique30_trace):
+        # one dense operator per march, not one per step class (19.3 MiB)
+        assert oblique30_trace[2] <= 10 * 2**20
