@@ -191,7 +191,7 @@ def test_march_ray_water90(benchmark, water90):
 def test_trace_beam_water90(benchmark, water90):
     problem, keys, coefficients = water90
     args = (problem.config.beams[0], problem.grid, keys,
-            EnergyOperators(problem.space, coefficients))
+            EnergyOperators(problem.space, coefficients), problem.config.ray_n_side)
     trace_beam(*args)                               # assembles the operator
     flux = benchmark(trace_beam, *args)
     assert (flux.n_rays, flux.n_marches) == (441, 1)

@@ -58,7 +58,7 @@ class LowRankState:
     v: np.ndarray
 
     @classmethod
-    def zero(cls, n: int, m: int, rank: int, seed: int = 20260809) -> "LowRankState":
+    def zero(cls, n: int, m: int, rank: int, seed: int) -> "LowRankState":
         """Zero solution on well-posed random orthonormal bases."""
         rng = np.random.default_rng(seed)
         u = orthonormal_columns(rng.standard_normal((n, rank)))
@@ -83,8 +83,8 @@ class TruncationPolicy:
     """Tail-sum truncation threshold in solution-norm units."""
 
     threshold: float
-    rank_min: int = 2
-    rank_max: int = 100
+    rank_min: int
+    rank_max: int
 
     def __post_init__(self):
         if self.threshold < 0.0:

@@ -21,6 +21,7 @@ reductions have fixed order, and the ray bundle is deterministic.
 """
 
 import hashlib
+import inspect
 import json
 import math
 import numbers
@@ -74,24 +75,6 @@ FOKKER_PLANCK = "fokker-planck"
 # pad so that mid-step and group energies never extrapolate.
 MOMENT_TABLE_POINTS = 48
 
-# Keys that ProblemConfig.from_dict reads, per section ("" is the top level).
-CONFIG_KEYS = {
-    "": {"name", "grid", "phantom", "beams", "model", "pn_order", "transport",
-         "energy", "physics", "rays", "output", "seed"},
-    "grid": {"nx", "ny", "nz", "delta_x_cm", "delta_y_cm", "delta_z_cm", "origin_cm"},
-    "phantom": {"background_hu", "boxes", "volume_file"},
-    "phantom.boxes": {"origin_cm", "size_cm", "hu"},
-    "beams": {"direction", "energy_mev", "position_cm", "weight", "sigma_xy_cm",
-              "sigma_e_rel"},
-    "transport": {"truncation_tolerance", "rank_min", "rank_max", "cfl_number"},
-    "energy": {"e_min_mev", "e_max_mev", "groups"},
-    "physics": {"boltzmann_correction", "fp_correction_scale"},
-    "rays": {"n_side"},
-    "output": {"directory", "dose_volume", "depth_profile", "lateral_profile",
-               "rank_history", "manifest", "lateral_depth_cm"},
-}
-SECTIONS = ("grid", "phantom", "transport", "energy", "physics", "rays", "output")
-
 
 def _require(condition, message):
     if not condition:
@@ -114,10 +97,6 @@ def _integer(value, key):
     return int(value)
 
 
-def _optional_number(value, key):
-    return None if value is None else _number(value, key)
-
-
 def _vector(value, key):
     """value as 3 floats; ConfigError naming key unless it is 3 finite numbers."""
     items = value if isinstance(value, (list, tuple, np.ndarray)) else ()
@@ -129,9 +108,127 @@ def _vector(value, key):
     return tuple(float(x) for x in items)
 
 
+def _string(value, key):
+    """value; ConfigError naming key unless it is a string."""
+    _require(isinstance(value, str), f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _text(value, key):
+    return str(value)  # a name or a model may be written as any YAML scalar
+
+
+def _as_given(value, key):
+    return value  # the dataclass that receives it checks it
+
+
+def _optional(parse):
+    """parse, except that null reads as None."""
+    return lambda value, key: None if value is None else parse(value, key)
+
+
+def _each(parse):
+    """Parser of a list section (null reads as empty): parse of each entry."""
+    def parse_entries(value, key):
+        value = [] if value is None else value
+        _require(isinstance(value, list), f"{key} must be a list")
+        return [parse(entry, f"{key}[{i}]") for i, entry in enumerate(value)]
+    return parse_entries
+
+
+def _read(section, schema, label, required=(), where=None):
+    """{field: parsed value} of the keys that a config section (null reads
+    as empty) sets. schema maps each key to (field, parser), a parser taking
+    (value, the key's label), or to (field, the schema of a nested section);
+    a field of None makes the nested fields join these. ConfigError names a
+    key outside the schema, or a missing required key (from where or label)."""
+    section = {} if section is None else section
+    _require(isinstance(section, dict), f"{label} must be a mapping")
+    prefix = f"{label}." if label else ""
+    for key in section:
+        _require(key in schema, f"unknown config key '{prefix}{key}'")
+    for key in required:
+        _require(key in section, f"{where or label} is missing field '{key}'")
+    values = {}
+    for key, (name, parse) in schema.items():
+        if key in section:
+            if isinstance(parse, dict):
+                value = _read(section[key], parse, prefix + key)
+            else:
+                value = parse(section[key], prefix + key)
+            values.update(value if name is None else {name: value})
+    return values
+
+
+def _required(cls, schema):
+    """The keys of schema whose field cls takes without a default."""
+    params = inspect.signature(cls).parameters
+    return [key for key, (name, _) in schema.items() if params[name].default is params[name].empty]
+
+
+def _grid(value, key):
+    return Grid3D(**_read(value, GRID_KEYS, key, _required(Grid3D, GRID_KEYS), f"{key} section"))
+
+
+def _box(value, key):
+    return _read(value, BOX_KEYS, key, required=BOX_KEYS)
+
+
+def _beam(value, key):
+    fields = _read(value, BEAM_KEYS, key, _required(BeamSource, BEAM_KEYS))
+    try:
+        return BeamSource(**fields)
+    except ConfigError as exc:  # BeamSource names the field without its beam
+        raise ConfigError(f"{key}.{exc}") from exc
+
+
+# Parts of SCHEMA below: the keys of the grid, of a phantom box and of a beam.
+GRID_KEYS = {"nx": ("nx", _integer), "ny": ("ny", _integer), "nz": ("nz", _integer),
+             "delta_x_cm": ("dx", _number), "delta_y_cm": ("dy", _number),
+             "delta_z_cm": ("dz", _number), "origin_cm": ("origin", _vector)}
+BOX_KEYS = {"origin_cm": ("origin", _vector), "size_cm": ("size", _vector), "hu": ("hu", _number)}
+BEAM_KEYS = {"direction": ("direction", _as_given), "energy_mev": ("energy_mev", _number),
+             "position_cm": ("position_cm", _as_given), "weight": ("weight", _number),
+             "sigma_xy_cm": ("sigma_xy_cm", _number), "sigma_e_rel": ("sigma_e_rel", _number)}
+# The output files by key, and the names that they take by default.
+OUTPUT_NAMES = {"dose_volume": "dose.vtk", "depth_profile": "depth_profile.csv",
+                "lateral_profile": "lateral_profile.csv", "rank_history": "rank_history.csv",
+                "manifest": "manifest.json"}
+
+# The schema of a config file, the one statement of its keys and of how
+# each is read: key: (field, parser), see _read. The fields are those of
+# ProblemConfig, Grid3D, BeamSource and _build_phantom. Only the keys that
+# a file sets are passed on, so each default is stated once, on its field.
+SCHEMA = {
+    "name": ("name", _text),
+    "grid": ("grid", _grid),
+    "phantom": ("phantom", {"background_hu": ("background_hu", _number),
+                            "boxes": ("boxes", _each(_box)),
+                            "volume_file": ("volume_file", _string)}),
+    "beams": ("beams", _each(_beam)),
+    "model": ("model", _text),
+    "pn_order": ("pn_order", _integer),
+    "transport": (None, {"truncation_tolerance": ("truncation_tolerance", _number),
+                         "rank_min": ("rank_min", _integer),
+                         "rank_max": ("rank_max", _integer),
+                         "cfl_number": ("cfl_number", _number)}),
+    "energy": (None, {"e_min_mev": ("e_min_mev", _number),
+                      "e_max_mev": ("e_max_mev", _optional(_number)),
+                      "groups": ("energy_groups", _integer)}),
+    "physics": (None, {"boltzmann_correction": ("boltzmann_correction", _as_given),
+                       "fp_correction_scale": ("fp_correction_scale", _number)}),
+    "rays": (None, {"n_side": ("ray_n_side", _integer)}),
+    "output": (None, {"directory": ("output_directory", _optional(_string)),
+                      **{name: (name, _string) for name in OUTPUT_NAMES},
+                      "lateral_depth_cm": ("lateral_depth_cm", _optional(_number))}),
+    "seed": ("seed", _integer),
+}
+
+
 @dataclass
 class ProblemConfig:
-    """Validated simulation setup; see configs/ for the YAML schema."""
+    """Validated simulation setup. SCHEMA is the one list of the keys of a
+    config file (see configs/), and the fields below hold their defaults."""
 
     grid: Grid3D
     hu_values: np.ndarray
@@ -150,7 +247,7 @@ class ProblemConfig:
     ray_n_side: int = 21
     seed: int = 20260809
     output_directory: Path = None
-    output_names: dict = field(default_factory=dict)
+    output_names: dict = field(default_factory=lambda: dict(OUTPUT_NAMES))
     lateral_depth_cm: float = None
     name: str = "run"
     source_files: list = field(default_factory=list)
@@ -179,102 +276,30 @@ class ProblemConfig:
                      f"grid.{label}={n}: a used axis needs >= 3 cells for the "
                      f"second-order stencil (1 marks the axis inactive)")
         if self.e_max_mev is None:
-            self.e_max_mev = max(
-                b.energy_mev + 5.0 * b.sigma_e_mev for b in self.beams
-            )
+            self.e_max_mev = max(b.energy_mev + 5.0 * b.sigma_e_mev for b in self.beams)
         _require(self.e_max_mev > self.e_min_mev,
                  "energy.e_max_mev must exceed energy.e_min_mev")
         for beam in self.beams:
             _require(beam.energy_mev < self.e_max_mev,
-                     f"beam energy {beam.energy_mev} does not fit below "
-                     f"e_max_mev={self.e_max_mev}")
+                     f"beam energy {beam.energy_mev} does not fit below e_max_mev={self.e_max_mev}")
         self.hu_values = np.asarray(self.hu_values, dtype=float).ravel()
         _require(self.hu_values.size == self.grid.n_cells,
-                 f"HU volume has {self.hu_values.size} cells, grid has "
-                 f"{self.grid.n_cells}")
+                 f"HU volume has {self.hu_values.size} cells, grid has {self.grid.n_cells}")
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: Path = Path(".")) -> "ProblemConfig":
-        _check_keys(raw)
-        try:
-            grid_spec = raw["grid"]
-            grid = Grid3D(
-                nx=_integer(grid_spec["nx"], "grid.nx"),
-                ny=_integer(grid_spec["ny"], "grid.ny"),
-                nz=_integer(grid_spec["nz"], "grid.nz"),
-                dx=_number(grid_spec["delta_x_cm"], "grid.delta_x_cm"),
-                dy=_number(grid_spec["delta_y_cm"], "grid.delta_y_cm"),
-                dz=_number(grid_spec["delta_z_cm"], "grid.delta_z_cm"),
-                origin=_vector(grid_spec.get("origin_cm", (0.0, 0.0, 0.0)), "grid.origin_cm"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"grid section is missing field {exc}") from exc
-
+        """The config that a parsed file describes, read through SCHEMA;
+        relative paths in it are taken from base_dir."""
+        settings = _read(raw, SCHEMA, "")
+        grid = settings.pop("grid") if "grid" in settings else _grid(None, "grid")
         source_files = []
-        hu = _build_phantom(raw.get("phantom", {}), grid, base_dir, source_files)
-
-        beams = []
-        for i, spec in enumerate(raw.get("beams", [])):
-            try:
-                # keys without their beams[i]. prefix, which the handler adds
-                energy_mev = _number(spec["energy_mev"], "energy_mev")
-                sigma_rel = _number(spec.get("sigma_e_rel", 0.01), "sigma_e_rel")
-                beams.append(
-                    BeamSource(
-                        direction=spec["direction"],
-                        energy_mev=energy_mev,
-                        position_cm=spec["position_cm"],
-                        weight=_number(spec.get("weight", 1.0), "weight"),
-                        sigma_xy_cm=_number(spec.get("sigma_xy_cm", 0.3), "sigma_xy_cm"),
-                        sigma_e_mev=sigma_rel * energy_mev,
-                    )
-                )
-            except KeyError as exc:
-                raise ConfigError(f"beams[{i}] is missing field {exc}") from exc
-            except ConfigError as exc:
-                raise ConfigError(f"beams[{i}].{exc}") from exc
-
-        transport = raw.get("transport", {})
-        energy = raw.get("energy", {})
-        physics = raw.get("physics", {})
-        rays = raw.get("rays", {})
-        output = raw.get("output", {})
-
-        out_dir = output.get("directory")
-        config = cls(
-            grid=grid,
-            hu_values=hu,
-            beams=beams,
-            model=str(raw.get("model", BOLTZMANN)),
-            pn_order=_integer(raw.get("pn_order", 7), "pn_order"),
-            truncation_tolerance=_number(transport.get("truncation_tolerance", 0.01),
-                                         "transport.truncation_tolerance"),
-            rank_min=_integer(transport.get("rank_min", 2), "transport.rank_min"),
-            rank_max=_integer(transport.get("rank_max", 100), "transport.rank_max"),
-            cfl_number=_number(transport.get("cfl_number", 0.7), "transport.cfl_number"),
-            e_min_mev=_number(energy.get("e_min_mev", 1.0), "energy.e_min_mev"),
-            e_max_mev=_optional_number(energy.get("e_max_mev"), "energy.e_max_mev"),
-            energy_groups=_integer(energy.get("groups", 128), "energy.groups"),
-            boltzmann_correction=physics.get("boltzmann_correction", True),
-            fp_correction_scale=_number(physics.get("fp_correction_scale", 0.5),
-                                        "physics.fp_correction_scale"),
-            ray_n_side=_integer(rays.get("n_side", 21), "rays.n_side"),
-            seed=_integer(raw.get("seed", 20260809), "seed"),
-            output_directory=None if out_dir is None else (base_dir / out_dir),
-            output_names={
-                "dose_volume": output.get("dose_volume", "dose.vtk"),
-                "depth_profile": output.get("depth_profile", "depth_profile.csv"),
-                "lateral_profile": output.get("lateral_profile", "lateral_profile.csv"),
-                "rank_history": output.get("rank_history", "rank_history.csv"),
-                "manifest": output.get("manifest", "manifest.json"),
-            },
-            lateral_depth_cm=_optional_number(output.get("lateral_depth_cm"),
-                                              "output.lateral_depth_cm"),
-            name=str(raw.get("name", "run")),
-            source_files=source_files,
-            resolved=raw,
-        )
-        return config
+        hu = _build_phantom(settings.pop("phantom", {}), grid, base_dir, source_files)
+        names = {name: settings.pop(name) for name in OUTPUT_NAMES if name in settings}
+        if settings.get("output_directory") is not None:
+            settings["output_directory"] = base_dir / settings["output_directory"]
+        return cls(grid=grid, hu_values=hu, beams=settings.pop("beams", []),
+                   output_names={**OUTPUT_NAMES, **names}, source_files=source_files,
+                   resolved=raw, **settings)
 
     @classmethod
     def load(cls, path) -> "ProblemConfig":
@@ -293,47 +318,26 @@ class ProblemConfig:
         return cfg
 
 
-def _check_keys(raw: dict):
-    """Raise ConfigError naming the first key that from_dict does not read."""
-    phantom = raw.get("phantom") if isinstance(raw.get("phantom"), dict) else {}
-    mappings = [("", "", raw)]
-    mappings += [(name, f"{name}.", raw.get(name)) for name in SECTIONS]
-    mappings += [("beams", f"beams[{i}].", b) for i, b in enumerate(raw.get("beams") or [])]
-    mappings += [("phantom.boxes", f"phantom.boxes[{i}].", b)
-                 for i, b in enumerate(phantom.get("boxes") or [])]
-    for section, label, mapping in mappings:
-        for key in mapping if isinstance(mapping, dict) else ():
-            if key not in CONFIG_KEYS[section]:
-                raise ConfigError(f"unknown config key '{label}{key}'")
-
-
 def _build_phantom(spec: dict, grid: Grid3D, base_dir: Path, source_files: list):
+    """The HU of every cell from the phantom's fields (see SCHEMA)."""
     if "volume_file" in spec:
         path = base_dir / spec["volume_file"]
         try:
             with open(path) as fh:
-                header = fh.readline().split()
+                dims = tuple(int(v) for v in fh.readline().split())
                 values = np.loadtxt(fh).ravel()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # unreadable, or not numbers
             raise ConfigError(f"cannot read phantom.volume_file {path}: {exc}") from exc
-        dims = tuple(int(v) for v in header)
         if dims != grid.shape:
-            raise ConfigError(
-                f"phantom.volume_file dims {dims} do not match grid {grid.shape}"
-            )
+            raise ConfigError(f"phantom.volume_file dims {dims} do not match grid {grid.shape}")
         source_files.append(path)
         return values
-    hu = np.full(grid.n_cells, _number(spec.get("background_hu", 0.0), "phantom.background_hu"))
+    hu = np.full(grid.n_cells, spec.get("background_hu", 0.0))
     centers = grid.cell_centers()
-    for i, box in enumerate(spec.get("boxes", [])):
-        try:
-            lo = np.array(_vector(box["origin_cm"], f"phantom.boxes[{i}].origin_cm"))
-            size = np.array(_vector(box["size_cm"], f"phantom.boxes[{i}].size_cm"))
-            value = _number(box["hu"], f"phantom.boxes[{i}].hu")
-        except KeyError as exc:
-            raise ConfigError(f"phantom.boxes[{i}] is missing field {exc}") from exc
+    for box in spec.get("boxes", []):
+        lo, size = np.array(box["origin"]), np.array(box["size"])
         inside = np.all((centers >= lo) & (centers < lo + size), axis=1)
-        hu[inside] = value
+        hu[inside] = box["hu"]
     return hu
 
 
@@ -358,20 +362,14 @@ class Problem:
     def n_moments(self):
         return self.ops.basis.size
 
-    def stopping_field(self, e_mev):
-        """S(E, r) on all cells [MeV/cm]."""
-        return mix_stopping_power(
-            self.material.weights, self.material.density, e_mev, self.stopping
-        )
-
     def element_stopping(self, energies):
         """(K, 12) per-element mass stopping powers at K energies, one
         contiguous row per energy, from one array evaluation."""
         return np.ascontiguousarray(self.stopping.mass_stopping_all(energies).T)
 
     def stopping_from(self, element_stopping):
-        """S on all cells from one row of element_stopping(energies): the
-        stopping_field of that row's energy, bit for bit."""
+        """S(E, r) on all cells [MeV/cm] from one row of element_stopping(
+        energies): mix_stopping_power at that row's energy, bit for bit."""
         return bragg_mixture(self.material.weights, self.material.density, element_stopping)
 
     def model_table(self, e_mev):
@@ -418,7 +416,7 @@ def assemble_problem(config: ProblemConfig) -> Problem:
         np.linspace(0.98 * config.e_min_mev, 1.02 * config.e_max_mev, MOMENT_TABLE_POINTS),
         config.pn_order + 1,
     )
-    space = EnergyDGSpace(config.e_min_mev, config.e_max_mev, config.energy_groups, 2)
+    space = EnergyDGSpace(config.e_min_mev, config.e_max_mev, config.energy_groups)
     return Problem(
         config=config,
         grid=config.grid,
@@ -529,14 +527,11 @@ class SimulationResult:
 
 def _cfl_step(problem: Problem) -> float:
     cfg = problem.config
-    s_at_emax = problem.stopping_field(cfg.e_max_mev)
-    active = [
-        h for n, h in zip(problem.grid.shape, problem.grid.spacings) if n > 1
-    ]
+    s_at_emax = problem.stopping_from(problem.element_stopping(np.array([cfg.e_max_mev]))[0])
+    active = [h for n, h in zip(problem.grid.shape, problem.grid.spacings) if n > 1]
     if not active:
         raise ConfigError("grid has no active axis")
-    rho = problem.ops.spectral_radius
-    return cfg.cfl_number * min(active) * float(s_at_emax.min()) / rho
+    return cfg.cfl_number * min(active) * float(s_at_emax.min()) / problem.ops.spectral_radius
 
 
 def pseudo_time_edges(problem: Problem) -> np.ndarray:
@@ -555,7 +550,7 @@ class StepTables:
     row per step (Problem.element_stopping); model the scattering model's
     table (Problem.model_table), per degree and never expanded to the m
     moments, its step axis second. Step k's row and column give what
-    stopping_field and model_table give at energies[k], bit for bit.
+    mix_stopping_power and model_table give at energies[k], bit for bit.
     """
 
     energies: np.ndarray
@@ -617,9 +612,7 @@ class LowRankSolver:
         cfg = problem.config
         n, m = problem.n_cells, problem.n_moments
         self.state = LowRankState.zero(n, m, min(cfg.rank_min, n, m), seed=cfg.seed)
-        self.policy = TruncationPolicy(
-            cfg.truncation_tolerance, rank_min=cfg.rank_min, rank_max=cfg.rank_max
-        )
+        self.policy = TruncationPolicy(cfg.truncation_tolerance, cfg.rank_min, cfg.rank_max)
         self.max_orth_defect = 0.0
         self.max_tail = 0.0
         self.tail_violations = 0

@@ -48,7 +48,8 @@ from .errors import ConfigError, NumericalError
 from .spatial import Grid3D
 
 MAX_STEP_CM = 0.01
-SIPG_ETA = 10.0 * (2 + 1) ** 2  # 10 (p+1)^2 with p = 2
+DG_DEGREE = 2
+SIPG_ETA = 10.0 * (DG_DEGREE + 1) ** 2
 _QUAD_NODES = 6
 
 
@@ -61,7 +62,7 @@ class BeamSource:
     position_cm: tuple
     weight: float = 1.0
     sigma_xy_cm: float = 0.3
-    sigma_e_mev: float = None  # defaults to 1% of the mean energy
+    sigma_e_rel: float = 0.01  # sigma_e_mev over the mean energy
 
     def __post_init__(self):
         """Raise ConfigError, its message led by the field's name, on a bad value."""
@@ -81,10 +82,12 @@ class BeamSource:
             object.__setattr__(self, "direction", tuple(np.asarray(self.direction) / norm))
         if self.energy_mev <= 0.0:
             raise ConfigError("energy_mev must be positive")
-        if self.sigma_e_mev is None:
-            object.__setattr__(self, "sigma_e_mev", 0.01 * self.energy_mev)
         if self.sigma_e_mev <= 0.0 or self.sigma_xy_cm <= 0.0:
             raise ConfigError("sigma_xy_cm and sigma_e_mev must be positive")
+
+    @property
+    def sigma_e_mev(self) -> float:
+        return self.sigma_e_rel * self.energy_mev
 
     def transverse_frame(self):
         """Two unit vectors spanning the plane perpendicular to the beam."""
@@ -100,12 +103,11 @@ class BeamSource:
 
 @dataclass(frozen=True)
 class EnergyDGSpace:
-    """128 equal groups x P2 modal Legendre basis on [e_min, e_max]."""
+    """n_groups equal groups x P2 modal Legendre basis on [e_min, e_max]."""
 
     e_min: float
     e_max: float
-    n_groups: int = 128
-    degree: int = 2
+    n_groups: int
 
     def __post_init__(self):
         if self.e_max <= self.e_min or self.e_min <= 0.0:
@@ -113,7 +115,7 @@ class EnergyDGSpace:
 
     @property
     def n_local(self) -> int:
-        return self.degree + 1
+        return DG_DEGREE + 1
 
     @property
     def n_dof(self) -> int:
@@ -144,7 +146,7 @@ class EnergyDGSpace:
         """(P, dP/dxi) of the local modes at reference points x, each (len(x), nl)."""
         x = np.asarray(x, dtype=float)
         dp = leg.legval(x, leg.legder(np.eye(self.n_local))).T
-        return leg.legvander(x, self.degree), dp
+        return leg.legvander(x, DG_DEGREE), dp
 
     def quadrature(self):
         """GL nodes per element: (energies (G, q), weights (q,), P (q, nl), dP)."""
@@ -493,7 +495,7 @@ def traverse_grid(grid: Grid3D, origin, direction):
     return list(zip(cells[keep].tolist(), t_prev[keep].tolist(), t_next[keep].tolist()))
 
 
-def stratified_ray_offsets(sigma, n_side=21):
+def stratified_ray_offsets(sigma, n_side):
     """Deterministic midpoint-stratified offsets over +-3 sigma, Gaussian weights.
 
     Weights are renormalized to sum to one, so no source weight is lost
@@ -543,7 +545,7 @@ def _format_vector(v) -> str:
 
 
 def trace_beam(beam: BeamSource, grid: Grid3D, material_key_of_cell, operators: EnergyOperators,
-               n_side=21, spectra_dump=None, factors=None):
+               n_side, spectra_dump=None, factors=None):
     """Trace a stratified bundle and deposit track-length-averaged flux.
 
     material_key_of_cell: (n_cells,) int array of keys into operators,

@@ -20,7 +20,7 @@ from scipy.special import lpmv
 
 from pndose.angular import real_sph_eval
 from pndose.physics import default_schneider_table, default_stopping_library
-from pndose.raytracer import _QUAD_NODES, SIPG_ETA
+from pndose.raytracer import _QUAD_NODES, DG_DEGREE, SIPG_ETA
 
 
 def water_csda_ranges(e_max_mev, e_min_mev=1.0, n_points=200_001):
@@ -211,7 +211,7 @@ def assemble_energy_operators_reference(space, s_star_fn, t_fn, sigma_t_fn):
     nl, ng, ndof = space.n_local, space.n_groups, space.n_dof
     h = space.width
     x, w = np.polynomial.legendre.leggauss(_QUAD_NODES)
-    p = np.polynomial.legendre.legvander(x, space.degree)
+    p = np.polynomial.legendre.legvander(x, DG_DEGREE)
     dp = np.stack(
         [
             np.polynomial.legendre.legval(
@@ -235,8 +235,8 @@ def assemble_energy_operators_reference(space, s_star_fn, t_fn, sigma_t_fn):
         sl = slice(g * nl, (g + 1) * nl)
         g_mat[sl, sl] += block
 
-    p_hi = np.polynomial.legendre.legvander([1.0], space.degree)[0]
-    p_lo = np.polynomial.legendre.legvander([-1.0], space.degree)[0]
+    p_hi = np.polynomial.legendre.legvander([1.0], DG_DEGREE)[0]
+    p_lo = np.polynomial.legendre.legvander([-1.0], DG_DEGREE)[0]
 
     # interior faces between group g (below) and g+1 (above), LF flux for
     # q(psi) = -S* psi with wind toward lower energies

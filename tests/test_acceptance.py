@@ -270,7 +270,7 @@ class TestCriterion9UpwindOrder:
 
 class TestCriterion10RayTracerOracle:
     def test_drift_and_variance(self):
-        space = EnergyDGSpace(1.0, 31.5, 128, 2)
+        space = EnergyDGSpace(1.0, 31.5, 128)
         s_value, t_value = 5.0, 0.05
         coeff = {
             0: (

@@ -1,6 +1,8 @@
 """Command-line interface and exit codes."""
 
 import re
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,10 @@ import yaml
 from pndose.cli import main
 from pndose.driver import read_volume
 from pndose.spatial import Grid3D
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = sorted((ROOT / "configs").glob("*.yaml")) + sorted(
+    (ROOT / "perfbench" / "configs").glob("*.yaml"))
 
 
 def smoke_config(tmp_path, **overrides):
@@ -55,12 +61,21 @@ class TestValidate:
     @pytest.mark.parametrize("overrides, code, named", [
         ({"phantom": {"background_hu": float("nan")}}, 3, "HU"),
         ({"rays": {"n_side": 0}}, 2, "rays.n_side"),
+        ({"transport": [1]}, 2, "transport must be a mapping"),
     ])
     def test_bad_input_exits_with_its_category(self, tmp_path, capsys, overrides, code, named):
         # a physics-data error (3) or a config error (2), not a traceback (1)
         path = smoke_config(tmp_path, **overrides)
         assert main(["validate", str(path)]) == code
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+    def test_shipped_config_validates(self, tmp_path, capsys, path):
+        # on a copy, so that its output directory lands in tmp_path
+        copy = tmp_path / path.name
+        shutil.copyfile(path, copy)
+        assert main(["validate", str(copy)]) == 0
+        assert "config ok" in capsys.readouterr().out
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.yaml")]) == 2
@@ -92,6 +107,13 @@ class TestRunCompare:
         out = capsys.readouterr().out
         line = [ln for ln in out.splitlines() if "relative L2" in ln][0]
         assert float(line.split()[-1]) < 0.02
+
+    def test_bad_output_name_fails_before_compute(self, tmp_path, capsys):
+        path = smoke_config(tmp_path, output={"directory": str(tmp_path / "out"),
+                                              "dose_volume": 5})
+        assert main(["run", str(path)]) == 2
+        assert "output.dose_volume must be a string" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_compare_identical(self, tmp_path, capsys):
         from pndose.driver import write_volume

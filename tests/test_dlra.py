@@ -94,7 +94,7 @@ class TestState:
 class TestStreamingStep:
     def test_zero_dynamics_reconstruction(self):
         ctx = zero_streaming_context()
-        state = LowRankState.zero(1, 4, 1)
+        state = LowRankState.zero(1, 4, 1, seed=0)
         state.s = np.array([[2.5]])
         out = streaming_step(state, 0.3, ctx)
         assert np.abs(out.matrix() - state.matrix()).max() < 1e-12
@@ -152,7 +152,7 @@ class TestStreamingStep:
     def test_orthonormality_after_step(self):
         grid, ctx, ops = advection_setup()
         rng = np.random.default_rng(5)
-        state = LowRankState.zero(grid.n_cells, ops.basis.size, 3)
+        state = LowRankState.zero(grid.n_cells, ops.basis.size, 3, seed=0)
         state.s = np.diag(rng.uniform(0.5, 2.0, 3))
         out = streaming_step(state, 0.1, ctx)
         assert out.orthonormality_defect() < 1e-10
@@ -331,6 +331,6 @@ class TestTruncation:
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
-            TruncationPolicy(-1.0)
+            TruncationPolicy(-1.0, rank_min=1, rank_max=2)
         with pytest.raises(ValueError):
             TruncationPolicy(0.1, rank_min=5, rank_max=2)

@@ -1,5 +1,6 @@
 """Driver: config validation, simulation pipeline, outputs."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -9,6 +10,11 @@ import pytest
 
 from pndose.angular import beam_projection
 from pndose.driver import (
+    BEAM_KEYS,
+    BOX_KEYS,
+    GRID_KEYS,
+    OUTPUT_NAMES,
+    SCHEMA,
     ProblemConfig,
     assemble_problem,
     compare_volumes,
@@ -26,7 +32,8 @@ from pndose.driver import (
     _data_file_checksums,
 )
 from pndose.errors import ConfigError
-from pndose.raytracer import EnergyOperators
+from pndose.physics import mix_stopping_power
+from pndose.raytracer import BeamSource, EnergyOperators
 from pndose.spatial import Grid3D, UpwindStencils
 
 from oracles import water_csda_ranges
@@ -251,6 +258,164 @@ class TestConfigValidation:
         assert np.all(hu[-1] == 0.0)
 
 
+def schema_keys(schema, prefix=""):
+    """Every key path of a schema: nested sections by their dicts, the grid,
+    the boxes and the beams by the key tables that their parsers read."""
+    tables = {"grid": GRID_KEYS, "phantom.boxes": BOX_KEYS, "beams": BEAM_KEYS}
+    keys = set()
+    for key, (_, parse) in schema.items():
+        path = prefix + key
+        nested = parse if isinstance(parse, dict) else tables.get(path)
+        keys |= schema_keys(nested, path + ".") if nested else {path}
+    return keys
+
+
+def key_paths(raw, prefix=""):
+    """Every key path that a config dict sets, list entries by their first one."""
+    keys = set()
+    for key, value in raw.items():
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            value = value[0]
+        keys |= key_paths(value, f"{prefix}{key}.") if isinstance(value, dict) else {prefix + key}
+    return keys
+
+
+class TestSchema:
+    # every key of SCHEMA, none at its default
+    EVERY_KEY = {
+        "name": "every-key",
+        "grid": {"nx": 4, "ny": 3, "nz": 5, "delta_x_cm": 0.2, "delta_y_cm": 0.3,
+                 "delta_z_cm": 0.4, "origin_cm": [1.0, -1.0, 0.5]},
+        "phantom": {"background_hu": 50.0, "volume_file": "hu.txt",
+                    "boxes": [{"origin_cm": [1.0, -1.0, 0.5], "size_cm": [0.4, 0.3, 0.4],
+                               "hu": -400.0}]},
+        "beams": [{"direction": [0, 0, 2], "energy_mev": 30.0, "position_cm": [1.4, -0.5, 0.5],
+                   "weight": 2.0, "sigma_xy_cm": 0.1, "sigma_e_rel": 0.02}],
+        "model": "fokker-planck",
+        "pn_order": 3,
+        "transport": {"truncation_tolerance": 0.05, "rank_min": 3, "rank_max": 9,
+                      "cfl_number": 0.3},
+        "energy": {"e_min_mev": 2.0, "e_max_mev": 35.0, "groups": 16},
+        "physics": {"boltzmann_correction": False, "fp_correction_scale": 0.25},
+        "rays": {"n_side": 7},
+        "output": {"directory": "out", "dose_volume": "d.vtk", "depth_profile": "z.csv",
+                   "lateral_profile": "x.csv", "rank_history": "r.csv", "manifest": "m.json",
+                   "lateral_depth_cm": 1.5},
+        "seed": 7,
+    }
+
+    def test_every_key_reaches_its_field(self, tmp_path):
+        assert key_paths(self.EVERY_KEY) == schema_keys(SCHEMA)
+        hu = np.arange(60.0)
+        (tmp_path / "hu.txt").write_text("4 3 5\n" + "\n".join(map(str, hu)) + "\n")
+        cfg = ProblemConfig.from_dict(self.EVERY_KEY, base_dir=tmp_path)
+        assert cfg.name == "every-key" and cfg.model == "fokker-planck" and cfg.seed == 7
+        assert cfg.grid == Grid3D(4, 3, 5, 0.2, 0.3, 0.4, origin=(1.0, -1.0, 0.5))
+        assert np.array_equal(cfg.hu_values, hu)      # the volume file wins over the boxes
+        assert cfg.source_files == [tmp_path / "hu.txt"]
+        (beam,) = cfg.beams
+        assert beam == BeamSource((0, 0, 1), 30.0, (1.4, -0.5, 0.5), weight=2.0,
+                                  sigma_xy_cm=0.1, sigma_e_rel=0.02)
+        assert beam.sigma_e_mev == 0.02 * 30.0
+        settings = {name: getattr(cfg, name) for name in (
+            "pn_order", "truncation_tolerance", "rank_min", "rank_max", "cfl_number",
+            "e_min_mev", "e_max_mev", "energy_groups", "boltzmann_correction",
+            "fp_correction_scale", "ray_n_side", "output_directory", "output_names",
+            "lateral_depth_cm")}
+        assert settings == {
+            "pn_order": 3, "truncation_tolerance": 0.05, "rank_min": 3, "rank_max": 9,
+            "cfl_number": 0.3, "e_min_mev": 2.0, "e_max_mev": 35.0, "energy_groups": 16,
+            "boltzmann_correction": False, "fp_correction_scale": 0.25, "ray_n_side": 7,
+            "output_directory": tmp_path / "out",
+            "output_names": {"dose_volume": "d.vtk", "depth_profile": "z.csv",
+                             "lateral_profile": "x.csv", "rank_history": "r.csv",
+                             "manifest": "m.json"},
+            "lateral_depth_cm": 1.5,
+        }
+        defaults = ProblemConfig(grid=cfg.grid, hu_values=hu, beams=cfg.beams)
+        for name in settings:
+            assert getattr(defaults, name) != settings[name], name
+
+    @pytest.mark.parametrize("text", ["a b c\n1\n", "1 1 2\n1\nx\n"])
+    def test_malformed_volume_file_names_key(self, tmp_path, text):
+        (tmp_path / "hu.txt").write_text(text)
+        raw = smoke_raw(phantom={"volume_file": "hu.txt"})
+        with pytest.raises(ConfigError, match=re.escape("cannot read phantom.volume_file")):
+            ProblemConfig.from_dict(raw, base_dir=tmp_path)
+
+    def test_every_box_key_reaches_its_field(self):
+        raw = smoke_raw()
+        raw["phantom"] = {"background_hu": 50.0,
+                          "boxes": [{"origin_cm": [0, 0, 0], "size_cm": [1, 1, 1], "hu": -400.0}]}
+        hu = ProblemConfig.from_dict(raw).hu_values.reshape(12, 8, 8)
+        assert np.all(hu[:4, :4, :4] == -400.0)
+        assert np.count_nonzero(hu == 50.0) == hu.size - 64
+
+    def test_required_keys_alone_give_the_dataclass_defaults(self):
+        raw = {
+            "grid": {"nx": 4, "ny": 3, "nz": 5, "delta_x_cm": 0.2, "delta_y_cm": 0.3,
+                     "delta_z_cm": 0.4},
+            "beams": [{"direction": [0, 0, 1], "energy_mev": 30.0, "position_cm": [0.4, 0.4, 0]}],
+        }
+        cfg = ProblemConfig.from_dict(raw)
+        grid = Grid3D(4, 3, 5, 0.2, 0.3, 0.4)
+        beam = BeamSource((0, 0, 1), 30.0, (0.4, 0.4, 0))
+        assert cfg.grid == grid and cfg.beams == [beam]
+        expected = ProblemConfig(grid=grid, hu_values=np.zeros(60), beams=[beam], resolved=raw)
+        for f in dataclasses.fields(ProblemConfig):
+            assert np.array_equal(getattr(cfg, f.name), getattr(expected, f.name)), f.name
+        assert cfg.output_names == OUTPUT_NAMES
+
+    @pytest.mark.parametrize("section", ["transport", "energy", "physics", "rays", "phantom",
+                                         "output"])
+    def test_null_section_reads_as_empty(self, section):
+        raw = smoke_raw()
+        raw.pop(section, None)
+        cfg = ProblemConfig.from_dict(raw)
+        nulled = ProblemConfig.from_dict(smoke_raw(**{section: None}))
+        for f in dataclasses.fields(ProblemConfig):
+            if f.name != "resolved":
+                assert np.array_equal(getattr(nulled, f.name), getattr(cfg, f.name)), f.name
+
+    @pytest.mark.parametrize("section, value, message", [
+        ("transport", [1], "transport must be a mapping"),
+        ("output", [1], "output must be a mapping"),
+        ("grid", [1, 2], "grid must be a mapping"),
+        ("grid", None, "grid section is missing field 'nx'"),
+        ("beams", {"energy_mev": 30}, "beams must be a list"),
+        ("beams", 5, "beams must be a list"),
+        ("beams", ["abc"], "beams[0] must be a mapping"),
+        ("phantom", {"boxes": {"a": 1}}, "phantom.boxes must be a list"),
+        ("phantom", {"boxes": ["x"]}, "phantom.boxes[0] must be a mapping"),
+        ("phantom", {"boxes": [{"origin_cm": [0, 0, 0], "hu": 1.0}]},
+         "phantom.boxes[0] is missing field 'size_cm'"),
+    ])
+    def test_malformed_section_names_key(self, section, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ProblemConfig.from_dict(smoke_raw(**{section: value}))
+
+    @pytest.mark.parametrize("section, key", [
+        ("output", "directory"), ("phantom", "volume_file"),
+        *(("output", name) for name in OUTPUT_NAMES),
+    ])
+    def test_string_setting_names_key(self, section, key):
+        raw = smoke_raw()
+        raw.setdefault(section, {})[key] = 5
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.{key} must be a string")):
+            ProblemConfig.from_dict(raw)
+
+    def test_python_built_config_writes_outputs(self, tmp_path):
+        # the output names default on the field, as they do in a file
+        cfg = ProblemConfig(
+            grid=Grid3D(3, 3, 4, 0.2, 0.2, 0.2), hu_values=np.zeros(36),
+            beams=[BeamSource((0, 0, 1), 8.0, (0.3, 0.3, 0.0), sigma_xy_cm=0.05)],
+            pn_order=1, energy_groups=8, ray_n_side=1, cfl_number=0.2,
+            output_directory=tmp_path,
+        )
+        write_outputs(run_simulation(cfg, solver="dlra"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(OUTPUT_NAMES.values())
+
+
 class TestSimulation:
     def test_zero_weight_beam_zero_dose(self):
         raw = smoke_raw()
@@ -388,7 +553,8 @@ class TestStepContexts:
             e_mid = 0.5 * (edges[k] + edges[k + 1])
             assert tables.energies[k] == e_mid
             stream_ctx, scat_ctx = step_contexts(problem, tables, k, fluxes, t_ms)
-            s_field = problem.stopping_field(e_mid)
+            s_field = mix_stopping_power(problem.material.weights, problem.material.density,
+                                         e_mid, problem.stopping)
             assert np.array_equal(problem.stopping_from(tables.stopping[k]), s_field)
             assert np.array_equal(stream_ctx.inv_s, 1.0 / s_field)
             assert np.array_equal(scat_ctx.inv_s, 1.0 / s_field)

@@ -45,7 +45,7 @@ def projection_error(space, mean, sigma):
     coeffs = project_initial_spectrum(space, mean, sigma)
     x, w = leg.leggauss(20)
     energies = space.centers[:, None] + 0.5 * space.width * x[None, :]
-    p = leg.legvander(x, space.degree)
+    p = leg.legvander(x, raytracer.DG_DEGREE)
     vals = coeffs.reshape(space.n_groups, space.n_local) @ p.T
     f = np.exp(-0.5 * ((energies - mean) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
     return math.sqrt(np.sum((vals - f) ** 2 * w)) / math.sqrt(np.sum(f**2 * w))
@@ -53,7 +53,7 @@ def projection_error(space, mean, sigma):
 
 class TestEnergySpace:
     def test_equal_groups_and_spd_mass(self):
-        space = EnergyDGSpace(1.0, 31.5, 128, 2)
+        space = EnergyDGSpace(1.0, 31.5, 128)
         assert np.allclose(np.diff(space.edges), space.width)
         mass = space.mass_diagonal()
         assert mass.shape == (128 * 3,)
@@ -62,19 +62,19 @@ class TestEnergySpace:
     def test_projection_accuracy(self):
         # measured floor of the 128-group P2 space for a 1%-sigma Gaussian;
         # converges at third order in the group width (checked below)
-        space = EnergyDGSpace(1.0, 31.5, 128, 2)
+        space = EnergyDGSpace(1.0, 31.5, 128)
         assert projection_error(space, 30.0, 0.3) < 2.5e-3
 
     def test_projection_third_order(self):
         errs = [
-            projection_error(EnergyDGSpace(1.0, 31.5, g, 2), 30.0, 0.3)
+            projection_error(EnergyDGSpace(1.0, 31.5, g), 30.0, 0.3)
             for g in (128, 256, 512)
         ]
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders > 2.8)
 
     def test_group_averages_are_p0(self):
-        space = EnergyDGSpace(1.0, 5.0, 4, 2)
+        space = EnergyDGSpace(1.0, 5.0, 4)
         coeffs = np.arange(12.0)
         np.testing.assert_array_equal(space.group_averages(coeffs), [0.0, 3.0, 6.0, 9.0])
 
@@ -102,9 +102,9 @@ class TestAssemblyEqualsReference:
     for bit, dense and as the CSR matrix the marches keep."""
 
     @pytest.mark.parametrize("space, coefficients", [
-        (EnergyDGSpace(1.0, 11.0, 16, 2), (const(4.0), None, None)),
-        (EnergyDGSpace(1.0, 11.0, 16, 2), (const(4.0), const(0.05), const(0.3))),
-        (EnergyDGSpace(1.0, 31.5, 32, 2),
+        (EnergyDGSpace(1.0, 11.0, 16), (const(4.0), None, None)),
+        (EnergyDGSpace(1.0, 11.0, 16), (const(4.0), const(0.05), const(0.3))),
+        (EnergyDGSpace(1.0, 31.5, 32),
          (lambda e: 1.0 + 0.1 * np.asarray(e), lambda e: 0.02 + 0.001 * np.asarray(e),
           lambda e: 0.3 + 0.01 * np.asarray(e))),
         *phantom_coefficient_sets(),
@@ -121,14 +121,14 @@ class TestAssemblyEqualsReference:
 
 class TestOperators:
     def test_reduces_to_advection(self):
-        space = EnergyDGSpace(1.0, 11.0, 16, 2)
+        space = EnergyDGSpace(1.0, 11.0, 16)
         _, g_full = assemble_energy_operators(space, const(4.0), None, None)
         _, g_again = assemble_energy_operators(space, const(4.0), const(0.0), const(0.0))
         np.testing.assert_allclose(g_full, g_again, atol=1e-14)
 
     def test_constant_annihilated_on_interior(self):
         # constant-in-E state with constant S*: interior rows give zero
-        space = EnergyDGSpace(1.0, 11.0, 16, 2)
+        space = EnergyDGSpace(1.0, 11.0, 16)
         _, g_mat = assemble_energy_operators(space, const(4.0), None, None)
         c = np.zeros(space.n_dof)
         c[::3] = 2.5
@@ -140,7 +140,7 @@ class TestOperators:
 
     def test_interior_conservation(self):
         # content derivative vanishes for interior-supported data
-        space = EnergyDGSpace(1.0, 11.0, 32, 2)
+        space = EnergyDGSpace(1.0, 11.0, 32)
         mass, g_mat = assemble_energy_operators(space, lambda e: 1.0 + 0.1 * np.asarray(e), const(0.02), None)
         rng = np.random.default_rng(0)
         psi = np.zeros(space.n_dof)
@@ -151,7 +151,7 @@ class TestOperators:
         assert abs(rate) < 1e-10 * np.abs(psi).max()
 
     def test_decay_oracle(self):
-        space = EnergyDGSpace(1.0, 31.5, 32, 2)
+        space = EnergyDGSpace(1.0, 31.5, 32)
         coeff = {0: (const(0.0), None, const(1.7))}
         psi0 = project_initial_spectrum(space, 20.0, 1.0)
         psi = march_ray([(0, 1.0, 0)], EnergyOperators(space, coeff), psi0)[2]
@@ -159,7 +159,7 @@ class TestOperators:
         assert ratio == pytest.approx(math.exp(-1.7), rel=2e-4)
 
     def test_crank_nicolson_second_order(self):
-        space = EnergyDGSpace(1.0, 31.5, 32, 2)
+        space = EnergyDGSpace(1.0, 31.5, 32)
         coeff = {0: (const(0.0), None, const(2.3))}
         psi0 = project_initial_spectrum(space, 20.0, 1.0)
 
@@ -173,7 +173,7 @@ class TestOperators:
 
     def test_drift_and_variance(self):
         # constant S and T: mean falls at S per cm, variance grows at T per cm
-        space = EnergyDGSpace(1.0, 31.5, 128, 2)
+        space = EnergyDGSpace(1.0, 31.5, 128)
         coeff = {0: (const(5.0), const(0.05), None)}
         psi = project_initial_spectrum(space, 30.0, 0.3)
         for depth in (1.0, 2.0, 3.0):
@@ -184,7 +184,7 @@ class TestOperators:
 
     def test_below_cutoff_bookkeeping(self):
         # every particle that ranges out deposits exactly E_min as residual
-        space = EnergyDGSpace(1.0, 12.0, 64, 2)
+        space = EnergyDGSpace(1.0, 12.0, 64)
         coeff = {0: (const(5.0), None, None)}
         psi0 = project_initial_spectrum(space, 10.0, 0.1)
         segments = [(i, 0.1, 0) for i in range(40)]
@@ -326,7 +326,7 @@ class TestTraversalAgainstReference:
 
 class TestDeposition:
     def tracer_setup(self, grid, s_value=2.0):
-        space = EnergyDGSpace(1.0, 31.5, 32, 2)
+        space = EnergyDGSpace(1.0, 31.5, 32)
         keys = np.zeros(grid.n_cells, dtype=int)
         return space, keys, EnergyOperators(space, {0: (const(s_value), None, None)})
 
@@ -468,7 +468,7 @@ class TestDeposition:
 def two_materials():
     """(grid, space, keys, coefficients): material 1 fills the deeper half (z >= 0.4 cm)."""
     g = Grid3D(5, 5, 8, 0.1, 0.1, 0.1)
-    space = EnergyDGSpace(1.0, 31.5, 32, 2)
+    space = EnergyDGSpace(1.0, 31.5, 32)
     keys = np.zeros(g.n_cells, dtype=int)
     keys[g.n_cells // 2 :] = 1
     coeff = {
