@@ -91,7 +91,7 @@ def _cmd_tables_check(args):
 
     energies = np.array([5.0, 30.0, 90.0])
     moments = MomentTables(energies, 3)
-    moments.validate(rtol=1e-8)
+    moments.validate()
     print("scattering moments: g0 > 0, |g_l| <= g0, xi1 identity ok")
     return 0
 

@@ -58,12 +58,11 @@ class LowRankState:
     v: np.ndarray
 
     @classmethod
-    def zero(cls, n: int, m: int, rank: int, seed: int) -> "LowRankState":
-        """Zero solution on well-posed random orthonormal bases."""
-        rng = np.random.default_rng(seed)
-        u = orthonormal_columns(rng.standard_normal((n, rank)))
-        v = orthonormal_columns(rng.standard_normal((m, rank)))
-        return cls(u=u, s=np.zeros((rank, rank)), v=v)
+    def zero(cls, n: int, m: int, rank: int) -> "LowRankState":
+        """Zero solution on the first rank identity columns. With S = 0 the
+        first step and its truncation forget the starting bases, so any
+        orthonormal start gives the same run."""
+        return cls(u=np.eye(n, rank), s=np.zeros((rank, rank)), v=np.eye(m, rank))
 
     @property
     def rank(self) -> int:

@@ -16,8 +16,9 @@ one array call each (StepTables); a step only mixes its row into the
 stopping-power field and expands its column to the m moments, with the
 same operations, in the same order, that a per-step evaluation makes.
 
-Identical configs produce byte-identical outputs: bases are seeded, all
-reductions have fixed order, and the ray bundle is deterministic.
+Identical configs produce byte-identical outputs: the low-rank bases
+start from fixed identity columns, all reductions have fixed order, and
+the ray bundle is deterministic.
 """
 
 import hashlib
@@ -221,7 +222,6 @@ SCHEMA = {
     "output": (None, {"directory": ("output_directory", _optional(_string)),
                       **{name: (name, _string) for name in OUTPUT_NAMES},
                       "lateral_depth_cm": ("lateral_depth_cm", _optional(_number))}),
-    "seed": ("seed", _integer),
 }
 
 
@@ -245,7 +245,6 @@ class ProblemConfig:
     boltzmann_correction: bool = True
     fp_correction_scale: float = 0.5
     ray_n_side: int = 21
-    seed: int = 20260809
     output_directory: Path = None
     output_names: dict = field(default_factory=lambda: dict(OUTPUT_NAMES))
     lateral_depth_cm: float = None
@@ -282,6 +281,11 @@ class ProblemConfig:
         for beam in self.beams:
             _require(beam.energy_mev < self.e_max_mev,
                      f"beam energy {beam.energy_mev} does not fit below e_max_mev={self.e_max_mev}")
+        if self.lateral_depth_cm is not None:
+            z0, z1 = self.grid.extent()[2]
+            _require(z0 <= self.lateral_depth_cm <= z1,
+                     f"output.lateral_depth_cm={self.lateral_depth_cm:g} lies outside "
+                     f"the grid's z extent [{z0:g}, {z1:g}] cm")
         self.hu_values = np.asarray(self.hu_values, dtype=float).ravel()
         _require(self.hu_values.size == self.grid.n_cells,
                  f"HU volume has {self.hu_values.size} cells, grid has {self.grid.n_cells}")
@@ -611,7 +615,7 @@ class LowRankSolver:
     def __init__(self, problem: Problem):
         cfg = problem.config
         n, m = problem.n_cells, problem.n_moments
-        self.state = LowRankState.zero(n, m, min(cfg.rank_min, n, m), seed=cfg.seed)
+        self.state = LowRankState.zero(n, m, min(cfg.rank_min, n, m))
         self.policy = TruncationPolicy(cfg.truncation_tolerance, cfg.rank_min, cfg.rank_max)
         self.max_orth_defect = 0.0
         self.max_tail = 0.0

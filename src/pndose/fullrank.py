@@ -47,10 +47,13 @@ class FullRankWorkspace:
 
 def fullrank_streaming_step(u: np.ndarray, dt: float, ctx: StreamingContext,
                             work: FullRankWorkspace) -> np.ndarray:
-    """One RK4 step of u' = F_S(u) on the dense moment matrix, in place."""
+    """One RK4 step of u' = F_S(u) on the dense moment matrix, in place;
+    raises NumericalError on a non-finite state before or after it."""
     scale0 = np.abs(u, out=work.scratch).max()
     rk4(lambda x, out: ctx.full_rhs(x, out, work.streaming), u, dt, work.rk4)
     scale1 = np.abs(u, out=work.scratch).max()
+    if not (np.isfinite(scale0) and np.isfinite(scale1)):
+        raise NumericalError(f"non-finite streaming state: max |u| {scale0:g} -> {scale1:g}")
     if scale0 > 0.0 and scale1 > 1e6 * scale0:
         raise NumericalError(
             f"streaming step amplified the solution by {scale1 / scale0:.2e}; "

@@ -2,13 +2,13 @@
 
 The per-atom differential cross section is
 
-    sigma(E, mu0) = tau_lab(mu0) * 4 alpha^2 / (k(E)^2 * (1 - mu0 + chi)^q)
+    sigma(E, mu0) = tau_lab(mu0) * 4 alpha^2 / (k(E)^2 * (1 - mu0 + chi))
 
 with the screening parameter chi = chi_0^2 (1.13 + 3.76 a^2),
 chi_0 = 1.13 alpha Z^(1/3) m_e c / p(E), a = Z alpha / beta(E), and the
 center-of-mass to lab conversion factor tau_lab built with the mass ratio
-1/A. The denominator exponent q is 1 throughout pndose; the functions
-below keep it as a parameter so that the kernel can be studied alone.
+1/A. The denominator (1 - mu0 + chi) enters at the first power (q = 1),
+in moliere_dcs and in the kernel that legendre_moments integrates.
 
 Angular moments g_l = 2 pi Int P_l(mu0) sigma dmu0 are near-singular at
 mu0 = 1 (chi ~ 1e-10), so they are integrated with Gauss-Legendre nodes
@@ -25,7 +25,11 @@ from ..constants import ELECTRON_REST_MEV, ELEMENTS, FINE_STRUCTURE
 from ..errors import NumericalError
 from .kinematics import beta, momentum_mev_c, wave_number_inv_cm
 
+# Gauss-Legendre nodes per quadrature piece, and the relative tolerances of
+# the doubled-node convergence check and of the xi1 = g0 - g1 identity.
 DEFAULT_NODES = 256
+MOMENT_RTOL = 1e-9
+XI1_IDENTITY_RTOL = 1e-8
 
 
 @lru_cache(maxsize=16)
@@ -58,7 +62,7 @@ def kernel_amplitude(element, e_mev):
     return 4.0 * FINE_STRUCTURE**2 / k**2
 
 
-def moliere_dcs(element, e_mev, mu0, n_i=1.0, exponent=1.0):
+def moliere_dcs(element, e_mev, mu0, n_i=1.0):
     """Differential cross section contribution of one element.
 
     Per-atom for n_i = 1 [cm^2]; pass n_i in atoms/cm^3 for the
@@ -70,7 +74,7 @@ def moliere_dcs(element, e_mev, mu0, n_i=1.0, exponent=1.0):
     _, _, chi = screening_parameters(element, e_mev)
     c = kernel_amplitude(element, e_mev)
     tau = tau_lab(mu0, 1.0 / element.a)
-    return n_i * tau * c / (1.0 - mu0 + chi) ** exponent
+    return n_i * tau * c / (1.0 - mu0 + chi)
 
 
 def _substitution_nodes(chi, n_nodes):
@@ -126,14 +130,7 @@ def moments_of_kernel(kernel, chi, max_degree, n_nodes=DEFAULT_NODES):
     return g, xi1
 
 
-def legendre_moments(
-    element,
-    e_mev,
-    max_degree,
-    n_nodes=DEFAULT_NODES,
-    exponent=1.0,
-    rtol=1e-9,
-):
+def legendre_moments(element, e_mev, max_degree, n_nodes=DEFAULT_NODES):
     """Per-atom moments (g_0..g_max_degree) [cm^2] and xi1 [cm^2].
 
     Uses the de-peaked quadrature with a doubled-node convergence check;
@@ -150,17 +147,17 @@ def legendre_moments(
     ratio = 1.0 / element.a
 
     def kernel(mu0, one_minus_mu0):
-        return tau_lab(mu0, ratio) * c / (one_minus_mu0 + chi) ** exponent
+        return tau_lab(mu0, ratio) * c / (one_minus_mu0 + chi)
 
     g, xi1 = moments_of_kernel(kernel, chi, max_degree, n_nodes)
     g2, xi12 = moments_of_kernel(kernel, chi, max_degree, 2 * n_nodes)
     for e, row, row2, x, x2 in zip(energies, g, g2, xi1, xi12):
         scale = max(abs(row2[0]), abs(x2))
         err = max(np.max(np.abs(row - row2)), abs(x - x2)) / scale
-        if err > rtol:
+        if err > MOMENT_RTOL:
             raise NumericalError(
                 f"moment quadrature for {element.symbol} at {e:g} MeV did not "
-                f"converge: achieved {err:.3e}, tolerance {rtol:.3e}"
+                f"converge: achieved {err:.3e}, tolerance {MOMENT_RTOL:.3e}"
             )
     if np.ndim(e_mev) == 0:
         return g2[0], xi12[0]
@@ -182,17 +179,17 @@ class MomentTables:
     extrapolate.
     """
 
-    def __init__(self, energies, max_degree, n_nodes=DEFAULT_NODES, exponent=1.0):
+    def __init__(self, energies, max_degree):
         self.energies = np.asarray(energies, dtype=float)
         self.g = np.empty((len(ELEMENTS), self.energies.size, max_degree + 1))
         self.xi1 = np.empty((len(ELEMENTS), self.energies.size))
-        # 2 pieces of 2 n_nodes nodes each at the doubled node count
-        chunk = max(1, CHUNK_BYTES // (4 * n_nodes * (max_degree + 1) * 8))
+        # 2 pieces of 2 DEFAULT_NODES nodes each at the doubled node count
+        chunk = max(1, CHUNK_BYTES // (4 * DEFAULT_NODES * (max_degree + 1) * 8))
         for i, elem in enumerate(ELEMENTS):
             for lo in range(0, self.energies.size, chunk):
                 part = slice(lo, lo + chunk)
                 self.g[i, part], self.xi1[i, part] = legendre_moments(
-                    elem, self.energies[part], max_degree, n_nodes=n_nodes, exponent=exponent
+                    elem, self.energies[part], max_degree
                 )
 
     def _interp(self, table, e):
@@ -213,7 +210,7 @@ class MomentTables:
         """(12, *e.shape) per-atom xi1 at energies e."""
         return self._interp(self.xi1, e)
 
-    def validate(self, rtol=1e-8):
+    def validate(self):
         """Invariants: g0 > 0, |g_l| <= g0, xi1 = g0 - g1."""
         g0 = self.g[..., 0]
         if np.any(g0 <= 0.0):
@@ -221,7 +218,7 @@ class MomentTables:
         if np.any(np.abs(self.g) > g0[..., None] * (1.0 + 1e-12)):
             raise NumericalError("moment bound |g_l| <= g0 violated")
         ident = np.abs(self.xi1 - (g0 - self.g[..., 1])) / np.abs(g0)
-        if np.any(ident > rtol):
+        if np.any(ident > XI1_IDENTITY_RTOL):
             raise NumericalError(
                 f"xi1 = g0 - g1 identity violated: worst {ident.max():.3e}"
             )

@@ -176,13 +176,17 @@ def straggling_t(atomic_densities, e_mev):
     return t_si / MEV_IN_JOULE**2 / 100.0              # -> [MeV^2/cm]
 
 
-def straggling_t_derivative(atomic_densities, e_mev, rel_step=1e-4):
+# Relative step of straggling_t_derivative's central difference.
+STRAGGLING_REL_STEP = 1e-4
+
+
+def straggling_t_derivative(atomic_densities, e_mev):
     """dT/dE by central difference; T is smooth so this is plenty.
 
     e_mev may be an array, as for straggling_t.
     """
     e = np.asarray(e_mev, dtype=float)
-    h = rel_step * np.maximum(np.abs(e), 1.0)
+    h = STRAGGLING_REL_STEP * np.maximum(np.abs(e), 1.0)
     tp = straggling_t(atomic_densities, e + h)
     tm = straggling_t(atomic_densities, e - h)
     return (tp - tm) / (2.0 * h)

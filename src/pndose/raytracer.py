@@ -35,7 +35,6 @@ march_ray for the memory orders that keep every dose's bits).
 """
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -545,7 +544,7 @@ def _format_vector(v) -> str:
 
 
 def trace_beam(beam: BeamSource, grid: Grid3D, material_key_of_cell, operators: EnergyOperators,
-               n_side, spectra_dump=None, factors=None):
+               n_side, factors=None):
     """Trace a stratified bundle and deposit track-length-averaged flux.
 
     material_key_of_cell: (n_cells,) int array of keys into operators,
@@ -557,10 +556,7 @@ def trace_beam(beam: BeamSource, grid: Grid3D, material_key_of_cell, operators: 
     counts the pairs this beam added to it.
     Rays whose cell-material sequence coincides share one Crank-Nicolson
     march. Deposition order is fixed by the ray enumeration, so results
-    are bit-stable. spectra_dump, if given, receives the per-ray group
-    spectra as CSV (z_cm, group_index, value, cell; rays separated by
-    comment lines), where z_cm is the z coordinate of the segment
-    midpoint and cell the flat index of the segment's cell.
+    are bit-stable.
 
     Rays that leave the grid in part (Gaussian tails) are fine; n_rays
     counts the rays that deposit. A beam none of whose rays deposits
@@ -582,42 +578,30 @@ def trace_beam(beam: BeamSource, grid: Grid3D, material_key_of_cell, operators: 
     direction = np.asarray(beam.direction)
 
     n_alive = 0
-    with open(spectra_dump, "w") if spectra_dump is not None else nullcontext() as dump:
-        if dump is not None:
-            dump.write("z_cm,group_index,value,cell\n")
-        for ray_index, (offset, w_ray) in enumerate(zip(offsets, ray_weights)):
-            start = origin + offset[0] * e1 + offset[1] * e2
-            path = [
-                seg for seg in traverse_grid(grid, start, direction) if seg[2] - seg[1] > 1e-12
-            ]
-            if not path:
-                continue  # ray misses the domain (vacuum)
-            n_alive += 1
-            cells, s0, s1 = (np.array(column) for column in zip(*path))
-            lengths = s1 - s0
-            keys = material_key_of_cell[cells].tolist()
-            # np.round, like round() on a float64 and unlike round() on a
-            # Python float, rounds by scaling; the keys decide which rays
-            # share a march
-            signature = tuple(zip(keys, np.round(lengths, 12).tolist()))
-            if signature not in march_cache:
-                # float64 lengths: march_ray classes its steps by round(dz, 14)
-                segments = list(zip(cells.tolist(), lengths, keys))
-                # cache only the spectra; cells belong to the individual ray
-                march_cache[signature] = march_ray(segments, operators, psi0,
-                                                   factors=factors)[:2]
-            averages, res_energy = march_cache[signature]
-            weight = beam.weight * w_ray
-            # the cells of one ray are distinct, so each indexed add is one
-            # add per cell, as a per-cell loop would make it
-            values[cells] += (weight * (lengths / cell_volume))[:, None] * averages
-            residual[cells] += weight * res_energy / cell_volume
-            if dump is not None:
-                dump.write(f"# ray {ray_index}\n")
-                for cell, a, b, spectrum in zip(cells.tolist(), s0, s1, averages):
-                    z_mid = start[2] + 0.5 * (a + b) * direction[2]
-                    for g, value in enumerate(spectrum):
-                        dump.write(f"{z_mid:.9g},{g},{value:.12e},{cell}\n")
+    for offset, w_ray in zip(offsets, ray_weights):
+        start = origin + offset[0] * e1 + offset[1] * e2
+        path = [seg for seg in traverse_grid(grid, start, direction) if seg[2] - seg[1] > 1e-12]
+        if not path:
+            continue  # ray misses the domain (vacuum)
+        n_alive += 1
+        cells, s0, s1 = (np.array(column) for column in zip(*path))
+        lengths = s1 - s0
+        keys = material_key_of_cell[cells].tolist()
+        # np.round, like round() on a float64 and unlike round() on a
+        # Python float, rounds by scaling; the keys decide which rays
+        # share a march
+        signature = tuple(zip(keys, np.round(lengths, 12).tolist()))
+        if signature not in march_cache:
+            # float64 lengths: march_ray classes its steps by round(dz, 14)
+            segments = list(zip(cells.tolist(), lengths, keys))
+            # cache only the spectra; cells belong to the individual ray
+            march_cache[signature] = march_ray(segments, operators, psi0, factors=factors)[:2]
+        averages, res_energy = march_cache[signature]
+        weight = beam.weight * w_ray
+        # the cells of one ray are distinct, so each indexed add is one
+        # add per cell, as a per-cell loop would make it
+        values[cells] += (weight * (lengths / cell_volume))[:, None] * averages
+        residual[cells] += weight * res_energy / cell_volume
 
     if n_alive == 0:
         extent = " x ".join(f"[{lo:g}, {hi:g}]" for lo, hi in grid.extent())

@@ -45,7 +45,7 @@ from scipy import sparse
 from scipy.linalg import blas
 
 from .angular import PNOperators
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -219,17 +219,15 @@ def streaming_buffers(n: int, ops: PNOperators):
 def apply_streaming(u, inv_s, stencils: UpwindStencils, ops: PNOperators, out=None, work=None):
     """F_S(u) for the transformed moments u (n, m); inv_s is 1/S per cell.
 
-    Linear in u; raises on non-finite input instead of emitting NaNs.
-    The result is written into out (n, m) and returned; work is the
-    scratch of streaming_buffers. Both are allocated when not given, and
-    neither may share memory with u. Each term's back-rotation is
-    accumulated into out by one GEMM with beta = 1, which adds the same
-    product to the same partial sum as out += (D y) B would, without
-    its temporaries.
+    Linear in u, which is not checked for finiteness: the oracle's
+    streaming step checks its state once per step. The result is written
+    into out (n, m) and returned; work is the scratch of
+    streaming_buffers. Both are allocated when not given, and neither may
+    share memory with u. Each term's back-rotation is accumulated into
+    out by one GEMM with beta = 1, which adds the same product to the
+    same partial sum as out += (D y) B would, without its temporaries.
     """
     u = np.asarray(u)
-    if not np.all(np.isfinite(u)):
-        raise NumericalError("non-finite streaming input")
     n = u.shape[0]
     if out is None:
         out = np.empty(u.shape)

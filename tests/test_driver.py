@@ -31,6 +31,7 @@ from pndose.driver import (
     write_volume,
     _data_file_checksums,
 )
+from pndose.dlra import LowRankState
 from pndose.errors import ConfigError
 from pndose.physics import mix_stopping_power
 from pndose.raytracer import BeamSource, EnergyOperators
@@ -91,6 +92,7 @@ class TestConfigValidation:
         ("rays", "step_cm", 0.01),
         ("transport", "rank_maximum", 10),
         (None, "pn_ordre", 3),
+        (None, "seed", 7),
         ("beams", "energy", 20.0),
     ])
     def test_unknown_key_names_itself(self, section, key, value):
@@ -150,7 +152,6 @@ class TestConfigValidation:
         ("energy", "groups", "x"),
         ("rays", "n_side", None),
         (None, "pn_order", 7.5),
-        (None, "seed", float("nan")),
     ])
     def test_bad_scalar_names_key(self, section, key, value):
         # a non-number raises no bare ValueError/TypeError, and an integer
@@ -231,6 +232,14 @@ class TestConfigValidation:
             beam.energy_mev + 5.0 * beam.sigma_e_mev
         )
 
+    @pytest.mark.parametrize("depth", [-0.1, 3.01, 100.0])
+    def test_lateral_depth_outside_grid(self, depth):
+        # the smoke grid spans z in [0, 3] cm
+        raw = smoke_raw(output={"lateral_depth_cm": depth})
+        with pytest.raises(ConfigError, match=re.escape("output.lateral_depth_cm") + ".*"
+                           + re.escape("z extent [0, 3] cm")):
+            ProblemConfig.from_dict(raw)
+
     def test_hu_volume_size_checked(self):
         raw = smoke_raw()
         raw["phantom"] = {"background_hu": 0.0}
@@ -301,7 +310,6 @@ class TestSchema:
         "output": {"directory": "out", "dose_volume": "d.vtk", "depth_profile": "z.csv",
                    "lateral_profile": "x.csv", "rank_history": "r.csv", "manifest": "m.json",
                    "lateral_depth_cm": 1.5},
-        "seed": 7,
     }
 
     def test_every_key_reaches_its_field(self, tmp_path):
@@ -309,7 +317,7 @@ class TestSchema:
         hu = np.arange(60.0)
         (tmp_path / "hu.txt").write_text("4 3 5\n" + "\n".join(map(str, hu)) + "\n")
         cfg = ProblemConfig.from_dict(self.EVERY_KEY, base_dir=tmp_path)
-        assert cfg.name == "every-key" and cfg.model == "fokker-planck" and cfg.seed == 7
+        assert cfg.name == "every-key" and cfg.model == "fokker-planck"
         assert cfg.grid == Grid3D(4, 3, 5, 0.2, 0.3, 0.4, origin=(1.0, -1.0, 0.5))
         assert np.array_equal(cfg.hu_values, hu)      # the volume file wins over the boxes
         assert cfg.source_files == [tmp_path / "hu.txt"]
@@ -497,6 +505,21 @@ class TestSimulation:
                                 "scattering", "truncation", "uncollided_tally"]
         assert all(seconds > 0.0 for seconds in phases.values())
         assert sum(phases.values()) <= smoke_result.diagnostics["runtime_s"]
+
+    def test_start_bases_do_not_change_the_dose(self, smoke_result, monkeypatch):
+        # S starts at zero, so the first augmented step and its truncation
+        # forget the starting bases: a random orthonormal start gives the
+        # bytes of the fixed identity start
+        rng = np.random.default_rng(11)
+
+        def random_zero(cls, n, m, rank):
+            u = np.linalg.qr(rng.standard_normal((n, rank)))[0]
+            v = np.linalg.qr(rng.standard_normal((m, rank)))[0]
+            return cls(u=u, s=np.zeros((rank, rank)), v=v)
+
+        monkeypatch.setattr(LowRankState, "zero", classmethod(random_zero))
+        res = run_simulation(ProblemConfig.from_dict(smoke_raw()), solver="dlra")
+        assert res.dose.deposited.tobytes() == smoke_result.dose.deposited.tobytes()
 
     def test_fokker_planck_model_runs(self):
         raw = smoke_raw(model="fokker-planck")

@@ -70,6 +70,14 @@ class TestStreaming:
         with pytest.raises(NumericalError, match="amplified"):
             fullrank_streaming_step(u, 1e4, ctx, work)
 
+    def test_non_finite_rejected(self):
+        grid, ctx = advection_context(8)
+        u = np.zeros((grid.n_cells, 4))
+        u[0, 0] = np.nan
+        work = FullRankWorkspace(grid.n_cells, 4, ctx.ops)
+        with pytest.raises(NumericalError, match="non-finite"):
+            fullrank_streaming_step(u, 0.1, ctx, work)
+
 
 class TestScattering:
     def test_pure_decay_closed_form(self):

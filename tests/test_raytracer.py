@@ -378,70 +378,29 @@ class TestDeposition:
         rms = np.sqrt(np.mean((got - want) ** 2)) / want.max()
         assert rms < 0.02
 
-    def test_spectra_dump(self, tmp_path):
+    def test_corner_columns_hold_the_march_average(self):
         g = Grid3D(3, 3, 4, 0.2, 0.2, 0.2)
         space, keys, ops = self.tracer_setup(g)
         # sigma 0.1 with n_side=2 puts one ray in each corner column (x, y = 0.15 | 0.45)
         beam = BeamSource((0, 0, 1), 30.0, (0.3, 0.3, 0.0), sigma_xy_cm=0.1)
-        path = tmp_path / "spectra.csv"
-        flux = trace_beam(beam, g, keys, ops, n_side=2, spectra_dump=path)
+        flux = trace_beam(beam, g, keys, ops, n_side=2)
         assert flux.n_rays == 4
-        lines = path.read_text().splitlines()
-        assert lines[0] == "z_cm,group_index,value,cell"
-        ray_marks = [ln for ln in lines if ln.startswith("# ray")]
-        assert len(ray_marks) == 4
-        data = [ln for ln in lines[1:] if not ln.startswith("#")]
-        assert len(data) == 4 * 4 * space.n_groups  # rays x segments x groups
-        z, gidx, val, cell = data[0].split(",")
-        assert float(z) == pytest.approx(0.1)
-        assert int(gidx) == 0
-        corners = [(0, 0), (0, 2), (2, 0), (2, 2)]
-        assert int(cell) in {g.index(i, j, 0) for i, j in corners}
-        # the dumped first-segment spectrum of ray 0, times its weight (1/4) and
-        # track length over cell volume, is the flux deposited in its entry cell;
-        # the four rays march identical columns, so every corner entry cell holds it
-        first = np.array([float(ln.split(",")[2]) for ln in data[: space.n_groups]])
-        deposit = 0.25 * (0.2 / (g.dx * g.dy * g.dz)) * first
-        for i, j in corners:
+        # the four rays march identical columns: the first-segment average of
+        # that march, times the ray weight (1/4) and track length over cell
+        # volume, is the flux deposited in every corner entry cell
+        psi0 = project_initial_spectrum(space, beam.energy_mev, beam.sigma_e_mev)
+        averages = march_ray([(0, 0.2, 0)] * 4, ops, psi0)[0]
+        deposit = 0.25 * (0.2 / (g.dx * g.dy * g.dz)) * averages[0]
+        for i, j in [(0, 0), (0, 2), (2, 0), (2, 2)]:
             np.testing.assert_allclose(deposit, flux.values[g.index(i, j, 0)], rtol=1e-10)
 
-    def test_spectra_dump_z_is_coordinate(self, tmp_path):
-        g = Grid3D(3, 3, 4, 0.2, 0.2, 0.2, origin=(0.0, 0.0, 1.0))
-        space, keys, ops = self.tracer_setup(g)
-        beam = BeamSource((0, 0, 1), 30.0, (0.3, 0.3, 0.0), sigma_xy_cm=0.1)
-        path = tmp_path / "spectra.csv"
-        trace_beam(beam, g, keys, ops, n_side=2, spectra_dump=path)
-        data = [ln for ln in path.read_text().splitlines()[1:] if not ln.startswith("#")]
-        z = sorted({float(ln.split(",")[0]) for ln in data})
-        np.testing.assert_allclose(z, [1.1, 1.3, 1.5, 1.7], atol=1e-12)
-
-    def test_spectra_dump_rows_name_their_cell(self, tmp_path):
-        # a ray along +y keeps one z for all its segments; the cell column
-        # tells the segments apart
-        g = Grid3D(3, 4, 3, 0.2, 0.2, 0.2)
-        space, keys, ops = self.tracer_setup(g)
-        beam = BeamSource((0, 1, 0), 30.0, (0.3, -1.0, 0.3), sigma_xy_cm=0.1)
-        path = tmp_path / "spectra.csv"
-        trace_beam(beam, g, keys, ops, n_side=1, spectra_dump=path)
-        rows = [ln.split(",") for ln in path.read_text().splitlines()[1:]
-                if not ln.startswith("#")]
-        assert len(rows) == 4 * space.n_groups
-        assert {float(r[0]) for r in rows} == {0.3}
-        cells = [int(r[3]) for r in rows[:: space.n_groups]]
-        assert cells == [g.index(1, j, 1) for j in range(4)]
-        for segment in range(4):
-            block = rows[segment * space.n_groups : (segment + 1) * space.n_groups]
-            assert {int(r[3]) for r in block} == {cells[segment]}
-
-    def test_beam_missing_grid_raises(self, tmp_path):
+    def test_beam_missing_grid_raises(self):
         # sigma 0.3 with n_side=2 starts all four rays at x, y in {-0.15, 0.75}
         g = Grid3D(3, 3, 4, 0.2, 0.2, 0.2)
         space, keys, ops = self.tracer_setup(g)
         beam = BeamSource((0, 0, 1), 30.0, (0.3, 0.3, 0.0))
-        path = tmp_path / "spectra.csv"
         with pytest.raises(ConfigError, match="misses the grid"):
-            trace_beam(beam, g, keys, ops, n_side=2, spectra_dump=path)
-        assert path.read_text() == "z_cm,group_index,value,cell\n"
+            trace_beam(beam, g, keys, ops, n_side=2)
 
     def test_grazing_ray_is_not_counted(self):
         # the single ray clips the x = 0.6, z = 0 edge over ~1.4e-13 cm, below the
