@@ -1,8 +1,9 @@
 """Micro-benchmarks of the step kernels and the ray tracer, outside tier-1.
 
 Each step case times one call of scattering_step, streaming_step, the
-K-phase right-hand side k_rhs or truncate at P7 (m = 64) on a random
-state: (n = 2520, r = 2) is the water90_lowrank benchmark grid at its
+K-phase right-hand side k_rhs (one sparse product of the stencil stack
+with S^-1 K and one batched contraction with the (terms, r, r) moment
+factors) or truncate at P7 (m = 64) on a random state: (n = 2520, r = 2) is the water90_lowrank benchmark grid at its
 rank, (n = 3000, r = 26) the preset30 grid at the mean rank a tight
 truncation tolerance reaches there (~26 at 3e-4 with a Wentzel scattering
 kernel). truncate takes an augmented state of rank 2r back to r. One
@@ -110,6 +111,7 @@ def test_k_rhs(benchmark, case):
     state, stream_ctx, _ = case
     k = state.u @ state.s
     factors = stream_ctx._moment_factors(state.v)
+    assert factors.shape == (6, state.rank, state.rank)
     out = benchmark(stream_ctx.k_rhs, k, factors, np.empty_like(k))
     assert out.shape == k.shape
 

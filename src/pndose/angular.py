@@ -196,17 +196,21 @@ def characteristic_split(v, lam_plus, lam_minus):
 
 @dataclass(frozen=True)
 class PNOperators:
-    """Immutable bundle of the angular operators for one PN order."""
+    """Immutable bundle of the angular operators for one PN order.
+
+    The eigen-split arrays stack the directions x, y, z on their first
+    axis and, where split, the plus and minus parts on the second, so the
+    low-rank solver selects the active axes' terms in the order of the
+    upwind stencil stack (plus_x, minus_x, plus_y, ...) by one index.
+    """
 
     basis: PNBasis
-    eig_v: tuple          # (V_x, V_y, V_z)
-    lam_plus: tuple       # per direction, (m,)
-    lam_minus: tuple
-    v_plus: tuple         # per direction, (m, k+), see characteristic_split
-    v_minus: tuple        # per direction, (m, k-)
-    back_rotation: tuple  # per direction, (k+ + k-, m)
-    a_plus: tuple         # per direction, A+ = V L+ V^T (m, m)
-    a_minus: tuple        # per direction, A- = V L- V^T (m, m)
+    eig_v: np.ndarray      # (3, m, m): V_x, V_y, V_z
+    lam_split: np.ndarray  # (3, 2, m): L+ and L- per direction
+    v_plus: tuple          # per direction, (m, k+), see characteristic_split
+    v_minus: tuple         # per direction, (m, k-)
+    back_rotation: tuple   # per direction, (k+ + k-, m)
+    a_split: np.ndarray    # (3, 2, m, m): A+ = V L+ V^T and A- = V L- V^T per direction
 
     @classmethod
     def build(cls, n_max: int) -> "PNOperators":
@@ -214,15 +218,24 @@ class PNOperators:
         chars = [characteristic_split(*s) for s in splits]
         return cls(
             basis=PNBasis(n_max),
-            eig_v=tuple(s[0] for s in splits),
-            lam_plus=tuple(s[1] for s in splits),
-            lam_minus=tuple(s[2] for s in splits),
+            eig_v=np.stack([s[0] for s in splits]),
+            lam_split=np.stack([s[1:] for s in splits]),
             v_plus=tuple(c[0] for c in chars),
             v_minus=tuple(c[1] for c in chars),
             back_rotation=tuple(c[2] for c in chars),
-            a_plus=tuple((v * lp[None, :]) @ v.T for v, lp, _ in splits),
-            a_minus=tuple((v * lm[None, :]) @ v.T for v, _, lm in splits),
+            a_split=np.stack([[(v * lam[None, :]) @ v.T for lam in (lp, lm)]
+                              for v, lp, lm in splits]),
         )
+
+    @property
+    def lam_plus(self) -> np.ndarray:
+        """(3, m) positive eigenvalue parts, per direction."""
+        return self.lam_split[:, 0]
+
+    @property
+    def lam_minus(self) -> np.ndarray:
+        """(3, m) negative eigenvalue parts, per direction."""
+        return self.lam_split[:, 1]
 
     @property
     def spectral_radius(self) -> float:

@@ -10,36 +10,50 @@ the singular-value tail rule.
 
 The projected right-hand sides never form the full n x m matrix: the
 moment-side rotations are contracted at width r, so one evaluation costs
-O(n m r) instead of O(n m^2). Each K-stage and the L- and S-phase set-up
-apply every upwind stencil with one stacked sparse product (spatial).
-The Galerkin (S) phase precontracts its spatial factors once per step,
-so each of its RK4 stages costs O(r^3).
-The implicit scattering substep forms its m projected r x r systems with
-two matrix products and solves them as one batched solve.
+O(n m r) instead of O(n m^2). Each phase is one batched contraction over
+the upwind terms: the stored stencil stack is applied to S^-1 x (never
+rescaled) by one sparse product, whose (terms, n, r) result meets the
+(terms, r, r) factors of the phase in one batched matmul and one sum
+over the terms. The Galerkin (S) phase precontracts its spatial factors
+once per step, so each of its RK4 stages costs O(r^3). The implicit
+scattering substep forms its m projected r x r systems with two GEMMs
+and solves them as one batched solve. Bases are orthonormalized by
+LAPACK's Householder QR, called directly.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .angular import PNOperators
 from .errors import NumericalError
 from .spatial import UpwindStencils, apply_streaming
 
 
-def orthonormal_columns(a: np.ndarray) -> np.ndarray:
-    """Economy QR basis of the columns of a, with a pivoted fallback.
+def orthonormal_columns(*blocks: np.ndarray) -> np.ndarray:
+    """Economy QR basis of the columns of the blocks side by side, with a
+    pivoted fallback.
 
-    Rank deficiency (for instance K(t1) parallel to U0 when the dynamics
-    vanish) is handled by column-pivoted QR plus re-orthonormalization;
-    a basis that still fails the orthonormality check raises.
+    The blocks are written once into a Fortran-ordered array that LAPACK's
+    dgeqrf and dorgqr factor in place, and Q is returned C-contiguous, the
+    layout np.linalg.qr gives: the products downstream then sum in the same
+    order. Householder QR keeps Q orthonormal also on rank-deficient
+    columns (K(t1) parallel to U0 when the dynamics vanish); a Q that
+    still fails the orthonormality check is replaced by column-pivoted QR
+    plus re-orthonormalization, and one that fails after that raises.
     """
-    q, _ = np.linalg.qr(a)
+    a = np.concatenate(blocks, axis=1, out=np.empty(
+        (blocks[0].shape[0], sum(b.shape[1] for b in blocks)), order="F"))
+    # room for LAPACK's blocked path at any block size up to 64
+    lwork = 64 * a.shape[1]
+    qr, tau, _, _ = lapack.dgeqrf(a, lwork=lwork, overwrite_a=True)
+    q, _, _ = lapack.dorgqr(qr[:, :tau.size], tau, lwork=lwork, overwrite_a=True)
+    q = np.ascontiguousarray(q)
     defect = np.abs(q.T @ q - np.eye(q.shape[1])).max()
     if defect > 1e-12:
-        q, _, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
+        q, _, _ = scipy.linalg.qr(np.hstack(blocks), mode="economic", pivoting=True)
         q, _ = np.linalg.qr(q)
         defect = np.abs(q.T @ q - np.eye(q.shape[1])).max()
         if defect > 1e-10:
@@ -152,93 +166,65 @@ def rk4(f, y, dt, work=None):
     return y
 
 
-@dataclass
+@dataclass(frozen=True)
 class StreamingContext:
-    """Per-step streaming coefficients: 1/S field and operators.
+    """Frozen per-step streaming coefficients: 1/S field and operators.
 
-    The low-rank phases read the stencils with the stopping-power diagonal
-    folded in (Ds = D diag(1/S)), stacked over the upwind terms, so every
-    K- and L-phase right-hand side is one sparse product at width r
-    followed by precontracted r x r moment factors, and every S-phase one
-    is r x r products only; no n x m intermediate is ever formed. Ds is
-    built on first use, so the dense full_rhs of the oracle never pays for
-    it. The dataclass is not frozen because cached_property stores Ds in
-    the instance dict; nothing assigns a field after construction.
+    Both solvers apply the stored stencil stack to S^-1 x, so no step
+    builds a stencil operator of its own. The low-rank phases view the
+    stack's product with an n x r input as (terms, n, r), over the upwind
+    terms plus_x, minus_x, plus_y, ... of the active axes, and meet it
+    with (terms, r, r) moment factors in one batched matmul, so every K-
+    and L-phase right-hand side is one contraction at width r and every
+    S-phase one is r x r products only; no n x m intermediate is ever
+    formed. The dense full_rhs is the oracle's.
     """
 
     inv_s: np.ndarray
     stencils: UpwindStencils
     ops: PNOperators
 
-    @cached_property
-    def scaled(self):
-        """Stacked Ds, (2 a n, n): plus_x, minus_x, plus_y, ... (UpwindStencils.scaled)."""
-        return self.stencils.scaled(self.inv_s)
-
-    def stencil_products(self, x: np.ndarray):
-        """[Ds_j x] over the upwind terms j, from one sparse product: the
-        (n, r) row blocks of scaled @ x, plus and minus alternating."""
-        n = x.shape[0]
-        products = self.scaled @ x
-        return [products[j * n:(j + 1) * n] for j in range(products.shape[0] // n)]
+    def derivatives(self, x: np.ndarray) -> np.ndarray:
+        """D_j S^-1 x over the upwind terms j, (terms, n, r), from one sparse product."""
+        n, r = x.shape
+        return (self.stencils.stacked @ (self.inv_s[:, None] * x)).reshape(-1, n, r)
 
     def full_rhs(self, u: np.ndarray, out=None, work=None) -> np.ndarray:
         """F_S(u) on the dense n x m matrix, written into out (apply_streaming)."""
         return apply_streaming(u, self.inv_s, self.stencils, self.ops, out, work)
 
-    def _moment_factors(self, w: np.ndarray):
-        """Per axis (W^T V_d L+- V_d^T W) pairs for a moment basis W."""
-        factors = []
-        for axis in self.stencils.active_axes:
-            c = w.T @ self.ops.eig_v[axis]
-            factors.append(
-                (
-                    (c * self.ops.lam_plus[axis][None, :]) @ c.T,
-                    (c * self.ops.lam_minus[axis][None, :]) @ c.T,
-                )
-            )
-        return factors
+    def _moment_factors(self, w: np.ndarray) -> np.ndarray:
+        """W^T V_d L+-_d V_d^T W over the upwind terms, (terms, r, r), for a moment basis W."""
+        axes = list(self.stencils.active_axes)
+        c = w.T @ self.ops.eig_v[axes]                                   # (axes, r, m)
+        lam = self.ops.lam_split[axes][:, :, None, :]                    # (axes, 2, 1, m)
+        factors = (c[:, None] * lam) @ c.transpose(0, 2, 1)[:, None]     # (axes, 2, r, r)
+        return factors.reshape(-1, w.shape[1], w.shape[1])
 
     def k_rhs(self, k: np.ndarray, factors, out: np.ndarray) -> np.ndarray:
-        """F_S(K V0^T) V0 with precontracted moment factors, into out."""
-        out.fill(0.0)
-        products = self.stencil_products(k)
-        for (f_plus, f_minus), d_plus, d_minus in zip(factors, products[0::2], products[1::2]):
-            out -= d_plus @ f_plus
-            out -= d_minus @ f_minus
-        return out
+        """F_S(K V0^T) V0 = -sum_j (D_j S^-1 K) F_j, from the moment factors of V0, into out."""
+        return np.negative((self.derivatives(k) @ factors).sum(axis=0), out=out)
 
     def l_step_factors(self, u0: np.ndarray):
-        """Per axis (V_d L+- V_d^T, (Ds+- U0)^T U0) for the L phase."""
-        products = self.stencil_products(u0)
-        return [
-            (self.ops.a_plus[axis], self.ops.a_minus[axis], d_plus.T @ u0, d_minus.T @ u0)
-            for axis, d_plus, d_minus in zip(
-                self.stencils.active_axes, products[0::2], products[1::2]
-            )
-        ]
+        """(A, Q) for the L phase over the upwind terms j: A (terms, m, m)
+        stacks A+-_d = V_d L+-_d V_d^T, Q (terms, r, r) the (D_j S^-1 U0)^T U0."""
+        m = self.ops.basis.size
+        a = self.ops.a_split[list(self.stencils.active_axes)].reshape(-1, m, m)
+        return a, self.derivatives(u0).transpose(0, 2, 1) @ u0
 
     def l_rhs(self, l: np.ndarray, factors, out: np.ndarray) -> np.ndarray:
-        """F_S(U0 L^T)^T U0 into out, shaped like L (m x r)."""
-        out.fill(0.0)
-        for a_plus, a_minus, q_plus, q_minus in factors:
-            out -= a_plus @ (l @ q_plus)
-            out -= a_minus @ (l @ q_minus)
-        return out
+        """F_S(U0 L^T)^T U0 = -sum_j A_j L Q_j into out, shaped like L (m x r)."""
+        a, q = factors
+        return np.negative((a @ (l @ q)).sum(axis=0), out=out)
 
     def s_step_factors(self, u_hat: np.ndarray, v_hat: np.ndarray):
-        """Precontracted Galerkin-phase factors (P, F), one pair per term.
+        """Precontracted Galerkin-phase factors (P, F) over the upwind terms j.
 
-        Over the k = 2 x (active axes) upwind terms j, P (k, ru, ru) stacks
-        the spatial projections U^T Ds+-_d U^ and F (k, rv, rv) the moment
-        factors V^T V_d L+-_d V_d^T V^, so that F_S projects to
-        -sum_j P_j S F_j.
+        P (terms, ru, ru) stacks the spatial projections U^T D_j S^-1 U^ and
+        F (terms, rv, rv) the moment factors V^T V_d L+-_d V_d^T V^, so that
+        F_S projects to -sum_j P_j S F_j.
         """
-        ru, rv = u_hat.shape[1], v_hat.shape[1]
-        spatial = [u_hat.T @ d for d in self.stencil_products(u_hat)]
-        moment = [f for pair in self._moment_factors(v_hat) for f in pair]
-        return (np.array(spatial).reshape(-1, ru, ru),
-                np.array(moment).reshape(-1, rv, rv))
+        return u_hat.T @ self.derivatives(u_hat), self._moment_factors(v_hat)
 
     def s_rhs(self, s: np.ndarray, factors, out: np.ndarray) -> np.ndarray:
         """U^T F_S(U^ S V^T) V^ in O(r^3) from the s_step_factors of U^, V^, into out."""
@@ -253,8 +239,8 @@ def streaming_step(state: LowRankState, dt: float, ctx: StreamingContext) -> Low
     k1 = rk4(lambda k, out: ctx.k_rhs(k, k_factors, out), u0 @ s0, dt)
     l_factors = ctx.l_step_factors(u0)
     l1 = rk4(lambda l, out: ctx.l_rhs(l, l_factors, out), v0 @ s0.T, dt)
-    u_hat = orthonormal_columns(np.hstack([k1, u0]))
-    v_hat = orthonormal_columns(np.hstack([l1, v0]))
+    u_hat = orthonormal_columns(k1, u0)
+    v_hat = orthonormal_columns(l1, v0)
     s_hat0 = (u_hat.T @ u0) @ s0 @ (v0.T @ v_hat)
     s_factors = ctx.s_step_factors(u_hat, v_hat)
     s_hat = rk4(lambda s, out: ctx.s_rhs(s, s_factors, out), s_hat0, dt)
@@ -309,19 +295,27 @@ def implicit_l_step(u0: np.ndarray, l0: np.ndarray, dt: float,
 
     Row q of L solves [I + dt sum_i (sigma_t,i - g_i,q) B_i] L1_q = L0_q
     with the projected spatial weights B_i = U0^T diag(w_i/S) U0. The
-    twelve B_i come from one batched product, the m system matrices from
-    one GEMM over them, and the m r x r systems from one batched solve.
+    twelve symmetric B_i come from one (12, n) @ (n, r (r+1)/2) GEMM over
+    the cellwise products u_a u_b (a <= b) of the basis, the m system
+    matrices from one GEMM over them, and the m r x r systems from one
+    batched solve.
     """
-    r = u0.shape[1]
+    n, r = u0.shape
     m = l0.shape[0]
+    rows, cols = np.triu_indices(r)
+    # the products in triu order, filled one basis vector a at a time as
+    # contiguous rows u_a u_b, b >= a: one array, no gathered copies
+    basis = u0.T.copy()
+    products = np.empty((rows.size, n))
+    start = 0
+    for a in range(r):
+        np.multiply(basis[a], basis[a:], out=products[start:start + r - a])
+        start += r - a
     spatial = ctx.element_weights.T * ctx.inv_s                    # (12, n)
-    # (diag(w_i/S) U0)^T per element, each filled as a contiguous (n, r)
-    # block: the view has the layout of the broadcast u0.T * w_i, so the
-    # matmul runs the same kernel and gives the same bits, faster at low r
-    prod = np.empty((spatial.shape[0],) + u0.shape)
-    for i, weights in enumerate(spatial):
-        np.multiply(u0, weights[:, None], out=prod[i])
-    b_mats = prod.transpose(0, 2, 1) @ u0                          # (12, r, r)
+    upper = spatial @ products.T                                   # (12, r (r+1)/2)
+    b_mats = np.empty((12, r, r))                                  # the symmetric B_i
+    b_mats[:, rows, cols] = upper
+    b_mats[:, cols, rows] = upper
     mats = np.eye(r) + dt * (ctx.absorption.T @ b_mats.reshape(12, r * r)).reshape(m, r, r)
     rhs = l0[:, :, None]
     try:
@@ -360,12 +354,12 @@ def scattering_step(state: LowRankState, dt: float, ctx: ScatteringContext) -> L
     # substep 2: uncollided K-step (explicit), augment the spatial basis
     k_src = ctx.source_sum(lambda w, g: w @ (g @ v0), (n, v0.shape[1]))
     k1 = u0 @ s0 + dt * k_src
-    u_hat = orthonormal_columns(np.hstack([k1, u0]))
+    u_hat = orthonormal_columns(k1, u0)
 
     # substep 3: uncollided L-step (explicit), augment the moment basis
     l_src = ctx.source_sum(lambda w, g: (u0.T @ w) @ g, (r, m))
     l3 = v_tilde @ s_tilde.T + dt * l_src.T
-    v_hat = orthonormal_columns(np.hstack([l3, v_tilde]))
+    v_hat = orthonormal_columns(l3, v_tilde)
 
     # substep 4: uncollided S-step from the post-substep-1 coefficient
     s_hat0 = (u_hat.T @ u0) @ s_tilde @ (v_tilde.T @ v_hat)

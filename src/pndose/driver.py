@@ -820,7 +820,11 @@ def read_volume(path):
 
 
 def compare_volumes(path_a, path_b, array="deposited_energy"):
-    """Relative L2 and Linf of A against reference B."""
+    """Relative L2 and Linf of A against reference B.
+
+    Both are 0 only when A equals B, and inf when B is zero and A is not;
+    volumes on different grids (shape, origin or spacing) raise ConfigError.
+    """
     grid_a, arrays_a = read_volume(path_a)
     grid_b, arrays_b = read_volume(path_b)
     for path, arrays in ((path_a, arrays_a), (path_b, arrays_b)):
@@ -828,16 +832,17 @@ def compare_volumes(path_a, path_b, array="deposited_energy"):
             raise OutputIOError(
                 f"{path} holds no array '{array}'; it holds {', '.join(arrays) or 'none'}"
             )
-    if grid_a.shape != grid_b.shape:
-        raise ConfigError(
-            f"volumes have different shapes {grid_a.shape} vs {grid_b.shape}"
-        )
+    if grid_a != grid_b:
+        raise ConfigError(f"volumes lie on different grids: {path_a} on {grid_a}, "
+                          f"{path_b} on {grid_b}")
     a, b = arrays_a[array], arrays_b[array]
-    norm = np.linalg.norm(b)
-    scale = np.abs(b).max()
+
+    def relative(diff, ref):
+        return float(diff / ref) if ref > 0 else (0.0 if diff == 0 else math.inf)
+
     return {
-        "rel_l2": float(np.linalg.norm(a - b) / norm) if norm > 0 else 0.0,
-        "rel_linf": float(np.abs(a - b).max() / scale) if scale > 0 else 0.0,
+        "rel_l2": relative(np.linalg.norm(a - b), np.linalg.norm(b)),
+        "rel_linf": relative(np.abs(a - b).max(), np.abs(b).max()),
     }
 
 

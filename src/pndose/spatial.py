@@ -24,10 +24,9 @@ characteristic variables it serves; the eigenvalues that are zero up to
 rounding contribute nothing and are left out (angular.characteristic_split).
 
 The stencils are stored once: UpwindStencils stacks the upwind terms of
-the active axes row-wise into one sparse matrix. The low-rank solver
-applies them all at once, scaled() folding a diagonal into the stack per
-step by rescaling its entries, so each product with it is one sparse
-call whose rows sum exactly as the per-stencil products would.
+the active axes row-wise into one sparse matrix, which no step rescales.
+Both solvers apply it to S^-1 u. The low-rank solver applies every term
+at once, as one sparse product of the whole stack with an n x r input.
 apply_streaming, the oracle's right-hand side, reads each term as a view
 of one row block of the stack. It runs in buffers the caller may keep
 across calls (streaming_buffers): the scaled input S^-1 u (n, m) and one
@@ -131,10 +130,9 @@ class UpwindStencils:
     Rows j n .. (j+1) n - 1 hold the j-th upwind term of the order plus_x,
     minus_x, plus_y, ... over the active axes (those a grid extends
     along), each block in the entry order that scipy's product
-    D @ diag(s) emits. So scaled() forms all those products by rescaling
-    one array of entries, and one sparse product with the result applies
-    every upwind term; blocks holds each term without a copy of its
-    entries.
+    D @ diag(s) emits. That entry order fixes the order in which each row
+    of a product with the stack sums its terms, the oracle's products
+    included; blocks holds each term without a copy of its entries.
     """
 
     active_axes: tuple
@@ -158,18 +156,6 @@ class UpwindStencils:
             view.data, view.indices, view.indptr = p.data[lo:hi], p.indices[lo:hi], ptr - lo
             views.append(view)
         return tuple(views)
-
-    def scaled(self, s):
-        """The stacked stencils times diag(s), (2 a n, n).
-
-        Each block equals scipy's D @ sparse.diags(s) in data, indices and
-        indptr, so products with it sum every row in the same order.
-        take() gathers through the int32 indices as they are; s[p.indices]
-        would first convert them to intp, which costs more than the gather
-        itself.
-        """
-        p = self.stacked
-        return sparse.csr_matrix((p.data * s.take(p.indices), p.indices, p.indptr), shape=p.shape)
 
 
 def build_stencils(grid: Grid3D) -> UpwindStencils:

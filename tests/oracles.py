@@ -7,8 +7,10 @@ the associated-Legendre derivative recurrence, CSDA ranges integrate
 the shipped stopping tables by cumulative trapezoid, the grid traversal
 walks one cell at a time, the ray tracer's energy operator is
 accumulated one group and one face block at a time, the ray march
-factors its dense Crank-Nicolson systems afresh in every march, and the
-full-rank oracle's step allocates a fresh array for every stage and term.
+factors its dense Crank-Nicolson systems afresh in every march, the
+full-rank oracle's step allocates a fresh array for every stage and term,
+and the low-rank kernels apply one upwind term (and the implicit
+scattering one element) at a time.
 """
 
 import math
@@ -403,3 +405,64 @@ def naive_fullrank_step(u, dt, stream_ctx, scat_ctx):
     implicit-Euler self-scattering and the explicit-Euler source."""
     u1 = naive_rk4(lambda x: naive_streaming_rhs(x, stream_ctx), u, dt)
     return u1 / (1.0 + dt * self_scattering_rates(scat_ctx)) + dt * source_full(scat_ctx)
+
+
+def per_term_derivatives(ctx, x):
+    """[D_j S^-1 x] over the upwind terms j, one sparse product per term."""
+    scaled = ctx.inv_s[:, None] * x
+    return [block @ scaled for block in ctx.stencils.blocks]
+
+
+def per_term_moment_factors(ctx, w):
+    """[W^T V_d L+-_d V_d^T W] over the upwind terms, one axis at a time."""
+    factors = []
+    for axis in ctx.stencils.active_axes:
+        c = w.T @ ctx.ops.eig_v[axis]
+        factors.append((c * ctx.ops.lam_plus[axis][None, :]) @ c.T)
+        factors.append((c * ctx.ops.lam_minus[axis][None, :]) @ c.T)
+    return factors
+
+
+def per_term_k_rhs(ctx, k, v0):
+    """F_S(K V0^T) V0, subtracting one term's product at a time from zeros."""
+    out = np.zeros_like(k)
+    for d, f in zip(per_term_derivatives(ctx, k), per_term_moment_factors(ctx, v0)):
+        out -= d @ f
+    return out
+
+
+def per_term_l_rhs(ctx, l, u0):
+    """F_S(U0 L^T)^T U0, with A+-_d = V_d L+-_d V_d^T formed per term."""
+    a_terms = [
+        (ctx.ops.eig_v[axis] * lam[None, :]) @ ctx.ops.eig_v[axis].T
+        for axis in ctx.stencils.active_axes
+        for lam in (ctx.ops.lam_plus[axis], ctx.ops.lam_minus[axis])
+    ]
+    out = np.zeros_like(l)
+    for a, d in zip(a_terms, per_term_derivatives(ctx, u0)):
+        out -= a @ (l @ (d.T @ u0))
+    return out
+
+
+def per_term_s_step_factors(ctx, u_hat, v_hat):
+    """([U^T D_j S^-1 U^], [V^T V_d L+-_d V_d^T V^]) over the upwind terms j."""
+    return ([u_hat.T @ d for d in per_term_derivatives(ctx, u_hat)],
+            per_term_moment_factors(ctx, v_hat))
+
+
+def per_element_b_mats(u0, ctx):
+    """The twelve B_i = U0^T diag(w_i/S) U0, one weighted product per element."""
+    spatial = ctx.element_weights.T * ctx.inv_s                    # (12, n)
+    return np.array([(u0 * weights[:, None]).T @ u0 for weights in spatial])
+
+
+def per_column_implicit_l_step(u0, l0, dt, ctx):
+    """Substep 1 as one r x r solve per moment column, from per_element_b_mats."""
+    b_mats = per_element_b_mats(u0, ctx)                           # (12, r, r)
+    coeffs = ctx.sigma_t[:, None] - ctx.g_diags                    # (12, m)
+    eye_r = np.eye(u0.shape[1])
+    l_new = np.empty_like(l0)
+    for q in range(l0.shape[0]):
+        mat = eye_r + dt * np.tensordot(coeffs[:, q], b_mats, axes=(0, 0))
+        l_new[q] = np.linalg.solve(mat, l0[q])
+    return l_new

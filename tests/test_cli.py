@@ -156,6 +156,25 @@ class TestRunCompare:
         err = capsys.readouterr().err
         assert str(path) in err and "'nope'" in err and "deposited_energy" in err
 
+    def test_volumes_with_different_spacing_exit_2(self, tmp_path, capsys):
+        from pndose.driver import write_volume
+
+        path = self.volume(tmp_path)
+        coarse = tmp_path / "coarse.vtk"
+        write_volume(coarse, Grid3D(3, 3, 3, 0.5, 0.5, 0.5), {"deposited_energy": np.arange(27.0)})
+        assert main(["compare", str(path), str(coarse)]) == 2
+        err = capsys.readouterr().err
+        assert "different grids" in err and str(path) in err and str(coarse) in err
+
+    def test_compare_against_zero_reports_inf(self, tmp_path, capsys):
+        from pndose.driver import write_volume
+
+        path = self.volume(tmp_path)
+        zero = tmp_path / "zero.vtk"
+        write_volume(zero, Grid3D(3, 3, 3, 0.1, 0.1, 0.1), {"deposited_energy": np.zeros(27)})
+        assert main(["compare", str(path), str(zero)]) == 0
+        assert "relative L2:   inf" in capsys.readouterr().out
+
 
 class TestTables:
     def test_tables_check(self, capsys):

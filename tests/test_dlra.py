@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg import lapack
 
 from pndose.angular import PNBasis, PNOperators, fokker_planck_tables
 from pndose.dlra import (
@@ -20,6 +22,14 @@ from pndose.dlra import (
 from pndose.errors import NumericalError
 from pndose.fullrank import FullRankWorkspace, fullrank_scattering_step, fullrank_streaming_step
 from pndose.spatial import Grid3D, build_stencils
+
+from oracles import (
+    per_column_implicit_l_step,
+    per_term_k_rhs,
+    per_term_l_rhs,
+    per_term_moment_factors,
+    per_term_s_step_factors,
+)
 
 
 def zero_streaming_context():
@@ -54,21 +64,6 @@ def random_scattering_context(n, m, rng, homogeneous=True, with_source=True):
     )
 
 
-def per_column_implicit_l_step(u0, l0, dt, ctx):
-    """Substep 1 as one r x r solve per moment column: the reference loop."""
-    r = u0.shape[1]
-    spatial = ctx.element_weights * ctx.inv_s[:, None]             # (n, 12)
-    b_mats = np.einsum("nr,ni,ns->irs", u0, spatial, u0)           # (12, r, r)
-    coeffs = ctx.sigma_t[:, None] - ctx.g_diags                    # (12, m)
-    l_cols = l0.T                                                  # (r, m)
-    l_new = np.empty_like(l_cols)
-    eye_r = np.eye(r)
-    for q in range(l_cols.shape[1]):
-        mat = eye_r + dt * np.tensordot(coeffs[:, q], b_mats, axes=(0, 0))
-        l_new[:, q] = np.linalg.solve(mat, l_cols[:, q])
-    return l_new.T
-
-
 def full_rank_state(u_full):
     uu, ss, vvt = np.linalg.svd(u_full, full_matrices=False)
     return LowRankState(u=uu, s=np.diag(ss), v=vvt.T)
@@ -90,6 +85,44 @@ class TestState:
         q = orthonormal_columns(stacked)
         assert np.abs(q.T @ q - np.eye(4)).max() < 1e-10
 
+    def test_orthonormal_columns_reach_the_pivoted_fallback(self, monkeypatch):
+        # Householder QR gives an orthonormal Q even on duplicated columns,
+        # so the fallback guards the LAPACK path itself: a Q that fails the
+        # check (here, one whose last column repeats its third) is replaced
+        # by the pivoted QR of the blocks as given
+        dorgqr, pivoted, calls = lapack.dorgqr, scipy.linalg.qr, []
+
+        def defective_dorgqr(*args, **kwargs):
+            q, work, info = dorgqr(*args, **kwargs)
+            q[:, 3] = q[:, 2]
+            return q, work, info
+
+        def counting_qr(*args, **kwargs):
+            calls.append(kwargs.get("pivoting"))
+            return pivoted(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, "dorgqr", defective_dorgqr)
+        monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
+        a = np.random.default_rng(0).standard_normal((12, 2))
+        q = orthonormal_columns(a, a)
+        assert calls == [True]
+        assert q.shape == (12, 4) and np.abs(q.T @ q - np.eye(4)).max() < 1e-10
+
+    def test_orthonormal_columns_equal_numpy_qr(self):
+        # a C-contiguous Q equal to np.linalg.qr's, bit for bit, on a
+        # random basis pair and on the [0 | U0] start of a run
+        rng = np.random.default_rng(1)
+        k, u0 = rng.standard_normal((2520, 2)), np.linalg.qr(rng.standard_normal((2520, 2)))[0]
+        for blocks in ((k, u0), (np.zeros_like(k), u0), (rng.standard_normal((2520, 4)),)):
+            q = orthonormal_columns(*blocks)
+            assert q.flags.c_contiguous
+            assert np.array_equal(q, np.linalg.qr(np.hstack(blocks))[0])
+
+    def test_orthonormal_columns_of_a_wide_block(self):
+        # one cell: two columns span one direction, as np.linalg.qr reduces it
+        q = orthonormal_columns(np.array([[2.0]]), np.array([[1.0]]))
+        assert np.array_equal(q, np.linalg.qr(np.array([[2.0, 1.0]]))[0])
+
 
 class TestStreamingStep:
     def test_zero_dynamics_reconstruction(self):
@@ -103,7 +136,8 @@ class TestStreamingStep:
         assert np.abs(proj_u - state.u).max() < 1e-10
 
     def test_projected_rhs_match_naive(self):
-        # k/l/s right-hand sides agree with reconstructing the full matrix
+        # k/l/s right-hand sides agree with reconstructing the full matrix;
+        # each phase's factors stack the upwind terms on their first axis
         rng = np.random.default_rng(3)
         grid = Grid3D(5, 4, 6, 0.2, 0.25, 0.2)
         ops = PNOperators.build(2)
@@ -117,19 +151,57 @@ class TestStreamingStep:
         l = rng.standard_normal((m, r))
         s = rng.standard_normal((r, r))
 
+        k_factors = ctx._moment_factors(v0)
+        assert k_factors.shape == (6, r, r)
         naive_k = ctx.full_rhs(k @ v0.T) @ v0
         np.testing.assert_allclose(
-            ctx.k_rhs(k, ctx._moment_factors(v0), np.empty_like(k)), naive_k, atol=1e-12
+            ctx.k_rhs(k, k_factors, np.empty_like(k)), naive_k, atol=1e-12
         )
+        a, q = ctx.l_step_factors(u0)
+        assert a.shape == (6, m, m) and q.shape == (6, r, r)
         naive_l = ctx.full_rhs(u0 @ l.T).T @ u0
         np.testing.assert_allclose(
-            ctx.l_rhs(l, ctx.l_step_factors(u0), np.empty_like(l)), naive_l, atol=1e-12
+            ctx.l_rhs(l, (a, q), np.empty_like(l)), naive_l, atol=1e-12
         )
+        p, f = ctx.s_step_factors(u0, v0)
+        assert p.shape == f.shape == (6, r, r)
         naive_s = u0.T @ ctx.full_rhs(u0 @ s @ v0.T) @ v0
         np.testing.assert_allclose(
-            ctx.s_rhs(s, ctx.s_step_factors(u0, v0), np.empty_like(s)), naive_s, atol=1e-12
+            ctx.s_rhs(s, (p, f), np.empty_like(s)), naive_s, atol=1e-12
         )
 
+    @pytest.mark.parametrize("r", [2, 7])
+    @pytest.mark.parametrize("grid", [
+        Grid3D(5, 4, 6, 0.2, 0.25, 0.2),
+        Grid3D(5, 1, 6, 0.2, 1.0, 0.2),
+        Grid3D(1, 1, 9, 1.0, 1.0, 0.2),
+        Grid3D(1, 1, 1, 1.0, 1.0, 1.0),
+    ], ids=["3axes", "2axes", "1axis", "0axes"])
+    def test_batched_kernels_match_per_term_oracles(self, grid, r):
+        rng = np.random.default_rng(7 + r)
+        ops = PNOperators.build(3)
+        ctx = StreamingContext(
+            1.0 / rng.uniform(8.0, 20.0, grid.n_cells), build_stencils(grid), ops
+        )
+        n, m = grid.n_cells, ops.basis.size
+        u0 = rng.standard_normal((n, r))
+        v0 = orthonormal_columns(rng.standard_normal((m, r)))
+        k = rng.standard_normal((n, r))
+        l = rng.standard_normal((m, r))
+        terms = 2 * len(ctx.stencils.active_axes)
+
+        def check(got, want):
+            assert got.shape == np.shape(want)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+        check(ctx._moment_factors(v0), np.reshape(per_term_moment_factors(ctx, v0),
+                                                  (terms, r, r)))
+        check(ctx.k_rhs(k, ctx._moment_factors(v0), np.empty_like(k)),
+              per_term_k_rhs(ctx, k, v0))
+        check(ctx.l_rhs(l, ctx.l_step_factors(u0), np.empty_like(l)),
+              per_term_l_rhs(ctx, l, u0))
+        for got, want in zip(ctx.s_step_factors(u0, v0), per_term_s_step_factors(ctx, u0, v0)):
+            check(got, np.reshape(want, (terms, r, r)))
     def test_rank1_advection_matches_full_step(self):
         # single augmented BUG step vs the full-rank RK4 step; the S-phase
         # Galerkin projection deviates at O(dt^3), so a small step lands
@@ -243,7 +315,10 @@ class TestScatteringStep:
     @pytest.mark.parametrize("r", [2, 26])
     def test_implicit_solve_equals_broadcast_form_bit_for_bit(self, r):
         # the B_i as one broadcast product u0.T[None] * (w_i/S)[:, None, :]
-        # times u0, the form the per-element fill replaced
+        # times u0. The GEMM over the outer products u_a u_b rounds them
+        # differently in their last bits, but at the transport scale of
+        # the weights (dt (sigma_t,i - g_i,q) w_i/S ~ 1e-6) those bits
+        # fall below the rounding of the systems and their solutions
         rng = np.random.default_rng(47 + r)
         n, m, dt = 2520, 64, 0.5
         ctx = random_scattering_context(n, m, rng, homogeneous=False)

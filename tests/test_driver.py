@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -31,11 +32,11 @@ from pndose.driver import (
     write_volume,
     _data_file_checksums,
 )
-from pndose.dlra import LowRankState
+from pndose.dlra import LowRankState, StreamingContext
 from pndose.errors import ConfigError
 from pndose.physics import mix_stopping_power
 from pndose.raytracer import BeamSource, EnergyOperators
-from pndose.spatial import Grid3D, UpwindStencils
+from pndose.spatial import Grid3D, build_stencils
 
 from oracles import water_csda_ranges
 
@@ -531,23 +532,29 @@ class TestSimulation:
 
 
 class TestStepContexts:
-    @pytest.mark.parametrize("solver, per_step", [("fullrank", 0), ("dlra", 1)])
-    def test_only_the_low_rank_solver_rescales_stencils(self, monkeypatch, solver, per_step):
-        # the oracle streams with full_rhs, which never reads D diag(1/S);
-        # the low-rank solver rescales the one stacked operator once a step
-        shapes = []
-        scaled = UpwindStencils.scaled
+    @pytest.mark.parametrize("solver", ["fullrank", "dlra"])
+    def test_no_solver_builds_a_per_step_stencil_operator(self, monkeypatch, solver):
+        # both solvers apply the one stored stencil stack to S^-1 x: a step's
+        # context is frozen, holds 1/S, the stack and the operators and
+        # nothing else, and the stack leaves the run as it entered it
+        assert [f.name for f in dataclasses.fields(StreamingContext)] == ["inv_s", "stencils", "ops"]
+        contexts = []
 
-        def counting_scaled(self, s):
-            stacked = scaled(self, s)
-            shapes.append(stacked.shape)
-            return stacked
+        def recording(*args):
+            contexts.append(StreamingContext(*args))
+            return contexts[-1]
 
-        monkeypatch.setattr(UpwindStencils, "scaled", counting_scaled)
+        monkeypatch.setattr("pndose.driver.StreamingContext", recording)
         result = run_simulation(ProblemConfig.from_dict(smoke_raw()), solver=solver)
-        assert len(shapes) == per_step * result.diagnostics["n_steps"]
-        n = result.diagnostics["n_cells"]
-        assert set(shapes) <= {(6 * n, n)}
+        assert len(contexts) == result.diagnostics["n_steps"]
+        stencils = result.problem.stencils
+        fresh = build_stencils(result.problem.grid).stacked
+        assert np.array_equal(stencils.stacked.data, fresh.data)
+        for ctx in contexts:
+            assert ctx.stencils is stencils
+            assert set(vars(ctx)) == {"inv_s", "stencils", "ops"}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            contexts[0].inv_s = contexts[0].inv_s
 
     @pytest.mark.parametrize("model, physics", [
         ("boltzmann", {}),
@@ -660,6 +667,31 @@ class TestOutputs:
         report = compare_volumes(path, path)
         assert report["rel_l2"] == 0.0
         assert report["rel_linf"] == 0.0
+
+    def test_compare_against_zero_reference_is_inf(self, tmp_path):
+        # a nonzero dose against an all-zero reference differs by all of it
+        grid = Grid3D(3, 3, 3, 0.1, 0.1, 0.1)
+        path_a, path_b = tmp_path / "a.vtk", tmp_path / "b.vtk"
+        write_volume(path_a, grid, {"deposited_energy": np.arange(27.0)})
+        write_volume(path_b, grid, {"deposited_energy": np.zeros(27)})
+        assert compare_volumes(path_a, path_b) == {"rel_l2": math.inf, "rel_linf": math.inf}
+        assert compare_volumes(path_b, path_b) == {"rel_l2": 0.0, "rel_linf": 0.0}
+
+    @pytest.mark.parametrize("other", [
+        Grid3D(3, 3, 3, 0.5, 0.5, 0.5),
+        Grid3D(3, 3, 3, 0.1, 0.1, 0.1, origin=(0.0, 0.0, 1.0)),
+        Grid3D(3, 3, 4, 0.1, 0.1, 0.1),
+    ], ids=["spacing", "origin", "shape"])
+    def test_compare_rejects_volumes_on_different_grids(self, tmp_path, other):
+        grid = Grid3D(3, 3, 3, 0.1, 0.1, 0.1)
+        path_a, path_b = tmp_path / "a.vtk", tmp_path / "b.vtk"
+        write_volume(path_a, grid, {"deposited_energy": np.ones(grid.n_cells)})
+        write_volume(path_b, other, {"deposited_energy": np.ones(other.n_cells)})
+        with pytest.raises(ConfigError, match="different grids") as info:
+            compare_volumes(path_a, path_b)
+        message = str(info.value)
+        assert f"{path_a} on {read_volume(path_a)[0]}" in message
+        assert f"{path_b} on {read_volume(path_b)[0]}" in message
 
     def test_profiles_match_direct_indexing(self, smoke_result):
         grid = smoke_result.problem.grid

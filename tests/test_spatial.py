@@ -253,44 +253,47 @@ class TestStreaming:
         slow = dense_reference_streaming(u, inv_s, grid, ops)
         assert np.linalg.norm(fast - slow) <= 1e-12 * np.linalg.norm(slow)
 
-    def test_scaled_stencils_equal_the_sparse_product(self):
-        # block j of the stacked, rescaled operator is D_j @ diag(s) as scipy
-        # forms it, entry for entry, over the active axes only
-        rng = np.random.default_rng(2)
+    def test_stacked_entries_keep_the_sparse_product_order(self):
+        # block j of the stack is D_j @ diag(1) as scipy forms it, entry
+        # for entry, over the active axes only: that order fixes the sums
+        # of every product with the stack, the oracle's included
         for g, active in ((Grid3D(5, 1, 6, 0.1, 0.1, 0.2), (0, 2)),
                           (Grid3D(1, 1, 7, 1.0, 1.0, 0.2), (2,)),
                           (Grid3D(4, 3, 5, 0.1, 0.2, 0.3), (0, 1, 2))):
             st = build_stencils(g)
             assert st.active_axes == active
             n = g.n_cells
-            inv_s = 1.0 / rng.uniform(5.0, 20.0, n)
-            stacked = StreamingContext(inv_s, st, PNOperators.build(1)).scaled
             terms = lifted_terms(g, active)
-            assert stacked.shape == (len(terms) * n, n)
+            assert st.stacked.shape == (len(terms) * n, n)
             for j, d in enumerate(terms):
-                block = stacked[j * n:(j + 1) * n]
-                product = d @ sparse.diags(inv_s)
+                block = st.stacked[j * n:(j + 1) * n]
+                product = d @ sparse.diags(np.ones(n))
                 assert np.array_equal(block.data, product.data)
                 assert np.array_equal(block.indices, product.indices)
                 assert np.array_equal(block.indptr, product.indptr)
 
     def test_stacked_products_are_the_per_term_products(self):
+        # one sparse product of the stack with S^-1 x is, row block by row
+        # block, each term's product with it, bit for bit
         rng = np.random.default_rng(4)
         g = Grid3D(4, 1, 5, 0.1, 0.1, 0.2)
         st = build_stencils(g)
         inv_s = 1.0 / rng.uniform(5.0, 20.0, g.n_cells)
         ctx = StreamingContext(inv_s, st, PNOperators.build(1))
         x = rng.standard_normal((g.n_cells, 3))
-        products = ctx.stencil_products(x)
+        products = ctx.derivatives(x)
         terms = lifted_terms(g, (0, 2))
-        assert len(products) == len(terms)
+        assert products.shape == (len(terms), g.n_cells, 3)
+        ones = sparse.diags(np.ones(g.n_cells))
         for d, product in zip(terms, products):
-            assert np.array_equal(product, (d @ sparse.diags(inv_s)) @ x)
+            assert np.array_equal(product, (d @ ones) @ (inv_s[:, None] * x))
 
     def test_no_active_axis_stacks_nothing(self):
         st = build_stencils(Grid3D(1, 1, 1, 1.0, 1.0, 1.0))
         assert st.active_axes == ()
-        assert st.scaled(np.ones(1)).shape == (0, 1)
+        assert st.stacked.shape == (0, 1)
+        ctx = StreamingContext(np.ones(1), st, PNOperators.build(1))
+        assert ctx.derivatives(np.ones((1, 2))).shape == (0, 1, 2)
 
     def test_eigen_rotation_roundtrip(self):
         rng = np.random.default_rng(5)
