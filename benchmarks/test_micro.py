@@ -15,13 +15,14 @@ updates, in place in a FullRankWorkspace) on the preset30 benchmark grid
 The ray-tracer cases use the water90_lowrank beam: 441 rays through
 6 x 6 x 70 water cells that share one Crank-Nicolson march. They time
 assemble_energy_operators for water (128 groups), the one march_ray of
-the beam, and trace_beam; the last two with the energy-operator table
-already filled, as the second beam of a run finds it. One more case times
-the whole ray trace of the oblique30_hetero benchmark, trace_all_beams on
-its config (read from perfbench/configs): a tilted beam whose 25 rays need
-10 marches through water, lung and bone, each call with a fresh
-energy-operator table as a run starts with. Run from the repository root,
-with the BLAS thread count pinned:
+the beam, and trace_beam; the last two with the trace's EnergyOperators
+table already holding the water operator and its factors, as the second
+beam of a trace finds it. One more case times the whole ray trace of the
+oblique30_hetero benchmark, trace_all_beams on its config (read from
+perfbench/configs): a tilted beam whose 25 rays need 10 marches through
+water, lung and bone, each call building and dropping its own table, as
+a run does. Run from the repository root, with the BLAS thread count
+pinned:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest benchmarks --benchmark-only
 
@@ -185,7 +186,7 @@ def test_march_ray_water90(benchmark, water90):
     segments = [(cell, s1 - s0, int(keys[cell])) for cell, s0, s1 in path]
     psi0 = project_initial_spectrum(space, beam.energy_mev, beam.sigma_e_mev)
     operators = EnergyOperators(space, coefficients)
-    march_ray(segments, operators, psi0)            # assembles the operator
+    march_ray(segments, operators, psi0)            # assembles and factors the operator
     averages, residuals, _ = benchmark(march_ray, segments, operators, psi0)
     assert averages.shape == (70, space.n_groups) and residuals.shape == (70,)
 
@@ -194,7 +195,7 @@ def test_trace_beam_water90(benchmark, water90):
     problem, keys, coefficients = water90
     args = (problem.config.beams[0], problem.grid, keys,
             EnergyOperators(problem.space, coefficients), problem.config.ray_n_side)
-    trace_beam(*args)                               # assembles the operator
+    trace_beam(*args)                               # assembles and factors the operator
     flux = benchmark(trace_beam, *args)
     assert (flux.n_rays, flux.n_marches) == (441, 1)
 
@@ -204,10 +205,5 @@ OBLIQUE30 = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "obl
 
 def test_trace_all_beams_oblique30(benchmark):
     problem = assemble_problem(ProblemConfig.load(OBLIQUE30))
-    keys, coefficients = material_coefficients(problem)
-
-    def trace():
-        return trace_all_beams(problem, keys, EnergyOperators(problem.space, coefficients))
-
-    (flux,) = benchmark(trace)
-    assert (flux.n_rays, flux.n_marches, flux.n_factorizations) == (25, 10, 27)
+    (flux,), counts = benchmark(trace_all_beams, problem)
+    assert (flux.n_rays, flux.n_marches, counts["cn_factorizations"]) == (25, 10, 27)

@@ -11,7 +11,14 @@ import sys
 
 import numpy as np
 
-from .driver import ProblemConfig, compare_volumes, run_simulation, write_outputs
+from .driver import (
+    ProblemConfig,
+    assemble_problem,
+    compare_volumes,
+    run_simulation,
+    validate_output_paths,
+    write_outputs,
+)
 from .errors import PnDoseError
 
 
@@ -21,8 +28,6 @@ def _plural(count, singular, plural=None):
 
 def _cmd_run(args, solver):
     config = ProblemConfig.load(args.config)
-    from .driver import validate_output_paths
-
     validate_output_paths(config)
     result = run_simulation(config, solver=solver)
     out = write_outputs(result)
@@ -53,8 +58,6 @@ def _cmd_run(args, solver):
 
 def _cmd_validate(args):
     config = ProblemConfig.load(args.config)
-    from .driver import assemble_problem, validate_output_paths
-
     if config.output_directory is not None:
         validate_output_paths(config)
     problem = assemble_problem(config)

@@ -42,7 +42,8 @@ def orthonormal_columns(*blocks: np.ndarray) -> np.ndarray:
     order. Householder QR keeps Q orthonormal also on rank-deficient
     columns (K(t1) parallel to U0 when the dynamics vanish); a Q that
     still fails the orthonormality check is replaced by column-pivoted QR
-    plus re-orthonormalization, and one that fails after that raises.
+    plus re-orthonormalization, and one that fails after that raises, as
+    does a non-finite block.
     """
     a = np.concatenate(blocks, axis=1, out=np.empty(
         (blocks[0].shape[0], sum(b.shape[1] for b in blocks)), order="F"))
@@ -52,6 +53,8 @@ def orthonormal_columns(*blocks: np.ndarray) -> np.ndarray:
     q, _, _ = lapack.dorgqr(qr[:, :tau.size], tau, lwork=lwork, overwrite_a=True)
     q = np.ascontiguousarray(q)
     defect = np.abs(q.T @ q - np.eye(q.shape[1])).max()
+    if not np.isfinite(defect):
+        raise NumericalError("orthonormalization of a non-finite basis")
     if defect > 1e-12:
         q, _, _ = scipy.linalg.qr(np.hstack(blocks), mode="economic", pivoting=True)
         q, _ = np.linalg.qr(q)
@@ -212,11 +215,6 @@ class StreamingContext:
         a = self.ops.a_split[list(self.stencils.active_axes)].reshape(-1, m, m)
         return a, self.derivatives(u0).transpose(0, 2, 1) @ u0
 
-    def l_rhs(self, l: np.ndarray, factors, out: np.ndarray) -> np.ndarray:
-        """F_S(U0 L^T)^T U0 = -sum_j A_j L Q_j into out, shaped like L (m x r)."""
-        a, q = factors
-        return np.negative((a @ (l @ q)).sum(axis=0), out=out)
-
     def s_step_factors(self, u_hat: np.ndarray, v_hat: np.ndarray):
         """Precontracted Galerkin-phase factors (P, F) over the upwind terms j.
 
@@ -226,10 +224,13 @@ class StreamingContext:
         """
         return u_hat.T @ self.derivatives(u_hat), self._moment_factors(v_hat)
 
-    def s_rhs(self, s: np.ndarray, factors, out: np.ndarray) -> np.ndarray:
-        """U^T F_S(U^ S V^T) V^ in O(r^3) from the s_step_factors of U^, V^, into out."""
-        p, f = factors
-        return np.negative((p @ (s @ f)).sum(axis=0), out=out)
+    @staticmethod
+    def galerkin_rhs(y: np.ndarray, factors, out: np.ndarray) -> np.ndarray:
+        """-sum_j Left_j Y Right_j into out, for the factors (Left, Right) over
+        the upwind terms j: F_S(U0 L^T)^T U0 (m x r) from the l_step_factors
+        of U0, and U^T F_S(U^ S V^T) V^ in O(r^3) from the s_step_factors."""
+        left, right = factors
+        return np.negative((left @ (y @ right)).sum(axis=0), out=out)
 
 
 def streaming_step(state: LowRankState, dt: float, ctx: StreamingContext) -> LowRankState:
@@ -238,12 +239,12 @@ def streaming_step(state: LowRankState, dt: float, ctx: StreamingContext) -> Low
     k_factors = ctx._moment_factors(v0)
     k1 = rk4(lambda k, out: ctx.k_rhs(k, k_factors, out), u0 @ s0, dt)
     l_factors = ctx.l_step_factors(u0)
-    l1 = rk4(lambda l, out: ctx.l_rhs(l, l_factors, out), v0 @ s0.T, dt)
+    l1 = rk4(lambda l, out: ctx.galerkin_rhs(l, l_factors, out), v0 @ s0.T, dt)
     u_hat = orthonormal_columns(k1, u0)
     v_hat = orthonormal_columns(l1, v0)
     s_hat0 = (u_hat.T @ u0) @ s0 @ (v0.T @ v_hat)
     s_factors = ctx.s_step_factors(u_hat, v_hat)
-    s_hat = rk4(lambda s, out: ctx.s_rhs(s, s_factors, out), s_hat0, dt)
+    s_hat = rk4(lambda s, out: ctx.galerkin_rhs(s, s_factors, out), s_hat0, dt)
     return LowRankState(u=u_hat, s=s_hat, v=v_hat)
 
 

@@ -45,7 +45,7 @@ from .dlra import (
     streaming_step,
     truncate,
 )
-from .errors import ConfigError, OutputIOError, PhysicsDataError
+from .errors import ConfigError, NumericalError, OutputIOError, PhysicsDataError
 from .fullrank import FullRankWorkspace, fullrank_scattering_step, fullrank_streaming_step
 from .physics import (
     MaterialField,
@@ -58,13 +58,7 @@ from .physics import (
     straggling_t_derivative,
 )
 from .physics.materials import data_path
-from .raytracer import (
-    BeamSource,
-    CrankNicolsonFactors,
-    EnergyDGSpace,
-    EnergyOperators,
-    trace_beam,
-)
+from .raytracer import BeamSource, EnergyDGSpace, EnergyOperators, trace_beam
 from .spatial import Grid3D, build_stencils
 
 SQRT_4PI = math.sqrt(4.0 * math.pi)
@@ -472,22 +466,24 @@ def material_coefficients(problem: Problem):
     return keys, coefficients
 
 
-def trace_all_beams(problem: Problem, keys, operators: EnergyOperators):
-    """Ray-trace every beam once; returns a list of UncollidedFlux.
+def trace_all_beams(problem: Problem):
+    """Ray-trace every beam once; returns (fluxes, counts).
 
-    keys and operators: the material key of each cell and the run's table
-    of energy operators over the coefficients of material_coefficients.
-    All beams share the table, so each material's operator is assembled
-    once per run. They also share one CrankNicolsonFactors table, so each
-    (material, dz) pair is factored once; it is dropped when the trace
-    returns.
+    fluxes: one UncollidedFlux per beam. All beams share one
+    EnergyOperators table over the coefficients of material_coefficients,
+    so each material's operator is assembled once and each (material, dz)
+    pair factored once; the table is dropped when the trace returns.
+    counts: those assemblies and factorizations, under their diagnostics
+    keys energy_operator_assemblies and cn_factorizations.
     """
-    factors = CrankNicolsonFactors(operators)
-    return [
-        trace_beam(beam, problem.grid, keys, operators, n_side=problem.config.ray_n_side,
-                   factors=factors)
+    keys, coefficients = material_coefficients(problem)
+    operators = EnergyOperators(problem.space, coefficients)
+    fluxes = [
+        trace_beam(beam, problem.grid, keys, operators, n_side=problem.config.ray_n_side)
         for beam in problem.config.beams
     ]
+    return fluxes, {"energy_operator_assemblies": len(operators),
+                    "cn_factorizations": len(operators.factors)}
 
 
 def uncollided_dose(problem: Problem, fluxes) -> np.ndarray:
@@ -625,6 +621,11 @@ class LowRankSolver:
         self.phase_s = dict.fromkeys(STEP_PHASES, 0.0)
 
     def _truncate(self):
+        # as the oracle checks max |u|: the bases are orthonormal, so S
+        # carries the magnitude of the state
+        scale = np.abs(self.state.s).max()
+        if not np.isfinite(scale):
+            raise NumericalError(f"non-finite low-rank state: max |S| {scale:g}")
         self.peak_transient_numbers = max(self.peak_transient_numbers, _numbers(self.state))
         self.state, tail = timed(self.phase_s, "truncation", truncate, self.state, self.policy)
         self.max_tail = max(self.max_tail, tail)
@@ -685,9 +686,7 @@ def run_simulation(config: ProblemConfig, solver: str = "dlra") -> SimulationRes
     problem = timed(phase_s, "assembly", assemble_problem, config)
     n, m = problem.n_cells, problem.n_moments
 
-    keys, coefficients = timed(phase_s, "ray_trace", material_coefficients, problem)
-    operators = EnergyOperators(problem.space, coefficients)
-    fluxes = timed(phase_s, "ray_trace", trace_all_beams, problem, keys, operators)
+    fluxes, trace_counts = timed(phase_s, "ray_trace", trace_all_beams, problem)
     t_ms = [beam_projection(config.pn_order, b.direction) for b in config.beams]
 
     edges = pseudo_time_edges(problem)
@@ -742,8 +741,7 @@ def run_simulation(config: ProblemConfig, solver: str = "dlra") -> SimulationRes
         "rays_per_beam": [f.n_rays for f in fluxes],
         "rays_missed_per_beam": [f.n_rays_missed for f in fluxes],
         "marches_per_beam": [f.n_marches for f in fluxes],
-        "cn_factorizations": sum(f.n_factorizations for f in fluxes),
-        "energy_operator_assemblies": len(operators),
+        **trace_counts,
     }
     return SimulationResult(
         problem=problem,
@@ -905,6 +903,14 @@ def validate_output_paths(config: ProblemConfig):
     return out
 
 
+def _write_csv(path, header, rows, formats):
+    """A CSV file: the header line, then one line per row, field i in formats[i]."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(format(value, spec) for value, spec in zip(row, formats)) + "\n")
+
+
 def write_outputs(result: SimulationResult):
     """Dose volume, depth/lateral profiles, rank history, run manifest."""
     config = result.problem.config
@@ -918,22 +924,13 @@ def write_outputs(result: SimulationResult):
         title=f"pndose {config.name}",
     )
 
-    z, dep, dose = depth_profile(result)
-    with open(out / names["depth_profile"], "w") as fh:
-        fh.write("depth_cm,deposited_mev_cm3,dose\n")
-        for row in zip(z, dep, dose):
-            fh.write(f"{row[0]:.9g},{row[1]:.12e},{row[2]:.12e}\n")
-
-    x, dep_l, dose_l = lateral_profile(result, config.lateral_depth_cm)
-    with open(out / names["lateral_profile"], "w") as fh:
-        fh.write("lateral_cm,deposited_mev_cm3,dose\n")
-        for row in zip(x, dep_l, dose_l):
-            fh.write(f"{row[0]:.9g},{row[1]:.12e},{row[2]:.12e}\n")
-
-    with open(out / names["rank_history"], "w") as fh:
-        fh.write("step,E_MeV,rank\n")
-        for step, e_mev, rank in result.rank_history:
-            fh.write(f"{step},{e_mev:.9g},{rank}\n")
+    profile = (".9g", ".12e", ".12e")
+    _write_csv(out / names["depth_profile"], "depth_cm,deposited_mev_cm3,dose",
+               zip(*depth_profile(result)), profile)
+    _write_csv(out / names["lateral_profile"], "lateral_cm,deposited_mev_cm3,dose",
+               zip(*lateral_profile(result, config.lateral_depth_cm)), profile)
+    _write_csv(out / names["rank_history"], "step,E_MeV,rank", result.rank_history,
+               ("", ".9g", ""))
 
     manifest = {
         "version": __version__,

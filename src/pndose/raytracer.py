@@ -22,16 +22,16 @@ boundary crossings of a ray formed and merged as arrays) and deposit
 track-length-weighted group-averaged flux at cell midpoints, one indexed
 add per ray; rays sharing a material column reuse one march.
 
-Two tables are shared by the marches. EnergyOperators, one per run,
-assembles each material's G once and keeps it as CSR.
-CrankNicolsonFactors, one per ray trace and dropped with it, factors
-M + dz/2 G once per (material, exact dz) pair and keeps the LU factors
-and M - dz/2 G compactly: the positions and values of the entries that
-are not +0.0, since both have G's block-tridiagonal pattern. A march
-groups its step sizes by round(dz, 14) and uses the first exact dz of a
-group for the whole group, so a factor never depends on which march met
-it first; only the march's current operator is expanded to dense (see
-march_ray for the memory orders that keep every dose's bits).
+One table, EnergyOperators, holds the state of a ray trace and is
+dropped with it. It assembles each material's G once and keeps it as
+CSR, and it factors M + dz/2 G once per (material, exact dz) pair and
+keeps the LU factors and M - dz/2 G compactly: the positions and values
+of the entries that are not +0.0, since both have G's block-tridiagonal
+pattern. A march groups its step sizes by round(dz, 14) and uses the
+first exact dz of a group for the whole group, so a factor never depends
+on which march met it first; only the march's current operator is
+expanded to dense (see march_ray for the memory orders that keep every
+dose's bits).
 """
 
 import math
@@ -259,30 +259,6 @@ def assemble_energy_operators(space: EnergyDGSpace, s_star_fn, t_fn, sigma_t_fn)
     return space.mass_diagonal(), g_mat.reshape(space.n_dof, space.n_dof)
 
 
-class EnergyOperators(dict):
-    """Material key -> (CSR G, S*(e_min)) on one energy space, filled on lookup.
-
-    coefficients maps a material key to (s_star_fn, t_fn, sigma_t_fn). A
-    key's entry is assembled the first time it is looked up and kept for
-    every later march, so a run that hands one table to all its marches
-    assembles each material's operator once; len() counts the
-    assemblies. G is block-tridiagonal, so only its nonzeros are stored
-    (toarray gives the same matrix back bit for bit).
-    """
-
-    def __init__(self, space: EnergyDGSpace, coefficients):
-        super().__init__()
-        self.space = space
-        self.coefficients = coefficients
-
-    def __missing__(self, key):
-        s_star_fn, t_fn, sigma_t_fn = self.coefficients[key]
-        g_mat = assemble_energy_operators(self.space, s_star_fn, t_fn, sigma_t_fn)[1]
-        s_min = float(np.atleast_1d(s_star_fn(np.array([self.space.e_min])))[0])
-        self[key] = entry = (sparse.csr_matrix(g_mat), s_min)
-        return entry
-
-
 @dataclass(frozen=True)
 class CrankNicolsonFactor:
     """One Crank-Nicolson step operator, M + dz/2 G factored, in compact form.
@@ -337,38 +313,53 @@ class CrankNicolsonFactor:
         rhs_flat[self.rhs_positions] = self.rhs_values
 
 
-class CrankNicolsonFactors(dict):
-    """(material key, exact dz) -> CrankNicolsonFactor over one EnergyOperators.
+class EnergyOperators(dict):
+    """The table of one ray trace on one energy space, filled on lookup.
 
-    A pair's factor is computed the first time it is looked up and kept
-    for every later march, so marches and beams that share one table
-    factor each (material, dz) pair once; len() counts the
-    factorizations. Hand one table to the marches of a ray trace and
-    drop it with the trace: only the march's current operator is ever
-    dense.
+    Material key -> (CSR G, S*(e_min)); factors holds the
+    CrankNicolsonFactor of each (material key, exact dz) pair.
+    coefficients maps a material key to (s_star_fn, t_fn, sigma_t_fn). A
+    key's operator is assembled, and a pair's operator factored, the
+    first time it is looked up and kept for every later march, so the
+    marches and beams that share one table assemble each material's
+    operator once and factor each pair once; len() counts the
+    assemblies and len(factors) the factorizations. G is
+    block-tridiagonal, so only its nonzeros are stored (toarray gives
+    the same matrix back bit for bit). Hand one table to the marches of
+    a ray trace and drop it with the trace: only the march's current
+    operator is ever dense.
     """
 
-    def __init__(self, operators: EnergyOperators):
+    def __init__(self, space: EnergyDGSpace, coefficients):
         super().__init__()
-        self.operators = operators
-        self.mass = operators.space.mass_diagonal()
+        self.space = space
+        self.coefficients = coefficients
+        self.mass = space.mass_diagonal()
+        self.factors = {}
 
-    def __missing__(self, pair):
-        key, dz = pair
-        self[pair] = factor = CrankNicolsonFactor.factor(self.mass, self.operators[key][0], dz)
-        return factor
+    def __missing__(self, key):
+        s_star_fn, t_fn, sigma_t_fn = self.coefficients[key]
+        g_mat = assemble_energy_operators(self.space, s_star_fn, t_fn, sigma_t_fn)[1]
+        s_min = float(np.atleast_1d(s_star_fn(np.array([self.space.e_min])))[0])
+        self[key] = entry = (sparse.csr_matrix(g_mat), s_min)
+        return entry
+
+    def factor(self, key, dz):
+        """The CrankNicolsonFactor of material key at the exact step dz."""
+        if (key, dz) not in self.factors:
+            self.factors[key, dz] = CrankNicolsonFactor.factor(self.mass, self[key][0], dz)
+        return self.factors[key, dz]
 
 
-def march_ray(segments, operators: EnergyOperators, psi0, max_step=MAX_STEP_CM, factors=None):
+def march_ray(segments, operators: EnergyOperators, psi0, max_step=MAX_STEP_CM):
     """Crank-Nicolson march along a ray path.
 
     segments: list of (cell_index, length_cm, material_key); operators:
-    the run's table of energy operators, on whose space the march runs;
-    factors: the trace's CrankNicolsonFactors over operators (a fresh
-    table, dropped with the march, if None). Returns (averages,
-    residuals, psi_exit): the group averages at each segment's midpoint
-    (n_segments, n_groups), the energy [MeV] carried below the cutoff
-    inside each segment (n_segments,), and the exit coefficients.
+    the trace's EnergyOperators table, on whose space the march runs.
+    Returns (averages, residuals, psi_exit): the group averages at each
+    segment's midpoint (n_segments, n_groups), the energy [MeV] carried
+    below the cutoff inside each segment (n_segments,), and the exit
+    coefficients.
 
     The factors live in the shared table, keyed by (material, exact dz).
     Within a march, all steps whose dz agree to round(dz, 14) use the
@@ -381,8 +372,6 @@ def march_ray(segments, operators: EnergyOperators, psi0, max_step=MAX_STEP_CM, 
     dose in the last bits).
     """
     space = operators.space
-    if factors is None:
-        factors = CrankNicolsonFactors(operators)
     n, nl = space.n_dof, space.n_local
     p_lo = space.basis([-1.0])[0][0]
     first_dz = {}          # (material key, round(dz, 14)) -> first exact dz seen
@@ -400,7 +389,7 @@ def march_ray(segments, operators: EnergyOperators, psi0, max_step=MAX_STEP_CM, 
         dz = 0.5 * length / n_sub
         pair = (key, first_dz.setdefault((key, round(dz, 14)), dz))
         if pair != current:
-            factor = factors[pair]
+            factor = operators.factor(*pair)
             factor.expand(lu_flat, rhs_flat)
             current, pivots = pair, factor.pivots
         residual = 0.0
@@ -520,7 +509,6 @@ class UncollidedFlux:
     n_rays: int                   # bundle rays that deposit
     n_rays_missed: int            # bundle rays that deposit nothing
     n_marches: int                # Crank-Nicolson marches the rays shared
-    n_factorizations: int         # Crank-Nicolson systems this trace factored
 
     @property
     def undershoot(self) -> float:
@@ -544,16 +532,13 @@ def _format_vector(v) -> str:
 
 
 def trace_beam(beam: BeamSource, grid: Grid3D, material_key_of_cell, operators: EnergyOperators,
-               n_side, factors=None):
+               n_side):
     """Trace a stratified bundle and deposit track-length-averaged flux.
 
     material_key_of_cell: (n_cells,) int array of keys into operators,
-    the run's table of energy operators (see march_ray); hand one table
-    to the beams of a run to assemble each material's operator once.
-    factors: the CrankNicolsonFactors over operators that the marches
-    share (a fresh one for this beam if None); hand one to the beams of
-    a ray trace to factor each (material, dz) pair once. n_factorizations
-    counts the pairs this beam added to it.
+    the trace's EnergyOperators table (see march_ray); hand one table to
+    the beams of a ray trace to assemble each material's operator and
+    factor each (material, dz) pair once.
     Rays whose cell-material sequence coincides share one Crank-Nicolson
     march. Deposition order is fixed by the ray enumeration, so results
     are bit-stable.
@@ -563,9 +548,6 @@ def trace_beam(beam: BeamSource, grid: Grid3D, material_key_of_cell, operators: 
     anything raises ConfigError naming the beam and the grid extent.
     """
     space = operators.space
-    if factors is None:
-        factors = CrankNicolsonFactors(operators)
-    n_factored = len(factors)
     e1, e2 = beam.transverse_frame()
     offsets, ray_weights = stratified_ray_offsets(beam.sigma_xy_cm, n_side)
     psi0 = project_initial_spectrum(space, beam.energy_mev, beam.sigma_e_mev)
@@ -595,7 +577,7 @@ def trace_beam(beam: BeamSource, grid: Grid3D, material_key_of_cell, operators: 
             # float64 lengths: march_ray classes its steps by round(dz, 14)
             segments = list(zip(cells.tolist(), lengths, keys))
             # cache only the spectra; cells belong to the individual ray
-            march_cache[signature] = march_ray(segments, operators, psi0, factors=factors)[:2]
+            march_cache[signature] = march_ray(segments, operators, psi0)[:2]
         averages, res_energy = march_cache[signature]
         weight = beam.weight * w_ray
         # the cells of one ray are distinct, so each indexed add is one
@@ -618,5 +600,4 @@ def trace_beam(beam: BeamSource, grid: Grid3D, material_key_of_cell, operators: 
         n_rays=n_alive,
         n_rays_missed=len(offsets) - n_alive,
         n_marches=len(march_cache),
-        n_factorizations=len(factors) - n_factored,
     )

@@ -20,7 +20,6 @@ from pndose.driver import (
     ProblemConfig,
     assemble_problem,
     depth_profile,
-    material_coefficients,
     pseudo_time_edges,
     run_simulation,
     step_contexts,
@@ -114,8 +113,7 @@ class TestCriterion2MaximalRankEquivalence:
         }
         config = ProblemConfig.from_dict(raw)
         problem = assemble_problem(config)
-        keys, coefficients = material_coefficients(problem)
-        fluxes = trace_all_beams(problem, keys, EnergyOperators(problem.space, coefficients))
+        fluxes, _ = trace_all_beams(problem)
         t_ms = [beam_projection(config.pn_order, b.direction) for b in config.beams]
         edges = pseudo_time_edges(problem)
         tables = step_tables(problem, edges)

@@ -115,6 +115,12 @@ class TestRunCompare:
         assert "output.dose_volume must be a string" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.usefixtures("nan_uncollided_flux")
+    def test_non_finite_run_exits_4(self, tmp_path, capsys):
+        # a NaN in the uncollided flux ends the run as a numerical error
+        assert main(["run", str(smoke_config(tmp_path))]) == 4
+        assert "non-finite" in capsys.readouterr().err
+
     def test_compare_identical(self, tmp_path, capsys):
         from pndose.driver import write_volume
 

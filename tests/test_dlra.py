@@ -108,6 +108,14 @@ class TestState:
         assert calls == [True]
         assert q.shape == (12, 4) and np.abs(q.T @ q - np.eye(4)).max() < 1e-10
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_orthonormal_columns_raise_on_a_non_finite_block(self, bad):
+        # a NaN defect fails no comparison, so the orthonormality check
+        # alone would let an all-NaN Q through
+        a = np.array([[bad, 1.0], [1.0, 2.0], [0.5, 0.1]])
+        with pytest.raises(NumericalError, match="non-finite basis"):
+            orthonormal_columns(a)
+
     def test_orthonormal_columns_equal_numpy_qr(self):
         # a C-contiguous Q equal to np.linalg.qr's, bit for bit, on a
         # random basis pair and on the [0 | U0] start of a run
@@ -161,13 +169,13 @@ class TestStreamingStep:
         assert a.shape == (6, m, m) and q.shape == (6, r, r)
         naive_l = ctx.full_rhs(u0 @ l.T).T @ u0
         np.testing.assert_allclose(
-            ctx.l_rhs(l, (a, q), np.empty_like(l)), naive_l, atol=1e-12
+            ctx.galerkin_rhs(l, (a, q), np.empty_like(l)), naive_l, atol=1e-12
         )
         p, f = ctx.s_step_factors(u0, v0)
         assert p.shape == f.shape == (6, r, r)
         naive_s = u0.T @ ctx.full_rhs(u0 @ s @ v0.T) @ v0
         np.testing.assert_allclose(
-            ctx.s_rhs(s, (p, f), np.empty_like(s)), naive_s, atol=1e-12
+            ctx.galerkin_rhs(s, (p, f), np.empty_like(s)), naive_s, atol=1e-12
         )
 
     @pytest.mark.parametrize("r", [2, 7])
@@ -198,7 +206,7 @@ class TestStreamingStep:
                                                   (terms, r, r)))
         check(ctx.k_rhs(k, ctx._moment_factors(v0), np.empty_like(k)),
               per_term_k_rhs(ctx, k, v0))
-        check(ctx.l_rhs(l, ctx.l_step_factors(u0), np.empty_like(l)),
+        check(ctx.galerkin_rhs(l, ctx.l_step_factors(u0), np.empty_like(l)),
               per_term_l_rhs(ctx, l, u0))
         for got, want in zip(ctx.s_step_factors(u0, v0), per_term_s_step_factors(ctx, u0, v0)):
             check(got, np.reshape(want, (terms, r, r)))

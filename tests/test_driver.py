@@ -33,12 +33,14 @@ from pndose.driver import (
     _data_file_checksums,
 )
 from pndose.dlra import LowRankState, StreamingContext
-from pndose.errors import ConfigError
+from pndose.errors import ConfigError, NumericalError
 from pndose.physics import mix_stopping_power
-from pndose.raytracer import BeamSource, EnergyOperators
+from pndose.raytracer import BeamSource
 from pndose.spatial import Grid3D, build_stencils
 
 from oracles import water_csda_ranges
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def scattering_tables(problem, e_mev):
@@ -531,6 +533,38 @@ class TestSimulation:
         assert res.diagnostics["tail_violations"] == 0
 
 
+class TestNonFiniteState:
+    @pytest.mark.parametrize("solver", ["dlra", "fullrank"])
+    @pytest.mark.usefixtures("nan_uncollided_flux")
+    def test_nan_source_raises_numerical_error(self, solver):
+        with pytest.raises(NumericalError, match="non-finite"):
+            run_simulation(ProblemConfig.from_dict(smoke_raw()), solver=solver)
+
+    def test_low_rank_solver_checks_s_before_truncating(self, monkeypatch):
+        # orthonormal bases around a NaN coefficient: the check of S, not
+        # the SVD of the truncation, reports it
+        def nan_streaming_step(state, dt, ctx):
+            s = state.s.copy()
+            s[0, 0] = np.nan
+            return LowRankState(u=state.u, s=s, v=state.v)
+
+        monkeypatch.setattr("pndose.driver.streaming_step", nan_streaming_step)
+        with pytest.raises(NumericalError, match=r"non-finite low-rank state: max \|S\| nan"):
+            run_simulation(ProblemConfig.from_dict(smoke_raw()), solver="dlra")
+
+
+class TestBenchmarkReference:
+    def test_smoke_dose_matches_the_benchmark_reference(self):
+        # the benchmark's own reference volume and rel L2 bound, so that a
+        # change that moves the dose fails here and not only in the benchmark
+        result = run_simulation(ProblemConfig.load(ROOT / "perfbench/configs/smoke.yaml"),
+                                solver="dlra")
+        reference = np.load(ROOT / "perfbench/reference/smoke.npy")
+        deposited = result.dose.deposited
+        assert deposited.shape == reference.shape
+        assert np.linalg.norm(deposited - reference) <= 1e-10 * np.linalg.norm(reference)
+
+
 class TestStepContexts:
     @pytest.mark.parametrize("solver", ["fullrank", "dlra"])
     def test_no_solver_builds_a_per_step_stencil_operator(self, monkeypatch, solver):
@@ -574,8 +608,7 @@ class TestStepContexts:
         problem = assemble_problem(ProblemConfig.from_dict(raw))
         edges = pseudo_time_edges(problem)
         tables = step_tables(problem, edges)
-        keys, coefficients = material_coefficients(problem)
-        fluxes = trace_all_beams(problem, keys, EnergyOperators(problem.space, coefficients))
+        fluxes, _ = trace_all_beams(problem)
         t_ms = [beam_projection(problem.config.pn_order, b.direction)
                 for b in problem.config.beams]
         layout = ("C_CONTIGUOUS", "F_CONTIGUOUS")

@@ -1,8 +1,10 @@
 """DG-in-energy ray tracer: operators, marching, deposition."""
 
+import gc
 import math
 import re
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,6 @@ from pndose.errors import ConfigError, NumericalError
 from pndose.raytracer import (
     BeamSource,
     CrankNicolsonFactor,
-    CrankNicolsonFactors,
     EnergyDGSpace,
     EnergyOperators,
     UncollidedFlux,
@@ -509,17 +510,17 @@ def step_classes(segments, max_step=raytracer.MAX_STEP_CM):
 
 
 class TestCrankNicolsonFactors:
-    """The marches of a trace share one table of compact Crank-Nicolson
-    factors: each (material, dz) pair is factored once, and every march
-    gives the per-march dense factorization's results bit for bit."""
+    """The marches of a trace share the compact Crank-Nicolson factors of
+    its EnergyOperators table: each (material, dz) pair is factored once,
+    and every march gives the per-march dense factorization's results bit
+    for bit."""
 
     @pytest.fixture
     def tilted_marches(self, monkeypatch):
-        """(operators, psi0, segments of each march) of a tilted bundle
-        through two materials."""
+        """(space, coefficients, psi0, segments of each march) of a tilted
+        bundle through two materials."""
         g, space, keys, coeff = two_materials()
         beam = BeamSource(TILT_10, 30.0, (0.2, 0.25, 0.0), sigma_xy_cm=0.1)
-        operators = EnergyOperators(space, coeff)
         marches = []
         original = raytracer.march_ray
 
@@ -528,24 +529,24 @@ class TestCrankNicolsonFactors:
             return original(segments, *args, **kwargs)
 
         monkeypatch.setattr(raytracer, "march_ray", recording)
-        trace_beam(beam, g, keys, operators, n_side=3)
+        trace_beam(beam, g, keys, EnergyOperators(space, coeff), n_side=3)
         monkeypatch.undo()
         psi0 = project_initial_spectrum(space, beam.energy_mev, beam.sigma_e_mev)
-        return operators, psi0, marches
+        return space, coeff, psi0, marches
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
     def test_shared_table_equals_per_march_factors(self, tilted_marches, reverse):
-        operators, psi0, marches = tilted_marches
+        space, coeff, psi0, marches = tilted_marches
         assert len(marches) > 2 and {key for m in marches for _, _, key in m} == {0, 1}
-        factors = CrankNicolsonFactors(operators)
+        operators = EnergyOperators(space, coeff)
         order = range(len(marches))[::-1] if reverse else range(len(marches))
         for i in order:
-            got = march_ray(marches[i], operators, psi0, factors=factors)
+            got = march_ray(marches[i], operators, psi0)
             want = march_ray_reference(marches[i], operators, psi0)
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
         pairs = set().union(*(step_classes(m) for m in marches))
-        assert set(factors) == pairs
+        assert set(operators.factors) == pairs
         # the marches share factors: fewer than one per march and class
         assert len(pairs) < sum(len(step_classes(m)) for m in marches)
 
@@ -579,41 +580,54 @@ OBLIQUE30 = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "obl
 
 @pytest.fixture(scope="module")
 def oblique30_trace():
-    """Ray trace of the oblique30_hetero benchmark: (fluxes, lu_factor
-    calls, tracemalloc peak in bytes, step classes of each march)."""
+    """Ray trace of the oblique30_hetero benchmark: (fluxes, counts,
+    lu_factor calls, tracemalloc peak in bytes, step classes of each
+    march, weak references to the table and to each factor it held, the
+    problem traced)."""
     problem = assemble_problem(ProblemConfig.load(OBLIQUE30))
-    keys, coefficients = material_coefficients(problem)
-    calls, marches = [], []
+    calls, marches, held = [], [], {}
     originals = raytracer.lu_factor, raytracer.march_ray
 
     def counting(*args, **kwargs):
         calls.append(1)
         return originals[0](*args, **kwargs)
 
-    def recording(segments, *args, **kwargs):
+    def recording(segments, operators, *args, **kwargs):
         marches.append(step_classes(segments))
-        return originals[1](segments, *args, **kwargs)
+        held["table"] = weakref.ref(operators)
+        result = originals[1](segments, operators, *args, **kwargs)
+        held.update((pair, weakref.ref(f)) for pair, f in operators.factors.items())
+        return result
 
     raytracer.lu_factor, raytracer.march_ray = counting, recording
     tracemalloc.start()
     try:
-        fluxes = trace_all_beams(problem, keys, EnergyOperators(problem.space, coefficients))
+        fluxes, counts = trace_all_beams(problem)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         raytracer.lu_factor, raytracer.march_ray = originals
-    return fluxes, len(calls), peak, marches
+    return fluxes, counts, len(calls), peak, marches, held, problem
 
 
 class TestObliqueTrace:
     def test_one_factorization_per_material_and_step(self, oblique30_trace):
-        fluxes, lu_calls, _, marches = oblique30_trace
-        assert sum(f.n_marches for f in fluxes) == len(marches) == 10
+        fluxes, counts, lu_calls, _, marches, _, _ = oblique30_trace
+        assert [f.n_marches for f in fluxes] == [len(marches)] == [10]
         pairs = set().union(*marches)
-        assert lu_calls == sum(f.n_factorizations for f in fluxes) == len(pairs) == 27
+        assert lu_calls == counts["cn_factorizations"] == len(pairs) == 27
+        assert counts["energy_operator_assemblies"] == 3
         # factoring each march's classes afresh takes twice as many
         assert sum(len(m) for m in marches) == 54
 
     def test_trace_memory_peak(self, oblique30_trace):
         # one dense operator per march, not one per step class (19.3 MiB)
-        assert oblique30_trace[2] <= 10 * 2**20
+        assert oblique30_trace[3] <= 10 * 2**20
+
+    def test_no_table_outlives_the_trace(self, oblique30_trace):
+        # the table and its 27 factors are garbage once trace_all_beams
+        # returns, while the problem and the fluxes live on
+        held = oblique30_trace[5]
+        gc.collect()
+        assert len(held) == 1 + 27
+        assert all(ref() is None for ref in held.values())
