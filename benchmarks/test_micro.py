@@ -1,4 +1,5 @@
-"""Micro-benchmarks of the step kernels and the ray tracer, outside tier-1.
+"""Micro-benchmarks of the step kernels, the ray tracer and the set-up,
+outside tier-1.
 
 Each step case times one call of scattering_step, streaming_step, the
 K-phase right-hand side k_rhs (one sparse product of the stencil stack
@@ -21,8 +22,11 @@ beam of a trace finds it. One more case times the whole ray trace of the
 oblique30_hetero benchmark, trace_all_beams on its config (read from
 perfbench/configs): a tilted beam whose 25 rays need 10 marches through
 water, lung and bone, each call building and dropping its own table, as
-a run does. Run from the repository root, with the BLAS thread count
-pinned:
+a run does. The set-up cases time MomentTables on the water90_lowrank
+energy grid (48 energies up to 96.4 MeV, degree 8) with the quadrature
+caches warm, as the second assembly of a process finds them, and one
+cached Gauss-Legendre rule lookup. Run from the repository root, with
+the BLAS thread count pinned:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest benchmarks --benchmark-only
 
@@ -52,6 +56,8 @@ from pndose.dlra import (
     truncate,
 )
 from pndose.fullrank import FullRankWorkspace, fullrank_streaming_step
+from pndose.physics import MomentTables
+from pndose.physics.moliere import DEFAULT_NODES, _gauss_nodes
 from pndose.raytracer import (
     EnergyOperators,
     assemble_energy_operators,
@@ -151,6 +157,22 @@ def test_fullrank_streaming_step(benchmark, grid):
     # a tiny step: the state stays bounded however often it is advanced
     benchmark(fullrank_streaming_step, u, 1e-4, ctx, work)
     assert np.isfinite(u).all()
+
+
+# The water90_lowrank benchmark's moment-table energies and degree.
+WATER90_TABLE = (np.linspace(0.98 * 1.0, 1.02 * 94.5, 48), PN_ORDER + 1)
+
+
+def test_moment_tables_water90(benchmark):
+    MomentTables(*WATER90_TABLE)                    # fills the quadrature caches
+    tables = benchmark(MomentTables, *WATER90_TABLE)
+    assert tables.g.shape == (12, 48, PN_ORDER + 2)
+
+
+def test_gauss_nodes_lookup(benchmark):
+    _gauss_nodes(2 * DEFAULT_NODES)
+    x, w = benchmark(_gauss_nodes, 2 * DEFAULT_NODES)
+    assert x.shape == w.shape == (2 * DEFAULT_NODES,)
 
 
 # The water90_lowrank benchmark's grid and beam (perfbench/configs).

@@ -19,7 +19,12 @@ from .driver import (
     validate_output_paths,
     write_outputs,
 )
-from .errors import PnDoseError
+from .errors import PhysicsDataError, PnDoseError
+
+# How far a shipped Gauss-Legendre rule may lie from numpy's leggauss, in
+# nodes and weights: a few ulps of 1, for LAPACK builds that round the
+# eigensolve differently.
+GAUSS_RULE_ATOL = 1e-14
 
 
 def _plural(count, singular, plural=None):
@@ -78,6 +83,7 @@ def _cmd_compare(args):
 def _cmd_tables_check(args):
     from .constants import ELEMENTS
     from .physics import MomentTables, default_schneider_table, default_stopping_library
+    from .physics.moliere import SHIPPED_RULES, gauss_rule_file, read_gauss_rule
 
     table = default_schneider_table()
     table.validate()
@@ -91,6 +97,17 @@ def _cmd_tables_check(args):
             raise PnDoseError(f"{symbol}: interpolation not node-exact")
     lo, hi = library.energy_range
     print(f"stopping power: 12 tables ok, common range [{lo:g}, {hi:g}] MeV")
+
+    for n in SHIPPED_RULES:
+        x, w = read_gauss_rule(n)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+        dev = max(np.max(np.abs(x - x_ref)), np.max(np.abs(w - w_ref)))
+        if not dev <= GAUSS_RULE_ATOL:
+            raise PhysicsDataError(
+                f"{gauss_rule_file(n)}: deviates from leggauss({n}) by {dev:.3e} "
+                f"> {GAUSS_RULE_ATOL:.0e}"
+            )
+        print(f"Gauss-Legendre rule, {n} nodes: ok, max deviation from leggauss {dev:.1e}")
 
     energies = np.array([5.0, 30.0, 90.0])
     moments = MomentTables(energies, 3)

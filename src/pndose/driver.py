@@ -58,6 +58,7 @@ from .physics import (
     straggling_t_derivative,
 )
 from .physics.materials import data_path
+from .physics.moliere import SHIPPED_RULES, gauss_rule_file
 from .raytracer import BeamSource, EnergyDGSpace, EnergyOperators, trace_beam
 from .spatial import Grid3D, build_stencils
 
@@ -458,9 +459,10 @@ def material_coefficients(problem: Problem):
             e = np.asarray(e, dtype=float)
             sigma_t = problem.scattering_entries(problem.model_table(e))[1]
             per_atom = np.moveaxis(sigma_t, 0, -1)                           # (..., 12)
-            # one 1-D dot per energy, as a scalar evaluation would do it
-            per_energy = np.ascontiguousarray(per_atom).reshape(-1, N_ELEMENTS)
-            return np.array([n_i @ row for row in per_energy]).reshape(e.shape)
+            # one 1-D dot per energy, as a scalar evaluation would do it,
+            # batched in one contraction
+            per_energy = np.ascontiguousarray(per_atom).reshape(-1, 1, N_ELEMENTS)
+            return np.matmul(per_energy, n_i[:, None])[:, 0, 0].reshape(e.shape)
 
         coefficients[key] = (s_star, t_coeff, sigma_t_fn)
     return keys, coefficients
@@ -880,6 +882,7 @@ def lateral_profile(result: SimulationResult, depth_cm=None):
 def _data_file_checksums(config: ProblemConfig):
     files = [data_path("schneider_density.csv"), data_path("schneider_composition.csv")]
     files += [data_path(f"stopping_power/{e.symbol}.csv") for e in ELEMENTS]
+    files += [data_path(gauss_rule_file(n)) for n in SHIPPED_RULES]
     files += list(config.source_files)
     sums = {}
     for path in files:

@@ -149,8 +149,8 @@ def straggling_t(atomic_densities, e_mev):
     atomic_densities.shape[:-1]. Linear in every N_i. Raises if the
     model's logarithm closes (an energy too low for any element present).
 
-    The sum over elements is one dot product per energy, so an array
-    call returns bit for bit what the scalar calls return.
+    The sum over elements is one dot product per energy (and material),
+    so an array call returns bit for bit what the scalar calls return.
     """
     n_i = np.asarray(atomic_densities, dtype=float)
     if n_i.shape[-1] != N_ELEMENTS:
@@ -171,7 +171,10 @@ def straggling_t(atomic_densities, e_mev):
     term = np.where(log_arg > 1.0, 4.0 * _I_J / (3.0 * me_v2) * np.log(log_arg), 0.0)
     per_element = _STRAGGLE_PREFACTOR_SI * _Z * term   # [J^2 m^2], (n_e, 12)
     n_si = n_i * 1e6                                   # atoms/m^3
-    t_si = np.array([n_si @ row for row in per_element])   # [J^2/m]
+    # one batched contraction: a dot product per energy and material, as
+    # in a scalar call
+    rows = per_element.reshape((-1,) + (1,) * (n_i.ndim - 1) + (1, N_ELEMENTS))
+    t_si = np.matmul(rows, n_si[..., None])[..., 0, 0]     # [J^2/m]
     t_si = t_si.reshape(e.shape + n_i.shape[:-1])
     return t_si / MEV_IN_JOULE**2 / 100.0              # -> [MeV^2/cm]
 

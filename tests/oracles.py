@@ -21,7 +21,16 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.special import lpmv
 
 from pndose.angular import real_sph_eval
-from pndose.physics import default_schneider_table, default_stopping_library
+from pndose.constants import ELECTRON_REST_MEV, ELEMENTS, FINE_STRUCTURE
+from pndose.physics import (
+    beta,
+    default_schneider_table,
+    default_stopping_library,
+    momentum_mev_c,
+    tau_lab,
+    wave_number_inv_cm,
+)
+from pndose.physics.moliere import DEFAULT_NODES
 from pndose.raytracer import _QUAD_NODES, DG_DEGREE, SIPG_ETA
 
 
@@ -466,3 +475,36 @@ def per_column_implicit_l_step(u0, l0, dt, ctx):
         mat = eye_r + dt * np.tensordot(coeffs[:, q], b_mats, axes=(0, 0))
         l_new[q] = np.linalg.solve(mat, l0[q])
     return l_new
+
+
+def moment_tables_reference(energies, max_degree, n_nodes=2 * DEFAULT_NODES):
+    """(g (12, E, max_degree+1), xi1 (12, E)) of MomentTables, one element
+    and one energy at a time.
+
+    The screening offset and the amplitude come from numpy scalars through
+    the kinematics functions, the nodes from leggauss, and each moment is
+    one 1-D contraction (v @ legvander, np.dot) over the two substitution
+    pieces joined along the nodes: s = ln(1 - mu0 + chi) on [0, 1] and
+    t = sqrt(1 + mu0) on [-1, 0].
+    """
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    t = 0.5 * (x + 1.0)
+    g = np.empty((len(ELEMENTS), len(energies), max_degree + 1))
+    xi1 = np.empty((len(ELEMENTS), len(energies)))
+    for i, elem in enumerate(ELEMENTS):
+        for j, e in enumerate(np.asarray(energies, dtype=float)):
+            p = momentum_mev_c(e)
+            chi0 = 1.13 * FINE_STRUCTURE * elem.z ** (1.0 / 3.0) * ELECTRON_REST_MEV / p
+            a = elem.z * FINE_STRUCTURE / beta(e)
+            chi = chi0**2 * (1.13 + 3.76 * a**2)
+            c = 4.0 * FINE_STRUCTURE**2 / wave_number_inv_cm(e) ** 2
+            s_lo, s_hi = np.log(chi), np.log(1.0 + chi)
+            s = 0.5 * (s_hi - s_lo) * x + 0.5 * (s_hi + s_lo)
+            omm_fwd = chi * np.expm1(s - s_lo)
+            mu0 = np.concatenate([1.0 - omm_fwd, -1.0 + t * t])
+            omm = np.concatenate([omm_fwd, 2.0 - t * t])
+            jac = np.concatenate([0.5 * (s_hi - s_lo) * np.exp(s) * w, 0.5 * 2.0 * t * w])
+            vals = tau_lab(mu0, 1.0 / elem.a) * c / (omm + chi) * jac
+            g[i, j] = 2.0 * np.pi * (vals @ np.polynomial.legendre.legvander(mu0, max_degree))
+            xi1[i, j] = 2.0 * np.pi * np.dot(vals, omm)
+    return g, xi1

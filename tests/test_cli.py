@@ -187,3 +187,16 @@ class TestTables:
         assert main(["tables", "check"]) == 0
         out = capsys.readouterr().out
         assert "stopping power" in out and "scattering moments" in out
+        assert "Gauss-Legendre rule, 512 nodes: ok" in out
+
+    def test_tables_check_refuses_an_altered_gauss_rule(self, tmp_path, monkeypatch, capsys):
+        from pndose.physics.moliere import gauss_rule_file
+
+        name = gauss_rule_file(256)
+        rows = (ROOT / "src" / "pndose" / "data" / name).read_text().splitlines()
+        x, w = rows[1].split(",")
+        rows[1] = f"{float(x) + 1e-12!r},{w}"
+        (tmp_path / name).write_text("\n".join(rows) + "\n")
+        monkeypatch.setenv("PNDOSE_DATA_DIR", str(tmp_path))
+        assert main(["tables", "check"]) == 3
+        assert f"{name}: deviates from leggauss(256)" in capsys.readouterr().err

@@ -760,6 +760,7 @@ class TestOutputs:
         assert manifest["diagnostics"]["tail_violations"] == 0
         assert manifest["diagnostics"]["phase_s"] == res2.diagnostics["phase_s"]
         assert "H.csv" in manifest["data_checksums"]
+        assert "gauss_legendre_512.csv" in manifest["data_checksums"]
 
     def test_manifest_checksum_tracks_table_changes(self, tmp_path, monkeypatch):
         cfg = ProblemConfig.from_dict(smoke_raw())

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from oracles import moment_tables_reference
 
 from pndose.constants import ELEMENT_INDEX, ELEMENTS, N_ELEMENTS
+from pndose.driver import MOMENT_TABLE_POINTS, ProblemConfig, assemble_problem
 from pndose.errors import NumericalError, PhysicsDataError
 from pndose.physics import (
     MaterialField,
@@ -20,6 +22,7 @@ from pndose.physics import (
     straggling_t_derivative,
     tau_lab,
 )
+from pndose.physics import moliere
 
 O = ELEMENTS[ELEMENT_INDEX["O"]]
 C = ELEMENTS[ELEMENT_INDEX["C"]]
@@ -232,6 +235,11 @@ class TestMoments:
         with pytest.raises(NumericalError, match="converge"):
             legendre_moments(O, 80.0, 40, n_nodes=4)
 
+    def test_nonconvergence_names_the_first_failing_energy(self):
+        # at 16 nodes degree 2 converges at 1 and 5 MeV, not at 30 or 90 MeV
+        with pytest.raises(NumericalError, match="for O at 90 MeV did not converge"):
+            legendre_moments(O, np.array([1.0, 5.0, 90.0, 30.0]), 2, n_nodes=16)
+
     @pytest.mark.parametrize("pn_order", [1, 7])
     def test_tables_equal_scalar_moments(self, pn_order):
         # the energy grid of a 90 MeV beam with a 1 % energy spread
@@ -241,6 +249,46 @@ class TestMoments:
             for j, e in enumerate(energies):
                 g, xi1 = legendre_moments(elem, e, pn_order + 1)
                 assert np.array_equal(tables.g[i, j], g) and tables.xi1[i, j] == xi1
+
+    @pytest.mark.parametrize("energies, max_degree", [
+        # the perfbench workloads' grids: water90_lowrank; preset30_oracle
+        # and oblique30_hetero; smoke
+        (np.linspace(0.98 * 1.0, 1.02 * 94.5, MOMENT_TABLE_POINTS), 8),
+        (np.linspace(0.98 * 1.0, 1.02 * 31.5, MOMENT_TABLE_POINTS), 8),
+        (np.linspace(0.98 * 1.0, 1.02 * 12.6, MOMENT_TABLE_POINTS), 2),
+        # the grid of `pndose tables check`
+        (np.array([5.0, 30.0, 90.0]), 3),
+        # 31 energies: two full chunks of 14 and a partial one at degree 8
+        (np.linspace(3.0, 70.0, 31), 8),
+    ], ids=["water90", "oblique30-preset30", "smoke", "tables-check", "partial-chunk"])
+    def test_tables_equal_reference(self, energies, max_degree):
+        g, xi1 = moment_tables_reference(energies, max_degree)
+        tables = MomentTables(energies, max_degree)
+        assert np.array_equal(tables.g, g) and np.array_equal(tables.xi1, xi1)
+
+    def test_assembly_reads_the_shipped_rules(self, monkeypatch):
+        # no leggauss eigensolve for the node counts of the moment tables
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def spy(n):
+            calls.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", spy)
+        moliere._gauss_nodes.cache_clear()
+        moliere._backward_piece.cache_clear()
+        config = ProblemConfig.from_dict({
+            "grid": {"nx": 3, "ny": 3, "nz": 3,
+                     "delta_x_cm": 0.1, "delta_y_cm": 0.1, "delta_z_cm": 0.1},
+            "beams": [{"direction": [0, 0, 1], "energy_mev": 20.0,
+                       "position_cm": [0.1, 0.1, 0.0]}],
+        })
+        assemble_problem(config)
+        assert moliere._gauss_nodes.cache_info().currsize == 2
+        assert not set(calls) & set(moliere.SHIPPED_RULES)
+        x, _ = moliere._gauss_nodes(4)
+        assert calls[-1] == 4 and np.array_equal(x, leggauss(4)[0])
 
     def test_moments_decreasing_forward_peaked(self):
         g, _ = legendre_moments(O, 80.0, 8)

@@ -1,9 +1,12 @@
 """Command-line tools under tools/."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
 import yaml
+
+from pndose import driver
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,9 +35,14 @@ class TestDoseFingerprint:
         tool = load_tool("dose_fingerprint")
 
         first = fingerprint_hashes(tool, capsys, str(config))
-        assert set(first) == {"deposited", "rank_history", "diagnostics"}
+        assert set(first) == {"deposited", "rank_history", "diagnostics", "tables"}
+        moments = driver.assemble_problem(driver.ProblemConfig.load(config)).moments
+        tables = hashlib.sha256(moments.g.tobytes() + moments.xi1.tobytes())
+        assert first["tables"] == tables.hexdigest()
         assert fingerprint_hashes(tool, capsys, str(config)) == first
         uncorrected = fingerprint_hashes(
             tool, capsys, str(config), "--set", "physics.fp_correction_scale=0"
         )
         assert uncorrected["deposited"] != first["deposited"]
+        # the correction acts after the tables, which stay as they were
+        assert uncorrected["tables"] == first["tables"]

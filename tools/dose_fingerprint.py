@@ -4,7 +4,10 @@
 For each config the script runs one solve and prints the SHA-256 of the
 deposited energy (its float64 bytes), of the rank history and of the
 diagnostics without their wall-time fields. Two source trees that print
-the same three hashes for a config gave bit-identical results.
+the same three hashes for a config gave bit-identical results. A fourth
+hash, of the run's scattering moment tables (the bytes of
+MomentTables.g, then of .xi1), shows a change to the tables without
+reading a dose.
 
 Run from the repository root, with the BLAS thread count pinned (doses
 depend on it):
@@ -58,6 +61,7 @@ def fingerprint(path: Path, solver: str, overrides, volumes):
     config = driver.ProblemConfig.from_dict(raw, base_dir=path.parent)
     result = driver.run_simulation(config, solver=solver)
     diagnostics = {k: v for k, v in result.diagnostics.items() if k not in TIMING_DIAGNOSTICS}
+    moments = result.problem.moments
     if volumes is not None:
         volumes.mkdir(parents=True, exist_ok=True)
         driver.write_volume(
@@ -70,6 +74,7 @@ def fingerprint(path: Path, solver: str, overrides, volumes):
         "diagnostics": sha256(
             json.dumps(driver._jsonable(diagnostics), sort_keys=True).encode()
         ),
+        "tables": sha256(moments.g.tobytes() + moments.xi1.tobytes()),
     }
 
 
