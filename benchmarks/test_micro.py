@@ -7,12 +7,13 @@ with S^-1 K and one batched contraction with the (terms, r, r) moment
 factors) or truncate at P7 (m = 64) on a random state: (n = 2520, r = 2) is the water90_lowrank benchmark grid at its
 rank, (n = 3000, r = 26) the preset30 grid at the mean rank a tight
 truncation tolerance reaches there (~26 at 3e-4 with a Wentzel scattering
-kernel). truncate takes an augmented state of rank 2r back to r. One
-more case times the oracle's streaming right-hand side, apply_streaming,
-on a dense (n = 3000, m = 64) moment matrix into preallocated buffers,
-and one more its whole streaming step (four right-hand sides and the RK4
-updates, in place in a FullRankWorkspace) on the preset30 benchmark grid
-(n = 3000) and the 20 x 20 x 30 acceptance grid (n = 12000), both P7.
+kernel). truncate takes an augmented state of rank 2r back to r. Two
+more cases time the oracle's streaming right-hand side, apply_streaming,
+on a dense (n, m = 64) moment matrix in a StreamingWorkspace whose
+stencil pairs already hold the step's 1/S, and its whole streaming step
+(folding 1/S, four right-hand sides and the RK4 updates, in place in a
+FullRankWorkspace), each on the preset30 benchmark grid (n = 3000) and
+the 20 x 20 x 30 acceptance grid (n = 12000), both P7.
 The ray-tracer cases use the water90_lowrank beam: 441 rays through
 6 x 6 x 70 water cells that share one Crank-Nicolson march. They time
 assemble_energy_operators for water (128 groups), the one march_ray of
@@ -66,7 +67,7 @@ from pndose.raytracer import (
     trace_beam,
     traverse_grid,
 )
-from pndose.spatial import Grid3D, apply_streaming, build_stencils, streaming_buffers
+from pndose.spatial import Grid3D, StreamingWorkspace, apply_streaming, build_stencils
 
 PN_ORDER = 7
 CASES = {
@@ -133,27 +134,32 @@ def test_truncate(benchmark, case):
     assert out.rank == r
 
 
-def test_apply_streaming(benchmark):
-    grid = CASES["n3000-r26"][0]
+ORACLE_GRIDS = pytest.mark.parametrize("grid", [Grid3D(10, 10, 30, 0.1, 0.1, 0.1),
+                                               Grid3D(20, 20, 30, 0.1, 0.1, 0.1)],
+                                       ids=["n3000", "n12000"])
+
+
+@ORACLE_GRIDS
+def test_apply_streaming(benchmark, grid):
     rng = np.random.default_rng(9)
     ops = PNOperators.build(PN_ORDER)
     u = rng.standard_normal((grid.n_cells, ops.basis.size))
     inv_s = 1.0 / rng.uniform(8.0, 20.0, grid.n_cells)
-    out, work = np.empty_like(u), streaming_buffers(grid.n_cells, ops)
-    benchmark(apply_streaming, u, inv_s, build_stencils(grid), ops, out, work)
+    stencils = build_stencils(grid)
+    out, work = np.empty_like(u), StreamingWorkspace(stencils, ops)
+    work.fold(inv_s)                                # once per step in a run
+    benchmark(apply_streaming, u, inv_s, stencils, ops, out, work)
     assert np.isfinite(out).all() and np.abs(out).max() > 0.0
 
 
-@pytest.mark.parametrize("grid", [Grid3D(10, 10, 30, 0.1, 0.1, 0.1),
-                                  Grid3D(20, 20, 30, 0.1, 0.1, 0.1)],
-                         ids=["n3000", "n12000"])
+@ORACLE_GRIDS
 def test_fullrank_streaming_step(benchmark, grid):
     rng = np.random.default_rng(10)
     ops = PNOperators.build(PN_ORDER)
     n, m = grid.n_cells, ops.basis.size
     ctx = StreamingContext(1.0 / rng.uniform(8.0, 20.0, n), build_stencils(grid), ops)
     u = rng.standard_normal((n, m))
-    work = FullRankWorkspace(n, m, ops)
+    work = FullRankWorkspace(ctx.stencils, ops)
     # a tiny step: the state stays bounded however often it is advanced
     benchmark(fullrank_streaming_step, u, 1e-4, ctx, work)
     assert np.isfinite(u).all()

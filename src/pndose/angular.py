@@ -179,19 +179,26 @@ EIGENVALUE_DUST = 1e-12
 
 
 def characteristic_split(v, lam_plus, lam_minus):
-    """(V+, V-, B) with A = V+ L+ V+^T + V- L- V-^T and B = -[L+ V+^T; L- V-^T].
+    """(R, B) with A = -R B, R = [V+ V-] (m, 2k) and B = -[L+ V+^T; L- V-^T] (2k, m).
 
-    V+ and V- are contiguous copies of the eigenvector columns whose
-    eigenvalue is positive or negative beyond rounding dust; B (k+ + k-, m)
-    rotates the characteristic fluxes back to moments with the minus sign
-    of F_S folded in.
+    V+ and V- hold the eigenvector columns whose eigenvalue is positive or
+    negative beyond rounding dust, side by side; R and B are C-contiguous.
+    B rotates the characteristic fluxes back to moments with the minus
+    sign of F_S folded in. The two sets are equally large (k each),
+    because the parity P = diag((-1)^l) gives P A P = -A, which maps the
+    eigenvectors of each sign onto those of the other; a split that
+    breaks this raises NumericalError.
     """
     lam = lam_plus + lam_minus
     dust = EIGENVALUE_DUST * np.abs(lam).max()
     pos, neg = lam > dust, lam < -dust
-    v_plus, v_minus = np.ascontiguousarray(v[:, pos]), np.ascontiguousarray(v[:, neg])
-    back = -np.vstack([lam[pos, None] * v_plus.T, lam[neg, None] * v_minus.T])
-    return v_plus, v_minus, back
+    if pos.sum() != neg.sum():
+        raise NumericalError(
+            f"{pos.sum()} positive against {neg.sum()} negative characteristic speeds"
+        )
+    forward = np.ascontiguousarray(np.hstack([v[:, pos], v[:, neg]]))
+    back = -(np.concatenate([lam[pos], lam[neg]])[:, None] * forward.T)
+    return forward, np.ascontiguousarray(back)
 
 
 @dataclass(frozen=True)
@@ -207,9 +214,8 @@ class PNOperators:
     basis: PNBasis
     eig_v: np.ndarray      # (3, m, m): V_x, V_y, V_z
     lam_split: np.ndarray  # (3, 2, m): L+ and L- per direction
-    v_plus: tuple          # per direction, (m, k+), see characteristic_split
-    v_minus: tuple         # per direction, (m, k-)
-    back_rotation: tuple   # per direction, (k+ + k-, m)
+    forward_rotation: tuple  # per direction, [V+ V-] (m, 2k), see characteristic_split
+    back_rotation: tuple     # per direction, (2k, m)
     a_split: np.ndarray    # (3, 2, m, m): A+ = V L+ V^T and A- = V L- V^T per direction
 
     @classmethod
@@ -220,9 +226,8 @@ class PNOperators:
             basis=PNBasis(n_max),
             eig_v=np.stack([s[0] for s in splits]),
             lam_split=np.stack([s[1:] for s in splits]),
-            v_plus=tuple(c[0] for c in chars),
-            v_minus=tuple(c[1] for c in chars),
-            back_rotation=tuple(c[2] for c in chars),
+            forward_rotation=tuple(c[0] for c in chars),
+            back_rotation=tuple(c[1] for c in chars),
             a_split=np.stack([[(v * lam[None, :]) @ v.T for lam in (lp, lm)]
                               for v, lp, lm in splits]),
         )

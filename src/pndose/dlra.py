@@ -173,14 +173,16 @@ def rk4(f, y, dt, work=None):
 class StreamingContext:
     """Frozen per-step streaming coefficients: 1/S field and operators.
 
-    Both solvers apply the stored stencil stack to S^-1 x, so no step
-    builds a stencil operator of its own. The low-rank phases view the
+    No step builds a stencil operator of its own: the low-rank phases
+    apply the stored stencil stack to S^-1 x, and the oracle's dense
+    full_rhs the same stencils as per-axis pairs formed once per run
+    (spatial.apply_streaming). The low-rank phases view the
     stack's product with an n x r input as (terms, n, r), over the upwind
     terms plus_x, minus_x, plus_y, ... of the active axes, and meet it
     with (terms, r, r) moment factors in one batched matmul, so every K-
     and L-phase right-hand side is one contraction at width r and every
     S-phase one is r x r products only; no n x m intermediate is ever
-    formed. The dense full_rhs is the oracle's.
+    formed.
     """
 
     inv_s: np.ndarray

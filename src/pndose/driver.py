@@ -662,7 +662,7 @@ class FullRankSolver:
     def __init__(self, problem: Problem):
         n, m = problem.n_cells, problem.n_moments
         self.u = np.zeros((n, m))
-        self.work = FullRankWorkspace(n, m, problem.ops)
+        self.work = FullRankWorkspace(problem.stencils, problem.ops)
         self.peak_state_numbers = self.u.size
         self.peak_transient_numbers = self.u.size + self.work.numbers
         self.phase_s = dict.fromkeys(STEP_PHASES, 0.0)

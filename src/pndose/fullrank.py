@@ -7,13 +7,16 @@ and the one rk4 are shared with the low-rank module.
 
 A step allocates no n x m array: it runs in a FullRankWorkspace made once
 per run. rk4 advances the state in place through three of its n x m
-buffers, each stage's right-hand side (spatial.apply_streaming) scales
-the state into a fourth and forms each characteristic product in one
-(n, k) buffer, and the scattering step forms its rates and source in the
-workspace's scratch, which rk4 leaves free. Sums and products keep the
-order of the textbook form with fresh arrays (tests/oracles.py), so the
-doses are bit for bit the same. Everything is deterministic for a fixed
-config.
+buffers; each stage's right-hand side (spatial.apply_streaming) works in
+the workspace's StreamingWorkspace, whose stencil pairs get the step's
+1/S folded in once, before the first stage; the scattering step forms
+its rates and source in the workspace's scratch, which rk4 leaves free.
+The RK4 updates and the scattering step keep the order of the textbook
+form with fresh arrays (tests/oracles.py) bit for bit; the streaming
+right-hand side sums each axis' two upwind terms in one GEMM and scales
+the stencil entries rather than the state, which moves the last bits
+only (within 1e-14 of that form, relative, over several steps).
+Everything is deterministic for a fixed config.
 """
 
 import numpy as np
@@ -22,34 +25,39 @@ from scipy.linalg import blas
 from .angular import PNOperators
 from .dlra import ScatteringContext, StreamingContext, rk4
 from .errors import NumericalError
-from .spatial import streaming_buffers
+from .spatial import StreamingWorkspace, UpwindStencils
 
 
 class FullRankWorkspace:
-    """The buffers of the oracle's step for n cells and m moments.
+    """The buffers of the oracle's step on the stencils' grid at the
+    operators' PN order.
 
     rk4 holds the slope, stage input and accumulator (n, m) of
-    dlra.rk4; streaming the scratch of spatial.apply_streaming. scratch
-    is rk4's slope, which is free outside rk4: the streaming step forms
-    |u| there, the scattering step its rates and source.
+    dlra.rk4; streaming the spatial.StreamingWorkspace of
+    apply_streaming. scratch is rk4's slope, which is free outside rk4:
+    the streaming step forms |u| there, the scattering step its rates
+    and source.
     """
 
-    def __init__(self, n: int, m: int, ops: PNOperators):
+    def __init__(self, stencils: UpwindStencils, ops: PNOperators):
+        n, m = stencils.stacked.shape[1], ops.basis.size
         self.rk4 = [np.empty((n, m)) for _ in range(3)]
-        self.streaming = streaming_buffers(n, ops)
+        self.streaming = StreamingWorkspace(stencils, ops)
         self.scratch = self.rk4[0]
 
     @property
     def numbers(self) -> int:
         """Float64 entries held, as in the solvers' *_numbers diagnostics."""
-        return sum(a.size for a in (*self.rk4, *self.streaming))
+        return sum(a.size for a in self.rk4) + self.streaming.numbers
 
 
 def fullrank_streaming_step(u: np.ndarray, dt: float, ctx: StreamingContext,
                             work: FullRankWorkspace) -> np.ndarray:
     """One RK4 step of u' = F_S(u) on the dense moment matrix, in place;
-    raises NumericalError on a non-finite state before or after it."""
+    raises NumericalError on a non-finite state before or after it. The
+    step's 1/S is folded into the stencil pairs once, for all four stages."""
     scale0 = np.abs(u, out=work.scratch).max()
+    work.streaming.fold(ctx.inv_s)
     rk4(lambda x, out: ctx.full_rhs(x, out, work.streaming), u, dt, work.rk4)
     scale1 = np.abs(u, out=work.scratch).max()
     if not (np.isfinite(scale0) and np.isfinite(scale1)):

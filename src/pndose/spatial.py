@@ -25,15 +25,24 @@ rounding contribute nothing and are left out (angular.characteristic_split).
 
 The stencils are stored once: UpwindStencils stacks the upwind terms of
 the active axes row-wise into one sparse matrix, which no step rescales.
-Both solvers apply it to S^-1 u. The low-rank solver applies every term
-at once, as one sparse product of the whole stack with an n x r input.
-apply_streaming, the oracle's right-hand side, reads each term as a view
-of one row block of the stack. It runs in buffers the caller may keep
-across calls (streaming_buffers): the scaled input S^-1 u (n, m) and one
-(n, k) characteristic product, reused by every term. Each term's
-back-rotation is accumulated straight into the output by a BLAS GEMM
-with beta = 1, so a call allocates only the (n, k) sparse products, one
-at a time, and sums every entry in the order of out += (D y) B.
+The low-rank solver applies every term at once, as one sparse product of
+the whole stack with S^-1 x for an n x r input x.
+
+apply_streaming, the oracle's right-hand side, works one active axis at
+a time, in the buffers of a StreamingWorkspace that the caller may keep
+across calls. Since P A_d P = -A_d for the parity P = diag((-1)^l), V_d^+
+and V_d^- have equally many columns k, so one GEMM forms the (n, 2k)
+product u [V_d^+ V_d^-]. Viewed as (2n, k), its rows alternate between
+the two characteristic sets, and one sparse product with the axis'
+interleaved pair (UpwindStencils.pairs), whose entries are scaled by 1/S
+of their column cell, gives both upwind terms in the same layout. The
+scaling is folded into the pair's entries once per step, not into the
+state on every call. One GEMM with the stacked back-rotation
+-[L^+ (V^+)^T; L^- (V^-)^T] then writes the output on the first axis and
+adds to it on the others; the sparse product and this GEMM run on slabs
+of cells, so the stencil product never takes the whole (n, 2k). This
+rounds differently from the textbook form, one term at a time on S^-1 u,
+in the last bits only (tests/oracles.py has that form).
 """
 
 from dataclasses import dataclass
@@ -42,6 +51,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.linalg import blas
+from scipy.sparse import _sparsetools
 
 from .angular import PNOperators
 from .errors import ConfigError
@@ -131,8 +141,9 @@ class UpwindStencils:
     minus_x, plus_y, ... over the active axes (those a grid extends
     along), each block in the entry order that scipy's product
     D @ diag(s) emits. That entry order fixes the order in which each row
-    of a product with the stack sums its terms, the oracle's products
-    included; blocks holds each term without a copy of its entries.
+    of a product with the stack, or with a pair, sums its terms; blocks
+    holds each term without a copy of its entries, pairs the oracle's
+    interleaved pair of each axis, formed only when first asked for.
     """
 
     active_axes: tuple
@@ -156,6 +167,39 @@ class UpwindStencils:
             view.data, view.indices, view.indptr = p.data[lo:hi], p.indices[lo:hi], ptr - lo
             views.append(view)
         return tuple(views)
+
+    @cached_property
+    def pairs(self):
+        """The interleaved stencil pair of each active axis, (2n, 2n) each,
+        formed on first use (interleave_pair)."""
+        return tuple(interleave_pair(self.blocks[2 * j], self.blocks[2 * j + 1])
+                     for j in range(len(self.active_axes)))
+
+
+def interleave_pair(plus, minus) -> sparse.csr_matrix:
+    """The (2n, 2n) pair whose row 2c + s is row c of plus (s = 0) or
+    minus (s = 1), in the columns 2c' + s.
+
+    It acts on an (n, 2k) array [y+ y-] viewed as (2n, k) as plus on y+
+    and minus on y-, and its product has the same layout. Each row keeps
+    its block's entry order, so it sums in the block's order.
+    """
+    n = plus.shape[0]
+    lengths = np.empty(2 * n, dtype=plus.indptr.dtype)
+    lengths[0::2], lengths[1::2] = np.diff(plus.indptr), np.diff(minus.indptr)
+    indptr = np.zeros(2 * n + 1, dtype=plus.indptr.dtype)
+    np.cumsum(lengths, out=indptr[1:])
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=plus.indices.dtype)
+    for s, block in enumerate((plus, minus)):
+        rows = np.repeat(np.arange(n), np.diff(block.indptr))
+        # entry t of block row c goes to entry t of pair row 2c + s
+        dest = indptr[2 * rows + s] + np.arange(block.nnz) - block.indptr[rows]
+        data[dest] = block.data
+        indices[dest] = 2 * block.indices + s
+    pair = sparse.csr_matrix((2 * n, 2 * n))
+    pair.data, pair.indices, pair.indptr = data, indices, indptr
+    return pair
 
 
 def build_stencils(grid: Grid3D) -> UpwindStencils:
@@ -192,14 +236,43 @@ def build_stencils(grid: Grid3D) -> UpwindStencils:
     return UpwindStencils(active_axes=tuple(dict.fromkeys(a for a, _ in terms)), stacked=stacked)
 
 
-def streaming_buffers(n: int, ops: PNOperators):
-    """apply_streaming's scratch for n cells: (scaled (n, m), product).
+# Cells per slab of the oracle's stencil products (StreamingWorkspace).
+SLAB_CELLS = 256
 
-    product is flat, with room for the widest (n, k) characteristic
-    product of any axis, so each term reads a contiguous (n, k) view.
+
+class StreamingWorkspace:
+    """apply_streaming's buffers for one grid and PN order.
+
+    y holds an axis' characteristic product u [V+ V-] (n, 2k), z a slab of
+    slab_cells rows of its stencil product, and values the entries of
+    each interleaved pair (UpwindStencils.pairs) scaled by the 1/S of
+    their column cell. fold fills values for one inv_s; apply_streaming
+    folds again whenever it is handed another inv_s array, so values
+    can go stale only if the inv_s they were folded with is changed in
+    place, which fold(inv_s) mends.
     """
-    k_max = max(v.shape[1] for v in ops.v_plus + ops.v_minus)
-    return np.empty((n, ops.basis.size)), np.empty(n * k_max)
+
+    def __init__(self, stencils: UpwindStencils, ops: PNOperators, slab_cells=SLAB_CELLS):
+        n = stencils.stacked.shape[1]
+        width = max((ops.forward_rotation[a].shape[1] for a in stencils.active_axes), default=0)
+        self.stencils = stencils
+        self.y = np.empty(n * width)
+        self.slab_cells = min(slab_cells, n)
+        self.z = np.empty(self.slab_cells * width)
+        self.values = tuple(np.empty(pair.nnz) for pair in stencils.pairs)
+        self.inv_s = None
+
+    @property
+    def numbers(self) -> int:
+        """Float64 entries held, as in the solvers' *_numbers diagnostics."""
+        return self.y.size + self.z.size + sum(v.size for v in self.values)
+
+    def fold(self, inv_s):
+        """Scale each pair entry in column 2c' + s by inv_s[c'] into values."""
+        for pair, values in zip(self.stencils.pairs, self.values):
+            np.take(inv_s, pair.indices >> 1, out=values)
+            values *= pair.data
+        self.inv_s = inv_s
 
 
 def apply_streaming(u, inv_s, stencils: UpwindStencils, ops: PNOperators, out=None, work=None):
@@ -207,11 +280,14 @@ def apply_streaming(u, inv_s, stencils: UpwindStencils, ops: PNOperators, out=No
 
     Linear in u, which is not checked for finiteness: the oracle's
     streaming step checks its state once per step. The result is written
-    into out (n, m) and returned; work is the scratch of
-    streaming_buffers. Both are allocated when not given, and neither may
-    share memory with u. Each term's back-rotation is accumulated into
-    out by one GEMM with beta = 1, which adds the same product to the
-    same partial sum as out += (D y) B would, without its temporaries.
+    into out (n, m) and returned; work is a StreamingWorkspace of the same
+    stencils. Both are allocated when not given, and neither may share
+    memory with u. Per active axis: one GEMM forms y = u [V+ V-] (n, 2k);
+    the axis' interleaved pair, with 1/S folded into its entries, acts on
+    y viewed as (2n, k), a slab of cells at a time, which gives
+    [D+ S^-1 y+, D- S^-1 y-] row by row; one GEMM per slab rotates that
+    back, writing out on the first axis and adding to it (beta = 1) on
+    the others.
     """
     u = np.asarray(u)
     n = u.shape[0]
@@ -219,16 +295,30 @@ def apply_streaming(u, inv_s, stencils: UpwindStencils, ops: PNOperators, out=No
         out = np.empty(u.shape)
     elif not (out.flags.c_contiguous and out.dtype == np.float64):
         raise ValueError("apply_streaming writes only into a C-contiguous float64 out")
-    scaled, product = streaming_buffers(n, ops) if work is None else work
-    np.multiply(inv_s[:, None], u, out=scaled)
-    out.fill(0.0)
-    for j, axis in enumerate(stencils.active_axes):
-        back = ops.back_rotation[axis]
-        k = ops.v_plus[axis].shape[1]
-        terms = ((stencils.blocks[2 * j], ops.v_plus[axis], back[:k]),
-                 (stencils.blocks[2 * j + 1], ops.v_minus[axis], back[k:]))
-        for block, v, rotation in terms:
-            y = np.matmul(scaled, v, out=product[:n * v.shape[1]].reshape(n, v.shape[1]))
-            # out^T += rotation^T (block y)^T, all transposes free views
-            blas.dgemm(1.0, rotation.T, (block @ y).T, beta=1.0, c=out.T, overwrite_c=True)
+    if work is None:
+        work = StreamingWorkspace(stencils, ops)
+    elif work.stencils is not stencils:
+        raise ValueError("the streaming workspace belongs to other stencils")
+    if work.inv_s is not inv_s:
+        work.fold(inv_s)
+    if not stencils.active_axes:
+        out.fill(0.0)
+    h, beta = work.slab_cells, 0.0              # the first axis writes out
+    for axis, pair, values in zip(stencils.active_axes, stencils.pairs, work.values):
+        forward, back = ops.forward_rotation[axis], ops.back_rotation[axis]
+        width = forward.shape[1]
+        y = work.y[:n * width]
+        np.matmul(u, forward, out=y.reshape(n, width))
+        for c0 in range(0, n, h):
+            c1 = min(c0 + h, n)
+            z = work.z[:(c1 - c0) * width]
+            z.fill(0.0)
+            # scipy's kernel of pair[2 c0:2 c1] @ y (the product has no
+            # public out=), which adds into the zeroed slab
+            _sparsetools.csr_matvecs(2 * (c1 - c0), 2 * n, width // 2,
+                                     pair.indptr[2 * c0:2 * c1 + 1], pair.indices, values, y, z)
+            # out[c0:c1]^T (+)= back^T z^T, all transposes free views
+            blas.dgemm(1.0, back.T, z.reshape(c1 - c0, width).T, beta=beta,
+                       c=out[c0:c1].T, overwrite_c=True)
+        beta = 1.0
     return out

@@ -379,10 +379,10 @@ def naive_streaming_rhs(u, ctx):
     scaled = ctx.inv_s[:, None] * u
     out = np.zeros_like(u)
     for j, axis in enumerate(ctx.stencils.active_axes):
-        back = ctx.ops.back_rotation[axis]
-        k = ctx.ops.v_plus[axis].shape[1]
-        out += (ctx.stencils.blocks[2 * j] @ (scaled @ ctx.ops.v_plus[axis])) @ back[:k]
-        out += (ctx.stencils.blocks[2 * j + 1] @ (scaled @ ctx.ops.v_minus[axis])) @ back[k:]
+        forward, back = ctx.ops.forward_rotation[axis], ctx.ops.back_rotation[axis]
+        k = forward.shape[1] // 2
+        out += (ctx.stencils.blocks[2 * j] @ (scaled @ forward[:, :k])) @ back[:k]
+        out += (ctx.stencils.blocks[2 * j + 1] @ (scaled @ forward[:, k:])) @ back[k:]
     return out
 
 

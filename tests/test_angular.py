@@ -90,14 +90,22 @@ class TestFluxMatrices:
 
     def test_characteristic_split(self):
         ops = PNOperators.build(7)
-        for a, v_plus, v_minus, back in zip(
-            flux_matrices(7), ops.v_plus, ops.v_minus, ops.back_rotation
-        ):
-            k = v_plus.shape[1]
-            assert (k, v_minus.shape[1]) == (28, 28)
+        for a, forward, back in zip(flux_matrices(7), ops.forward_rotation, ops.back_rotation):
+            assert forward.shape == (64, 56) and forward.flags.c_contiguous
             assert back.shape == (56, 64)
             # -[V+ V-] B = V+ L+ V+^T + V- L- V-^T
-            assert np.abs(-(v_plus @ back[:k] + v_minus @ back[k:]) - a).max() <= 1e-14
+            assert np.abs(-(forward @ back) - a).max() <= 1e-14
+
+    @pytest.mark.parametrize("n_max", range(1, 16))
+    def test_characteristic_split_is_balanced(self, n_max):
+        # the oracle's interleaved stencil pairs need k+ = k-; parity gives
+        # it at every order: the first k columns have positive speeds, the
+        # last k negative ones
+        ops = PNOperators.build(n_max)
+        for forward, back in zip(ops.forward_rotation, ops.back_rotation):
+            k = forward.shape[1] // 2
+            speeds = -np.einsum("qm,mq->q", back, forward)
+            assert 2 * k == forward.shape[1] and np.all(speeds[:k] > 0) and np.all(speeds[k:] < 0)
 
 
 class TestScatteringMatrices:

@@ -222,7 +222,7 @@ class TestStreamingStep:
         state = full_rank_state(u_full)
         dt = 0.05
         full = fullrank_streaming_step(
-            u_full.copy(), dt, ctx, FullRankWorkspace(grid.n_cells, ops.basis.size, ops)
+            u_full.copy(), dt, ctx, FullRankWorkspace(ctx.stencils, ops)
         )
         low = streaming_step(state, dt, ctx)
         low_t, _ = truncate(low, TruncationPolicy(0.0, rank_min=1, rank_max=16))

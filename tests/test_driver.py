@@ -590,6 +590,13 @@ class TestStepContexts:
         with pytest.raises(dataclasses.FrozenInstanceError):
             contexts[0].inv_s = contexts[0].inv_s
 
+    @pytest.mark.parametrize("solver", ["fullrank", "dlra"])
+    def test_only_the_oracle_builds_the_stencil_pairs(self, solver):
+        # the interleaved stencil pairs are formed on first use, once per
+        # run, by the oracle's workspace; a low-rank run never forms them
+        result = run_simulation(ProblemConfig.from_dict(smoke_raw()), solver=solver)
+        assert ("pairs" in vars(result.problem.stencils)) == (solver == "fullrank")
+
     @pytest.mark.parametrize("model, physics", [
         ("boltzmann", {}),
         ("boltzmann", {"boltzmann_correction": False}),

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from pndose.angular import PNOperators
 from pndose.errors import ConfigError
 from pndose.dlra import StreamingContext
 from pndose.spatial import (
     Grid3D,
+    StreamingWorkspace,
     _axis_stencil_1d,
     _lift_to_grid,
     apply_streaming,
@@ -154,6 +156,37 @@ class TestStencils:
             assert np.shares_memory(block.indices, st.stacked.indices)
             assert np.array_equal(block.toarray(), lifted.toarray())
 
+    @pytest.mark.parametrize("grid", [
+        Grid3D(4, 3, 5, 0.1, 0.2, 0.3),
+        Grid3D(1, 1, 7, 1.0, 1.0, 0.2),
+    ])
+    def test_pairs_interleave_the_blocks(self, grid):
+        # row 2c + s of an axis' pair is row c of its plus (s = 0) or minus
+        # (s = 1) block, entry for entry, in the columns 2c' + s
+        st = build_stencils(grid)
+        assert len(st.pairs) == len(st.active_axes)
+        for j, pair in enumerate(st.pairs):
+            for s, block in enumerate((st.blocks[2 * j], st.blocks[2 * j + 1])):
+                rows = pair[s::2]
+                assert np.array_equal(rows.indptr, block.indptr)
+                assert np.array_equal(rows.data, block.data)
+                assert np.array_equal(rows.indices, 2 * block.indices + s)
+
+    def test_pair_kernel_is_the_sparse_product(self):
+        # scipy's csr_matvecs, called on a zeroed slab with a slice of the
+        # pair's indptr, gives the rows of pair @ y bit for bit
+        rng = np.random.default_rng(12)
+        grid = Grid3D(4, 3, 5, 0.1, 0.2, 0.3)
+        n, k = grid.n_cells, 6
+        y = rng.standard_normal((2 * n, k))
+        for pair in build_stencils(grid).pairs:
+            want = pair @ y
+            for c0, c1 in ((0, n), (7, 19), (n - 5, n)):
+                z = np.zeros((2 * (c1 - c0), k))
+                _sparsetools.csr_matvecs(2 * (c1 - c0), 2 * n, k, pair.indptr[2 * c0:2 * c1 + 1],
+                                         pair.indices, pair.data, y.ravel(), z.ravel())
+                assert np.array_equal(z, want[2 * c0:2 * c1])
+
     def test_sin_convergence_order(self):
         errors = []
         for nz in (50, 100, 200):
@@ -239,6 +272,35 @@ class TestStreaming:
         slow = dense_reference_streaming(u, inv_s, g, ops)
         assert np.abs(fast - slow).max() < 1e-12 * max(1.0, np.abs(slow).max())
 
+    @pytest.mark.parametrize("n_max", [1, 3, 7])
+    @pytest.mark.parametrize("grid", [
+        Grid3D(1, 1, 23, 1.0, 1.0, 0.1),
+        Grid3D(5, 1, 9, 0.2, 1.0, 0.1),
+        Grid3D(4, 5, 6, 0.25, 0.2, 0.3),
+    ], ids=["one-axis", "two-axes", "three-axes"])
+    def test_slabbed_axes_match_dense_reference(self, n_max, grid):
+        # slabs of 7 cells, which divide none of the cell counts, and the
+        # same workspace reused for a second call with other stopping powers
+        rng = np.random.default_rng(19)
+        st = build_stencils(grid)
+        ops = PNOperators.build(n_max)
+        work = StreamingWorkspace(st, ops, slab_cells=7)
+        assert grid.n_cells % work.slab_cells
+        out = np.empty((grid.n_cells, ops.basis.size))
+        for _ in range(2):
+            u = rng.standard_normal(out.shape)
+            inv_s = 1.0 / rng.uniform(5.0, 15.0, grid.n_cells)
+            assert apply_streaming(u, inv_s, st, ops, out, work) is out
+            slow = dense_reference_streaming(u, inv_s, grid, ops)
+            assert np.linalg.norm(out - slow) <= 1e-12 * np.linalg.norm(slow)
+
+    def test_workspace_of_other_stencils_rejected(self):
+        ops = PNOperators.build(1)
+        grid = grid_1d_z(8)
+        work = StreamingWorkspace(build_stencils(grid), ops)
+        with pytest.raises(ValueError, match="other stencils"):
+            apply_streaming(np.zeros((8, 4)), np.ones(8), build_stencils(grid), ops, work=work)
+
     @pytest.mark.parametrize("n_max, grid", [
         (7, Grid3D(4, 5, 6, 0.25, 0.2, 0.3)),
         (1, Grid3D(1, 5, 7, 1.0, 0.2, 0.1)),
@@ -294,6 +356,9 @@ class TestStreaming:
         assert st.stacked.shape == (0, 1)
         ctx = StreamingContext(np.ones(1), st, PNOperators.build(1))
         assert ctx.derivatives(np.ones((1, 2))).shape == (0, 1, 2)
+        assert st.pairs == ()
+        assert np.array_equal(apply_streaming(np.ones((1, 4)), np.ones(1), st, ctx.ops),
+                              np.zeros((1, 4)))
 
     def test_eigen_rotation_roundtrip(self):
         rng = np.random.default_rng(5)
