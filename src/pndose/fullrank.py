@@ -9,7 +9,7 @@ A step allocates no n x m array: it runs in a FullRankWorkspace made once
 per run. rk4 advances the state in place through three of its n x m
 buffers; each stage's right-hand side (spatial.apply_streaming) works in
 the workspace's StreamingWorkspace, whose stencil pairs get the step's
-1/S folded in once, before the first stage; the scattering step forms
+1/S folded in once, by the first stage; the scattering step forms
 its rates and source in the workspace's scratch, which rk4 leaves free.
 The RK4 updates and the scattering step keep the order of the textbook
 form with fresh arrays (tests/oracles.py) bit for bit; the streaming
@@ -55,9 +55,9 @@ def fullrank_streaming_step(u: np.ndarray, dt: float, ctx: StreamingContext,
                             work: FullRankWorkspace) -> np.ndarray:
     """One RK4 step of u' = F_S(u) on the dense moment matrix, in place;
     raises NumericalError on a non-finite state before or after it. The
-    step's 1/S is folded into the stencil pairs once, for all four stages."""
+    first stage folds the step's 1/S into the stencil pairs; the other
+    three hand apply_streaming the same inv_s array and reuse it."""
     scale0 = np.abs(u, out=work.scratch).max()
-    work.streaming.fold(ctx.inv_s)
     rk4(lambda x, out: ctx.full_rhs(x, out, work.streaming), u, dt, work.rk4)
     scale1 = np.abs(u, out=work.scratch).max()
     if not (np.isfinite(scale0) and np.isfinite(scale1)):

@@ -244,20 +244,19 @@ class StreamingWorkspace:
     """apply_streaming's buffers for one grid and PN order.
 
     y holds an axis' characteristic product u [V+ V-] (n, 2k), z a slab of
-    slab_cells rows of its stencil product, and values the entries of
+    SLAB_CELLS rows of its stencil product, and values the entries of
     each interleaved pair (UpwindStencils.pairs) scaled by the 1/S of
-    their column cell. fold fills values for one inv_s; apply_streaming
-    folds again whenever it is handed another inv_s array, so values
-    can go stale only if the inv_s they were folded with is changed in
-    place, which fold(inv_s) mends.
+    their column cell. apply_streaming folds whenever it is handed
+    another inv_s array than the one values hold, so a caller that
+    changes an inv_s array in place must hand a new one instead.
     """
 
-    def __init__(self, stencils: UpwindStencils, ops: PNOperators, slab_cells=SLAB_CELLS):
+    def __init__(self, stencils: UpwindStencils, ops: PNOperators):
         n = stencils.stacked.shape[1]
         width = max((ops.forward_rotation[a].shape[1] for a in stencils.active_axes), default=0)
         self.stencils = stencils
         self.y = np.empty(n * width)
-        self.slab_cells = min(slab_cells, n)
+        self.slab_cells = min(SLAB_CELLS, n)
         self.z = np.empty(self.slab_cells * width)
         self.values = tuple(np.empty(pair.nnz) for pair in stencils.pairs)
         self.inv_s = None
@@ -280,11 +279,12 @@ def apply_streaming(u, inv_s, stencils: UpwindStencils, ops: PNOperators, out=No
 
     Linear in u, which is not checked for finiteness: the oracle's
     streaming step checks its state once per step. The result is written
-    into out (n, m) and returned; work is a StreamingWorkspace of the same
-    stencils. Both are allocated when not given, and neither may share
-    memory with u. Per active axis: one GEMM forms y = u [V+ V-] (n, 2k);
-    the axis' interleaved pair, with 1/S folded into its entries, acts on
-    y viewed as (2n, k), a slab of cells at a time, which gives
+    into out (n, m) and returned. work is a StreamingWorkspace; when it is
+    given, its stencils are the ones applied. Both are allocated when not
+    given, and neither may share memory with u. Per active axis: one GEMM
+    forms y = u [V+ V-] (n, 2k); the axis' interleaved pair, with 1/S
+    folded into its entries, acts on y viewed as (2n, k), a slab of cells
+    at a time, which gives
     [D+ S^-1 y+, D- S^-1 y-] row by row; one GEMM per slab rotates that
     back, writing out on the first axis and adding to it (beta = 1) on
     the others.
@@ -297,8 +297,7 @@ def apply_streaming(u, inv_s, stencils: UpwindStencils, ops: PNOperators, out=No
         raise ValueError("apply_streaming writes only into a C-contiguous float64 out")
     if work is None:
         work = StreamingWorkspace(stencils, ops)
-    elif work.stencils is not stencils:
-        raise ValueError("the streaming workspace belongs to other stencils")
+    stencils = work.stencils
     if work.inv_s is not inv_s:
         work.fold(inv_s)
     if not stencils.active_axes:
