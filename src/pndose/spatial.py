@@ -284,10 +284,9 @@ def apply_streaming(u, inv_s, stencils: UpwindStencils, ops: PNOperators, out=No
     given, and neither may share memory with u. Per active axis: one GEMM
     forms y = u [V+ V-] (n, 2k); the axis' interleaved pair, with 1/S
     folded into its entries, acts on y viewed as (2n, k), a slab of cells
-    at a time, which gives
-    [D+ S^-1 y+, D- S^-1 y-] row by row; one GEMM per slab rotates that
-    back, writing out on the first axis and adding to it (beta = 1) on
-    the others.
+    at a time, which gives [D+ S^-1 y+, D- S^-1 y-] row by row; one GEMM
+    per slab rotates that back, writing out on the first axis and adding
+    to it (beta = 1) on the others.
     """
     u = np.asarray(u)
     n = u.shape[0]
