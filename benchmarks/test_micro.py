@@ -19,21 +19,26 @@ The ray-tracer cases use the water90_lowrank beam: 441 rays through
 assemble_energy_operators for water (128 groups), the one march_ray of
 the beam, and trace_beam; the last two with the trace's EnergyOperators
 table already holding the water operator and its factors, as the second
-beam of a trace finds it. One more case times the whole ray trace of the
-oblique30_hetero benchmark, trace_all_beams on its config (read from
-perfbench/configs): a tilted beam whose 25 rays need 10 marches through
-water, lung and bone, each call building and dropping its own table, as
-a run does. The set-up cases time MomentTables on the water90_lowrank
-energy grid (48 energies up to 96.4 MeV, degree 8) with the quadrature
-caches warm, as the second assembly of a process finds them, and one
-cached Gauss-Legendre rule lookup. Run from the repository root, with
-the BLAS thread count pinned:
+beam of a trace finds it. One more times the Crank-Nicolson
+factorization of water at dz = 0.005 cm, CrankNicolsonFactor.factor
+into a march's two dense buffers. Two cases time a whole ray trace,
+trace_all_beams, each call building and dropping its own table, as a
+run does: on the oblique30_hetero benchmark's config (read from
+perfbench/configs), a tilted beam whose 25 rays need 10 marches through
+water, lung and bone; and on a CT-like variant of it, whose cells carry
+seeded integer HU noise in +-60, so each ray needs its own march and
+the rays cross 141 materials and need 272 factorizations. The set-up
+cases time MomentTables on the water90_lowrank energy grid (48 energies
+up to 96.4 MeV, degree 8) with the quadrature caches warm, as the second
+assembly of a process finds them, and one cached Gauss-Legendre rule
+lookup. Run from the repository root, with the BLAS thread count pinned:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest benchmarks --benchmark-only
 
 The tier-1 suite does not collect this directory (pyproject's testpaths).
 """
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +65,7 @@ from pndose.fullrank import FullRankWorkspace, fullrank_streaming_step
 from pndose.physics import MomentTables
 from pndose.physics.moliere import DEFAULT_NODES, _gauss_nodes
 from pndose.raytracer import (
+    CrankNicolsonFactor,
     EnergyOperators,
     assemble_energy_operators,
     march_ray,
@@ -207,6 +213,16 @@ def test_assemble_energy_operators_water(benchmark, water90):
     assert g_mat.shape == (problem.space.n_dof, problem.space.n_dof)
 
 
+def test_cn_factor_water(benchmark, water90):
+    problem, _, coefficients = water90
+    operators = EnergyOperators(problem.space, coefficients)
+    (key,) = coefficients
+    n = problem.space.n_dof
+    args = (operators.mass, operators[key][0], 0.005, np.empty(n * n), np.empty(n * n), key)
+    factor = benchmark(CrankNicolsonFactor.factor, *args)
+    assert factor.pivots.shape == (n,)
+
+
 def test_march_ray_water90(benchmark, water90):
     problem, keys, coefficients = water90
     space, beam = problem.space, problem.config.beams[0]
@@ -235,3 +251,13 @@ def test_trace_all_beams_oblique30(benchmark):
     problem = assemble_problem(ProblemConfig.load(OBLIQUE30))
     (flux,), counts = benchmark(trace_all_beams, problem)
     assert (flux.n_rays, flux.n_marches, counts["cn_factorizations"]) == (25, 10, 27)
+
+
+def test_trace_all_beams_oblique30_ct(benchmark):
+    config = ProblemConfig.load(OBLIQUE30)
+    noise = np.random.default_rng(0).integers(-60, 61, config.grid.n_cells)
+    problem = assemble_problem(dataclasses.replace(config, hu_values=config.hu_values + noise))
+    (flux,), counts = benchmark(trace_all_beams, problem)
+    # no two rays cross one material sequence: each needs its own march
+    assert (flux.n_rays, flux.n_marches) == (25, 25)
+    assert (counts["energy_operator_assemblies"], counts["cn_factorizations"]) == (141, 272)

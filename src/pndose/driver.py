@@ -475,8 +475,11 @@ def trace_all_beams(problem: Problem):
     EnergyOperators table over the coefficients of material_coefficients,
     so each material's operator is assembled once and each (material, dz)
     pair factored once; the table is dropped when the trace returns.
-    counts: those assemblies and factorizations, under their diagnostics
-    keys energy_operator_assemblies and cn_factorizations.
+    counts, under their diagnostics keys: those assemblies and
+    factorizations (energy_operator_assemblies, cn_factorizations), the
+    Crank-Nicolson steps marched (cn_steps), and the seconds spent
+    assembling the operators (energy_operator_s) and factoring them
+    (cn_factor_s).
     """
     keys, coefficients = material_coefficients(problem)
     operators = EnergyOperators(problem.space, coefficients)
@@ -485,7 +488,10 @@ def trace_all_beams(problem: Problem):
         for beam in problem.config.beams
     ]
     return fluxes, {"energy_operator_assemblies": len(operators),
-                    "cn_factorizations": len(operators.factors)}
+                    "cn_factorizations": len(operators.factors),
+                    "cn_steps": operators.cn_steps,
+                    "energy_operator_s": operators.assembly_s,
+                    "cn_factor_s": operators.factor_s}
 
 
 def uncollided_dose(problem: Problem, fluxes) -> np.ndarray:

@@ -24,24 +24,27 @@ add per ray; rays sharing a material column reuse one march.
 
 One table, EnergyOperators, holds the state of a ray trace and is
 dropped with it. It assembles each material's G once and keeps it as
-CSR, and it factors M + dz/2 G once per (material, exact dz) pair and
-keeps the LU factors and M - dz/2 G compactly: the positions and values
-of the entries that are not +0.0, since both have G's block-tridiagonal
-pattern. A march groups its step sizes by round(dz, 14) and uses the
-first exact dz of a group for the whole group, so a factor never depends
-on which march met it first; only the march's current operator is
-expanded to dense (see march_ray for the memory orders that keep every
-dose's bits).
+CSR. The first march to meet a (material, exact dz) pair factors
+M + dz/2 G straight into its own two dense buffers, written from G's
+CSR entries, and the table keeps a compact copy of the LU factors and
+of M - dz/2 G: the positions and values of their entries, since both
+have G's block-tridiagonal pattern. A later march expands the copy
+into its buffers. A march groups its step sizes by round(dz, 14) and
+uses the first exact dz of a group for the whole group, so a factor
+never depends on which march met it first. The march's two buffers are
+the only dense operators in a trace (see march_ray for the memory
+orders that keep every dose's bits).
 """
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.legendre as leg
 from scipy import sparse
-from scipy.linalg import lu_factor
-from scipy.linalg.lapack import dgetrs
+from scipy.linalg.blas import dgemv
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import ConfigError, NumericalError
 from .spatial import Grid3D
@@ -263,13 +266,15 @@ def assemble_energy_operators(space: EnergyDGSpace, s_star_fn, t_fn, sigma_t_fn)
 class CrankNicolsonFactor:
     """One Crank-Nicolson step operator, M + dz/2 G factored, in compact form.
 
-    The LU factors (Fortran order, as lu_factor returns them) and the
-    right-hand side M - dz/2 G (C order) are each kept as the flat
-    positions and values of the entries whose bit pattern is not +0.0,
-    so row swaps, fill and -0.0 all come back exactly. The rhs has G's
-    block-tridiagonal pattern, and so does the LU when no row is swapped
-    (none is on water, lung or bone): 3 438 of 384^2 entries at 128
-    groups.
+    factor forms the operator inside a march's two dense buffers, the
+    only place where it is ever dense, and returns this compact copy of
+    them for later marches: the LU factors (Fortran order, as dgetrf
+    leaves them) and the right-hand side M - dz/2 G (C order), each as
+    the flat positions and values of its entries, so row swaps, fill and
+    -0.0 all come back exactly. The rhs keeps G's pattern plus the
+    diagonal, the LU the entries whose bit pattern is not +0.0: G's
+    block-tridiagonal pattern when no row is swapped (none is on water,
+    lung or bone), 3 438 of 384^2 entries at 128 groups.
     """
 
     lu_positions: np.ndarray
@@ -278,32 +283,38 @@ class CrankNicolsonFactor:
     rhs_positions: np.ndarray
     rhs_values: np.ndarray
 
-    @staticmethod
-    def _compact(flat):
-        positions = np.flatnonzero(flat.view(np.int64)).astype(np.int32)
-        return positions, flat[positions]
-
     @classmethod
-    def factor(cls, mass, g_csr, dz):
-        """Factor M + dz/2 G for a CSR G.
+    def factor(cls, mass, g_csr, dz, lu_flat, rhs_flat, key):
+        """Factor M + dz/2 G for a CSR G of material key into flat buffers.
 
-        h = (0.5 dz) G is formed once, in Fortran order. The rhs takes
-        0.0 - h off the diagonal and mass - h_ii on it, the lhs 0.0 + h
-        and mass + h_ii, which are the bits of diag(M) -/+ 0.5 * dz * G;
-        the lhs is factored in place.
+        Each entry g of G gives h = g * (0.5 dz). The rhs buffer takes
+        0.0 - h off the diagonal and mass - h_ii on it, the LU buffer
+        h + 0.0 and mass + h_ii, which are the bits of diag(M) -/+
+        0.5 * dz * G; the LU buffer is then factored in place. A
+        non-finite entry or a zero pivot raises NumericalError naming the
+        material key and dz.
         """
-        h = g_csr.toarray(order="F")
-        h *= 0.5 * dz
-        h_diag = np.diagonal(h).copy()
-        rhs = np.subtract(0.0, h, order="C")
-        np.fill_diagonal(rhs, mass - h_diag)
-        lhs = np.add(h, 0.0, out=h)
-        np.fill_diagonal(lhs, mass + h_diag)
-        try:
-            lu, pivots = lu_factor(lhs, overwrite_a=True)
-        except Exception as exc:  # singular CN system
-            raise NumericalError(f"Crank-Nicolson solve failed: {exc}") from exc
-        return cls(*cls._compact(lu.ravel(order="F")), pivots, *cls._compact(rhs.ravel()))
+        n = mass.size
+        failed = f"Crank-Nicolson solve failed for material {key!r} at dz = {dz!r}"
+        h = g_csr.data * (0.5 * dz)
+        if not np.all(np.isfinite(h)):
+            raise NumericalError(f"{failed}: dz/2 G has a non-finite entry")
+        rows, cols = np.repeat(np.arange(n), np.diff(g_csr.indptr)), g_csr.indices
+        entries_c, diag = rows * n + cols, np.arange(n) * (n + 1)
+        h_diag = g_csr.diagonal() * (0.5 * dz)
+        lu_flat.fill(0.0)
+        lu_flat[rows + cols * n] = h + 0.0
+        lu_flat[diag] = mass + h_diag
+        rhs_flat.fill(0.0)
+        rhs_flat[entries_c] = 0.0 - h
+        rhs_flat[diag] = mass - h_diag
+        pivots, info = dgetrf(lu_flat.reshape((n, n), order="F"), overwrite_a=True)[1:]
+        if info > 0:
+            raise NumericalError(f"{failed}: pivot {info} of M + dz/2 G is exactly zero")
+        lu_positions = np.flatnonzero(lu_flat.view(np.int64) != 0).astype(np.int32)
+        rhs_positions = np.concatenate((entries_c[rows != cols], diag)).astype(np.int32)
+        return cls(lu_positions, lu_flat[lu_positions], pivots,
+                   rhs_positions, rhs_flat[rhs_positions])
 
     def expand(self, lu_flat, rhs_flat):
         """Write the dense factors into flat buffers (LU in Fortran, rhs in C order)."""
@@ -316,18 +327,21 @@ class CrankNicolsonFactor:
 class EnergyOperators(dict):
     """The table of one ray trace on one energy space, filled on lookup.
 
-    Material key -> (CSR G, S*(e_min)); factors holds the
+    Material key -> (CSR G, S*(e_min)); factors holds the compact
     CrankNicolsonFactor of each (material key, exact dz) pair.
     coefficients maps a material key to (s_star_fn, t_fn, sigma_t_fn). A
-    key's operator is assembled, and a pair's operator factored, the
-    first time it is looked up and kept for every later march, so the
-    marches and beams that share one table assemble each material's
-    operator once and factor each pair once; len() counts the
-    assemblies and len(factors) the factorizations. G is
-    block-tridiagonal, so only its nonzeros are stored (toarray gives
-    the same matrix back bit for bit). Hand one table to the marches of
-    a ray trace and drop it with the trace: only the march's current
-    operator is ever dense.
+    key's operator is assembled the first time it is looked up, and a
+    pair is factored the first time a march loads it, inside that march's
+    buffers; both are kept for every later march, so the marches and
+    beams that share one table assemble each material's operator once
+    and factor each pair once. len() counts the assemblies and
+    len(factors) the factorizations, cn_steps the Crank-Nicolson steps
+    marched, and assembly_s and factor_s the seconds spent assembling
+    and factoring. G is block-tridiagonal, so only its nonzeros are
+    stored (toarray gives the same matrix back bit for bit). Hand one
+    table to the marches of a ray trace and drop it with the trace: the
+    only dense operators of a trace are the two buffers of its current
+    march.
     """
 
     def __init__(self, space: EnergyDGSpace, coefficients):
@@ -336,19 +350,33 @@ class EnergyOperators(dict):
         self.coefficients = coefficients
         self.mass = space.mass_diagonal()
         self.factors = {}
+        self.cn_steps = 0
+        self.assembly_s = self.factor_s = 0.0
 
     def __missing__(self, key):
+        start = time.perf_counter()
         s_star_fn, t_fn, sigma_t_fn = self.coefficients[key]
         g_mat = assemble_energy_operators(self.space, s_star_fn, t_fn, sigma_t_fn)[1]
         s_min = float(np.atleast_1d(s_star_fn(np.array([self.space.e_min])))[0])
         self[key] = entry = (sparse.csr_matrix(g_mat), s_min)
+        self.assembly_s += time.perf_counter() - start
         return entry
 
-    def factor(self, key, dz):
-        """The CrankNicolsonFactor of material key at the exact step dz."""
-        if (key, dz) not in self.factors:
-            self.factors[key, dz] = CrankNicolsonFactor.factor(self.mass, self[key][0], dz)
-        return self.factors[key, dz]
+    def load(self, key, dz, lu_flat, rhs_flat):
+        """Write the step operator of material key at the exact step dz
+        into a march's flat buffers (LU in Fortran, rhs in C order) and
+        return its pivots: a new pair is factored there, a known one
+        expanded from its compact copy."""
+        factor = self.factors.get((key, dz))
+        if factor is not None:
+            factor.expand(lu_flat, rhs_flat)
+            return factor.pivots
+        g_csr = self[key][0]
+        start = time.perf_counter()
+        factor = CrankNicolsonFactor.factor(self.mass, g_csr, dz, lu_flat, rhs_flat, key)
+        self.factor_s += time.perf_counter() - start
+        self.factors[key, dz] = factor
+        return factor.pivots
 
 
 def march_ray(segments, operators: EnergyOperators, psi0, max_step=MAX_STEP_CM):
@@ -364,22 +392,27 @@ def march_ray(segments, operators: EnergyOperators, psi0, max_step=MAX_STEP_CM):
     The factors live in the shared table, keyed by (material, exact dz).
     Within a march, all steps whose dz agree to round(dz, 14) use the
     factor of the first such dz the march met, so which marches share a
-    table, and their order, never changes a factor's bits. Only the
-    current operator is expanded to dense, into buffers the march
-    reuses: the LU in the Fortran order lu_factor returns, the rhs in C
-    order, whose matrix-vector product is the kernel the doses were
-    computed with (a Fortran-ordered rhs selects another and moves every
-    dose in the last bits).
+    table, and their order, never changes a factor's bits. The march's
+    two buffers are the only dense operators of a trace: each operator
+    the march turns to is factored in them if the table lacks it, and
+    expanded into them otherwise. The LU is in the Fortran order dgetrf
+    works in; the rhs is in C order, and each step forms rhs @ psi with
+    the transposed dgemv kernel that numpy's matmul picks for it, the
+    kernel the doses were computed with (a Fortran-ordered rhs selects
+    another and moves every dose in the last bits). The product goes
+    into a reused vector, which dgetrs then solves in place.
     """
     space = operators.space
     n, nl = space.n_dof, space.n_local
     p_lo = space.basis([-1.0])[0][0]
     first_dz = {}          # (material key, round(dz, 14)) -> first exact dz seen
     lu_flat, rhs_flat = np.empty(n * n), np.empty(n * n)
-    lu, rhs = lu_flat.reshape((n, n), order="F"), rhs_flat.reshape((n, n))
+    # the rhs is read through its transpose, a Fortran-ordered view
+    lu, rhs_t = lu_flat.reshape((n, n), order="F"), rhs_flat.reshape((n, n)).T
     current = pivots = None
 
     psi = np.asarray(psi0, dtype=float).copy()
+    spare = np.empty(n)
     averages = np.empty((len(segments), space.n_groups))
     residuals = np.empty(len(segments))
     for k, (cell, length, key) in enumerate(segments):
@@ -389,15 +422,16 @@ def march_ray(segments, operators: EnergyOperators, psi0, max_step=MAX_STEP_CM):
         dz = 0.5 * length / n_sub
         pair = (key, first_dz.setdefault((key, round(dz, 14)), dz))
         if pair != current:
-            factor = operators.factor(*pair)
-            factor.expand(lu_flat, rhs_flat)
-            current, pivots = pair, factor.pivots
+            pivots = operators.load(*pair, lu_flat, rhs_flat)
+            current = pair
+        operators.cn_steps += 2 * n_sub
         residual = 0.0
         trace = float(psi[:nl] @ p_lo)
         for step in range(2 * n_sub):
             if step == n_sub:
                 averages[k] = space.group_averages(psi)
-            psi = dgetrs(lu, pivots, rhs @ psi, overwrite_b=True)[0]
+            b = dgemv(1.0, rhs_t, psi, y=spare, overwrite_y=True, trans=1)
+            psi, spare = dgetrs(lu, pivots, b, overwrite_b=True)[0], psi
             trace_after = float(psi[:nl] @ p_lo)
             # trapezoidal trace reproduces the CN content identity, so
             # the below-cutoff energy bookkeeping closes exactly

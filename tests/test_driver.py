@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pndose import raytracer
 from pndose.angular import beam_projection
 from pndose.driver import (
     BEAM_KEYS,
@@ -635,13 +636,21 @@ class TestStepContexts:
 
 
 class TestRayTracerCoupling:
-    def test_ray_march_and_operator_diagnostics(self):
+    def test_ray_march_and_operator_diagnostics(self, monkeypatch):
         # the second beam sits 0.1 cm inside a corner: of its 5 x 5 rays
         # (offsets 0, +-0.36, +-0.72 cm) only the 3 x 3 with x, y >= 0 enter
         raw = smoke_raw()
         raw["beams"].append(
             {"direction": [0, 0, 1], "energy_mev": 20.0, "position_cm": [0.1, 0.1, 0.0]}
         )
+        marches = []
+        original = raytracer.march_ray
+
+        def recording(segments, *args, **kwargs):
+            marches.append(segments)
+            return original(segments, *args, **kwargs)
+
+        monkeypatch.setattr(raytracer, "march_ray", recording)
         d = run_simulation(ProblemConfig.from_dict(raw), solver="dlra").diagnostics
         assert d["rays_per_beam"] == [25, 9]
         assert d["rays_missed_per_beam"] == [0, 16]
@@ -650,6 +659,11 @@ class TestRayTracerCoupling:
         # both beams step through water cells of one length: the second
         # beam's march reuses the first one's factors
         assert d["cn_factorizations"] == 1
+        # two halves of n_sub steps per segment marched
+        n_sub = [max(1, math.ceil(0.5 * length / raytracer.MAX_STEP_CM))
+                 for m in marches for _, length, _ in m]
+        assert len(marches) == 2 and d["cn_steps"] == sum(2 * k for k in n_sub) > 0
+        assert 0.0 < d["cn_factor_s"] and 0.0 < d["energy_operator_s"]
 
     @pytest.mark.parametrize("model, physics", [
         ("boltzmann", {}),
@@ -765,6 +779,10 @@ class TestOutputs:
 
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["diagnostics"]["tail_violations"] == 0
+        for key in ("energy_operator_assemblies", "cn_factorizations", "cn_steps"):
+            assert manifest["diagnostics"][key] == res2.diagnostics[key] > 0
+        for key in ("energy_operator_s", "cn_factor_s"):
+            assert isinstance(manifest["diagnostics"][key], float)
         assert manifest["diagnostics"]["phase_s"] == res2.diagnostics["phase_s"]
         assert "H.csv" in manifest["data_checksums"]
         assert "gauss_legendre_512.csv" in manifest["data_checksums"]

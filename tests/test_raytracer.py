@@ -509,46 +509,91 @@ def step_classes(segments, max_step=raytracer.MAX_STEP_CM):
     return {(key, dz) for (key, _), dz in first.items()}
 
 
+def steps_marched(segments, max_step=raytracer.MAX_STEP_CM):
+    """Crank-Nicolson steps of a march: 2 n_sub per segment."""
+    return sum(2 * max(1, math.ceil(0.5 * length / max_step)) for _, length, _ in segments)
+
+
+def noisy_phantom():
+    """(grid, space, keys, coefficients) of a water box whose cells carry
+    integer HU noise in +-60: nearly every cell is a material of its own."""
+    raw = {
+        "grid": {"nx": 5, "ny": 5, "nz": 8,
+                 "delta_x_cm": 0.1, "delta_y_cm": 0.1, "delta_z_cm": 0.1},
+        "beams": [{"direction": [0, 0, 1], "energy_mev": 30.0, "position_cm": [0.25, 0.25, 0.0]}],
+        "pn_order": 1,
+        "energy": {"groups": 32},
+    }
+    config = ProblemConfig.from_dict(raw)
+    config.hu_values += np.random.default_rng(5).integers(-60, 61, config.grid.n_cells)
+    problem = assemble_problem(config)
+    keys, coefficients = material_coefficients(problem)
+    return problem.grid, problem.space, keys, coefficients
+
+
 class TestCrankNicolsonFactors:
     """The marches of a trace share the compact Crank-Nicolson factors of
     its EnergyOperators table: each (material, dz) pair is factored once,
-    and every march gives the per-march dense factorization's results bit
-    for bit."""
+    inside the buffers of the march that meets it first, and every march
+    gives the per-march dense factorization's results bit for bit."""
 
     @pytest.fixture
-    def tilted_marches(self, monkeypatch):
-        """(space, coefficients, psi0, segments of each march) of a tilted
-        bundle through two materials."""
-        g, space, keys, coeff = two_materials()
-        beam = BeamSource(TILT_10, 30.0, (0.2, 0.25, 0.0), sigma_xy_cm=0.1)
-        marches = []
-        original = raytracer.march_ray
+    def march_cases(self, monkeypatch):
+        """Per phantom, (space, coefficients, psi0, segments of each march)
+        of a tilted bundle: two materials, and per-cell HU noise."""
+        cases = {}
+        for name, phantom in (("two materials", two_materials), ("noisy", noisy_phantom)):
+            g, space, keys, coeff = phantom()
+            beam = BeamSource(TILT_10, 30.0, (0.2, 0.25, 0.0), sigma_xy_cm=0.1)
+            marches = []
+            original = raytracer.march_ray
 
-        def recording(segments, *args, **kwargs):
-            marches.append(segments)
-            return original(segments, *args, **kwargs)
+            def recording(segments, *args, **kwargs):
+                marches.append(segments)
+                return original(segments, *args, **kwargs)
 
-        monkeypatch.setattr(raytracer, "march_ray", recording)
-        trace_beam(beam, g, keys, EnergyOperators(space, coeff), n_side=3)
-        monkeypatch.undo()
-        psi0 = project_initial_spectrum(space, beam.energy_mev, beam.sigma_e_mev)
-        return space, coeff, psi0, marches
+            monkeypatch.setattr(raytracer, "march_ray", recording)
+            trace_beam(beam, g, keys, EnergyOperators(space, coeff), n_side=3)
+            monkeypatch.undo()
+            psi0 = project_initial_spectrum(space, beam.energy_mev, beam.sigma_e_mev)
+            cases[name] = (space, coeff, psi0, marches)
+        return cases
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
-    def test_shared_table_equals_per_march_factors(self, tilted_marches, reverse):
-        space, coeff, psi0, marches = tilted_marches
-        assert len(marches) > 2 and {key for m in marches for _, _, key in m} == {0, 1}
-        operators = EnergyOperators(space, coeff)
-        order = range(len(marches))[::-1] if reverse else range(len(marches))
-        for i in order:
-            got = march_ray(marches[i], operators, psi0)
-            want = march_ray_reference(marches[i], operators, psi0)
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
-        pairs = set().union(*(step_classes(m) for m in marches))
-        assert set(operators.factors) == pairs
-        # the marches share factors: fewer than one per march and class
-        assert len(pairs) < sum(len(step_classes(m)) for m in marches)
+    def test_shared_table_equals_per_march_factors(self, march_cases, reverse):
+        materials = {}
+        for name, (space, coeff, psi0, marches) in march_cases.items():
+            assert len(marches) > 2
+            materials[name] = {key for m in marches for _, _, key in m}
+            operators = EnergyOperators(space, coeff)
+            order = range(len(marches))[::-1] if reverse else range(len(marches))
+            fresh_and_reused = 0
+            for i in order:
+                classes = step_classes(marches[i])
+                known = classes & set(operators.factors)
+                fresh_and_reused += 0 < len(known) < len(classes)
+                got = march_ray(marches[i], operators, psi0)
+                want = march_ray_reference(marches[i], operators, psi0)
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
+            pairs = set().union(*(step_classes(m) for m in marches))
+            assert set(operators.factors) == pairs
+            # the marches share factors: fewer than one per march and class
+            assert len(pairs) < sum(len(step_classes(m)) for m in marches)
+            assert fresh_and_reused > 0
+            assert operators.cn_steps == sum(steps_marched(m) for m in marches)
+        assert materials["two materials"] == {0, 1}
+        # the noisy marches switch among many materials, factoring some
+        # pairs in their buffers and expanding others into them
+        assert len(materials["noisy"]) > 30
+
+    @staticmethod
+    def factor_in_buffers(mass, g_dense, dz, key="test"):
+        """(compact factor, LU buffer, rhs buffer): the buffers NaN before."""
+        lu_flat, rhs_flat = np.full(mass.size**2, np.nan), np.full(mass.size**2, np.nan)
+        factor = CrankNicolsonFactor.factor(mass, sparse.csr_matrix(g_dense), dz,
+                                            lu_flat, rhs_flat, key)
+        return factor, lu_flat, rhs_flat
 
     def test_compact_factor_round_trips_every_bit(self):
         # M + dz/2 G = diag(1) + G: a negative first pivot over zeros, which
@@ -558,21 +603,35 @@ class TestCrankNicolsonFactors:
             -3.0, 1.0, 1.0, 0.5, 2.0, -1.0, 2.0, 5.0, 1.0, 1.0
         )
         mass, dz = np.ones(6), 2.0
-        factor = CrankNicolsonFactor.factor(mass, sparse.csr_matrix(g_dense), dz)
+        factor, *factored = self.factor_in_buffers(mass, g_dense, dz)
         lu_ref, piv_ref = lu_factor(np.diag(mass) + 0.5 * dz * g_dense)
         rhs_ref = np.diag(mass) - 0.5 * dz * g_dense
         assert np.any(piv_ref != np.arange(6))
         assert np.any((lu_ref == 0.0) & np.signbit(lu_ref))
-        lu_flat, rhs_flat = np.full(36, np.nan), np.full(36, np.nan)
-        factor.expand(lu_flat, rhs_flat)
-        assert np.array_equal(lu_flat.view(np.int64), lu_ref.ravel(order="F").view(np.int64))
-        assert np.array_equal(rhs_flat.view(np.int64), rhs_ref.ravel().view(np.int64))
+        expanded = np.full(36, np.nan), np.full(36, np.nan)
+        factor.expand(*expanded)
+        # the buffers the factor was formed in, and those it expands into
+        for lu_flat, rhs_flat in (factored, expanded):
+            assert np.array_equal(lu_flat.view(np.int64), lu_ref.ravel(order="F").view(np.int64))
+            assert np.array_equal(rhs_flat.view(np.int64), rhs_ref.ravel().view(np.int64))
         assert np.array_equal(factor.pivots, piv_ref)
         assert factor.lu_values.size < 36
 
     def test_singular_system_raises_numerical_error(self):
-        with pytest.raises(NumericalError, match="Crank-Nicolson"):
-            CrankNicolsonFactor.factor(np.ones(2), sparse.csr_matrix(np.full((2, 2), np.inf)), 0.01)
+        # mass 1, G = -2 I, dz = 1: M + dz/2 G is zero
+        with pytest.raises(NumericalError, match=r"material 'water' at dz = 1\.0: pivot 1 "):
+            self.factor_in_buffers(np.ones(2), -2.0 * np.eye(2), 1.0, key="water")
+        # in a march: G = -2 M over one segment of two unit steps
+        space = EnergyDGSpace(1.0, 31.5, 4)
+        operators = EnergyOperators(space, {})
+        operators[7] = (sparse.csr_matrix(np.diag(-2.0 * operators.mass)), 2.0)
+        psi0 = project_initial_spectrum(space, 20.0, 0.2)
+        with pytest.raises(NumericalError, match=r"material 7 at dz = 1\.0: pivot 1 "):
+            march_ray([(0, 2.0, 7)], operators, psi0, max_step=1.0)
+
+    def test_non_finite_operator_raises_numerical_error(self):
+        with pytest.raises(NumericalError, match=r"material 3 at dz = 0\.01: .*non-finite"):
+            self.factor_in_buffers(np.ones(2), np.full((2, 2), np.inf), 0.01, key=3)
 
 
 OBLIQUE30 = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "oblique30_hetero.yaml"
@@ -581,12 +640,12 @@ OBLIQUE30 = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "obl
 @pytest.fixture(scope="module")
 def oblique30_trace():
     """Ray trace of the oblique30_hetero benchmark: (fluxes, counts,
-    lu_factor calls, tracemalloc peak in bytes, step classes of each
+    dgetrf calls, tracemalloc peak in bytes, step classes of each
     march, weak references to the table and to each factor it held, the
     problem traced)."""
     problem = assemble_problem(ProblemConfig.load(OBLIQUE30))
     calls, marches, held = [], [], {}
-    originals = raytracer.lu_factor, raytracer.march_ray
+    originals = raytracer.dgetrf, raytracer.march_ray
 
     def counting(*args, **kwargs):
         calls.append(1)
@@ -599,23 +658,23 @@ def oblique30_trace():
         held.update((pair, weakref.ref(f)) for pair, f in operators.factors.items())
         return result
 
-    raytracer.lu_factor, raytracer.march_ray = counting, recording
+    raytracer.dgetrf, raytracer.march_ray = counting, recording
     tracemalloc.start()
     try:
         fluxes, counts = trace_all_beams(problem)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        raytracer.lu_factor, raytracer.march_ray = originals
+        raytracer.dgetrf, raytracer.march_ray = originals
     return fluxes, counts, len(calls), peak, marches, held, problem
 
 
 class TestObliqueTrace:
     def test_one_factorization_per_material_and_step(self, oblique30_trace):
-        fluxes, counts, lu_calls, _, marches, _, _ = oblique30_trace
+        fluxes, counts, getrf_calls, _, marches, _, _ = oblique30_trace
         assert [f.n_marches for f in fluxes] == [len(marches)] == [10]
         pairs = set().union(*marches)
-        assert lu_calls == counts["cn_factorizations"] == len(pairs) == 27
+        assert getrf_calls == counts["cn_factorizations"] == len(pairs) == 27
         assert counts["energy_operator_assemblies"] == 3
         # factoring each march's classes afresh takes twice as many
         assert sum(len(m) for m in marches) == 54

@@ -35,7 +35,7 @@ import yaml
 from pndose import driver
 
 # Diagnostics that hold wall times: they differ from run to run.
-TIMING_DIAGNOSTICS = ("runtime_s", "phase_s")
+TIMING_DIAGNOSTICS = ("runtime_s", "phase_s", "energy_operator_s", "cn_factor_s")
 
 
 def sha256(data: bytes) -> str:
