@@ -12,8 +12,11 @@ more cases time the oracle's streaming right-hand side, apply_streaming,
 on a dense (n, m = 64) moment matrix in a StreamingWorkspace whose
 stencil pairs already hold the step's 1/S, and its whole streaming step
 (folding 1/S, four right-hand sides and the RK4 updates, in place in a
-FullRankWorkspace), each on the preset30 benchmark grid (n = 3000) and
-the 20 x 20 x 30 acceptance grid (n = 12000), both P7.
+FullRankWorkspace), each on the preset30 benchmark grid (n = 3000), the
+20 x 20 x 30 acceptance grid (n = 12000) and the 20 x 20 x 70 grid of
+configs/ (n = 28000), all P7. On the last, the z stencil pair reads 800
+cells ahead, several slabs, so the workspace's slab plan forms the
+characteristic product well ahead of the stencil slab it serves.
 The ray-tracer cases use the water90_lowrank beam: 441 rays through
 6 x 6 x 70 water cells that share one Crank-Nicolson march. They time
 assemble_energy_operators for water (128 groups), the one march_ray of
@@ -141,8 +144,9 @@ def test_truncate(benchmark, case):
 
 
 ORACLE_GRIDS = pytest.mark.parametrize("grid", [Grid3D(10, 10, 30, 0.1, 0.1, 0.1),
-                                               Grid3D(20, 20, 30, 0.1, 0.1, 0.1)],
-                                       ids=["n3000", "n12000"])
+                                               Grid3D(20, 20, 30, 0.1, 0.1, 0.1),
+                                               Grid3D(20, 20, 70, 0.1, 0.1, 0.1)],
+                                       ids=["n3000", "n12000", "n28000"])
 
 
 @ORACLE_GRIDS

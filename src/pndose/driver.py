@@ -434,12 +434,25 @@ def material_coefficients(problem: Problem):
     Cells of equal density and composition share a key. Each callable
     maps an energy array to the material's S* = S + dT/dE / 2, straggling
     T and total cross section sigma_t, in one pass over the array; the
-    values equal those of per-energy scalar evaluation bit for bit.
+    values equal those of per-energy scalar evaluation bit for bit. The
+    per-element sigma_t table is shared by the materials: it is evaluated
+    once per energy array, on the first call of any material's sigma_t,
+    and contracted with each material's atomic densities.
     """
     material = problem.material
     rows = np.column_stack([material.density, material.weights])
     _, first_cells, keys = np.unique(rows, axis=0, return_index=True, return_inverse=True)
     atomic = material.atomic_densities
+    element_tables = {}                      # (shape, bytes of energies) -> table
+
+    def element_sigma_t(e):
+        """sigma_t per element at the energies e, one (1, 12) row per energy."""
+        energies = (e.shape, e.tobytes())
+        if energies not in element_tables:
+            sigma_t = problem.scattering_entries(problem.model_table(e))[1]
+            per_atom = np.moveaxis(sigma_t, 0, -1)                           # (..., 12)
+            element_tables[energies] = np.ascontiguousarray(per_atom).reshape(-1, 1, N_ELEMENTS)
+        return element_tables[energies]
 
     coefficients = {}
     for key, cell in enumerate(first_cells):
@@ -457,12 +470,9 @@ def material_coefficients(problem: Problem):
 
         def sigma_t_fn(e, n_i=n_i):
             e = np.asarray(e, dtype=float)
-            sigma_t = problem.scattering_entries(problem.model_table(e))[1]
-            per_atom = np.moveaxis(sigma_t, 0, -1)                           # (..., 12)
             # one 1-D dot per energy, as a scalar evaluation would do it,
             # batched in one contraction
-            per_energy = np.ascontiguousarray(per_atom).reshape(-1, 1, N_ELEMENTS)
-            return np.matmul(per_energy, n_i[:, None])[:, 0, 0].reshape(e.shape)
+            return np.matmul(element_sigma_t(e), n_i[:, None])[:, 0, 0].reshape(e.shape)
 
         coefficients[key] = (s_star, t_coeff, sigma_t_fn)
     return keys, coefficients

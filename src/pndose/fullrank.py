@@ -35,8 +35,7 @@ class FullRankWorkspace:
     rk4 holds the slope, stage input and accumulator (n, m) of
     dlra.rk4; streaming the spatial.StreamingWorkspace of
     apply_streaming. scratch is rk4's slope, which is free outside rk4:
-    the streaming step forms |u| there, the scattering step its rates
-    and source.
+    the scattering step forms its rates and source there.
     """
 
     def __init__(self, stencils: UpwindStencils, ops: PNOperators):
@@ -56,10 +55,12 @@ def fullrank_streaming_step(u: np.ndarray, dt: float, ctx: StreamingContext,
     """One RK4 step of u' = F_S(u) on the dense moment matrix, in place;
     raises NumericalError on a non-finite state before or after it. The
     first stage folds the step's 1/S into the stencil pairs; the other
-    three hand apply_streaming the same inv_s array and reuse it."""
-    scale0 = np.abs(u, out=work.scratch).max()
+    three hand apply_streaming the same inv_s array and reuse it. max |u|
+    is taken as max(max u, -min u), which writes nothing and is NaN when
+    u holds a NaN."""
+    scale0 = np.maximum(u.max(), -u.min())
     rk4(lambda x, out: ctx.full_rhs(x, out, work.streaming), u, dt, work.rk4)
-    scale1 = np.abs(u, out=work.scratch).max()
+    scale1 = np.maximum(u.max(), -u.min())
     if not (np.isfinite(scale0) and np.isfinite(scale1)):
         raise NumericalError(f"non-finite streaming state: max |u| {scale0:g} -> {scale1:g}")
     if scale0 > 0.0 and scale1 > 1e6 * scale0:

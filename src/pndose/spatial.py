@@ -31,18 +31,30 @@ the whole stack with S^-1 x for an n x r input x.
 apply_streaming, the oracle's right-hand side, works one active axis at
 a time, in the buffers of a StreamingWorkspace that the caller may keep
 across calls. Since P A_d P = -A_d for the parity P = diag((-1)^l), V_d^+
-and V_d^- have equally many columns k, so one GEMM forms the (n, 2k)
-product u [V_d^+ V_d^-]. Viewed as (2n, k), its rows alternate between
-the two characteristic sets, and one sparse product with the axis'
-interleaved pair (UpwindStencils.pairs), whose entries are scaled by 1/S
-of their column cell, gives both upwind terms in the same layout. The
-scaling is folded into the pair's entries once per step, not into the
-state on every call. One GEMM with the stacked back-rotation
+and V_d^- have equally many columns k, so a GEMM forms the (n, 2k)
+product y = u [V_d^+ V_d^-]. Viewed as (2n, k), its rows alternate
+between the two characteristic sets, and one sparse product with the
+axis' interleaved pair (UpwindStencils.pairs), whose entries are scaled
+by 1/S of their column cell, gives both upwind terms in the same layout.
+The scaling is folded into the pair's entries once per step, not into
+the state on every call. A GEMM with the stacked back-rotation
 -[L^+ (V^+)^T; L^- (V^-)^T] then writes the output on the first axis and
-adds to it on the others; the sparse product and this GEMM run on slabs
-of cells, so the stencil product never takes the whole (n, 2k). This
-rounds differently from the textbook form, one term at a time on S^-1 u,
-in the last bits only (tests/oracles.py has that form).
+adds to it on the others.
+
+All three products run on slabs of about SLAB_CELLS cells, so that each
+slab of y is still in cache when the stencil reads it. y is formed just
+ahead of the stencil slabs that read it: the pair of an axis reads a
+fixed number of cells ahead of its row (2 stride_d on a grid, taken from
+the pair's own indices by pair_reach), so stencil slab [c0, c1) needs the
+rows of y below c1 + reach. The workspace works out these lookahead
+bounds once (StreamingWorkspace.plan). y is still the whole (n, 2k)
+product, one row per cell, so the stencil may read any row behind its
+slab, and the stencil product never takes the whole (n, 2k). A GEMM on a
+slab of rows gives those rows of the whole-array GEMM bit for bit (but a
+one-row product goes to GEMV, so the plan makes none); tests/oracles.py
+has the whole-array form. This rounds differently from the textbook
+form, one term at a time on S^-1 u, in the last bits only
+(tests/oracles.py has that form too).
 """
 
 from dataclasses import dataclass
@@ -236,12 +248,19 @@ def build_stencils(grid: Grid3D) -> UpwindStencils:
     return UpwindStencils(active_axes=tuple(dict.fromkeys(a for a, _ in terms)), stacked=stacked)
 
 
-# Cells per slab of the oracle's stencil products (StreamingWorkspace).
+# Cells per slab of the oracle's products (StreamingWorkspace); at least 2.
 SLAB_CELLS = 256
 
 
+def pair_reach(pair) -> int:
+    """The most cells by which a row of an interleaved pair reads ahead of
+    its own cell (0 if none reads ahead): 2 stride_d for the pair of axis d."""
+    cells = np.repeat(np.arange(pair.shape[0]) >> 1, np.diff(pair.indptr))
+    return int(np.max((pair.indices >> 1) - cells, initial=0))
+
+
 class StreamingWorkspace:
-    """apply_streaming's buffers for one grid and PN order.
+    """apply_streaming's buffers and slab plan for one grid and PN order.
 
     y holds an axis' characteristic product u [V+ V-] (n, 2k), z a slab of
     SLAB_CELLS rows of its stencil product, and values the entries of
@@ -249,17 +268,42 @@ class StreamingWorkspace:
     their column cell. apply_streaming folds whenever it is handed
     another inv_s array than the one values hold, so a caller that
     changes an inv_s array in place must hand a new one instead.
+
+    plan holds, per active axis, one (c0, c1, f0, f1) per stencil slab
+    [c0, c1): the rows [f0, f1) of y that one GEMM forms just before that
+    stencil slab. f1 is c1 plus the pair's reach ahead (pair_reach), at
+    most n, and f0 the previous slab's f1, so each row is formed once,
+    before any stencil slab reads it: the first GEMM takes a slab and the
+    reach, the next ones a slab each, the last ones none. A one-row
+    product would be handed to GEMV, which sums in another order than the
+    GEMM kernel, so the row before n is never a bound. The plan holds
+    plain integers only.
     """
 
     def __init__(self, stencils: UpwindStencils, ops: PNOperators):
         n = stencils.stacked.shape[1]
         width = max((ops.forward_rotation[a].shape[1] for a in stencils.active_axes), default=0)
+        h = min(SLAB_CELLS, n)
         self.stencils = stencils
         self.y = np.empty(n * width)
-        self.slab_cells = min(SLAB_CELLS, n)
-        self.z = np.empty(self.slab_cells * width)
+        self.z = np.empty(h * width)
         self.values = tuple(np.empty(pair.nnz) for pair in stencils.pairs)
+        self.plan = tuple(self._slabs(n, h, pair_reach(pair)) for pair in stencils.pairs)
         self.inv_s = None
+
+    @staticmethod
+    def _slabs(n, h, reach):
+        """(c0, c1, f0, f1) per stencil slab of h cells, for a pair that
+        reads reach cells ahead."""
+        slabs, f0 = [], 0
+        for c0 in range(0, n, h):
+            c1 = min(c0 + h, n)
+            f1 = min(c1 + reach, n)
+            if f1 == n - 1:
+                f1 = n
+            slabs.append((c0, c1, f0, f1))
+            f0 = f1
+        return tuple(slabs)
 
     @property
     def numbers(self) -> int:
@@ -281,12 +325,13 @@ def apply_streaming(u, inv_s, stencils: UpwindStencils, ops: PNOperators, out=No
     streaming step checks its state once per step. The result is written
     into out (n, m) and returned. work is a StreamingWorkspace; when it is
     given, its stencils are the ones applied. Both are allocated when not
-    given, and neither may share memory with u. Per active axis: one GEMM
-    forms y = u [V+ V-] (n, 2k); the axis' interleaved pair, with 1/S
-    folded into its entries, acts on y viewed as (2n, k), a slab of cells
-    at a time, which gives [D+ S^-1 y+, D- S^-1 y-] row by row; one GEMM
-    per slab rotates that back, writing out on the first axis and adding
-    to it (beta = 1) on the others.
+    given, and neither may share memory with u. Per active axis, one
+    stencil slab [c0, c1) of cells at a time, following work.plan: GEMMs
+    form the slabs of y = u [V+ V-] (n, 2k) that the stencil slab is the
+    first to read; the axis' interleaved pair, with 1/S folded into its
+    entries, acts on y viewed as (2n, k), which gives [D+ S^-1 y+,
+    D- S^-1 y-] for rows c0..c1-1; one GEMM rotates that back, writing
+    out on the first axis and adding to it (beta = 1) on the others.
     """
     u = np.asarray(u)
     n = u.shape[0]
@@ -301,14 +346,16 @@ def apply_streaming(u, inv_s, stencils: UpwindStencils, ops: PNOperators, out=No
         work.fold(inv_s)
     if not stencils.active_axes:
         out.fill(0.0)
-    h, beta = work.slab_cells, 0.0              # the first axis writes out
-    for axis, pair, values in zip(stencils.active_axes, stencils.pairs, work.values):
+    beta = 0.0                                  # the first axis writes out
+    for axis, pair, values, slabs in zip(stencils.active_axes, stencils.pairs,
+                                         work.values, work.plan):
         forward, back = ops.forward_rotation[axis], ops.back_rotation[axis]
         width = forward.shape[1]
         y = work.y[:n * width]
-        np.matmul(u, forward, out=y.reshape(n, width))
-        for c0 in range(0, n, h):
-            c1 = min(c0 + h, n)
+        rows = y.reshape(n, width)
+        for c0, c1, f0, f1 in slabs:
+            if f0 < f1:
+                np.matmul(u[f0:f1], forward, out=rows[f0:f1])
             z = work.z[:(c1 - c0) * width]
             z.fill(0.0)
             # scipy's kernel of pair[2 c0:2 c1] @ y (the product has no

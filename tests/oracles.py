@@ -9,7 +9,9 @@ walks one cell at a time, the ray tracer's energy operator is
 accumulated one group and one face block at a time, the ray march
 factors its dense Crank-Nicolson systems afresh in every march, the
 full-rank oracle's step allocates a fresh array for every stage and term,
-and the low-rank kernels apply one upwind term (and the implicit
+its streaming right-hand side forms each axis' characteristic product
+over the whole array before any stencil product reads it, and the
+low-rank kernels apply one upwind term (and the implicit
 scattering one element) at a time.
 """
 
@@ -17,9 +19,11 @@ import math
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import blas, lu_factor, lu_solve
+from scipy.sparse import _sparsetools
 from scipy.special import lpmv
 
+from pndose import spatial
 from pndose.angular import real_sph_eval
 from pndose.constants import ELECTRON_REST_MEV, ELEMENTS, FINE_STRUCTURE
 from pndose.physics import (
@@ -383,6 +387,33 @@ def naive_streaming_rhs(u, ctx):
         k = forward.shape[1] // 2
         out += (ctx.stencils.blocks[2 * j] @ (scaled @ forward[:, :k])) @ back[:k]
         out += (ctx.stencils.blocks[2 * j + 1] @ (scaled @ forward[:, k:])) @ back[k:]
+    return out
+
+
+def whole_array_streaming(u, inv_s, stencils, ops):
+    """apply_streaming's F_S(u) with each axis' characteristic product
+    u [V+ V-] formed by one whole-array GEMM before its first stencil slab.
+
+    The stencil and back products run on the same slabs of
+    spatial.SLAB_CELLS cells (read at call time) with the pair entries
+    scaled by 1/S of their column cell, so only the forward product's
+    order of evaluation differs from apply_streaming.
+    """
+    n, h = u.shape[0], min(spatial.SLAB_CELLS, u.shape[0])
+    out = np.zeros(u.shape)
+    for j, (axis, pair) in enumerate(zip(stencils.active_axes, stencils.pairs)):
+        forward, back = ops.forward_rotation[axis], ops.back_rotation[axis]
+        width = forward.shape[1]
+        values = inv_s[pair.indices >> 1] * pair.data
+        y = u @ forward
+        for c0 in range(0, n, h):
+            c1 = min(c0 + h, n)
+            z = np.zeros((c1 - c0, width))
+            _sparsetools.csr_matvecs(2 * (c1 - c0), 2 * n, width // 2,
+                                     pair.indptr[2 * c0:2 * c1 + 1], pair.indices, values,
+                                     y.ravel(), z.ravel())
+            blas.dgemm(1.0, back.T, z.T, beta=float(j > 0),
+                       c=out[c0:c1].T, overwrite_c=True)
     return out
 
 

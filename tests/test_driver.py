@@ -700,6 +700,56 @@ class TestRayTracerCoupling:
         )
 
 
+    @staticmethod
+    def layered_problem():
+        """The smoke problem with a lung and a bone layer: three materials."""
+        raw = smoke_raw()
+        raw["phantom"] = {
+            "background_hu": 0.0,
+            "boxes": [
+                {"origin_cm": [0, 0, 1.0], "size_cm": [2, 2, 0.5], "hu": -400.0},
+                {"origin_cm": [0, 0, 2.0], "size_cm": [2, 2, 0.5], "hu": 700.0},
+            ],
+        }
+        return assemble_problem(ProblemConfig.from_dict(raw))
+
+    def test_sigma_t_callables_equal_the_per_material_form(self):
+        # the per-element table is shared, so each callable must give what
+        # evaluating the table for that material alone gives, bit for bit,
+        # whichever material and energy array comes first
+        problem = self.layered_problem()
+        keys, coefficients = material_coefficients(problem)
+        atomic = problem.material.atomic_densities
+        assert len(coefficients) == 3
+
+        def per_material(e, n_i):
+            per_atom = np.moveaxis(problem.scattering_entries(problem.model_table(e))[1], 0, -1)
+            per_energy = np.ascontiguousarray(per_atom).reshape(-1, 1, per_atom.shape[-1])
+            return np.matmul(per_energy, n_i[:, None])[:, 0, 0].reshape(e.shape)
+
+        quadrature, edges = problem.space.quadrature()[0], problem.space.edges
+        for e in (quadrature, edges, quadrature):
+            for key in (2, 0, 1):
+                n_i = atomic[int(np.argmax(keys == key))]
+                assert np.array_equal(coefficients[key][2](e), per_material(e, n_i))
+
+    def test_model_table_runs_once_per_trace(self, monkeypatch):
+        # every material's sigma_t reads one per-element table, evaluated
+        # at the quadrature energies once per ray trace
+        problem = self.layered_problem()
+        calls = []
+        original = problem.model_table
+
+        def counting(e_mev):
+            calls.append(np.shape(e_mev))
+            return original(e_mev)
+
+        monkeypatch.setattr(problem, "model_table", counting)
+        _, counts = trace_all_beams(problem)
+        assert counts["energy_operator_assemblies"] == 3
+        assert calls == [problem.space.quadrature()[0].shape]
+
+
 class TestOutputs:
     def test_volume_round_trip(self, tmp_path):
         grid = Grid3D(4, 3, 5, 0.1, 0.2, 0.3, origin=(1.0, 2.0, 3.0))

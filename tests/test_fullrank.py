@@ -71,12 +71,44 @@ class TestStreaming:
         with pytest.raises(NumericalError, match="amplified"):
             fullrank_streaming_step(u, 1e4, ctx, work)
 
+    def test_blowup_of_a_negative_state_detected(self):
+        # max |u| of a state whose entries are all negative is -min u
+        grid, ctx = advection_context()
+        u = -np.abs(np.random.default_rng(4).standard_normal((grid.n_cells, 4)))
+        work = FullRankWorkspace(ctx.stencils, ctx.ops)
+        with pytest.raises(NumericalError, match="amplified"):
+            fullrank_streaming_step(u, 1e4, ctx, work)
+
     def test_non_finite_rejected(self):
         grid, ctx = advection_context(8)
         u = np.zeros((grid.n_cells, 4))
         u[0, 0] = np.nan
         work = FullRankWorkspace(ctx.stencils, ctx.ops)
         with pytest.raises(NumericalError, match="non-finite"):
+            fullrank_streaming_step(u, 0.1, ctx, work)
+
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_entry_rejected(self, value):
+        # max |u| is taken without forming |u|: a NaN or an infinity of
+        # either sign anywhere in the state must still stop the step (the
+        # step runs before the check, so infinities turn into NaN)
+        grid, ctx = advection_context(8)
+        u = np.zeros((grid.n_cells, 4))
+        u[5, 2] = value
+        work = FullRankWorkspace(ctx.stencils, ctx.ops)
+        with pytest.raises(NumericalError, match="non-finite"):
+            fullrank_streaming_step(u, 0.1, ctx, work)
+
+    def test_non_finite_result_rejected(self):
+        # a finite state that the step turns into NaN (here through a NaN
+        # stopping power) is caught after the step
+        grid, ctx = advection_context(8)
+        ctx = StreamingContext(np.full(grid.n_cells, np.nan), ctx.stencils, ctx.ops)
+        u = np.ones((grid.n_cells, 4))
+        work = FullRankWorkspace(ctx.stencils, ctx.ops)
+        with pytest.raises(NumericalError, match=r"max \|u\| 1 -> nan"):
             fullrank_streaming_step(u, 0.1, ctx, work)
 
 

@@ -5,6 +5,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
+from oracles import whole_array_streaming
 from pndose import spatial
 from pndose.angular import PNOperators
 from pndose.errors import ConfigError
@@ -16,6 +17,7 @@ from pndose.spatial import (
     _lift_to_grid,
     apply_streaming,
     build_stencils,
+    pair_reach,
 )
 
 
@@ -287,7 +289,7 @@ class TestStreaming:
         st = build_stencils(grid)
         ops = PNOperators.build(n_max)
         work = StreamingWorkspace(st, ops)
-        assert grid.n_cells % work.slab_cells
+        assert grid.n_cells % spatial.SLAB_CELLS
         out = np.empty((grid.n_cells, ops.basis.size))
         for _ in range(2):
             u = rng.standard_normal(out.shape)
@@ -295,6 +297,59 @@ class TestStreaming:
             assert apply_streaming(u, inv_s, st, ops, out, work) is out
             slow = dense_reference_streaming(u, inv_s, grid, ops)
             assert np.linalg.norm(out - slow) <= 1e-12 * np.linalg.norm(slow)
+
+    @pytest.mark.parametrize("slab_cells, grid", [
+        (7, Grid3D(1, 1, 24, 1.0, 1.0, 0.1)),
+        (7, Grid3D(5, 1, 9, 0.2, 1.0, 0.1)),
+        (7, Grid3D(4, 5, 6, 0.25, 0.2, 0.3)),
+        (spatial.SLAB_CELLS, Grid3D(4, 5, 6, 0.25, 0.2, 0.3)),
+        (spatial.SLAB_CELLS, Grid3D(10, 10, 30, 0.1, 0.1, 0.1)),
+    ], ids=["one-axis", "two-axes", "three-axes", "below-one-slab", "preset30-grid"])
+    def test_slab_pipeline_is_the_whole_array_form(self, slab_cells, grid, monkeypatch):
+        # forming each axis' characteristic product slab by slab, just
+        # ahead of the stencil slabs that read it, changes no bit; with
+        # 7-cell slabs the z pair of the three-axis grid reads 40 cells,
+        # several slabs, ahead, and on the one-axis grid the pair's reach
+        # ends one row short of the last (24 = 3 * 7 + 2 + 1). One
+        # workspace serves two stopping powers.
+        monkeypatch.setattr(spatial, "SLAB_CELLS", slab_cells)
+        rng = np.random.default_rng(41)
+        st = build_stencils(grid)
+        ops = PNOperators.build(7)
+        work = StreamingWorkspace(st, ops)
+        out = np.empty((grid.n_cells, ops.basis.size))
+        for _ in range(2):
+            u = rng.standard_normal(out.shape)
+            inv_s = 1.0 / rng.uniform(5.0, 15.0, grid.n_cells)
+            apply_streaming(u, inv_s, st, ops, out, work)
+            assert np.array_equal(out, whole_array_streaming(u, inv_s, st, ops))
+
+    @pytest.mark.parametrize("grid", [
+        Grid3D(1, 1, 24, 1.0, 1.0, 0.1),
+        Grid3D(4, 5, 6, 0.25, 0.2, 0.3),
+        Grid3D(3, 4, 5, 0.1, 0.1, 0.1),
+    ])
+    def test_plan_forms_each_row_once_before_it_is_read(self, grid, monkeypatch):
+        # the pair of axis d reads 2 stride_d cells ahead; per axis, the
+        # forward GEMMs cover every row once, in order, none of them on a
+        # single row, and each stencil slab finds the rows it reads formed
+        monkeypatch.setattr(spatial, "SLAB_CELLS", 7)
+        st = build_stencils(grid)
+        work = StreamingWorkspace(st, PNOperators.build(1))
+        n = grid.n_cells
+        strides = (1, grid.nx, grid.nx * grid.ny)
+        assert len(work.plan) == len(st.active_axes)
+        for axis, pair, slabs in zip(st.active_axes, st.pairs, work.plan):
+            assert pair_reach(pair) == 2 * strides[axis]
+            formed = 0
+            for c0, c1, f0, f1 in slabs:
+                assert f0 == formed <= f1 <= n and f1 - f0 != 1
+                formed = f1
+                assert (pair[2 * c0:2 * c1].indices >> 1).max() < formed
+            assert formed == n
+            assert [(c0, c1) for c0, c1, _, _ in slabs] == [
+                (c0, min(c0 + 7, n)) for c0 in range(0, n, 7)]
+            assert all(type(b) is int for slab in slabs for b in slab)
 
     @pytest.mark.parametrize("n_max, grid", [
         (7, Grid3D(4, 5, 6, 0.25, 0.2, 0.3)),
