@@ -33,8 +33,12 @@ seeded integer HU noise in +-60, so each ray needs its own march and
 the rays cross 141 materials and need 272 factorizations. The set-up
 cases time MomentTables on the water90_lowrank energy grid (48 energies
 up to 96.4 MeV, degree 8) with the quadrature caches warm, as the second
-assembly of a process finds them, and one cached Gauss-Legendre rule
-lookup. Run from the repository root, with the BLAS thread count pinned:
+assembly of a process finds them, once for all 12 elements and once for
+the 7 of water, which a water phantom's tables hold; one cached
+Gauss-Legendre rule lookup; and the two parts of perfbench's setup_s on
+the water90_lowrank config: ProblemConfig.load and assemble_problem, the
+latter with warm caches. Run from the repository root, with the BLAS
+thread count pinned:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest benchmarks --benchmark-only
 
@@ -179,9 +183,14 @@ def test_fullrank_streaming_step(benchmark, grid):
 WATER90_TABLE = (np.linspace(0.98 * 1.0, 1.02 * 94.5, 48), PN_ORDER + 1)
 
 
-def test_moment_tables_water90(benchmark):
+# The elements of water (0 HU), which a water phantom's tables hold.
+WATER_ELEMENTS = ("H", "C", "N", "O", "P", "S", "Cl")
+
+
+@pytest.mark.parametrize("elements", [None, WATER_ELEMENTS], ids=["all12", "water7"])
+def test_moment_tables_water90(benchmark, elements):
     MomentTables(*WATER90_TABLE)                    # fills the quadrature caches
-    tables = benchmark(MomentTables, *WATER90_TABLE)
+    tables = benchmark(MomentTables, *WATER90_TABLE, elements=elements)
     assert tables.g.shape == (12, 48, PN_ORDER + 2)
 
 
@@ -248,7 +257,21 @@ def test_trace_beam_water90(benchmark, water90):
     assert (flux.n_rays, flux.n_marches) == (441, 1)
 
 
-OBLIQUE30 = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "oblique30_hetero.yaml"
+PERFBENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+OBLIQUE30 = PERFBENCH_CONFIGS / "oblique30_hetero.yaml"
+WATER90_CONFIG = PERFBENCH_CONFIGS / "water90_lowrank.yaml"
+
+
+def test_load_config_water90(benchmark):
+    config = benchmark(ProblemConfig.load, WATER90_CONFIG)
+    assert config.grid.shape == (6, 6, 70)
+
+
+def test_assemble_problem_water90(benchmark):
+    config = ProblemConfig.load(WATER90_CONFIG)
+    assemble_problem(config)                        # fills the quadrature caches
+    problem = benchmark(assemble_problem, config)
+    assert problem.moments.elements == WATER_ELEMENTS
 
 
 def test_trace_all_beams_oblique30(benchmark):

@@ -35,7 +35,7 @@ import yaml
 
 from . import __version__
 from .angular import PNOperators, beam_projection, boltzmann_tables, fokker_planck_tables
-from .constants import ELEMENTS, N_ELEMENTS
+from .constants import ELEMENT_SYMBOLS, ELEMENTS, N_ELEMENTS
 from .dlra import (
     LowRankState,
     ScatteringContext,
@@ -70,6 +70,10 @@ FOKKER_PLANCK = "fokker-planck"
 # Energies of the moment tables, spread over the run's range with a small
 # pad so that mid-step and group energies never extrapolate.
 MOMENT_TABLE_POINTS = 48
+
+# libyaml's parser where PyYAML was built with it, else the pure-Python one;
+# both build the same plain Python objects.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _require(condition, message):
@@ -305,7 +309,7 @@ class ProblemConfig:
         path = Path(path)
         try:
             with open(path) as fh:
-                raw = yaml.safe_load(fh)
+                raw = yaml.load(fh, Loader=YAML_LOADER)
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
         except yaml.YAMLError as exc:
@@ -411,9 +415,12 @@ def assemble_problem(config: ProblemConfig) -> Problem:
             f"energy range [{config.e_min_mev}, {config.e_max_mev}] MeV exceeds "
             f"the stopping power tables [{lo:.3g}, {hi:.3g}]"
         )
+    # only the elements of the phantom: the others weigh zero in every cell
+    present = material.weights.any(axis=0)
     moments = MomentTables(
         np.linspace(0.98 * config.e_min_mev, 1.02 * config.e_max_mev, MOMENT_TABLE_POINTS),
         config.pn_order + 1,
+        elements=[s for s, used in zip(ELEMENT_SYMBOLS, present) if used],
     )
     space = EnergyDGSpace(config.e_min_mev, config.e_max_mev, config.energy_groups)
     return Problem(
@@ -754,6 +761,7 @@ def run_simulation(config: ProblemConfig, solver: str = "dlra") -> SimulationRes
         "state_memory_fraction": float(stepper.peak_state_numbers / full_numbers),
         "negativity": dose.negativity,
         "uncollided_undershoot": float(min((f.undershoot for f in fluxes), default=0.0)),
+        "moment_table_elements": list(problem.moments.elements),
         "runtime_s": elapsed,
         "phase_s": phase_s,
         "rays_per_beam": [f.n_rays for f in fluxes],

@@ -53,15 +53,17 @@ class FullRankWorkspace:
 def fullrank_streaming_step(u: np.ndarray, dt: float, ctx: StreamingContext,
                             work: FullRankWorkspace) -> np.ndarray:
     """One RK4 step of u' = F_S(u) on the dense moment matrix, in place;
-    raises NumericalError on a non-finite state before or after it. The
-    first stage folds the step's 1/S into the stencil pairs; the other
-    three hand apply_streaming the same inv_s array and reuse it. max |u|
-    is taken as max(max u, -min u), which writes nothing and is NaN when
-    u holds a NaN."""
+    raises NumericalError on a non-finite state: before the step, with u
+    left as handed in, or after it. The first stage folds the step's 1/S
+    into the stencil pairs; the other three hand apply_streaming the same
+    inv_s array and reuse it. max |u| is taken as max(max u, -min u),
+    which writes nothing and is NaN when u holds a NaN."""
     scale0 = np.maximum(u.max(), -u.min())
+    if not np.isfinite(scale0):
+        raise NumericalError(f"non-finite streaming state: max |u| {scale0:g} before the step")
     rk4(lambda x, out: ctx.full_rhs(x, out, work.streaming), u, dt, work.rk4)
     scale1 = np.maximum(u.max(), -u.min())
-    if not (np.isfinite(scale0) and np.isfinite(scale1)):
+    if not np.isfinite(scale1):
         raise NumericalError(f"non-finite streaming state: max |u| {scale0:g} -> {scale1:g}")
     if scale0 > 0.0 and scale1 > 1e6 * scale0:
         raise NumericalError(

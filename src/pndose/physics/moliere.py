@@ -17,9 +17,13 @@ which flattens the peak, and mu0 in [-1, 0] after t = sqrt(1 + mu0). A
 doubled-node evaluation guards convergence. Everything here is per-atom
 [cm^2]; multiply by atomic densities N_i for macroscopic [1/cm].
 
-MomentTables builds every table entry from the same floating-point
-operations as one scalar legendre_moments call per (element, energy),
-bit for bit, but does each piece of work once:
+MomentTables tabulates only the elements it is asked for (the run asks
+for those with a nonzero weight in some cell of the phantom) and leaves
+the other rows exactly zero, so that weighting the table with any cell's
+mass fractions adds exact zeros for them. It builds every tabulated
+entry from the same floating-point operations as one scalar
+legendre_moments call per (element, energy), bit for bit, but does each
+piece of work once:
 - the two Gauss-Legendre rules the tables use (DEFAULT_NODES and twice
   that) ship as data files, written by tools/generate_gauss_rules.py from
   leggauss, so no process eigensolves them;
@@ -37,7 +41,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..constants import ELECTRON_REST_MEV, ELEMENTS, FINE_STRUCTURE, HBARC_MEV_CM, PROTON_REST_MEV
+from ..constants import (
+    ELECTRON_REST_MEV,
+    ELEMENT_INDEX,
+    ELEMENT_SYMBOLS,
+    ELEMENTS,
+    FINE_STRUCTURE,
+    HBARC_MEV_CM,
+    PROTON_REST_MEV,
+)
 from ..errors import NumericalError, PhysicsDataError
 from .materials import data_path
 
@@ -262,20 +274,36 @@ class MomentTables:
     Values between grid energies are interpolated linearly; the grid
     should span every energy asked for, since the end intervals
     extrapolate.
+
+    The elements argument names the symbols to tabulate, all 12 by
+    default; the elements attribute holds them in canonical order, and
+    validate() checks only their rows. The rows of the other elements are
+    exactly 0.0, not NaN: a phantom without an element weights its row
+    by zero in every cell, and 0.0 times that weight adds an exact zero
+    to each (n, 12) x (12, ...) contraction, where NaN would poison it.
     """
 
-    def __init__(self, energies, max_degree):
+    def __init__(self, energies, max_degree, elements=None):
         self.energies = np.asarray(energies, dtype=float)
-        self.g = np.empty((len(ELEMENTS), self.energies.size, max_degree + 1))
-        self.xi1 = np.empty((len(ELEMENTS), self.energies.size))
+        wanted = set(ELEMENT_SYMBOLS if elements is None else elements)
+        unknown = wanted.difference(ELEMENT_SYMBOLS)
+        if unknown:
+            raise PhysicsDataError(f"no base element named {', '.join(sorted(unknown))}")
+        self.elements = tuple(s for s in ELEMENT_SYMBOLS if s in wanted)
+        self.g = np.zeros((len(ELEMENTS), self.energies.size, max_degree + 1))
+        self.xi1 = np.zeros((len(ELEMENTS), self.energies.size))
         # 2 pieces of 2 DEFAULT_NODES nodes each at the doubled node count
         chunk = max(1, CHUNK_BYTES // (4 * DEFAULT_NODES * (max_degree + 1) * 8))
-        for i, elem in enumerate(ELEMENTS):
+        for i in self._rows():
             for lo in range(0, self.energies.size, chunk):
                 part = slice(lo, lo + chunk)
                 self.g[i, part], self.xi1[i, part] = legendre_moments(
-                    elem, self.energies[part], max_degree
+                    ELEMENTS[i], self.energies[part], max_degree
                 )
+
+    def _rows(self):
+        """Indices of the tabulated rows."""
+        return [ELEMENT_INDEX[s] for s in self.elements]
 
     def _interp(self, table, e):
         """table (12, n_E, ...) at energies e: (12, *e.shape, ...)."""
@@ -296,13 +324,15 @@ class MomentTables:
         return self._interp(self.xi1, e)
 
     def validate(self):
-        """Invariants: g0 > 0, |g_l| <= g0, xi1 = g0 - g1."""
-        g0 = self.g[..., 0]
+        """Invariants of the tabulated rows: g0 > 0, |g_l| <= g0,
+        xi1 = g0 - g1."""
+        g, xi1 = self.g[self._rows()], self.xi1[self._rows()]
+        g0 = g[..., 0]
         if np.any(g0 <= 0.0):
             raise NumericalError("non-positive g0 in moment table")
-        if np.any(np.abs(self.g) > g0[..., None] * (1.0 + 1e-12)):
+        if np.any(np.abs(g) > g0[..., None] * (1.0 + 1e-12)):
             raise NumericalError("moment bound |g_l| <= g0 violated")
-        ident = np.abs(self.xi1 - (g0 - self.g[..., 1])) / np.abs(g0)
+        ident = np.abs(xi1 - (g0 - g[..., 1])) / np.abs(g0)
         if np.any(ident > XI1_IDENTITY_RTOL):
             raise NumericalError(
                 f"xi1 = g0 - g1 identity violated: worst {ident.max():.3e}"

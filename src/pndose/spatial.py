@@ -118,10 +118,13 @@ class Grid3D:
         )
 
 
-def _axis_stencil_1d(n: int, h: float, biased_minus: bool) -> sparse.csr_matrix:
-    """1-D derivative matrix, second order, one-sided toward -x or +x."""
+def _axis_runs(n: int, h: float, biased_minus: bool):
+    """The rows of a 1-D derivative matrix, second order, one-sided toward
+    -x or +x, as runs (i0, i1, offsets, values): each row i in [i0, i1)
+    holds values at the columns i + offsets, in descending column order.
+    No runs for n = 1 (an inactive axis)."""
     if n == 1:
-        return sparse.csr_matrix((1, 1))
+        return ()
     if n == 2:
         raise ConfigError(
             "grids with 2 cells along a used axis cannot host the 3-point "
@@ -129,20 +132,12 @@ def _axis_stencil_1d(n: int, h: float, biased_minus: bool) -> sparse.csr_matrix:
         )
     wide, near, far, first = 3.0 / (2 * h), 4.0 / (2 * h), 1.0 / (2 * h), 1.0 / h
     if biased_minus:  # rows 0 and 1 close with a zero-inflow ghost at -1
-        bands = ([first, first] + [wide] * (n - 2), [-first] + [-near] * (n - 2), [far] * (n - 2))
-        return sparse.diags(bands, (0, -1, -2), shape=(n, n), format="csr")
-    bands = ([-wide] * (n - 2) + [-first, -first], [near] * (n - 2) + [first], [-far] * (n - 2))
-    return sparse.diags(bands, (0, 1, 2), shape=(n, n), format="csr")
-
-
-def _lift_to_grid(d1, grid: Grid3D, axis: int) -> sparse.csr_matrix:
-    """Kronecker-lift a 1-D stencil to the flat 3-D cell ordering."""
-    ix, iy, iz = sparse.identity(grid.nx), sparse.identity(grid.ny), sparse.identity(grid.nz)
-    if axis == 0:
-        return sparse.kron(iz, sparse.kron(iy, d1)).tocsr()
-    if axis == 1:
-        return sparse.kron(iz, sparse.kron(d1, ix)).tocsr()
-    return sparse.kron(d1, sparse.kron(iy, ix)).tocsr()
+        return ((0, 1, (0,), (first,)),
+                (1, 2, (0, -1), (first, -first)),
+                (2, n, (0, -1, -2), (wide, -near, far)))
+    return ((0, n - 2, (2, 1, 0), (-far, near, -wide)),
+            (n - 2, n - 1, (1, 0), (first, -first)),
+            (n - 1, n, (0,), (-first,)))
 
 
 @dataclass(frozen=True)
@@ -217,33 +212,54 @@ def interleave_pair(plus, minus) -> sparse.csr_matrix:
 def build_stencils(grid: Grid3D) -> UpwindStencils:
     """Stack the plus- and minus-biased stencil of every active axis.
 
-    Each block is formed as the product D @ diag(1), which puts its
-    entries in scipy's product order, and copied into arrays allocated
-    once for the whole stack, so only one block is ever held twice.
+    The CSR arrays of the stack are written directly, one run of alike
+    1-D rows (_axis_runs) at a time: the row of a cell at 1-D position i
+    holds the entries of 1-D row i at the columns cell + offset * stride,
+    in descending column order, i.e. (self, i-1, i-2) in D+ and
+    (i+2, i+1, self) in D-. That is the order in which scipy's product
+    D @ diag(s) emits a row (tests/oracles.py forms the stack so).
     """
     n = grid.n_cells
+    strides = (1, grid.nx, grid.nx * grid.ny)
     terms = [
-        (axis, d1)
+        (axis, runs)
         for axis, (size, h) in enumerate(zip(grid.shape, grid.spacings))
-        for d1 in (_axis_stencil_1d(size, h, True), _axis_stencil_1d(size, h, False))
-        if d1.nnz
+        for runs in (_axis_runs(size, h, True), _axis_runs(size, h, False))
+        if runs
     ]
-    # the lifted stencil repeats the 1-D one over the cells of the other axes
-    nnz = sum(d1.nnz * (n // d1.shape[0]) for _, d1 in terms)
+    # the entries of each 1-D stencil, repeated over the cells of the other axes
+    stencil_nnz = [sum((i1 - i0) * len(offsets) for i0, i1, offsets, _ in runs)
+                   for _, runs in terms]
+    nnz = sum(d1_nnz * (n // grid.shape[axis]) for d1_nnz, (axis, _) in zip(stencil_nnz, terms))
     index_dtype = np.int32 if max(nnz, len(terms) * n) < 2**31 else np.int64
     data = np.empty(nnz)
     indices = np.empty(nnz, dtype=index_dtype)
     indptr = np.zeros(len(terms) * n + 1, dtype=index_dtype)
-    ones = sparse.diags(np.ones(n))
     start = 0
-    for j, (axis, d1) in enumerate(terms):
-        block = _lift_to_grid(d1, grid, axis) @ ones
-        end = start + block.nnz
-        data[start:end] = block.data
-        indices[start:end] = block.indices
-        indptr[j * n + 1:(j + 1) * n + 1] = block.indptr[1:] + start
-        start = end
-        del block  # not held while the next block is formed
+    for j, ((axis, runs), d1_nnz) in enumerate(zip(terms, stencil_nnz)):
+        size, stride = grid.shape[axis], strides[axis]
+        # cell = (outer * size + i) * stride + inner; the entries of one
+        # outer slab run over i, then inner, then the row's own entries
+        outer, slab = n // (size * stride), d1_nnz * stride
+        block_data = data[start:start + outer * slab].reshape(outer, slab)
+        block_indices = indices[start:start + outer * slab].reshape(outer, slab)
+        lengths = np.empty(size, dtype=index_dtype)
+        lo = 0
+        for i0, i1, offsets, values in runs:
+            lengths[i0:i1] = len(offsets)
+            hi = lo + (i1 - i0) * stride * len(offsets)
+            shape = (outer, i1 - i0, stride, len(offsets))
+            block_data[:, lo:hi].reshape(shape)[...] = values
+            block_indices[:, lo:hi].reshape(shape)[...] = (
+                np.arange(0, n, size * stride)[:, None, None, None]
+                + np.arange(i0 * stride, i1 * stride, stride)[:, None, None]
+                + np.arange(stride)[:, None]
+                + np.multiply(offsets, stride)
+            )
+            lo = hi
+        row_lengths = np.broadcast_to(lengths[:, None], (outer, size, stride)).ravel()
+        indptr[j * n + 1:(j + 1) * n + 1] = np.cumsum(row_lengths) + start
+        start += outer * slab
     stacked = sparse.csr_matrix((data, indices, indptr), shape=(len(terms) * n, n))
     return UpwindStencils(active_axes=tuple(dict.fromkeys(a for a, _ in terms)), stacked=stacked)
 

@@ -8,17 +8,19 @@ the shipped stopping tables by cumulative trapezoid, the grid traversal
 walks one cell at a time, the ray tracer's energy operator is
 accumulated one group and one face block at a time, the ray march
 factors its dense Crank-Nicolson systems afresh in every march, the
-full-rank oracle's step allocates a fresh array for every stage and term,
-its streaming right-hand side forms each axis' characteristic product
-over the whole array before any stencil product reads it, and the
-low-rank kernels apply one upwind term (and the implicit
-scattering one element) at a time.
+upwind stencils are Kronecker-lifted and put in scipy's product order by
+a product with diag(1), the full-rank oracle's step allocates a fresh
+array for every stage and term, its streaming right-hand side forms each
+axis' characteristic product over the whole array before any stencil
+product reads it, and the low-rank kernels apply one upwind term (and
+the implicit scattering one element) at a time.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
+from scipy import sparse
 from scipy.linalg import blas, lu_factor, lu_solve
 from scipy.sparse import _sparsetools
 from scipy.special import lpmv
@@ -376,6 +378,51 @@ def march_ray_reference(segments, operators, psi0, max_step=0.01):
             residual += space.e_min * s_min * 0.5 * (trace_before + trace_after) * dz
         residuals[k] = residual
     return averages, residuals, psi
+
+
+def axis_stencil_1d(n, h, biased_minus):
+    """1-D derivative matrix, second order, one-sided toward -x or +x,
+    from scipy's banded constructor (n = 1 gives an empty 1 x 1)."""
+    if n == 1:
+        return sparse.csr_matrix((1, 1))
+    wide, near, far, first = 3.0 / (2 * h), 4.0 / (2 * h), 1.0 / (2 * h), 1.0 / h
+    if biased_minus:  # rows 0 and 1 close with a zero-inflow ghost at -1
+        bands = ([first, first] + [wide] * (n - 2), [-first] + [-near] * (n - 2), [far] * (n - 2))
+        return sparse.diags(bands, (0, -1, -2), shape=(n, n), format="csr")
+    bands = ([-wide] * (n - 2) + [-first, -first], [near] * (n - 2) + [first], [-far] * (n - 2))
+    return sparse.diags(bands, (0, 1, 2), shape=(n, n), format="csr")
+
+
+def lift_to_grid(d1, grid, axis):
+    """Kronecker-lift a 1-D stencil to the flat 3-D cell ordering."""
+    ix, iy, iz = sparse.identity(grid.nx), sparse.identity(grid.ny), sparse.identity(grid.nz)
+    if axis == 0:
+        return sparse.kron(iz, sparse.kron(iy, d1)).tocsr()
+    if axis == 1:
+        return sparse.kron(iz, sparse.kron(d1, ix)).tocsr()
+    return sparse.kron(d1, sparse.kron(iy, ix)).tocsr()
+
+
+def kron_stencil_stack(grid):
+    """(data, indices, indptr) of spatial.build_stencils' stack, each block
+    Kronecker-lifted and put in scipy's product order by D @ diag(1)."""
+    n = grid.n_cells
+    blocks = [
+        lift_to_grid(d1, grid, axis) @ sparse.diags(np.ones(n))
+        for axis, (size, h) in enumerate(zip(grid.shape, grid.spacings))
+        for d1 in (axis_stencil_1d(size, h, True), axis_stencil_1d(size, h, False))
+        if d1.nnz
+    ]
+    nnz = sum(b.nnz for b in blocks)
+    index_dtype = np.int32 if max(nnz, len(blocks) * n) < 2**31 else np.int64
+    indptr = np.zeros(len(blocks) * n + 1, dtype=index_dtype)
+    start = 0
+    for j, block in enumerate(blocks):
+        indptr[j * n + 1:(j + 1) * n + 1] = block.indptr[1:] + start
+        start += block.nnz
+    data = np.concatenate([np.empty(0)] + [b.data for b in blocks])
+    indices = np.concatenate([np.empty(0, index_dtype)] + [b.indices for b in blocks])
+    return data, indices.astype(index_dtype), indptr
 
 
 def naive_streaming_rhs(u, ctx):

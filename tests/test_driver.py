@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from pndose import raytracer
 from pndose.angular import beam_projection
@@ -17,6 +18,7 @@ from pndose.driver import (
     GRID_KEYS,
     OUTPUT_NAMES,
     SCHEMA,
+    YAML_LOADER,
     ProblemConfig,
     assemble_problem,
     compare_volumes,
@@ -42,6 +44,8 @@ from pndose.spatial import Grid3D, build_stencils
 from oracles import water_csda_ranges
 
 ROOT = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = sorted((ROOT / "configs").glob("*.yaml")) + sorted(
+    (ROOT / "perfbench" / "configs").glob("*.yaml"))
 
 
 def scattering_tables(problem, e_mev):
@@ -112,6 +116,22 @@ class TestConfigValidation:
             label = f"{section}.{key}"
         with pytest.raises(ConfigError, match=re.escape(f"'{label}'")):
             ProblemConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: f"{p.parent.name}-{p.stem}")
+    def test_load_reads_what_safe_load_reads(self, path):
+        # libyaml, where PyYAML has it, builds the dict that the pure-Python
+        # safe_load builds from each shipped config (the files are only read)
+        if hasattr(yaml, "CSafeLoader"):
+            assert YAML_LOADER is yaml.CSafeLoader
+        assert ProblemConfig.load(path).resolved == yaml.safe_load(path.read_text())
+
+    @pytest.mark.parametrize("text", ["grid: {nx: 3, ny: [1, 2\n", "grid:\n\tnx: 3\n"],
+                             ids=["unclosed", "tab"])
+    def test_malformed_yaml_is_a_config_error(self, tmp_path, text):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="is not valid YAML"):
+            ProblemConfig.load(path)
 
     @pytest.mark.parametrize("model", ["boltzmann", "fokker-planck"])
     @pytest.mark.parametrize("scale", [1.5, -0.1])
@@ -498,6 +518,8 @@ class TestSimulation:
 
     def test_diagnostics_contract(self, smoke_result):
         d = smoke_result.diagnostics
+        # the moment tables hold the elements of water, the smoke phantom
+        assert d["moment_table_elements"] == ["H", "C", "N", "O", "P", "S", "Cl"]
         assert d["tail_violations"] == 0
         assert d["max_orthonormality_defect"] < 1e-10
         assert d["peak_state_numbers"] <= 100 * (8 * 8 * 12 + 16 + 100)
@@ -834,6 +856,8 @@ class TestOutputs:
         for key in ("energy_operator_s", "cn_factor_s"):
             assert isinstance(manifest["diagnostics"][key], float)
         assert manifest["diagnostics"]["phase_s"] == res2.diagnostics["phase_s"]
+        assert manifest["diagnostics"]["moment_table_elements"] == list(
+            res2.problem.moments.elements)
         assert "H.csv" in manifest["data_checksums"]
         assert "gauss_legendre_512.csv" in manifest["data_checksums"]
 

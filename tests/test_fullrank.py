@@ -1,6 +1,7 @@
 """Full-rank reference solver."""
 
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -89,17 +90,21 @@ class TestStreaming:
 
 
     @pytest.mark.parametrize("value", [np.nan, -np.inf, np.inf])
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_entry_rejected(self, value):
         # max |u| is taken without forming |u|: a NaN or an infinity of
-        # either sign anywhere in the state must still stop the step (the
-        # step runs before the check, so infinities turn into NaN)
+        # either sign anywhere in the state must stop the step before it
+        # runs, so no stage computes on it (no RuntimeWarning) and u is
+        # left as handed in
         grid, ctx = advection_context(8)
         u = np.zeros((grid.n_cells, 4))
         u[5, 2] = value
+        before = u.copy()
         work = FullRankWorkspace(ctx.stencils, ctx.ops)
-        with pytest.raises(NumericalError, match="non-finite"):
-            fullrank_streaming_step(u, 0.1, ctx, work)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="non-finite.*before the step"):
+                fullrank_streaming_step(u, 0.1, ctx, work)
+        assert np.array_equal(u, before, equal_nan=True)
 
     def test_non_finite_result_rejected(self):
         # a finite state that the step turns into NaN (here through a NaN

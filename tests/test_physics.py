@@ -27,6 +27,8 @@ from pndose.physics import moliere
 O = ELEMENTS[ELEMENT_INDEX["O"]]
 C = ELEMENTS[ELEMENT_INDEX["C"]]
 H = ELEMENTS[ELEMENT_INDEX["H"]]
+# the elements of water (0 HU) in the Schneider table, in canonical order
+WATER_ELEMENTS = ("H", "C", "N", "O", "P", "S", "Cl")
 
 
 def water_field(density=1.0):
@@ -265,6 +267,54 @@ class TestMoments:
         g, xi1 = moment_tables_reference(energies, max_degree)
         tables = MomentTables(energies, max_degree)
         assert np.array_equal(tables.g, g) and np.array_equal(tables.xi1, xi1)
+
+    def test_listed_elements_alone_are_tabulated(self):
+        # the water90_lowrank grid: the rows of water's seven elements are
+        # those of the all-element table bit for bit, the rest exact zeros
+        energies = np.linspace(0.98 * 1.0, 1.02 * 94.5, MOMENT_TABLE_POINTS)
+        full = MomentTables(energies, 8)
+        part = MomentTables(energies, 8, elements=WATER_ELEMENTS[::-1])
+        assert full.elements == tuple(e.symbol for e in ELEMENTS)
+        assert part.elements == WATER_ELEMENTS
+        rows = [ELEMENT_INDEX[s] for s in WATER_ELEMENTS]
+        others = [i for i in range(N_ELEMENTS) if i not in rows]
+        assert np.array_equal(part.g[rows], full.g[rows])
+        assert np.array_equal(part.xi1[rows], full.xi1[rows])
+        assert np.all(part.g[others] == 0.0) and np.all(part.xi1[others] == 0.0)
+
+    def test_unknown_element_rejected(self):
+        with pytest.raises(PhysicsDataError, match="Xe"):
+            MomentTables(np.array([5.0, 30.0]), 3, elements=("H", "Xe"))
+
+    def test_validate_passes_zero_rows(self):
+        MomentTables(np.array([5.0, 30.0, 90.0]), 3, elements=("H", "O")).validate()
+
+    @pytest.mark.parametrize("field, entry, message", [
+        ("g", (1, 0), "non-positive g0"),
+        ("g", (1, 2), "moment bound"),        # g_2 is close to g_0 at 30 MeV
+        ("xi1", (1,), "identity"),
+    ])
+    def test_validate_checks_tabulated_rows(self, field, entry, message):
+        tables = MomentTables(np.array([5.0, 30.0, 90.0]), 3, elements=("H", "O"))
+        getattr(tables, field)[(ELEMENT_INDEX["O"], *entry)] *= -2.0
+        with pytest.raises(NumericalError, match=message):
+            tables.validate()
+
+    @pytest.mark.parametrize("hu, extra", [(0.0, ()), (-700.0, ("Na", "K"))])
+    def test_assembly_tabulates_the_phantom_elements(self, hu, extra):
+        # water holds 7 of the 12 elements; a lung box adds Na and K
+        phantom = {"background_hu": 0.0,
+                   "boxes": [{"origin_cm": [0.0, 0.0, 0.1], "size_cm": [0.3, 0.3, 0.1],
+                              "hu": hu}]}
+        config = ProblemConfig.from_dict({
+            "grid": {"nx": 3, "ny": 3, "nz": 3,
+                     "delta_x_cm": 0.1, "delta_y_cm": 0.1, "delta_z_cm": 0.1},
+            "phantom": phantom,
+            "beams": [{"direction": [0, 0, 1], "energy_mev": 20.0,
+                       "position_cm": [0.1, 0.1, 0.0]}],
+        })
+        moments = assemble_problem(config).moments
+        assert set(moments.elements) == set(WATER_ELEMENTS) | set(extra)
 
     def test_assembly_reads_the_shipped_rules(self, monkeypatch):
         # no leggauss eigensolve for the node counts of the moment tables

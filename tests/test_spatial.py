@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
-from oracles import whole_array_streaming
+from oracles import axis_stencil_1d, kron_stencil_stack, lift_to_grid, whole_array_streaming
 from pndose import spatial
 from pndose.angular import PNOperators
 from pndose.errors import ConfigError
@@ -13,8 +13,6 @@ from pndose.dlra import StreamingContext
 from pndose.spatial import (
     Grid3D,
     StreamingWorkspace,
-    _axis_stencil_1d,
-    _lift_to_grid,
     apply_streaming,
     build_stencils,
     pair_reach,
@@ -34,7 +32,7 @@ def axis_blocks(st, axis):
 def lifted_terms(grid, axes):
     """Kron-lifted plus and minus stencils of the given axes, in stack order."""
     return [
-        _lift_to_grid(_axis_stencil_1d(grid.shape[a], grid.spacings[a], biased), grid, a)
+        lift_to_grid(axis_stencil_1d(grid.shape[a], grid.spacings[a], biased), grid, a)
         for a in axes
         for biased in (True, False)
     ]
@@ -189,6 +187,22 @@ class TestStencils:
                 _sparsetools.csr_matvecs(2 * (c1 - c0), 2 * n, k, pair.indptr[2 * c0:2 * c1 + 1],
                                          pair.indices, pair.data, y.ravel(), z.ravel())
                 assert np.array_equal(z, want[2 * c0:2 * c1])
+
+    @pytest.mark.parametrize("shape", [
+        (1, 1, 1), (1, 1, 5), (3, 1, 4), (1, 3, 1), (3, 3, 3), (5, 1, 6),
+        # the perfbench grids: smoke, oblique30_hetero, preset30_oracle,
+        # water90_lowrank; then the 20 x 20 x 70 grid of configs/
+        (5, 5, 6), (10, 10, 12), (10, 10, 30), (6, 6, 70), (20, 20, 70),
+    ])
+    def test_stack_equals_kron_product(self, shape):
+        # the directly written stack holds the arrays of the Kronecker-lifted
+        # blocks multiplied by diag(1), bit for bit and in the same dtypes
+        grid = Grid3D(*shape, 0.1, 0.2, 0.3)
+        stacked = build_stencils(grid).stacked
+        for got, want in zip((stacked.data, stacked.indices, stacked.indptr),
+                             kron_stencil_stack(grid)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     def test_sin_convergence_order(self):
         errors = []

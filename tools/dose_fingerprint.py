@@ -7,7 +7,9 @@ diagnostics without their wall-time fields. Two source trees that print
 the same three hashes for a config gave bit-identical results. A fourth
 hash, of the run's scattering moment tables (the bytes of
 MomentTables.g, then of .xi1), shows a change to the tables without
-reading a dose.
+reading a dose. It covers all 12 element rows, including the rows of
+elements the phantom lacks, which the run leaves at zero rather than
+tabulating them.
 
 Run from the repository root, with the BLAS thread count pinned (doses
 depend on it):
