@@ -16,17 +16,22 @@ FullRankWorkspace), each on the preset30 benchmark grid (n = 3000), the
 20 x 20 x 30 acceptance grid (n = 12000) and the 20 x 20 x 70 grid of
 configs/ (n = 28000), all P7. On the last, the z stencil pair reads 800
 cells ahead, several slabs, so the workspace's slab plan forms the
-characteristic product well ahead of the stencil slab it serves.
+characteristic product well ahead of the stencil slab it serves. One
+more case forms the interleaved stencil pairs (UpwindStencils.pairs,
+sliced from the stack's rows, once per oracle run) on the preset30 grid
+and the 20 x 20 x 70 grid.
 The ray-tracer cases use the water90_lowrank beam: 441 rays through
 6 x 6 x 70 water cells that share one Crank-Nicolson march. They time
 assemble_energy_operators for water (128 groups), the one march_ray of
 the beam, and trace_beam; the last two with the trace's EnergyOperators
 table already holding the water operator and its factors, as the second
-beam of a trace finds it. One more times the Crank-Nicolson
-factorization of water at dz = 0.005 cm, CrankNicolsonFactor.factor
-into a march's two dense buffers. Two cases time a whole ray trace,
-trace_all_beams, each call building and dropping its own table, as a
-run does: on the oblique30_hetero benchmark's config (read from
+beam of a trace finds it. Two more time the Crank-Nicolson operator of
+water at dz = 0.005 cm: its factorization, CrankNicolsonFactor.factor
+into a march's dense LU buffer, and a load of the stored pair,
+EnergyOperators.load, which expands the compact LU and writes the
+right-hand side M - dz/2 G from G's CSR entries. Two cases time a whole
+ray trace, trace_all_beams, each call building and dropping its own
+table, as a run does: on the oblique30_hetero benchmark's config (read from
 perfbench/configs), a tilted beam whose 25 rays need 10 marches through
 water, lung and bone; and on a CT-like variant of it, whose cells carry
 seeded integer HU noise in +-60, so each ray needs its own march and
@@ -80,7 +85,13 @@ from pndose.raytracer import (
     trace_beam,
     traverse_grid,
 )
-from pndose.spatial import Grid3D, StreamingWorkspace, apply_streaming, build_stencils
+from pndose.spatial import (
+    Grid3D,
+    StreamingWorkspace,
+    UpwindStencils,
+    apply_streaming,
+    build_stencils,
+)
 
 PN_ORDER = 7
 CASES = {
@@ -151,6 +162,15 @@ ORACLE_GRIDS = pytest.mark.parametrize("grid", [Grid3D(10, 10, 30, 0.1, 0.1, 0.1
                                                Grid3D(20, 20, 30, 0.1, 0.1, 0.1),
                                                Grid3D(20, 20, 70, 0.1, 0.1, 0.1)],
                                        ids=["n3000", "n12000", "n28000"])
+
+
+@pytest.mark.parametrize("grid", [Grid3D(10, 10, 30, 0.1, 0.1, 0.1),
+                                  Grid3D(20, 20, 70, 0.1, 0.1, 0.1)], ids=["n3000", "n28000"])
+def test_stencil_pairs(benchmark, grid):
+    stencils = build_stencils(grid)
+    # the cached property's function, which forms the pairs on each call
+    pairs = benchmark(UpwindStencils.pairs.func, stencils)
+    assert len(pairs) == 3
 
 
 @ORACLE_GRIDS
@@ -231,9 +251,20 @@ def test_cn_factor_water(benchmark, water90):
     operators = EnergyOperators(problem.space, coefficients)
     (key,) = coefficients
     n = problem.space.n_dof
-    args = (operators.mass, operators[key][0], 0.005, np.empty(n * n), np.empty(n * n), key)
+    args = (operators.mass, operators[key][0], 0.005, np.empty(n * n), key)
     factor = benchmark(CrankNicolsonFactor.factor, *args)
     assert factor.pivots.shape == (n,)
+
+
+def test_cn_load_reused_water(benchmark, water90):
+    problem, _, coefficients = water90
+    operators = EnergyOperators(problem.space, coefficients)
+    (key,) = coefficients
+    n = problem.space.n_dof
+    buffers = np.empty(n * n), np.empty(n * n)
+    operators.load(key, 0.005, *buffers)            # factors the pair
+    pivots = benchmark(operators.load, key, 0.005, *buffers)
+    assert len(operators.factors) == 1 and pivots.shape == (n,)
 
 
 def test_march_ray_water90(benchmark, water90):

@@ -259,7 +259,8 @@ class ProblemConfig:
                  "transport.truncation_tolerance must be >= 0")
         _require(1 <= self.rank_min <= self.rank_max,
                  "need 1 <= transport.rank_min <= transport.rank_max")
-        _require(self.cfl_number > 0.0, "transport.cfl_number must be positive")
+        _require(math.isfinite(self.cfl_number) and self.cfl_number > 0.0,
+                 f"transport.cfl_number must be finite and positive, got {self.cfl_number!r}")
         _require(0.0 <= self.fp_correction_scale <= 1.0,
                  "physics.fp_correction_scale must lie in [0, 1]")
         _require(isinstance(self.boltzmann_correction, bool),

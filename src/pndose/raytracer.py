@@ -25,11 +25,13 @@ add per ray; rays sharing a material column reuse one march.
 One table, EnergyOperators, holds the state of a ray trace and is
 dropped with it. It assembles each material's G once and keeps it as
 CSR. The first march to meet a (material, exact dz) pair factors
-M + dz/2 G straight into its own two dense buffers, written from G's
-CSR entries, and the table keeps a compact copy of the LU factors and
-of M - dz/2 G: the positions and values of their entries, since both
-have G's block-tridiagonal pattern. A later march expands the copy
-into its buffers. A march groups its step sizes by round(dz, 14) and
+M + dz/2 G straight into its own dense LU buffer, written from G's CSR
+entries, and the table keeps a compact copy of the LU factors: the
+positions and values of their entries, which have G's
+block-tridiagonal pattern. A later march expands the copy into its
+buffer. Each load writes the right-hand side M - dz/2 G into the
+march's other buffer from G's CSR entries, so the table keeps one form
+of it only, G. A march groups its step sizes by round(dz, 14) and
 uses the first exact dz of a group for the whole group, so a factor
 never depends on which march met it first. The march's two buffers are
 the only dense operators in a trace (see march_ray for the memory
@@ -82,10 +84,10 @@ class BeamSource:
             raise ConfigError("direction must not be the zero vector")
         if abs(norm - 1.0) > 1e-9:
             object.__setattr__(self, "direction", tuple(np.asarray(self.direction) / norm))
-        if self.energy_mev <= 0.0:
-            raise ConfigError("energy_mev must be positive")
-        if self.sigma_e_mev <= 0.0 or self.sigma_xy_cm <= 0.0:
-            raise ConfigError("sigma_xy_cm and sigma_e_mev must be positive")
+        for name in ("energy_mev", "weight", "sigma_xy_cm", "sigma_e_rel"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be finite and positive, got {value!r}")
 
     @property
     def sigma_e_mev(self) -> float:
@@ -262,35 +264,47 @@ def assemble_energy_operators(space: EnergyDGSpace, s_star_fn, t_fn, sigma_t_fn)
     return space.mass_diagonal(), g_mat.reshape(space.n_dof, space.n_dof)
 
 
+def write_cn_rhs(mass, g_csr, dz, rhs_flat):
+    """Write the Crank-Nicolson right-hand side M - dz/2 G, for a CSR G,
+    into a flat buffer in C order.
+
+    Each entry g of G gives h = g * (0.5 dz); the buffer takes 0.0 - h
+    off the diagonal and mass - h_ii on it, which are the bits of
+    diag(M) - 0.5 * dz * G.
+    """
+    n = mass.size
+    rows = np.repeat(np.arange(n), np.diff(g_csr.indptr))
+    rhs_flat.fill(0.0)
+    rhs_flat[rows * n + g_csr.indices] = 0.0 - g_csr.data * (0.5 * dz)
+    rhs_flat[::n + 1] = mass - g_csr.diagonal() * (0.5 * dz)
+
+
 @dataclass(frozen=True)
 class CrankNicolsonFactor:
     """One Crank-Nicolson step operator, M + dz/2 G factored, in compact form.
 
-    factor forms the operator inside a march's two dense buffers, the
-    only place where it is ever dense, and returns this compact copy of
-    them for later marches: the LU factors (Fortran order, as dgetrf
-    leaves them) and the right-hand side M - dz/2 G (C order), each as
-    the flat positions and values of its entries, so row swaps, fill and
-    -0.0 all come back exactly. The rhs keeps G's pattern plus the
-    diagonal, the LU the entries whose bit pattern is not +0.0: G's
-    block-tridiagonal pattern when no row is swapped (none is on water,
-    lung or bone), 3 438 of 384^2 entries at 128 groups.
+    factor forms the operator inside a march's dense LU buffer, the only
+    place where it is ever dense, and returns this compact copy of the LU
+    factors (Fortran order, as dgetrf leaves them) for later marches: the
+    flat positions and values of the entries whose bit pattern is not
+    +0.0, so row swaps, fill and -0.0 all come back exactly, and the
+    pivots. Those entries are G's block-tridiagonal pattern when no row
+    is swapped (none is on water, lung or bone), 3 438 of 384^2 at 128
+    groups. The right-hand side is not kept: write_cn_rhs writes it from
+    G on every load.
     """
 
     lu_positions: np.ndarray
     lu_values: np.ndarray
     pivots: np.ndarray
-    rhs_positions: np.ndarray
-    rhs_values: np.ndarray
 
     @classmethod
-    def factor(cls, mass, g_csr, dz, lu_flat, rhs_flat, key):
-        """Factor M + dz/2 G for a CSR G of material key into flat buffers.
+    def factor(cls, mass, g_csr, dz, lu_flat, key):
+        """Factor M + dz/2 G for a CSR G of material key in a flat buffer.
 
-        Each entry g of G gives h = g * (0.5 dz). The rhs buffer takes
-        0.0 - h off the diagonal and mass - h_ii on it, the LU buffer
-        h + 0.0 and mass + h_ii, which are the bits of diag(M) -/+
-        0.5 * dz * G; the LU buffer is then factored in place. A
+        Each entry g of G gives h = g * (0.5 dz). The buffer takes h + 0.0
+        off the diagonal and mass + h_ii on it, which are the bits of
+        diag(M) + 0.5 * dz * G, and is then factored in place. A
         non-finite entry or a zero pivot raises NumericalError naming the
         material key and dz.
         """
@@ -299,36 +313,28 @@ class CrankNicolsonFactor:
         h = g_csr.data * (0.5 * dz)
         if not np.all(np.isfinite(h)):
             raise NumericalError(f"{failed}: dz/2 G has a non-finite entry")
-        rows, cols = np.repeat(np.arange(n), np.diff(g_csr.indptr)), g_csr.indices
-        entries_c, diag = rows * n + cols, np.arange(n) * (n + 1)
-        h_diag = g_csr.diagonal() * (0.5 * dz)
+        rows = np.repeat(np.arange(n), np.diff(g_csr.indptr))
         lu_flat.fill(0.0)
-        lu_flat[rows + cols * n] = h + 0.0
-        lu_flat[diag] = mass + h_diag
-        rhs_flat.fill(0.0)
-        rhs_flat[entries_c] = 0.0 - h
-        rhs_flat[diag] = mass - h_diag
+        lu_flat[rows + g_csr.indices * n] = h + 0.0
+        lu_flat[::n + 1] = mass + g_csr.diagonal() * (0.5 * dz)
         pivots, info = dgetrf(lu_flat.reshape((n, n), order="F"), overwrite_a=True)[1:]
         if info > 0:
             raise NumericalError(f"{failed}: pivot {info} of M + dz/2 G is exactly zero")
         lu_positions = np.flatnonzero(lu_flat.view(np.int64) != 0).astype(np.int32)
-        rhs_positions = np.concatenate((entries_c[rows != cols], diag)).astype(np.int32)
-        return cls(lu_positions, lu_flat[lu_positions], pivots,
-                   rhs_positions, rhs_flat[rhs_positions])
+        return cls(lu_positions, lu_flat[lu_positions], pivots)
 
-    def expand(self, lu_flat, rhs_flat):
-        """Write the dense factors into flat buffers (LU in Fortran, rhs in C order)."""
+    def expand(self, lu_flat):
+        """Write the dense LU factors into a flat buffer in Fortran order."""
         lu_flat.fill(0.0)
         lu_flat[self.lu_positions] = self.lu_values
-        rhs_flat.fill(0.0)
-        rhs_flat[self.rhs_positions] = self.rhs_values
 
 
 class EnergyOperators(dict):
     """The table of one ray trace on one energy space, filled on lookup.
 
-    Material key -> (CSR G, S*(e_min)); factors holds the compact
-    CrankNicolsonFactor of each (material key, exact dz) pair.
+    Material key -> (CSR G, S*(e_min)); factors holds the compact LU,
+    a CrankNicolsonFactor, of each (material key, exact dz) pair, and
+    each load writes the pair's right-hand side from G.
     coefficients maps a material key to (s_star_fn, t_fn, sigma_t_fn). A
     key's operator is assembled the first time it is looked up, and a
     pair is factored the first time a march loads it, inside that march's
@@ -365,17 +371,19 @@ class EnergyOperators(dict):
     def load(self, key, dz, lu_flat, rhs_flat):
         """Write the step operator of material key at the exact step dz
         into a march's flat buffers (LU in Fortran, rhs in C order) and
-        return its pivots: a new pair is factored there, a known one
-        expanded from its compact copy."""
-        factor = self.factors.get((key, dz))
-        if factor is not None:
-            factor.expand(lu_flat, rhs_flat)
-            return factor.pivots
+        return its pivots: the rhs is written from G, and a new pair is
+        factored in the LU buffer, a known one expanded from its compact
+        LU."""
         g_csr = self[key][0]
-        start = time.perf_counter()
-        factor = CrankNicolsonFactor.factor(self.mass, g_csr, dz, lu_flat, rhs_flat, key)
-        self.factor_s += time.perf_counter() - start
-        self.factors[key, dz] = factor
+        write_cn_rhs(self.mass, g_csr, dz, rhs_flat)
+        factor = self.factors.get((key, dz))
+        if factor is None:
+            start = time.perf_counter()
+            factor = CrankNicolsonFactor.factor(self.mass, g_csr, dz, lu_flat, key)
+            self.factor_s += time.perf_counter() - start
+            self.factors[key, dz] = factor
+        else:
+            factor.expand(lu_flat)
         return factor.pivots
 
 
@@ -394,8 +402,9 @@ def march_ray(segments, operators: EnergyOperators, psi0, max_step=MAX_STEP_CM):
     factor of the first such dz the march met, so which marches share a
     table, and their order, never changes a factor's bits. The march's
     two buffers are the only dense operators of a trace: each operator
-    the march turns to is factored in them if the table lacks it, and
-    expanded into them otherwise. The LU is in the Fortran order dgetrf
+    the march turns to is factored in the LU buffer if the table lacks
+    it, and expanded into it otherwise, and its rhs is written from G
+    every time. The LU is in the Fortran order dgetrf
     works in; the rhs is in C order, and each step forms rhs @ psi with
     the transposed dgemv kernel that numpy's matmul picks for it, the
     kernel the doses were computed with (a Fortran-ordered rhs selects

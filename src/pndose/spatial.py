@@ -36,6 +36,9 @@ product y = u [V_d^+ V_d^-]. Viewed as (2n, k), its rows alternate
 between the two characteristic sets, and one sparse product with the
 axis' interleaved pair (UpwindStencils.pairs), whose entries are scaled
 by 1/S of their column cell, gives both upwind terms in the same layout.
+The pair is sliced from the stack, once per run, by one row indexing:
+its row 2c + s is the stack's row of cell c in the axis' plus (s = 0) or
+minus (s = 1) term, entries in the same order, at the columns 2c' + s.
 The scaling is folded into the pair's entries once per step, not into
 the state on every call. A GEMM with the stacked back-rotation
 -[L^+ (V^+)^T; L^- (V^-)^T] then writes the output on the first axis and
@@ -57,6 +60,7 @@ form, one term at a time on S^-1 u, in the last bits only
 (tests/oracles.py has that form too).
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -84,8 +88,9 @@ class Grid3D:
     def __post_init__(self):
         if min(self.nx, self.ny, self.nz) < 1:
             raise ConfigError("grid needs at least one cell per dimension")
-        if min(self.dx, self.dy, self.dz) <= 0.0:
-            raise ConfigError("grid spacings must be positive")
+        for axis, h in zip("xyz", self.spacings):
+            if not (math.isfinite(h) and h > 0.0):
+                raise ConfigError(f"grid.delta_{axis}_cm must be finite and positive, got {h!r}")
 
     @property
     def n_cells(self) -> int:
@@ -146,67 +151,36 @@ class UpwindStencils:
 
     Rows j n .. (j+1) n - 1 hold the j-th upwind term of the order plus_x,
     minus_x, plus_y, ... over the active axes (those a grid extends
-    along), each block in the entry order that scipy's product
+    along), each term in the entry order that scipy's product
     D @ diag(s) emits. That entry order fixes the order in which each row
-    of a product with the stack, or with a pair, sums its terms; blocks
-    holds each term without a copy of its entries, pairs the oracle's
-    interleaved pair of each axis, formed only when first asked for.
+    of a product with the stack, or with a pair, sums its terms. pairs
+    holds the oracle's interleaved pair of each axis, sliced from the
+    stack's rows only when first asked for.
     """
 
     active_axes: tuple
     stacked: sparse.csr_matrix
 
     @cached_property
-    def blocks(self):
-        """The upwind terms in stack order, (n, n) each, formed on first use.
-
-        Each block views the stacked data and indices; only its indptr,
-        shifted to start at 0, is a copy. The arrays are assigned after
-        construction because the constructor copies any slice that is less
-        than half of the array it views.
-        """
-        p, n = self.stacked, self.stacked.shape[1]
-        views = []
-        for j in range(p.shape[0] // n):
-            ptr = p.indptr[j * n:(j + 1) * n + 1]
-            lo, hi = ptr[0], ptr[-1]
-            view = sparse.csr_matrix((n, n), dtype=p.dtype)
-            view.data, view.indices, view.indptr = p.data[lo:hi], p.indices[lo:hi], ptr - lo
-            views.append(view)
-        return tuple(views)
-
-    @cached_property
     def pairs(self):
         """The interleaved stencil pair of each active axis, (2n, 2n) each,
-        formed on first use (interleave_pair)."""
-        return tuple(interleave_pair(self.blocks[2 * j], self.blocks[2 * j + 1])
-                     for j in range(len(self.active_axes)))
+        formed on first use.
 
-
-def interleave_pair(plus, minus) -> sparse.csr_matrix:
-    """The (2n, 2n) pair whose row 2c + s is row c of plus (s = 0) or
-    minus (s = 1), in the columns 2c' + s.
-
-    It acts on an (n, 2k) array [y+ y-] viewed as (2n, k) as plus on y+
-    and minus on y-, and its product has the same layout. Each row keeps
-    its block's entry order, so it sums in the block's order.
-    """
-    n = plus.shape[0]
-    lengths = np.empty(2 * n, dtype=plus.indptr.dtype)
-    lengths[0::2], lengths[1::2] = np.diff(plus.indptr), np.diff(minus.indptr)
-    indptr = np.zeros(2 * n + 1, dtype=plus.indptr.dtype)
-    np.cumsum(lengths, out=indptr[1:])
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=plus.indices.dtype)
-    for s, block in enumerate((plus, minus)):
-        rows = np.repeat(np.arange(n), np.diff(block.indptr))
-        # entry t of block row c goes to entry t of pair row 2c + s
-        dest = indptr[2 * rows + s] + np.arange(block.nnz) - block.indptr[rows]
-        data[dest] = block.data
-        indices[dest] = 2 * block.indices + s
-    pair = sparse.csr_matrix((2 * n, 2 * n))
-    pair.data, pair.indices, pair.indptr = data, indices, indptr
-    return pair
+        Row 2c + s of axis j's pair is row (2j + s) n + c of the stack, the
+        row of cell c in the axis' plus (s = 0) or minus (s = 1) term, with
+        its entries in the same order at the columns 2c' + s: one row
+        indexing of the stack, then a remap of the columns. The pair acts
+        on an (n, 2k) array [y+ y-] viewed as (2n, k) as plus on y+ and
+        minus on y-, and its product has the same layout.
+        """
+        p, n = self.stacked, self.stacked.shape[1]
+        side = np.arange(2 * n, dtype=p.indices.dtype) & 1
+        pairs = []
+        for j in range(len(self.active_axes)):
+            rows = p[2 * j * n + side * n + np.arange(2 * n) // 2]
+            indices = 2 * rows.indices + np.repeat(side, np.diff(rows.indptr))
+            pairs.append(sparse.csr_matrix((rows.data, indices, rows.indptr), shape=(2 * n, 2 * n)))
+        return tuple(pairs)
 
 
 def build_stencils(grid: Grid3D) -> UpwindStencils:

@@ -425,15 +425,23 @@ def kron_stencil_stack(grid):
     return data, indices.astype(index_dtype), indptr
 
 
+def stack_terms(stencils):
+    """The upwind terms of the stencil stack in stack order, (n, n) each:
+    term j is the rows stacked[j n:(j+1) n], entries in the stack's order."""
+    stacked, n = stencils.stacked, stencils.stacked.shape[1]
+    return [stacked[j * n:(j + 1) * n] for j in range(stacked.shape[0] // n)]
+
+
 def naive_streaming_rhs(u, ctx):
     """F_S(u) with a fresh product per upwind term, added to zeros in stack order."""
     scaled = ctx.inv_s[:, None] * u
     out = np.zeros_like(u)
+    terms = stack_terms(ctx.stencils)
     for j, axis in enumerate(ctx.stencils.active_axes):
         forward, back = ctx.ops.forward_rotation[axis], ctx.ops.back_rotation[axis]
         k = forward.shape[1] // 2
-        out += (ctx.stencils.blocks[2 * j] @ (scaled @ forward[:, :k])) @ back[:k]
-        out += (ctx.stencils.blocks[2 * j + 1] @ (scaled @ forward[:, k:])) @ back[k:]
+        out += (terms[2 * j] @ (scaled @ forward[:, :k])) @ back[:k]
+        out += (terms[2 * j + 1] @ (scaled @ forward[:, k:])) @ back[k:]
     return out
 
 
@@ -497,7 +505,7 @@ def naive_fullrank_step(u, dt, stream_ctx, scat_ctx):
 def per_term_derivatives(ctx, x):
     """[D_j S^-1 x] over the upwind terms j, one sparse product per term."""
     scaled = ctx.inv_s[:, None] * x
-    return [block @ scaled for block in ctx.stencils.blocks]
+    return [term @ scaled for term in stack_terms(ctx.stencils)]
 
 
 def per_term_moment_factors(ctx, w):

@@ -62,6 +62,8 @@ class TestValidate:
         ({"phantom": {"background_hu": float("nan")}}, 3, "HU"),
         ({"rays": {"n_side": 0}}, 2, "rays.n_side"),
         ({"transport": [1]}, 2, "transport must be a mapping"),
+        ({"grid": {"nx": 6, "ny": 6, "nz": 8, "delta_x_cm": float("inf"),
+                   "delta_y_cm": 0.25, "delta_z_cm": 0.25}}, 2, "grid.delta_x_cm"),
     ])
     def test_bad_input_exits_with_its_category(self, tmp_path, capsys, overrides, code, named):
         # a physics-data error (3) or a config error (2), not a traceback (1)

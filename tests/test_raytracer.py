@@ -28,6 +28,7 @@ from pndose.raytracer import (
     stratified_ray_offsets,
     trace_beam,
     traverse_grid,
+    write_cn_rhs,
 )
 from pndose.spatial import Grid3D
 
@@ -217,6 +218,18 @@ class TestBeamGeometry:
         # constructed directly, not only through a config
         with pytest.raises(ConfigError, match=re.escape(named)):
             BeamSource(direction, 30.0, position)
+
+    @pytest.mark.parametrize("name, value", [
+        ("weight", 0.0), ("weight", -1.0), ("weight", math.nan), ("weight", math.inf),
+        ("energy_mev", math.nan), ("energy_mev", math.inf), ("energy_mev", 0.0),
+        ("sigma_xy_cm", math.nan), ("sigma_xy_cm", math.inf), ("sigma_xy_cm", -0.1),
+        ("sigma_e_rel", math.nan), ("sigma_e_rel", math.inf), ("sigma_e_rel", 0.0),
+    ])
+    def test_bad_scalars_name_their_field(self, name, value):
+        # NaN passes a bare "<= 0" check; a weight of 0 or -1 would give a
+        # zero or negative dose
+        with pytest.raises(ConfigError, match=re.escape(f"{name} must be finite and positive")):
+            BeamSource((0, 0, 1), **{"energy_mev": 30.0, "position_cm": (0, 0, 0), name: value})
 
     def test_traversal_axis_aligned(self):
         g = Grid3D(4, 4, 10, 0.1, 0.1, 0.1)
@@ -589,10 +602,12 @@ class TestCrankNicolsonFactors:
 
     @staticmethod
     def factor_in_buffers(mass, g_dense, dz, key="test"):
-        """(compact factor, LU buffer, rhs buffer): the buffers NaN before."""
+        """(compact factor, LU buffer, rhs buffer), written as a first load
+        writes them: the buffers NaN before."""
         lu_flat, rhs_flat = np.full(mass.size**2, np.nan), np.full(mass.size**2, np.nan)
-        factor = CrankNicolsonFactor.factor(mass, sparse.csr_matrix(g_dense), dz,
-                                            lu_flat, rhs_flat, key)
+        g_csr = sparse.csr_matrix(g_dense)
+        write_cn_rhs(mass, g_csr, dz, rhs_flat)
+        factor = CrankNicolsonFactor.factor(mass, g_csr, dz, lu_flat, key)
         return factor, lu_flat, rhs_flat
 
     def test_compact_factor_round_trips_every_bit(self):
@@ -608,14 +623,38 @@ class TestCrankNicolsonFactors:
         rhs_ref = np.diag(mass) - 0.5 * dz * g_dense
         assert np.any(piv_ref != np.arange(6))
         assert np.any((lu_ref == 0.0) & np.signbit(lu_ref))
-        expanded = np.full(36, np.nan), np.full(36, np.nan)
-        factor.expand(*expanded)
-        # the buffers the factor was formed in, and those it expands into
-        for lu_flat, rhs_flat in (factored, expanded):
+        expanded = np.full(36, np.nan)
+        factor.expand(expanded)
+        # the buffer the factor was formed in, and the one it expands into
+        for lu_flat in (factored[0], expanded):
             assert np.array_equal(lu_flat.view(np.int64), lu_ref.ravel(order="F").view(np.int64))
-            assert np.array_equal(rhs_flat.view(np.int64), rhs_ref.ravel().view(np.int64))
+        assert np.array_equal(factored[1].view(np.int64), rhs_ref.ravel().view(np.int64))
         assert np.array_equal(factor.pivots, piv_ref)
         assert factor.lu_values.size < 36
+
+    @pytest.mark.parametrize("phantom", [two_materials, noisy_phantom])
+    def test_reloaded_pair_writes_the_first_load_bits(self, phantom):
+        # a stored (material, dz) pair is expanded into the LU buffer and its
+        # rhs written from G: buffers and pivots equal the first load's bit
+        # for bit, whatever the buffers held before
+        _, space, keys, coeff = phantom()
+        operators = EnergyOperators(space, coeff)
+        n = space.n_dof
+        pairs = [(int(key), dz) for key in np.unique(keys)[:3] for dz in (0.005, 0.01 / 3)]
+        first = {}
+        for pair in pairs:
+            buffers = np.full(n * n, np.nan), np.full(n * n, np.nan)
+            first[pair] = operators.load(*pair, *buffers), *buffers
+        assert set(operators.factors) == set(pairs)
+        factor_s = operators.factor_s
+        buffers = np.full(n * n, np.nan), np.full(n * n, np.nan)
+        for pair in pairs[::-1]:
+            pivots = operators.load(*pair, *buffers)
+            for got, want in zip((pivots, *buffers), first[pair]):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+        assert len(operators.factors) == len(pairs)
+        assert operators.factor_s == factor_s
 
     def test_singular_system_raises_numerical_error(self):
         # mass 1, G = -2 I, dz = 1: M + dz/2 G is zero

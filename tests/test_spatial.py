@@ -5,7 +5,13 @@ import pytest
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
-from oracles import axis_stencil_1d, kron_stencil_stack, lift_to_grid, whole_array_streaming
+from oracles import (
+    axis_stencil_1d,
+    kron_stencil_stack,
+    lift_to_grid,
+    stack_terms,
+    whole_array_streaming,
+)
 from pndose import spatial
 from pndose.angular import PNOperators
 from pndose.errors import ConfigError
@@ -23,10 +29,19 @@ def grid_1d_z(nz, dz=0.1):
     return Grid3D(nx=1, ny=1, nz=nz, dx=1.0, dy=1.0, dz=dz)
 
 
-def axis_blocks(st, axis):
+# the grids the stack is checked on: none, one, two and three active
+# axes; then the perfbench grids: smoke, oblique30_hetero, preset30_oracle,
+# water90_lowrank; then the 20 x 20 x 70 grid of configs/
+STACK_SHAPES = [
+    (1, 1, 1), (1, 1, 5), (3, 1, 4), (1, 3, 1), (3, 3, 3), (5, 1, 6),
+    (5, 5, 6), (10, 10, 12), (10, 10, 30), (6, 6, 70), (20, 20, 70),
+]
+
+
+def axis_terms(st, axis):
     """(plus, minus) stencil of an active axis, read from the stack."""
     j = st.active_axes.index(axis)
-    return st.blocks[2 * j], st.blocks[2 * j + 1]
+    return tuple(stack_terms(st)[2 * j:2 * j + 2])
 
 
 def lifted_terms(grid, axes):
@@ -117,7 +132,7 @@ class TestStencils:
         g = grid_1d_z(12)
         st = build_stencils(g)
         c = np.full(g.n_cells, 3.7)
-        for d in axis_blocks(st, 2):
+        for d in axis_terms(st, 2):
             res = d @ c
             assert np.abs(res[2:-2]).max() == 0.0
 
@@ -125,7 +140,7 @@ class TestStencils:
         g = grid_1d_z(16, dz=0.05)
         st = build_stencils(g)
         z = g.cell_centers()[:, 2]
-        for d in axis_blocks(st, 2):
+        for d in axis_terms(st, 2):
             res = d @ z
             np.testing.assert_allclose(res[2:-2], 1.0, atol=1e-12)
 
@@ -137,7 +152,7 @@ class TestStencils:
         interior[2:-2, 2:-2, 2:-2] = True
         mask = interior.transpose(2, 1, 0).ravel()
         assert st.active_axes == (0, 1, 2)
-        for d in st.blocks:
+        for d in stack_terms(st):
             assert np.abs((d @ ones)[mask]).max() == 0.0
 
     @pytest.mark.parametrize("grid", [
@@ -145,33 +160,35 @@ class TestStencils:
         Grid3D(4, 3, 5, 0.1, 0.2, 0.3),
         Grid3D(1, 1, 7, 1.0, 1.0, 0.2),
     ])
-    def test_blocks_view_the_stack(self, grid):
-        # the stencils are stored once: each block reads the stacked entries
-        # in place and is, as a matrix, the kron-lifted 1-D stencil
+    def test_stack_terms_are_the_lifted_stencils(self, grid):
+        # term j of the stack, its rows j n .. (j+1) n - 1, is as a matrix
+        # the kron-lifted 1-D stencil
         st = build_stencils(grid)
         terms = lifted_terms(grid, st.active_axes)
         assert st.stacked.shape == (len(terms) * grid.n_cells, grid.n_cells)
-        assert len(st.blocks) == len(terms)
-        for block, lifted in zip(st.blocks, terms):
-            assert np.shares_memory(block.data, st.stacked.data)
-            assert np.shares_memory(block.indices, st.stacked.indices)
-            assert np.array_equal(block.toarray(), lifted.toarray())
+        assert len(stack_terms(st)) == len(terms)
+        for term, lifted in zip(stack_terms(st), terms):
+            assert np.array_equal(term.toarray(), lifted.toarray())
 
-    @pytest.mark.parametrize("grid", [
-        Grid3D(4, 3, 5, 0.1, 0.2, 0.3),
-        Grid3D(1, 1, 7, 1.0, 1.0, 0.2),
-    ])
+    @pytest.mark.parametrize("grid", [Grid3D(*shape, 0.1, 0.2, 0.3) for shape in STACK_SHAPES])
     def test_pairs_interleave_the_blocks(self, grid):
-        # row 2c + s of an axis' pair is row c of its plus (s = 0) or minus
-        # (s = 1) block, entry for entry, in the columns 2c' + s
+        # row 2c + s of axis j's pair holds the entries of stack row
+        # (2j + s) n + c, the row of cell c in the axis' plus (s = 0) or
+        # minus (s = 1) term, in the same order, at the columns 2c' + s
         st = build_stencils(grid)
+        n, stacked = grid.n_cells, st.stacked
         assert len(st.pairs) == len(st.active_axes)
         for j, pair in enumerate(st.pairs):
-            for s, block in enumerate((st.blocks[2 * j], st.blocks[2 * j + 1])):
+            assert pair.shape == (2 * n, 2 * n)
+            assert pair.indices.dtype == pair.indptr.dtype == stacked.indices.dtype
+            for s in (0, 1):
+                ptr = stacked.indptr[(2 * j + s) * n:(2 * j + s + 1) * n + 1]
+                entries = slice(ptr[0], ptr[-1])
                 rows = pair[s::2]
-                assert np.array_equal(rows.indptr, block.indptr)
-                assert np.array_equal(rows.data, block.data)
-                assert np.array_equal(rows.indices, 2 * block.indices + s)
+                assert np.array_equal(rows.indptr, ptr - ptr[0])
+                assert np.array_equal(rows.data, stacked.data[entries])
+                assert np.array_equal(rows.indices, 2 * stacked.indices[entries] + s)
+            assert pair.nnz == stacked.indptr[2 * (j + 1) * n] - stacked.indptr[2 * j * n]
 
     def test_pair_kernel_is_the_sparse_product(self):
         # scipy's csr_matvecs, called on a zeroed slab with a slice of the
@@ -188,12 +205,7 @@ class TestStencils:
                                          pair.indices, pair.data, y.ravel(), z.ravel())
                 assert np.array_equal(z, want[2 * c0:2 * c1])
 
-    @pytest.mark.parametrize("shape", [
-        (1, 1, 1), (1, 1, 5), (3, 1, 4), (1, 3, 1), (3, 3, 3), (5, 1, 6),
-        # the perfbench grids: smoke, oblique30_hetero, preset30_oracle,
-        # water90_lowrank; then the 20 x 20 x 70 grid of configs/
-        (5, 5, 6), (10, 10, 12), (10, 10, 30), (6, 6, 70), (20, 20, 70),
-    ])
+    @pytest.mark.parametrize("shape", STACK_SHAPES)
     def test_stack_equals_kron_product(self, shape):
         # the directly written stack holds the arrays of the Kronecker-lifted
         # blocks multiplied by diag(1), bit for bit and in the same dtypes
@@ -210,7 +222,7 @@ class TestStencils:
             g = grid_1d_z(nz, dz=1.0 / nz)
             st = build_stencils(g)
             z = g.cell_centers()[:, 2]
-            err = np.abs((axis_blocks(st, 2)[0] @ np.sin(z)) - np.cos(z))[4:-4].max()
+            err = np.abs((axis_terms(st, 2)[0] @ np.sin(z)) - np.cos(z))[4:-4].max()
             errors.append(err)
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all(orders >= 1.9)
