@@ -74,8 +74,7 @@ from pndose.dlra import (
     truncate,
 )
 from pndose.fullrank import FullRankWorkspace, fullrank_streaming_step
-from pndose.physics import MomentTables
-from pndose.physics.moliere import DEFAULT_NODES, _gauss_nodes
+from pndose.physics.moliere import DEFAULT_NODES, MomentTables, _gauss_nodes
 from pndose.raytracer import (
     CrankNicolsonFactor,
     EnergyOperators,

@@ -291,8 +291,3 @@ def fokker_planck_tables(xi1, n_max: int, scale: float, degrees=None):
     lam = -(xi1[..., None] / 2.0) * degrees * (degrees + 1.0)
     shift = scale * (-(xi1 / 2.0) * (n_max + 1.0) * (n_max + 2.0))
     return lam - shift[..., None], 0.0 - shift
-
-
-def beam_projection(n_max: int, omega_in) -> np.ndarray:
-    """Nodal-to-modal vector T_M = m(Omega_in) for a monodirectional beam."""
-    return real_sph_eval(n_max, omega_in)

@@ -82,8 +82,9 @@ def _cmd_compare(args):
 
 def _cmd_tables_check(args):
     from .constants import ELEMENTS
-    from .physics import MomentTables, default_schneider_table, default_stopping_library
-    from .physics.moliere import SHIPPED_RULES, gauss_rule_file, read_gauss_rule
+    from .physics.materials import default_schneider_table
+    from .physics.moliere import SHIPPED_RULES, MomentTables, gauss_rule_file, read_gauss_rule
+    from .physics.stopping import default_stopping_library
 
     table = default_schneider_table()
     table.validate()

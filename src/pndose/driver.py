@@ -34,7 +34,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .angular import PNOperators, beam_projection, boltzmann_tables, fokker_planck_tables
+from .angular import PNOperators, boltzmann_tables, fokker_planck_tables, real_sph_eval
 from .constants import ELEMENT_SYMBOLS, ELEMENTS, N_ELEMENTS
 from .dlra import (
     LowRankState,
@@ -47,18 +47,15 @@ from .dlra import (
 )
 from .errors import ConfigError, NumericalError, OutputIOError, PhysicsDataError
 from .fullrank import FullRankWorkspace, fullrank_scattering_step, fullrank_streaming_step
-from .physics import (
-    MaterialField,
-    MomentTables,
+from .physics.materials import MaterialField, data_path, default_schneider_table
+from .physics.moliere import SHIPPED_RULES, MomentTables, gauss_rule_file
+from .physics.stopping import (
     bragg_mixture,
-    default_schneider_table,
     default_stopping_library,
     mix_stopping_power,
     straggling_t,
     straggling_t_derivative,
 )
-from .physics.materials import data_path
-from .physics.moliere import SHIPPED_RULES, gauss_rule_file
 from .raytracer import BeamSource, EnergyDGSpace, EnergyOperators, trace_beam
 from .spatial import Grid3D, build_stencils
 
@@ -237,7 +234,7 @@ class ProblemConfig:
     truncation_tolerance: float = 0.01
     rank_min: int = 2
     rank_max: int = 100
-    cfl_number: float = 0.7
+    cfl_number: float = 0.2
     e_min_mev: float = 1.0
     e_max_mev: float = None
     energy_groups: int = 128
@@ -267,7 +264,8 @@ class ProblemConfig:
                  f"physics.boltzmann_correction must be true or false, "
                  f"got {self.boltzmann_correction!r}")
         _require(self.ray_n_side >= 1, "rays.n_side must be >= 1")
-        _require(self.e_min_mev > 0.0, "energy.e_min_mev must be positive")
+        _require(math.isfinite(self.e_min_mev) and self.e_min_mev > 0.0,
+                 f"energy.e_min_mev must be finite and positive, got {self.e_min_mev!r}")
         _require(self.energy_groups >= 4, "energy.groups must be >= 4")
         _require(len(self.beams) >= 1, "at least one beam is required")
         for n, label in ((self.grid.nx, "nx"), (self.grid.ny, "ny"), (self.grid.nz, "nz")):
@@ -276,6 +274,8 @@ class ProblemConfig:
                      f"second-order stencil (1 marks the axis inactive)")
         if self.e_max_mev is None:
             self.e_max_mev = max(b.energy_mev + 5.0 * b.sigma_e_mev for b in self.beams)
+        _require(math.isfinite(self.e_max_mev),
+                 f"energy.e_max_mev must be finite, got {self.e_max_mev!r}")
         _require(self.e_max_mev > self.e_min_mev,
                  "energy.e_max_mev must exceed energy.e_min_mev")
         for beam in self.beams:
@@ -470,7 +470,7 @@ def material_coefficients(problem: Problem):
 
         def s_star(e, w=w, rho=rho, n_i=n_i):
             e = np.asarray(e, dtype=float)
-            s = mix_stopping_power(w, rho, e, problem.stopping)
+            s = mix_stopping_power(w, rho, e)
             return s + 0.5 * straggling_t_derivative(n_i, e)
 
         def t_coeff(e, n_i=n_i):
@@ -713,7 +713,7 @@ def run_simulation(config: ProblemConfig, solver: str = "dlra") -> SimulationRes
     n, m = problem.n_cells, problem.n_moments
 
     fluxes, trace_counts = timed(phase_s, "ray_trace", trace_all_beams, problem)
-    t_ms = [beam_projection(config.pn_order, b.direction) for b in config.beams]
+    t_ms = [real_sph_eval(config.pn_order, b.direction) for b in config.beams]
 
     edges = pseudo_time_edges(problem)
     n_steps = len(edges) - 1

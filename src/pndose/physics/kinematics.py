@@ -17,11 +17,6 @@ def beta(e_kin):
     return momentum_mev_c(e_kin) / (e_kin + PROTON_REST_MEV)
 
 
-def gamma(e_kin):
-    """Lorentz factor at kinetic energy e_kin [MeV]."""
-    return 1.0 + np.asarray(e_kin, dtype=float) / PROTON_REST_MEV
-
-
 def velocity_m_s(e_kin):
     """Proton speed [m/s]; used by the SI-specified straggling formula."""
     return beta(e_kin) * SPEED_OF_LIGHT_M_S

@@ -7,6 +7,7 @@ shipped as CSV data, so the physics stays out of the code.
 """
 
 import csv
+import functools
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -119,27 +120,22 @@ class SchneiderTable:
         return density, weights
 
 
-_DEFAULT_TABLE = None
-
-
+@functools.cache
 def default_schneider_table() -> SchneiderTable:
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = SchneiderTable.load_default()
-    return _DEFAULT_TABLE
+    return SchneiderTable.load_default()
 
 
 @dataclass
 class MaterialField:
     """Per-cell density and elemental mass fractions.
 
-    Immutable after construction; atomic densities N_i [atoms/cm^3] are
-    derived once and cached.
+    Immutable after construction; atomic_densities, N_i = rho w_i N_A / M_i
+    [atoms/cm^3] of shape (n, 12), is derived once in __post_init__.
     """
 
     density: np.ndarray            # (n,)
     weights: np.ndarray            # (n, 12)
-    _atomic: np.ndarray = field(default=None, repr=False)
+    atomic_densities: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.density = np.atleast_1d(np.asarray(self.density, dtype=float))
@@ -154,19 +150,8 @@ class MaterialField:
         sums = self.weights.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > 1e-12):
             raise PhysicsDataError("cell weight fractions do not sum to 1")
-        self.density.flags.writeable = False
-        self.weights.flags.writeable = False
-
-    @property
-    def n_cells(self) -> int:
-        return self.density.shape[0]
-
-    @property
-    def atomic_densities(self) -> np.ndarray:
-        """N_i = rho * w_i * N_A / M_i, shape (n, 12) [atoms/cm^3]."""
-        if self._atomic is None:
-            self._atomic = (
-                self.density[:, None] * self.weights * (AVOGADRO / ATOMIC_MASSES)
-            )
-            self._atomic.flags.writeable = False
-        return self._atomic
+        self.atomic_densities = (
+            self.density[:, None] * self.weights * (AVOGADRO / ATOMIC_MASSES)
+        )
+        for array in (self.density, self.weights, self.atomic_densities):
+            array.flags.writeable = False

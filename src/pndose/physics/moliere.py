@@ -226,11 +226,11 @@ def moments_of_kernel(kernel, chi, max_degree, n_nodes=DEFAULT_NODES):
     return g, xi1
 
 
-def legendre_moments(element, e_mev, max_degree, n_nodes=DEFAULT_NODES):
+def legendre_moments(element, e_mev, max_degree):
     """Per-atom moments (g_0..g_max_degree) [cm^2] and xi1 [cm^2].
 
-    The moments at 2 n_nodes nodes per piece, checked against those at
-    n_nodes: NumericalError names the first energy whose relative
+    The moments at 2 DEFAULT_NODES nodes per piece, checked against those
+    at DEFAULT_NODES: NumericalError names the first energy whose relative
     difference exceeds MOMENT_RTOL, with the achieved error. A 1-D array
     of energies gives g (E, max_degree+1) and xi1 (E,); the screening
     offset and amplitude are formed per energy as Python floats, and every
@@ -244,8 +244,8 @@ def legendre_moments(element, e_mev, max_degree, n_nodes=DEFAULT_NODES):
     def kernel(mu0, one_minus_mu0):
         return tau_lab(mu0, ratio) * c / (one_minus_mu0 + chi)
 
-    g, xi1 = moments_of_kernel(kernel, chi, max_degree, n_nodes)
-    g2, xi12 = moments_of_kernel(kernel, chi, max_degree, 2 * n_nodes)
+    g, xi1 = moments_of_kernel(kernel, chi, max_degree, DEFAULT_NODES)
+    g2, xi12 = moments_of_kernel(kernel, chi, max_degree, 2 * DEFAULT_NODES)
     scale = np.maximum(np.abs(g2[:, 0]), np.abs(xi12))
     err = np.maximum(np.max(np.abs(g - g2), axis=1), np.abs(xi1 - xi12)) / scale
     failed = np.flatnonzero(err > MOMENT_RTOL)

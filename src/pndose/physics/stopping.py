@@ -12,6 +12,7 @@ evaluated in SI and returned in MeV^2/cm.
 """
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,26 +95,21 @@ class StoppingPowerLibrary:
         return lo, hi
 
 
-_DEFAULT_LIBRARY = None
-
-
+@functools.cache
 def default_stopping_library() -> StoppingPowerLibrary:
-    global _DEFAULT_LIBRARY
-    if _DEFAULT_LIBRARY is None:
-        _DEFAULT_LIBRARY = StoppingPowerLibrary.load_default()
-    return _DEFAULT_LIBRARY
+    return StoppingPowerLibrary.load_default()
 
 
-def mix_stopping_power(weights, density, e_mev, library=None):
-    """Bragg-additivity stopping power of a mixture, S [MeV/cm].
+def mix_stopping_power(weights, density, e_mev):
+    """Bragg-additivity stopping power of a mixture, S [MeV/cm], from the
+    default stopping library.
 
     weights: (..., 12) mass fractions; density: (...) g/cm^3;
     e_mev: scalar or broadcastable energy. Linear in density and in each
     weight by construction.
     """
-    if library is None:
-        library = default_stopping_library()
-    return bragg_mixture(weights, density, library.mass_stopping_all(e_mev))
+    mass_stopping = default_stopping_library().mass_stopping_all(e_mev)
+    return bragg_mixture(weights, density, mass_stopping)
 
 
 def bragg_mixture(weights, density, mass_stopping):

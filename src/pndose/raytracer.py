@@ -24,18 +24,19 @@ add per ray; rays sharing a material column reuse one march.
 
 One table, EnergyOperators, holds the state of a ray trace and is
 dropped with it. It assembles each material's G once and keeps it as
-CSR. The first march to meet a (material, exact dz) pair factors
-M + dz/2 G straight into its own dense LU buffer, written from G's CSR
-entries, and the table keeps a compact copy of the LU factors: the
-positions and values of their entries, which have G's
+CSR; the assembly fills a dense G first (1.18 MB at 128 groups), which
+lives only until the conversion. The first march to meet a (material,
+exact dz) pair factors M + dz/2 G straight into its own dense LU buffer,
+written from G's CSR entries, and the table keeps a compact copy of the
+LU factors: the positions and values of their entries, which have G's
 block-tridiagonal pattern. A later march expands the copy into its
-buffer. Each load writes the right-hand side M - dz/2 G into the
-march's other buffer from G's CSR entries, so the table keeps one form
-of it only, G. A march groups its step sizes by round(dz, 14) and
-uses the first exact dz of a group for the whole group, so a factor
-never depends on which march met it first. The march's two buffers are
-the only dense operators in a trace (see march_ray for the memory
-orders that keep every dose's bits).
+buffer. Each load writes the right-hand side M - dz/2 G into the march's
+other buffer from G's CSR entries, so the table keeps one form of it
+only, G. A march groups its step sizes by round(dz, 14) and uses the
+first exact dz of a group for the whole group, so a factor never depends
+on which march met it first. Outside an assembly, the march's two
+buffers are the only dense operators in a trace (see march_ray for the
+memory orders that keep every dose's bits).
 """
 
 import math
@@ -114,7 +115,11 @@ class EnergyDGSpace:
     n_groups: int
 
     def __post_init__(self):
-        if self.e_max <= self.e_min or self.e_min <= 0.0:
+        for name in ("e_min", "e_max"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+        if self.e_max <= self.e_min:
             raise ConfigError("need 0 < e_min < e_max for the energy space")
 
     @property
@@ -141,10 +146,7 @@ class EnergyDGSpace:
     def mass_diagonal(self) -> np.ndarray:
         """Diagonal of M_E: (h/2) * 2/(2j+1) per local mode, SPD."""
         local = self.width / 2.0 * 2.0 / (2.0 * np.arange(self.n_local) + 1.0)
-        diag = np.tile(local, self.n_groups)
-        if np.any(diag <= 0.0):
-            raise NumericalError("energy mass matrix is not positive definite")
-        return diag
+        return np.tile(local, self.n_groups)
 
     def basis(self, x):
         """(P, dP/dxi) of the local modes at reference points x, each (len(x), nl)."""
@@ -195,9 +197,8 @@ def _outer(a, b):
 def assemble_energy_operators(space: EnergyDGSpace, s_star_fn, t_fn, sigma_t_fn):
     """(mass diagonal, G) with M psi' + G psi = 0 along depth.
 
-    Coefficient callables map an energy array to values; t_fn may be None
-    (no straggling) and sigma_t_fn may be None (no absorption). With both
-    absent G reduces to the pure upwind advection operator.
+    Coefficient callables map an energy array to values: the drift S*,
+    the straggling T and the total cross section sigma_t.
 
     G is built as three block diagonals: one (nl, nl) block per group, and
     one above and one below the diagonal per interior face. Each volume
@@ -230,31 +231,29 @@ def assemble_energy_operators(space: EnergyDGSpace, s_star_fn, t_fn, sigma_t_fn)
     # top boundary takes inflow from vacuum, qhat = 0
     diag[0] -= _outer(p_lo, -s_star_edges[0] * p_lo)
 
-    if sigma_t_fn is not None:
-        diag += gram(sigma_t_fn(energies), p, p)
+    diag += gram(sigma_t_fn(energies), p, p)
 
-    if t_fn is not None:
-        diag += gram(0.5 * np.asarray(t_fn(energies)), dp, dp) * (2.0 / h) ** 2
-        # SIPG on each interior face: the lower group's trace at xi = 1 and
-        # the upper group's at xi = -1, jump [v] = v_lo - v_hi, average
-        # {kappa v'} = kappa (v_lo' + v_hi') / 2
-        kappa_f = 0.5 * np.asarray(t_fn(space.edges))[1:-1]
-        penalty = (SIPG_ETA * kappa_f / h)[:, None, None]
-        jump = np.array([p_hi, -p_lo])
-        avg = 0.5 * kappa_f[:, None, None] * ((2.0 / h) * np.array([dp_hi, dp_lo]))
+    diag += gram(0.5 * np.asarray(t_fn(energies)), dp, dp) * (2.0 / h) ** 2
+    # SIPG on each interior face: the lower group's trace at xi = 1 and
+    # the upper group's at xi = -1, jump [v] = v_lo - v_hi, average
+    # {kappa v'} = kappa (v_lo' + v_hi') / 2
+    kappa_f = 0.5 * np.asarray(t_fn(space.edges))[1:-1]
+    penalty = (SIPG_ETA * kappa_f / h)[:, None, None]
+    jump = np.array([p_hi, -p_lo])
+    avg = 0.5 * kappa_f[:, None, None] * ((2.0 / h) * np.array([dp_hi, dp_lo]))
 
-        def sipg(a, b):
-            """(G-1, nl, nl) coupling of side a's test to side b's trial functions."""
-            return (
-                -_outer(jump[a], avg[:, b])
-                - _outer(avg[:, a], jump[b])
-                + penalty * _outer(jump[a], jump[b])
-            )
+    def sipg(a, b):
+        """(G-1, nl, nl) coupling of side a's test to side b's trial functions."""
+        return (
+            -_outer(jump[a], avg[:, b])
+            - _outer(avg[:, a], jump[b])
+            + penalty * _outer(jump[a], jump[b])
+        )
 
-        diag[1:] += sipg(1, 1)
-        diag[:-1] += sipg(0, 0)
-        upper += sipg(0, 1)
-        lower += sipg(1, 0)
+    diag[1:] += sipg(1, 1)
+    diag[:-1] += sipg(0, 0)
+    upper += sipg(0, 1)
+    lower += sipg(1, 0)
 
     g_mat = np.zeros((ng, nl, ng, nl))
     groups = np.arange(ng)
@@ -344,10 +343,11 @@ class EnergyOperators(dict):
     len(factors) the factorizations, cn_steps the Crank-Nicolson steps
     marched, and assembly_s and factor_s the seconds spent assembling
     and factoring. G is block-tridiagonal, so only its nonzeros are
-    stored (toarray gives the same matrix back bit for bit). Hand one
-    table to the marches of a ray trace and drop it with the trace: the
-    only dense operators of a trace are the two buffers of its current
-    march.
+    stored (toarray gives the same matrix back bit for bit); an assembly
+    fills a dense G first, which lives only until the conversion. Hand
+    one table to the marches of a ray trace and drop it with the trace:
+    outside an assembly, the only dense operators of a trace are the two
+    buffers of its current march.
     """
 
     def __init__(self, space: EnergyDGSpace, coefficients):
@@ -387,7 +387,7 @@ class EnergyOperators(dict):
         return factor.pivots
 
 
-def march_ray(segments, operators: EnergyOperators, psi0, max_step=MAX_STEP_CM):
+def march_ray(segments, operators: EnergyOperators, psi0):
     """Crank-Nicolson march along a ray path.
 
     segments: list of (cell_index, length_cm, material_key); operators:
@@ -400,16 +400,16 @@ def march_ray(segments, operators: EnergyOperators, psi0, max_step=MAX_STEP_CM):
     The factors live in the shared table, keyed by (material, exact dz).
     Within a march, all steps whose dz agree to round(dz, 14) use the
     factor of the first such dz the march met, so which marches share a
-    table, and their order, never changes a factor's bits. The march's
-    two buffers are the only dense operators of a trace: each operator
-    the march turns to is factored in the LU buffer if the table lacks
-    it, and expanded into it otherwise, and its rhs is written from G
-    every time. The LU is in the Fortran order dgetrf
-    works in; the rhs is in C order, and each step forms rhs @ psi with
-    the transposed dgemv kernel that numpy's matmul picks for it, the
-    kernel the doses were computed with (a Fortran-ordered rhs selects
-    another and moves every dose in the last bits). The product goes
-    into a reused vector, which dgetrs then solves in place.
+    table, and their order, never changes a factor's bits. Outside an
+    assembly of G, the march's two buffers are the only dense operators
+    of a trace: each operator the march turns to is factored in the LU
+    buffer if the table lacks it, and expanded into it otherwise, and
+    its rhs is written from G every time. The LU is in the Fortran order
+    dgetrf works in; the rhs is in C order, and each step forms rhs @
+    psi with the transposed dgemv kernel that numpy's matmul picks for
+    it, the kernel the doses were computed with (a Fortran-ordered rhs
+    selects another and moves every dose in the last bits). The product
+    goes into a reused vector, which dgetrs then solves in place.
     """
     space = operators.space
     n, nl = space.n_dof, space.n_local
@@ -427,7 +427,7 @@ def march_ray(segments, operators: EnergyOperators, psi0, max_step=MAX_STEP_CM):
     for k, (cell, length, key) in enumerate(segments):
         s_min = operators[key][1]
         # two halves of n_sub equal steps each, the averages taken between them
-        n_sub = max(1, math.ceil(0.5 * length / max_step))
+        n_sub = max(1, math.ceil(0.5 * length / MAX_STEP_CM))
         dz = 0.5 * length / n_sub
         pair = (key, first_dz.setdefault((key, round(dz, 14)), dz))
         if pair != current:

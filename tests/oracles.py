@@ -28,15 +28,10 @@ from scipy.special import lpmv
 from pndose import spatial
 from pndose.angular import real_sph_eval
 from pndose.constants import ELECTRON_REST_MEV, ELEMENTS, FINE_STRUCTURE
-from pndose.physics import (
-    beta,
-    default_schneider_table,
-    default_stopping_library,
-    momentum_mev_c,
-    tau_lab,
-    wave_number_inv_cm,
-)
-from pndose.physics.moliere import DEFAULT_NODES
+from pndose.physics.kinematics import beta, momentum_mev_c, wave_number_inv_cm
+from pndose.physics.materials import default_schneider_table
+from pndose.physics.moliere import DEFAULT_NODES, tau_lab
+from pndose.physics.stopping import default_stopping_library
 from pndose.raytracer import _QUAD_NODES, DG_DEGREE, SIPG_ETA
 
 

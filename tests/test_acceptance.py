@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from pndose.angular import PNBasis, PNOperators, beam_projection, fokker_planck_tables
+from pndose.angular import PNBasis, PNOperators, fokker_planck_tables, real_sph_eval
 from pndose.constants import ELEMENTS
 from pndose.driver import (
     FullRankSolver,
@@ -27,11 +27,7 @@ from pndose.driver import (
     trace_all_beams,
     write_outputs,
 )
-from pndose.physics import (
-    kernel_amplitude,
-    moments_of_kernel,
-    screening_parameters,
-)
+from pndose.physics.moliere import kernel_amplitude, moments_of_kernel, screening_parameters
 from pndose.raytracer import EnergyDGSpace, EnergyOperators, march_ray, project_initial_spectrum
 from pndose.spatial import Grid3D, apply_streaming, build_stencils
 
@@ -114,7 +110,7 @@ class TestCriterion2MaximalRankEquivalence:
         config = ProblemConfig.from_dict(raw)
         problem = assemble_problem(config)
         fluxes, _ = trace_all_beams(problem)
-        t_ms = [beam_projection(config.pn_order, b.direction) for b in config.beams]
+        t_ms = [real_sph_eval(config.pn_order, b.direction) for b in config.beams]
         edges = pseudo_time_edges(problem)
         tables = step_tables(problem, edges)
         assert min(problem.n_cells, problem.n_moments) == 16
@@ -274,7 +270,7 @@ class TestCriterion10RayTracerOracle:
             0: (
                 lambda e: np.full_like(np.asarray(e, dtype=float), s_value),
                 lambda e: np.full_like(np.asarray(e, dtype=float), t_value),
-                None,
+                lambda e: np.zeros_like(np.asarray(e, dtype=float)),
             )
         }
         psi = project_initial_spectrum(space, 30.0, 0.3)

@@ -8,7 +8,6 @@ import pytest
 from pndose.angular import (
     PNBasis,
     PNOperators,
-    beam_projection,
     boltzmann_tables,
     eigen_split,
     flux_matrices,
@@ -16,7 +15,7 @@ from pndose.angular import (
     real_sph_eval,
 )
 from pndose.constants import ELEMENT_INDEX, ELEMENTS
-from pndose.physics import legendre_moments
+from pndose.physics.moliere import legendre_moments
 
 from oracles import flux_matrices_by_quadrature, gram_matrix
 
@@ -214,10 +213,10 @@ class TestTransportCorrections:
 
 class TestBeamProjection:
     def test_first_entry(self):
-        assert beam_projection(4, [0, 0, 1])[0] == pytest.approx(Y00)
+        assert real_sph_eval(4, [0, 0, 1])[0] == pytest.approx(Y00)
 
     def test_z_beam_azimuthal_symmetry(self):
-        t = beam_projection(5, [0, 0, 1])
+        t = real_sph_eval(5, [0, 0, 1])
         basis = PNBasis(5)
         nonzero_orders = basis.orders[np.abs(t) > 1e-14]
         assert np.all(nonzero_orders == 0)
@@ -236,7 +235,7 @@ class TestBeamProjection:
             math.cos(theta),
         ]
         om2 = list(np.asarray(om2) / np.linalg.norm(om2))
-        np.testing.assert_allclose(beam_projection(6, om), beam_projection(6, om2), atol=1e-12)
+        np.testing.assert_allclose(real_sph_eval(6, om), real_sph_eval(6, om2), atol=1e-12)
 
 
 class TestFokkerPlanckSpectrum:

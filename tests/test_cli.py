@@ -64,6 +64,7 @@ class TestValidate:
         ({"transport": [1]}, 2, "transport must be a mapping"),
         ({"grid": {"nx": 6, "ny": 6, "nz": 8, "delta_x_cm": float("inf"),
                    "delta_y_cm": 0.25, "delta_z_cm": 0.25}}, 2, "grid.delta_x_cm"),
+        ({"energy": {"groups": 32, "e_max_mev": float("inf")}}, 2, "energy.e_max_mev must be finite"),
     ])
     def test_bad_input_exits_with_its_category(self, tmp_path, capsys, overrides, code, named):
         # a physics-data error (3) or a config error (2), not a traceback (1)

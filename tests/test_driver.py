@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 from pndose import raytracer
-from pndose.angular import beam_projection
+from pndose.angular import real_sph_eval
 from pndose.driver import (
     BEAM_KEYS,
     BOX_KEYS,
@@ -37,7 +37,7 @@ from pndose.driver import (
 )
 from pndose.dlra import LowRankState, StreamingContext
 from pndose.errors import ConfigError, NumericalError
-from pndose.physics import mix_stopping_power
+from pndose.physics.stopping import mix_stopping_power
 from pndose.raytracer import BeamSource
 from pndose.spatial import Grid3D, build_stencils
 
@@ -167,6 +167,12 @@ class TestConfigValidation:
         ("grid", "delta_z_cm", float("nan")),
         ("transport", "cfl_number", float("inf")),
         ("transport", "cfl_number", float("nan")),
+        # a non-finite bound must not read as a misordered range or, for
+        # e_max, surface at assembly as a stopping-table error
+        ("energy", "e_min_mev", float("inf")),
+        ("energy", "e_min_mev", float("nan")),
+        ("energy", "e_max_mev", float("inf")),
+        ("energy", "e_max_mev", float("nan")),
     ])
     def test_bad_beam_or_ray_value_names_key(self, section, key, value):
         raw = smoke_raw()
@@ -176,7 +182,8 @@ class TestConfigValidation:
         else:
             raw[section][key] = value
             label = f"{section}.{key}"
-        with pytest.raises(ConfigError, match=re.escape(label)):
+        # led by the key and a requirement on its value, not one naming it in passing
+        with pytest.raises(ConfigError, match="^" + re.escape(label) + " must (not )?be "):
             ProblemConfig.from_dict(raw)
 
     @pytest.mark.parametrize("section, key, value", [
@@ -646,7 +653,7 @@ class TestStepContexts:
         edges = pseudo_time_edges(problem)
         tables = step_tables(problem, edges)
         fluxes, _ = trace_all_beams(problem)
-        t_ms = [beam_projection(problem.config.pn_order, b.direction)
+        t_ms = [real_sph_eval(problem.config.pn_order, b.direction)
                 for b in problem.config.beams]
         layout = ("C_CONTIGUOUS", "F_CONTIGUOUS")
         for k in range(len(edges) - 1):
@@ -654,7 +661,7 @@ class TestStepContexts:
             assert tables.energies[k] == e_mid
             stream_ctx, scat_ctx = step_contexts(problem, tables, k, fluxes, t_ms)
             s_field = mix_stopping_power(problem.material.weights, problem.material.density,
-                                         e_mid, problem.stopping)
+                                         e_mid)
             assert np.array_equal(problem.stopping_from(tables.stopping[k]), s_field)
             assert np.array_equal(stream_ctx.inv_s, 1.0 / s_field)
             assert np.array_equal(scat_ctx.inv_s, 1.0 / s_field)

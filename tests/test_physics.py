@@ -4,25 +4,26 @@ import numpy as np
 import pytest
 from oracles import moment_tables_reference
 
-from pndose.constants import ELEMENT_INDEX, ELEMENTS, N_ELEMENTS
+from pndose.constants import AVOGADRO, ELEMENT_INDEX, ELEMENTS, N_ELEMENTS
 from pndose.driver import MOMENT_TABLE_POINTS, ProblemConfig, assemble_problem
 from pndose.errors import NumericalError, PhysicsDataError
-from pndose.physics import (
-    MaterialField,
+from pndose.physics import moliere
+from pndose.physics.materials import MaterialField, default_schneider_table
+from pndose.physics.moliere import (
     MomentTables,
-    default_schneider_table,
-    default_stopping_library,
     kernel_amplitude,
     legendre_moments,
-    mix_stopping_power,
     moliere_dcs,
     moments_of_kernel,
     screening_parameters,
-    straggling_t,
-    straggling_t_derivative,
     tau_lab,
 )
-from pndose.physics import moliere
+from pndose.physics.stopping import (
+    default_stopping_library,
+    mix_stopping_power,
+    straggling_t,
+    straggling_t_derivative,
+)
 
 O = ELEMENTS[ELEMENT_INDEX["O"]]
 C = ELEMENTS[ELEMENT_INDEX["C"]]
@@ -72,6 +73,18 @@ class TestHuConversion:
         density, weights = default_schneider_table().convert(hu)
         assert np.all(density > 0)
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_atomic_densities_fixed_at_construction(self):
+        density, weights = default_schneider_table().convert(np.array([0.0, -400.0, 700.0]))
+        field = MaterialField(density=density, weights=weights)
+        masses = np.array([e.atomic_mass for e in ELEMENTS])
+        expected = density[:, None] * weights * (AVOGADRO / masses)
+        atomic = vars(field)["atomic_densities"]  # stored by the constructor, not on a read
+        assert np.array_equal(atomic, expected)
+        with pytest.raises(ValueError, match="read-only"):
+            atomic[0, 0] = 0.0
+        with pytest.raises(TypeError):
+            MaterialField(density, weights, expected)
 
 
 class TestStoppingPower:
@@ -233,14 +246,16 @@ class TestMoments:
                 g, xi1 = legendre_moments(elem, e, 2)
                 assert xi1 == pytest.approx(g[0] - g[1], rel=1e-8)
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(moliere, "DEFAULT_NODES", 4)
         with pytest.raises(NumericalError, match="converge"):
-            legendre_moments(O, 80.0, 40, n_nodes=4)
+            legendre_moments(O, 80.0, 40)
 
-    def test_nonconvergence_names_the_first_failing_energy(self):
+    def test_nonconvergence_names_the_first_failing_energy(self, monkeypatch):
         # at 16 nodes degree 2 converges at 1 and 5 MeV, not at 30 or 90 MeV
+        monkeypatch.setattr(moliere, "DEFAULT_NODES", 16)
         with pytest.raises(NumericalError, match="for O at 90 MeV did not converge"):
-            legendre_moments(O, np.array([1.0, 5.0, 90.0, 30.0]), 2, n_nodes=16)
+            legendre_moments(O, np.array([1.0, 5.0, 90.0, 30.0]), 2)
 
     @pytest.mark.parametrize("pn_order", [1, 7])
     def test_tables_equal_scalar_moments(self, pn_order):

@@ -104,7 +104,7 @@ class TestAssemblyEqualsReference:
     for bit, dense and as the CSR matrix the marches keep."""
 
     @pytest.mark.parametrize("space, coefficients", [
-        (EnergyDGSpace(1.0, 11.0, 16), (const(4.0), None, None)),
+        (EnergyDGSpace(1.0, 11.0, 16), (const(4.0), const(0.0), const(0.0))),
         (EnergyDGSpace(1.0, 11.0, 16), (const(4.0), const(0.05), const(0.3))),
         (EnergyDGSpace(1.0, 31.5, 32),
          (lambda e: 1.0 + 0.1 * np.asarray(e), lambda e: 0.02 + 0.001 * np.asarray(e),
@@ -122,16 +122,10 @@ class TestAssemblyEqualsReference:
 
 
 class TestOperators:
-    def test_reduces_to_advection(self):
-        space = EnergyDGSpace(1.0, 11.0, 16)
-        _, g_full = assemble_energy_operators(space, const(4.0), None, None)
-        _, g_again = assemble_energy_operators(space, const(4.0), const(0.0), const(0.0))
-        np.testing.assert_allclose(g_full, g_again, atol=1e-14)
-
     def test_constant_annihilated_on_interior(self):
         # constant-in-E state with constant S*: interior rows give zero
         space = EnergyDGSpace(1.0, 11.0, 16)
-        _, g_mat = assemble_energy_operators(space, const(4.0), None, None)
+        _, g_mat = assemble_energy_operators(space, const(4.0), const(0.0), const(0.0))
         c = np.zeros(space.n_dof)
         c[::3] = 2.5
         res = g_mat @ c
@@ -143,7 +137,7 @@ class TestOperators:
     def test_interior_conservation(self):
         # content derivative vanishes for interior-supported data
         space = EnergyDGSpace(1.0, 11.0, 32)
-        mass, g_mat = assemble_energy_operators(space, lambda e: 1.0 + 0.1 * np.asarray(e), const(0.02), None)
+        mass, g_mat = assemble_energy_operators(space, lambda e: 1.0 + 0.1 * np.asarray(e), const(0.02), const(0.0))
         rng = np.random.default_rng(0)
         psi = np.zeros(space.n_dof)
         psi[5 * 3 : 20 * 3] = rng.standard_normal(45)
@@ -154,19 +148,20 @@ class TestOperators:
 
     def test_decay_oracle(self):
         space = EnergyDGSpace(1.0, 31.5, 32)
-        coeff = {0: (const(0.0), None, const(1.7))}
+        coeff = {0: (const(0.0), const(0.0), const(1.7))}
         psi0 = project_initial_spectrum(space, 20.0, 1.0)
         psi = march_ray([(0, 1.0, 0)], EnergyOperators(space, coeff), psi0)[2]
         ratio = space.moments(psi)[0] / space.moments(psi0)[0]
         assert ratio == pytest.approx(math.exp(-1.7), rel=2e-4)
 
-    def test_crank_nicolson_second_order(self):
+    def test_crank_nicolson_second_order(self, monkeypatch):
         space = EnergyDGSpace(1.0, 31.5, 32)
-        coeff = {0: (const(0.0), None, const(2.3))}
+        coeff = {0: (const(0.0), const(0.0), const(2.3))}
         psi0 = project_initial_spectrum(space, 20.0, 1.0)
 
         def run(step):
-            return march_ray([(0, 1.0, 0)], EnergyOperators(space, coeff), psi0, max_step=step)[2]
+            monkeypatch.setattr(raytracer, "MAX_STEP_CM", step)
+            return march_ray([(0, 1.0, 0)], EnergyOperators(space, coeff), psi0)[2]
 
         ref = run(0.0005)
         errs = [np.linalg.norm(run(s) - ref) for s in (0.02, 0.01, 0.005)]
@@ -176,7 +171,7 @@ class TestOperators:
     def test_drift_and_variance(self):
         # constant S and T: mean falls at S per cm, variance grows at T per cm
         space = EnergyDGSpace(1.0, 31.5, 128)
-        coeff = {0: (const(5.0), const(0.05), None)}
+        coeff = {0: (const(5.0), const(0.05), const(0.0))}
         psi = project_initial_spectrum(space, 30.0, 0.3)
         for depth in (1.0, 2.0, 3.0):
             psi = march_ray([(0, 1.0, 0)], EnergyOperators(space, coeff), psi)[2]
@@ -187,7 +182,7 @@ class TestOperators:
     def test_below_cutoff_bookkeeping(self):
         # every particle that ranges out deposits exactly E_min as residual
         space = EnergyDGSpace(1.0, 12.0, 64)
-        coeff = {0: (const(5.0), None, None)}
+        coeff = {0: (const(5.0), const(0.0), const(0.0))}
         psi0 = project_initial_spectrum(space, 10.0, 0.1)
         segments = [(i, 0.1, 0) for i in range(40)]
         _, residuals, psi_exit = march_ray(segments, EnergyOperators(space, coeff), psi0)
@@ -224,12 +219,17 @@ class TestBeamGeometry:
         ("energy_mev", math.nan), ("energy_mev", math.inf), ("energy_mev", 0.0),
         ("sigma_xy_cm", math.nan), ("sigma_xy_cm", math.inf), ("sigma_xy_cm", -0.1),
         ("sigma_e_rel", math.nan), ("sigma_e_rel", math.inf), ("sigma_e_rel", 0.0),
+        ("e_min", math.nan), ("e_min", math.inf), ("e_max", math.nan), ("e_max", math.inf),
     ])
     def test_bad_scalars_name_their_field(self, name, value):
         # NaN passes a bare "<= 0" check; a weight of 0 or -1 would give a
-        # zero or negative dose
+        # zero or negative dose, and an energy space with a non-finite bound
+        # has non-finite group widths
         with pytest.raises(ConfigError, match=re.escape(f"{name} must be finite and positive")):
-            BeamSource((0, 0, 1), **{"energy_mev": 30.0, "position_cm": (0, 0, 0), name: value})
+            if name in ("e_min", "e_max"):
+                EnergyDGSpace(**{"e_min": 1.0, "e_max": 31.5, "n_groups": 16, name: value})
+            else:
+                BeamSource((0, 0, 1), **{"energy_mev": 30.0, "position_cm": (0, 0, 0), name: value})
 
     def test_traversal_axis_aligned(self):
         g = Grid3D(4, 4, 10, 0.1, 0.1, 0.1)
@@ -342,7 +342,7 @@ class TestDeposition:
     def tracer_setup(self, grid, s_value=2.0):
         space = EnergyDGSpace(1.0, 31.5, 32)
         keys = np.zeros(grid.n_cells, dtype=int)
-        return space, keys, EnergyOperators(space, {0: (const(s_value), None, None)})
+        return space, keys, EnergyOperators(space, {0: (const(s_value), const(0.0), const(0.0))})
 
     def test_single_ray_column(self):
         g = Grid3D(5, 5, 6, 0.1, 0.1, 0.1)
@@ -656,7 +656,7 @@ class TestCrankNicolsonFactors:
         assert len(operators.factors) == len(pairs)
         assert operators.factor_s == factor_s
 
-    def test_singular_system_raises_numerical_error(self):
+    def test_singular_system_raises_numerical_error(self, monkeypatch):
         # mass 1, G = -2 I, dz = 1: M + dz/2 G is zero
         with pytest.raises(NumericalError, match=r"material 'water' at dz = 1\.0: pivot 1 "):
             self.factor_in_buffers(np.ones(2), -2.0 * np.eye(2), 1.0, key="water")
@@ -665,8 +665,9 @@ class TestCrankNicolsonFactors:
         operators = EnergyOperators(space, {})
         operators[7] = (sparse.csr_matrix(np.diag(-2.0 * operators.mass)), 2.0)
         psi0 = project_initial_spectrum(space, 20.0, 0.2)
+        monkeypatch.setattr(raytracer, "MAX_STEP_CM", 1.0)
         with pytest.raises(NumericalError, match=r"material 7 at dz = 1\.0: pivot 1 "):
-            march_ray([(0, 2.0, 7)], operators, psi0, max_step=1.0)
+            march_ray([(0, 2.0, 7)], operators, psi0)
 
     def test_non_finite_operator_raises_numerical_error(self):
         with pytest.raises(NumericalError, match=r"material 3 at dz = 0\.01: .*non-finite"):
