@@ -43,6 +43,10 @@ def _cmd_run(args, solver):
         f"{d['runtime_s']:.1f} s"
     )
     print(
+        f"memory: peak state {d['peak_state_numbers'] * 8 / 2**20:.3f} MiB, "
+        f"peak with transients {d['peak_transient_numbers'] * 8 / 2**20:.3f} MiB"
+    )
+    print(
         f"rays: {sum(d['rays_per_beam'])} hit, {sum(d['rays_missed_per_beam'])} missed; "
         f"{_plural(sum(d['marches_per_beam']), 'march', 'marches')}; "
         f"{_plural(d['energy_operator_assemblies'], 'energy operator')}; "

@@ -140,30 +140,36 @@ def truncate(state: LowRankState, policy: TruncationPolicy):
 def rk4(f, y, dt, work=None):
     """One classical Runge-Kutta step of y' = f(y), written over y.
 
-    f(x, out) stores f(x) in out. The step runs in three arrays shaped
-    like y, the slope, the stage input and the accumulator, taken from
-    work or allocated; none may share memory with y. The sums keep the
-    textbook order, y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), so the
+    f(x, out) stores f(x) in out, which may be x itself. The step runs in
+    two arrays shaped like y, the accumulator and the stage, taken from
+    work or allocated; neither may share memory with y. Each slope k_i is
+    written over its own stage input, then doubled there for the sum and
+    scaled again into the next stage input. The scalings are powers of two
+    apart, so every product is the textbook one: 2 k_i is exact, and
+    (dt/4) (2 k_2) = (dt/2) k_2 and (dt/2) (2 k_3) = dt k_3 hold bit for bit,
+    both sides being one rounding of the same real number (while 2 k_i is
+    finite and dt/4 a normal number). The sums keep
+    the textbook order, y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), so the
     result is bit for bit that of the four-stage form with fresh arrays.
     Returns y.
     """
-    slope, stage, acc = work if work is not None else [np.empty_like(y) for _ in range(3)]
+    acc, stage = work if work is not None else (np.empty_like(y), np.empty_like(y))
     half = 0.5 * dt
     f(y, acc)                                      # acc = k1
     np.multiply(acc, half, out=stage)
     stage += y
-    f(stage, slope)                                # k2
-    np.multiply(slope, 2.0, out=stage)
+    f(stage, stage)                                # k2
+    stage *= 2.0
     acc += stage
-    np.multiply(slope, half, out=stage)
+    stage *= 0.25 * dt                             # (dt/2) k2
     stage += y
-    f(stage, slope)                                # k3
-    np.multiply(slope, 2.0, out=stage)
+    f(stage, stage)                                # k3
+    stage *= 2.0
     acc += stage
-    np.multiply(slope, dt, out=stage)
+    stage *= half                                  # dt k3
     stage += y
-    f(stage, slope)                                # k4
-    acc += slope
+    f(stage, stage)                                # k4
+    acc += stage
     acc *= dt / 6.0
     y += acc
     return y
@@ -195,7 +201,8 @@ class StreamingContext:
         return (self.stencils.stacked @ (self.inv_s[:, None] * x)).reshape(-1, n, r)
 
     def full_rhs(self, u: np.ndarray, out=None, work=None) -> np.ndarray:
-        """F_S(u) on the dense n x m matrix, written into out (apply_streaming)."""
+        """F_S(u) on the dense n x m matrix, written into out, which may be u
+        (apply_streaming)."""
         return apply_streaming(u, self.inv_s, self.stencils, self.ops, out, work)
 
     def _moment_factors(self, w: np.ndarray) -> np.ndarray:

@@ -354,7 +354,6 @@ class Problem:
     material: MaterialField
     ops: PNOperators
     stencils: object
-    stopping: object
     moments: MomentTables
     space: EnergyDGSpace
 
@@ -368,8 +367,9 @@ class Problem:
 
     def element_stopping(self, energies):
         """(K, 12) per-element mass stopping powers at K energies, one
-        contiguous row per energy, from one array evaluation."""
-        return np.ascontiguousarray(self.stopping.mass_stopping_all(energies).T)
+        contiguous row per energy, from one array evaluation of the
+        library that mix_stopping_power reads too."""
+        return np.ascontiguousarray(default_stopping_library().mass_stopping_all(energies).T)
 
     def stopping_from(self, element_stopping):
         """S(E, r) on all cells [MeV/cm] from one row of element_stopping(
@@ -409,8 +409,7 @@ def assemble_problem(config: ProblemConfig) -> Problem:
     material = MaterialField(density=density, weights=weights)
     ops = PNOperators.build(config.pn_order)
     stencils = build_stencils(config.grid)
-    stopping = default_stopping_library()
-    lo, hi = stopping.energy_range
+    lo, hi = default_stopping_library().energy_range
     if config.e_min_mev < lo or config.e_max_mev > hi:
         raise PhysicsDataError(
             f"energy range [{config.e_min_mev}, {config.e_max_mev}] MeV exceeds "
@@ -430,7 +429,6 @@ def assemble_problem(config: ProblemConfig) -> Problem:
         material=material,
         ops=ops,
         stencils=stencils,
-        stopping=stopping,
         moments=moments,
         space=space,
     )

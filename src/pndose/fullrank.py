@@ -6,11 +6,12 @@ scattering. Only the operator assembly (stencils, PN matrices, contexts)
 and the one rk4 are shared with the low-rank module.
 
 A step allocates no n x m array: it runs in a FullRankWorkspace made once
-per run. rk4 advances the state in place through three of its n x m
-buffers; each stage's right-hand side (spatial.apply_streaming) works in
-the workspace's StreamingWorkspace, whose stencil pairs get the step's
-1/S folded in once, by the first stage; the scattering step forms
-its rates and source in the workspace's scratch, which rk4 leaves free.
+per run. rk4 advances the state in place through two n x m buffers, the
+accumulator and the stage, and each stage's right-hand side
+(spatial.apply_streaming) writes over its own input, working in the
+workspace's StreamingWorkspace, whose stencil pairs get the step's 1/S
+folded in once, by the first stage; the scattering step forms its rates
+and source in the workspace's scratch, which rk4 leaves free.
 The RK4 updates and the scattering step keep the order of the textbook
 form with fresh arrays (tests/oracles.py) bit for bit; the streaming
 right-hand side sums each axis' two upwind terms in one GEMM and scales
@@ -32,17 +33,17 @@ class FullRankWorkspace:
     """The buffers of the oracle's step on the stencils' grid at the
     operators' PN order.
 
-    rk4 holds the slope, stage input and accumulator (n, m) of
-    dlra.rk4; streaming the spatial.StreamingWorkspace of
-    apply_streaming. scratch is rk4's slope, which is free outside rk4:
-    the scattering step forms its rates and source there.
+    rk4 holds the accumulator and the stage (n, m) of dlra.rk4;
+    streaming the spatial.StreamingWorkspace of apply_streaming. scratch
+    is rk4's stage, which is free outside rk4: the scattering step forms
+    its rates and source there.
     """
 
     def __init__(self, stencils: UpwindStencils, ops: PNOperators):
         n, m = stencils.stacked.shape[1], ops.basis.size
-        self.rk4 = [np.empty((n, m)) for _ in range(3)]
+        self.rk4 = (np.empty((n, m)), np.empty((n, m)))
         self.streaming = StreamingWorkspace(stencils, ops)
-        self.scratch = self.rk4[0]
+        self.scratch = self.rk4[1]
 
     @property
     def numbers(self) -> int:

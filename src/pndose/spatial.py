@@ -28,36 +28,40 @@ the active axes row-wise into one sparse matrix, which no step rescales.
 The low-rank solver applies every term at once, as one sparse product of
 the whole stack with S^-1 x for an n x r input x.
 
-apply_streaming, the oracle's right-hand side, works one active axis at
-a time, in the buffers of a StreamingWorkspace that the caller may keep
-across calls. Since P A_d P = -A_d for the parity P = diag((-1)^l), V_d^+
-and V_d^- have equally many columns k, so a GEMM forms the (n, 2k)
-product y = u [V_d^+ V_d^-]. Viewed as (2n, k), its rows alternate
-between the two characteristic sets, and one sparse product with the
-axis' interleaved pair (UpwindStencils.pairs), whose entries are scaled
-by 1/S of their column cell, gives both upwind terms in the same layout.
-The pair is sliced from the stack, once per run, by one row indexing:
-its row 2c + s is the stack's row of cell c in the axis' plus (s = 0) or
+apply_streaming, the oracle's right-hand side, works in the buffers of a
+StreamingWorkspace that the caller may keep across calls. Since
+P A_d P = -A_d for the parity P = diag((-1)^l), V_d^+ and V_d^- have
+equally many columns k, so a GEMM forms the (n, 2k) product
+y = u [V_d^+ V_d^-]. Viewed as (2n, k), its rows alternate between the
+two characteristic sets, and one sparse product with the axis'
+interleaved pair (UpwindStencils.pairs), whose entries are scaled by 1/S
+of their column cell, gives both upwind terms in the same layout. The
+pair is sliced from the stack, once per run, by one row indexing: its
+row 2c + s is the stack's row of cell c in the axis' plus (s = 0) or
 minus (s = 1) term, entries in the same order, at the columns 2c' + s.
 The scaling is folded into the pair's entries once per step, not into
 the state on every call. A GEMM with the stacked back-rotation
 -[L^+ (V^+)^T; L^- (V^-)^T] then writes the output on the first axis and
 adds to it on the others.
 
-All three products run on slabs of about SLAB_CELLS cells, so that each
-slab of y is still in cache when the stencil reads it. y is formed just
-ahead of the stencil slabs that read it: the pair of an axis reads a
-fixed number of cells ahead of its row (2 stride_d on a grid, taken from
-the pair's own indices by pair_reach), so stencil slab [c0, c1) needs the
-rows of y below c1 + reach. The workspace works out these lookahead
-bounds once (StreamingWorkspace.plan). y is still the whole (n, 2k)
-product, one row per cell, so the stencil may read any row behind its
-slab, and the stencil product never takes the whole (n, 2k). A GEMM on a
-slab of rows gives those rows of the whole-array GEMM bit for bit (but a
-one-row product goes to GEMV, so the plan makes none); tests/oracles.py
-has the whole-array form. This rounds differently from the textbook
-form, one term at a time on S^-1 u, in the last bits only
-(tests/oracles.py has that form too).
+All products run on slabs of about SLAB_CELLS cells, so that each piece
+of y is still in cache when the stencil reads it, and each axis keeps of
+y only a ring of rows, sized to the rows its stencil reads around a
+slab. The cells are walked once, in two passes per stencil slab
+[c0, c1). The first pass forms, for every active axis, the rows of y
+that the slab is the first to read: the pair of an axis reads a fixed
+number of cells ahead of its row (2 stride_d on a grid, taken from the
+pair's own indices by pair_reach), so the slab needs the rows below
+c1 + reach. Row c of y lives in row c mod R of the axis' ring of R rows,
+and the pair's columns are mapped to the ring once, when the workspace
+is made (StreamingWorkspace.plan has the bounds). The second pass runs
+each axis' stencil and back products for rows c0..c1-1. Once the first
+pass is done, no later slab reads a row of u below c1, so the output may
+be u itself. A GEMM on a slab of rows gives those rows of the
+whole-array GEMM bit for bit (but a one-row product goes to GEMV, so the
+plan makes none); tests/oracles.py has the whole-array form. This rounds
+differently from the textbook form, one term at a time on S^-1 u, in the
+last bits only (tests/oracles.py has that form too).
 """
 
 import math
@@ -249,56 +253,85 @@ def pair_reach(pair) -> int:
     return int(np.max((pair.indices >> 1) - cells, initial=0))
 
 
+def _ring_pieces(f0, f1, rows):
+    """(r0, r1, p0) of the GEMMs that form rows [f0, f1) of a product into
+    ring rows p0.. of a ring of rows: none, one, or two where they wrap."""
+    wrap = (f0 // rows + 1) * rows
+    bounds = (f0, f1) if f1 <= wrap else (f0, wrap, f1)
+    return tuple((a, b, a % rows) for a, b in zip(bounds, bounds[1:]) if a < b)
+
+
 class StreamingWorkspace:
     """apply_streaming's buffers and slab plan for one grid and PN order.
 
-    y holds an axis' characteristic product u [V+ V-] (n, 2k), z a slab of
-    SLAB_CELLS rows of its stencil product, and values the entries of
-    each interleaved pair (UpwindStencils.pairs) scaled by the 1/S of
-    their column cell. apply_streaming folds whenever it is handed
-    another inv_s array than the one values hold, so a caller that
-    changes an inv_s array in place must hand a new one instead.
+    rings holds, per active axis, a ring of R rows of the axis'
+    characteristic product u [V+ V-] (2k wide), row c of the product in
+    row c mod R; columns the axis' pair indices mapped to the ring (column
+    2c' + s to 2 (c' mod R) + s); z a slab of SLAB_CELLS rows of a
+    stencil product; and values the entries of each interleaved pair
+    (UpwindStencils.pairs) scaled by the 1/S of their column cell.
+    apply_streaming folds whenever it is handed another inv_s array than
+    the one values hold, so a caller that changes an inv_s array in place
+    must hand a new one instead.
 
-    plan holds, per active axis, one (c0, c1, f0, f1) per stencil slab
-    [c0, c1): the rows [f0, f1) of y that one GEMM forms just before that
-    stencil slab. f1 is c1 plus the pair's reach ahead (pair_reach), at
-    most n, and f0 the previous slab's f1, so each row is formed once,
-    before any stencil slab reads it: the first GEMM takes a slab and the
-    reach, the next ones a slab each, the last ones none. A one-row
-    product would be handed to GEMV, which sums in another order than the
-    GEMM kernel, so the row before n is never a bound. The plan holds
-    plain integers only.
+    plan holds one (c0, c1, forms) per stencil slab [c0, c1), forms one
+    tuple of (r0, r1, p0) per active axis: the GEMMs that form rows
+    [r0, r1) of the axis' product into ring rows p0.. just before that
+    slab. Per axis, the slab's rows are [f0, f1): f1 is c1 plus the pair's
+    reach ahead (pair_reach), at most n, and f0 the previous slab's f1, so
+    each row is formed once, before any stencil slab reads it; they are
+    cut in two where they wrap around the ring. R is the fewest rows that
+    hold, at every slab, the rows from the lowest one its stencil reads up
+    to f1, so no row is overwritten while a stencil slab still reads it.
+    A one-row product would be handed to GEMV, which sums in another
+    order than the GEMM kernel, so the row before n is never a bound and
+    R grows past a size that would cut off one row. The plan holds plain
+    integers only.
     """
 
     def __init__(self, stencils: UpwindStencils, ops: PNOperators):
         n = stencils.stacked.shape[1]
         width = max((ops.forward_rotation[a].shape[1] for a in stencils.active_axes), default=0)
         h = min(SLAB_CELLS, n)
+        slabs = [(c0, min(c0 + h, n)) for c0 in range(0, n, h)]
         self.stencils = stencils
-        self.y = np.empty(n * width)
         self.z = np.empty(h * width)
         self.values = tuple(np.empty(pair.nnz) for pair in stencils.pairs)
-        self.plan = tuple(self._slabs(n, h, pair_reach(pair)) for pair in stencils.pairs)
+        rings, columns, forms = [], [], []
+        for axis, pair in zip(stencils.active_axes, stencils.pairs):
+            rows, pieces = self._ring(pair, slabs)
+            rings.append(np.empty(rows * ops.forward_rotation[axis].shape[1]))
+            columns.append(2 * ((pair.indices >> 1) % rows) + (pair.indices & 1))
+            forms.append(pieces)
+        self.rings, self.columns = tuple(rings), tuple(columns)
+        self.plan = tuple((c0, c1, tuple(f[i] for f in forms))
+                          for i, (c0, c1) in enumerate(slabs))
         self.inv_s = None
 
     @staticmethod
-    def _slabs(n, h, reach):
-        """(c0, c1, f0, f1) per stencil slab of h cells, for a pair that
-        reads reach cells ahead."""
-        slabs, f0 = [], 0
-        for c0 in range(0, n, h):
-            c1 = min(c0 + h, n)
+    def _ring(pair, slabs):
+        """(R, pieces) for a pair on the stencil slabs [c0, c1): the ring
+        rows R and, per slab, the (r0, r1, p0) of its forward GEMMs."""
+        n, reach = pair.shape[0] // 2, pair_reach(pair)
+        spans, f0 = [], 0
+        for c0, c1 in slabs:
             f1 = min(c1 + reach, n)
             if f1 == n - 1:
                 f1 = n
-            slabs.append((c0, c1, f0, f1))
+            read = pair.indices[pair.indptr[2 * c0]:pair.indptr[2 * c1]] >> 1
+            spans.append((f0, f1, int(read.min(initial=c0))))
             f0 = f1
-        return tuple(slabs)
+        rows = max(f1 - low for _, f1, low in spans)
+        while True:
+            pieces = tuple(_ring_pieces(f0, f1, rows) for f0, f1, _ in spans)
+            if all(r1 - r0 > 1 for slab in pieces for r0, r1, _ in slab):
+                return rows, pieces
+            rows += 1
 
     @property
     def numbers(self) -> int:
         """Float64 entries held, as in the solvers' *_numbers diagnostics."""
-        return self.y.size + self.z.size + sum(v.size for v in self.values)
+        return sum(r.size for r in self.rings) + self.z.size + sum(v.size for v in self.values)
 
     def fold(self, inv_s):
         """Scale each pair entry in column 2c' + s by inv_s[c'] into values."""
@@ -313,18 +346,19 @@ def apply_streaming(u, inv_s, stencils: UpwindStencils, ops: PNOperators, out=No
 
     Linear in u, which is not checked for finiteness: the oracle's
     streaming step checks its state once per step. The result is written
-    into out (n, m) and returned. work is a StreamingWorkspace; when it is
+    into out (n, m) and returned; out may be u itself, but no other array
+    that shares memory with u. work is a StreamingWorkspace; when it is
     given, its stencils are the ones applied. Both are allocated when not
-    given, and neither may share memory with u. Per active axis, one
-    stencil slab [c0, c1) of cells at a time, following work.plan: GEMMs
-    form the slabs of y = u [V+ V-] (n, 2k) that the stencil slab is the
-    first to read; the axis' interleaved pair, with 1/S folded into its
-    entries, acts on y viewed as (2n, k), which gives [D+ S^-1 y+,
-    D- S^-1 y-] for rows c0..c1-1; one GEMM rotates that back, writing
-    out on the first axis and adding to it (beta = 1) on the others.
+    given. One stencil slab [c0, c1) of cells at a time, following
+    work.plan: first, per active axis, GEMMs form the rows of
+    y = u [V+ V-] (n, 2k) that the slab is the first to read, into the
+    axis' ring; then, per active axis, the interleaved pair, with 1/S
+    folded into its entries and its columns mapped to the ring, acts on
+    the ring viewed as (2R, k), which gives [D+ S^-1 y+, D- S^-1 y-] for
+    rows c0..c1-1, and one GEMM rotates that back, writing out[c0:c1] on
+    the first axis and adding to it (beta = 1) on the others.
     """
     u = np.asarray(u)
-    n = u.shape[0]
     if out is None:
         out = np.empty(u.shape)
     elif not (out.flags.c_contiguous and out.dtype == np.float64):
@@ -336,24 +370,27 @@ def apply_streaming(u, inv_s, stencils: UpwindStencils, ops: PNOperators, out=No
         work.fold(inv_s)
     if not stencils.active_axes:
         out.fill(0.0)
-    beta = 0.0                                  # the first axis writes out
-    for axis, pair, values, slabs in zip(stencils.active_axes, stencils.pairs,
-                                         work.values, work.plan):
+    axes = []
+    for axis, pair, values, ring, columns in zip(stencils.active_axes, stencils.pairs,
+                                                 work.values, work.rings, work.columns):
         forward, back = ops.forward_rotation[axis], ops.back_rotation[axis]
-        width = forward.shape[1]
-        y = work.y[:n * width]
-        rows = y.reshape(n, width)
-        for c0, c1, f0, f1 in slabs:
-            if f0 < f1:
-                np.matmul(u[f0:f1], forward, out=rows[f0:f1])
+        rows = ring.reshape(-1, forward.shape[1])
+        axes.append((forward, back, pair.indptr, columns, values, ring, rows))
+    for c0, c1, forms in work.plan:
+        for (forward, *_, rows), pieces in zip(axes, forms):
+            for r0, r1, p0 in pieces:
+                np.matmul(u[r0:r1], forward, out=rows[p0:p0 + r1 - r0])
+        beta = 0.0                              # the first axis writes out
+        for forward, back, indptr, columns, values, ring, rows in axes:
+            width = forward.shape[1]
             z = work.z[:(c1 - c0) * width]
             z.fill(0.0)
             # scipy's kernel of pair[2 c0:2 c1] @ y (the product has no
             # public out=), which adds into the zeroed slab
-            _sparsetools.csr_matvecs(2 * (c1 - c0), 2 * n, width // 2,
-                                     pair.indptr[2 * c0:2 * c1 + 1], pair.indices, values, y, z)
+            _sparsetools.csr_matvecs(2 * (c1 - c0), 2 * rows.shape[0], width // 2,
+                                     indptr[2 * c0:2 * c1 + 1], columns, values, ring, z)
             # out[c0:c1]^T (+)= back^T z^T, all transposes free views
             blas.dgemm(1.0, back.T, z.reshape(c1 - c0, width).T, beta=beta,
                        c=out[c0:c1].T, overwrite_c=True)
-        beta = 1.0
+            beta = 1.0
     return out

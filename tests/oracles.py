@@ -32,7 +32,7 @@ from pndose.physics.kinematics import beta, momentum_mev_c, wave_number_inv_cm
 from pndose.physics.materials import default_schneider_table
 from pndose.physics.moliere import DEFAULT_NODES, tau_lab
 from pndose.physics.stopping import default_stopping_library
-from pndose.raytracer import _QUAD_NODES, DG_DEGREE, SIPG_ETA
+from pndose.raytracer import _QUAD_NODES, DG_DEGREE, MAX_STEP_CM, SIPG_ETA
 
 
 def water_csda_ranges(e_max_mev, e_min_mev=1.0, n_points=200_001):
@@ -272,73 +272,74 @@ def assemble_energy_operators_reference(space, s_star_fn, t_fn, sigma_t_fn):
     g_mat[sl0, sl0] -= np.outer(p_lo, -s_star_edges[0] * p_lo)
     # top boundary: inflow from vacuum, qhat = 0
 
-    if sigma_t_fn is not None:
-        sig_q = np.asarray(sigma_t_fn(energies))
-        for g in range(ng):
-            block = np.einsum("q,qi,qj->ij", w * sig_q[g], p, p) * jac
-            sl = slice(g * nl, (g + 1) * nl)
-            g_mat[sl, sl] += block
+    # removal: + Int sigma_t phi_test phi_trial
+    sig_q = np.asarray(sigma_t_fn(energies))
+    for g in range(ng):
+        block = np.einsum("q,qi,qj->ij", w * sig_q[g], p, p) * jac
+        sl = slice(g * nl, (g + 1) * nl)
+        g_mat[sl, sl] += block
 
-    if t_fn is not None:
-        kappa_q = 0.5 * np.asarray(t_fn(energies))
-        kappa_edges = 0.5 * np.asarray(t_fn(edge_e))
-        dp_hi = (2.0 / h) * np.array(
-            [
-                np.polynomial.legendre.legval(
-                    1.0, np.polynomial.legendre.legder(np.eye(nl)[j])
-                )
-                for j in range(nl)
-            ]
-        )
-        dp_lo = (2.0 / h) * np.array(
-            [
-                np.polynomial.legendre.legval(
-                    -1.0, np.polynomial.legendre.legder(np.eye(nl)[j])
-                )
-                for j in range(nl)
-            ]
-        )
-        for g in range(ng):
-            block = (
-                np.einsum("q,qi,qj->ij", w * kappa_q[g], dp, dp) * jac * (2.0 / h) ** 2
+    # straggling: symmetric interior-penalty diffusion with kappa = T/2
+    kappa_q = 0.5 * np.asarray(t_fn(energies))
+    kappa_edges = 0.5 * np.asarray(t_fn(edge_e))
+    dp_hi = (2.0 / h) * np.array(
+        [
+            np.polynomial.legendre.legval(
+                1.0, np.polynomial.legendre.legder(np.eye(nl)[j])
             )
-            sl = slice(g * nl, (g + 1) * nl)
-            g_mat[sl, sl] += block
-        for g in range(ng - 1):
-            kf = kappa_edges[g + 1]
-            sigma_pen = SIPG_ETA * kf / h
-            lo_sl = slice(g * nl, (g + 1) * nl)
-            hi_sl = slice((g + 1) * nl, (g + 2) * nl)
-            # traces: lower element at xi=1, upper element at xi=-1
-            # jump [v] = v_lo - v_hi, average {v} = (v_lo + v_hi)/2
-            trace = np.zeros((2, nl, 2))    # (side, mode, [value, derivative])
-            trace[0, :, 0], trace[0, :, 1] = p_hi, dp_hi
-            trace[1, :, 0], trace[1, :, 1] = p_lo, dp_lo
-            sides = (lo_sl, hi_sl)
-            sign = (1.0, -1.0)
-            for a in range(2):
-                for b in range(2):
-                    jump_a = sign[a] * trace[a, :, 0]
-                    jump_b = sign[b] * trace[b, :, 0]
-                    avg_da = 0.5 * kf * trace[a, :, 1]
-                    avg_db = 0.5 * kf * trace[b, :, 1]
-                    block = (
-                        -np.outer(jump_a, avg_db)
-                        - np.outer(avg_da, jump_b)
-                        + sigma_pen * np.outer(jump_a, jump_b)
-                    )
-                    g_mat[sides[a], sides[b]] += block
+            for j in range(nl)
+        ]
+    )
+    dp_lo = (2.0 / h) * np.array(
+        [
+            np.polynomial.legendre.legval(
+                -1.0, np.polynomial.legendre.legder(np.eye(nl)[j])
+            )
+            for j in range(nl)
+        ]
+    )
+    for g in range(ng):
+        block = (
+            np.einsum("q,qi,qj->ij", w * kappa_q[g], dp, dp) * jac * (2.0 / h) ** 2
+        )
+        sl = slice(g * nl, (g + 1) * nl)
+        g_mat[sl, sl] += block
+    for g in range(ng - 1):
+        kf = kappa_edges[g + 1]
+        sigma_pen = SIPG_ETA * kf / h
+        lo_sl = slice(g * nl, (g + 1) * nl)
+        hi_sl = slice((g + 1) * nl, (g + 2) * nl)
+        # traces: lower element at xi=1, upper element at xi=-1
+        # jump [v] = v_lo - v_hi, average {v} = (v_lo + v_hi)/2
+        trace = np.zeros((2, nl, 2))    # (side, mode, [value, derivative])
+        trace[0, :, 0], trace[0, :, 1] = p_hi, dp_hi
+        trace[1, :, 0], trace[1, :, 1] = p_lo, dp_lo
+        sides = (lo_sl, hi_sl)
+        sign = (1.0, -1.0)
+        for a in range(2):
+            for b in range(2):
+                jump_a = sign[a] * trace[a, :, 0]
+                jump_b = sign[b] * trace[b, :, 0]
+                avg_da = 0.5 * kf * trace[a, :, 1]
+                avg_db = 0.5 * kf * trace[b, :, 1]
+                block = (
+                    -np.outer(jump_a, avg_db)
+                    - np.outer(avg_da, jump_b)
+                    + sigma_pen * np.outer(jump_a, jump_b)
+                )
+                g_mat[sides[a], sides[b]] += block
 
     return space.mass_diagonal(), g_mat
 
 
-def march_ray_reference(segments, operators, psi0, max_step=0.01):
+def march_ray_reference(segments, operators, psi0):
     """(averages, residuals, psi_exit) of a Crank-Nicolson ray march, each
     system factored densely within the march.
 
-    The LU factors and right-hand sides are cached per (material key,
-    round(dz, 14)) for this march only, built by the first step of each
-    class; every step solves with lu_solve.
+    Each segment half takes the fewest equal steps of at most
+    MAX_STEP_CM. The LU factors and right-hand sides are cached per
+    (material key, round(dz, 14)) for this march only, built by the first
+    step of each class; every step solves with lu_solve.
     """
     space = operators.space
     mass = space.mass_diagonal()
@@ -360,7 +361,7 @@ def march_ray_reference(segments, operators, psi0, max_step=0.01):
     residuals = np.empty(len(segments))
     for k, (_, length, key) in enumerate(segments):
         s_min = operators[key][1]
-        n_sub = max(1, math.ceil(0.5 * length / max_step))
+        n_sub = max(1, math.ceil(0.5 * length / MAX_STEP_CM))
         dz = 0.5 * length / n_sub
         lu, rhs = stepper(key, dz)
         residual = 0.0

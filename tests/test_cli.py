@@ -1,5 +1,6 @@
 """Command-line interface and exit codes."""
 
+import json
 import re
 import shutil
 from pathlib import Path
@@ -106,6 +107,12 @@ class TestRunCompare:
         dlra_copy.write_bytes(dose_dlra.read_bytes())
 
         assert main(["oracle", str(path)]) == 0
+        # the oracle's peak memory: the state (288 cells x 9 moments) and
+        # the state plus its workspace, as the manifest counts them, in MiB
+        d = json.loads((run_dir / "manifest.json").read_text())["diagnostics"]
+        assert d["peak_state_numbers"] == 288 * 9 < d["peak_transient_numbers"]
+        assert (f"memory: peak state {288 * 9 * 8 / 2**20:.3f} MiB, peak with transients "
+                f"{d['peak_transient_numbers'] * 8 / 2**20:.3f} MiB\n") in capsys.readouterr().out
         assert main(["compare", str(dlra_copy), str(dose_dlra)]) == 0
         out = capsys.readouterr().out
         line = [ln for ln in out.splitlines() if "relative L2" in ln][0]

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import naive_fullrank_step
+from oracles import naive_fullrank_step, naive_rk4
 from pndose.angular import PNOperators
 from pndose.dlra import ScatteringContext, StreamingContext, rk4
 from pndose.driver import FullRankSolver
@@ -63,6 +63,32 @@ class TestStreaming:
 
         y = rk4(constant, np.zeros((5, 3)), 0.7)
         np.testing.assert_allclose(y, 0.7 * c, atol=1e-15)
+
+    @pytest.mark.parametrize("dt", [0.7, 1e-3, 3.1e5])
+    def test_rk4_is_the_four_stage_form(self, dt):
+        # the two-array step equals the textbook step with fresh arrays bit
+        # for bit, for a linear f that forms its product apart and for an
+        # f that computes elementwise in its out. Stages 2 to 4 are handed
+        # out = x, so each slope is written over its own stage input
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((6, 6))
+        y0 = rng.standard_normal((9, 6))
+
+        def linear(x, out):
+            out[...] = x @ a
+            aliased.append(out is x)
+
+        def elementwise(x, out):
+            np.multiply(x, x, out=out)
+            np.subtract(1.0, out, out=out)
+            aliased.append(out is x)
+
+        for f, textbook in ((linear, lambda x: x @ a), (elementwise, lambda x: 1.0 - x * x)):
+            aliased = []
+            y = y0.copy()
+            assert rk4(f, y, dt) is y
+            assert np.array_equal(y, naive_rk4(textbook, y0, dt))
+            assert aliased == [False, True, True, True]
 
     def test_blowup_detected(self):
         grid, ctx = advection_context()
@@ -241,19 +267,38 @@ class TestWorkspaceStep:
             tracemalloc.stop()
         assert max(peaks[1:]) <= 0.5 * state_bytes, [p / state_bytes for p in peaks]
 
+    def test_workspace_numbers_on_the_preset30_grid(self):
+        # 10 x 10 x 30 cells at P7 (m = 64, 2k = 56): the state and rk4's
+        # two arrays, rings of 256 + 2 * 2 stride_d rows (260, 296 and 656),
+        # one 256-cell slab and the 49 800 folded pair entries
+        grid = Grid3D(10, 10, 30, 0.1, 0.1, 0.1)
+        stencils, ops = build_stencils(grid), PNOperators.build(7)
+        work = FullRankWorkspace(stencils, ops)
+        assert stencils.stacked.nnz == 49_800
+        assert 3000 * 64 + work.numbers == 3 * 3000 * 64 + (260 + 296 + 656 + 256) * 56 + 49_800
+        assert 3000 * 64 + work.numbers == 708_008
+
     def test_peak_transient_numbers_count_the_workspace(self):
         # the state plus every workspace buffer, as tracemalloc sees the
-        # solver allocate them: rk4's three (n, m) arrays, the (n, 2k)
-        # characteristic product, one slab of its stencil product and the
-        # folded pair entries, one per stencil entry. The pairs themselves
-        # are operators of the grid, like the stencil stack, and are
-        # formed before tracing starts.
+        # solver allocate them: rk4's two (n, m) arrays, one ring of the
+        # characteristic product per axis, one slab of its stencil product
+        # and the folded pair entries, one per stencil entry. With 256-cell
+        # slabs on n = 520 cells a ring spans, at its widest slab [256,
+        # 512), from the lowest row the slab reads to c1 + 2 stride_d:
+        # x from 256 (cell 256 starts an x row) to 514, y from 248 to 520
+        # and z from 216 to 520. Beside them the workspace holds the pairs'
+        # column indices mapped to the rings, one int32 per stencil entry,
+        # and a few KiB of Python objects, the slab plan and array headers.
+        # The pairs themselves are operators of the grid, like the stencil
+        # stack, and are formed before tracing starts.
         grid = Grid3D(4, 5, 26, 0.1, 0.1, 0.1)
         stream_ctx, _ = oracle_contexts(grid, 7, 1, np.random.default_rng(31))
         ops, stencils = stream_ctx.ops, stream_ctx.stencils
         n, m = grid.n_cells, ops.basis.size
         width = ops.forward_rotation[0].shape[1]
-        assert SLAB_CELLS < n and sum(p.nnz for p in stencils.pairs) == stencils.stacked.nnz
+        assert SLAB_CELLS == 256 and n == 520
+        assert sum(p.nnz for p in stencils.pairs) == stencils.stacked.nnz
+        assert stencils.stacked.indices.dtype == np.int32
         tracemalloc.start()
         try:
             solver = oracle_solver(stream_ctx)
@@ -262,5 +307,6 @@ class TestWorkspaceStep:
             tracemalloc.stop()
         assert solver.peak_state_numbers == n * m
         assert solver.peak_transient_numbers == (
-            4 * n * m + (n + SLAB_CELLS) * width + stencils.stacked.nnz)
-        assert abs(allocated - 8 * solver.peak_transient_numbers) < 4096
+            3 * n * m + (258 + 272 + 304 + SLAB_CELLS) * width + stencils.stacked.nnz)
+        assert abs(allocated - 8 * solver.peak_transient_numbers
+                   - 4 * stencils.stacked.nnz) < 8192

@@ -337,7 +337,9 @@ class TestStreaming:
         # 7-cell slabs the z pair of the three-axis grid reads 40 cells,
         # several slabs, ahead, and on the one-axis grid the pair's reach
         # ends one row short of the last (24 = 3 * 7 + 2 + 1). One
-        # workspace serves two stopping powers.
+        # workspace serves two stopping powers. With out = u the result is
+        # the same: the first pass of each slab has read every row of u
+        # below c1 into the rings before the second writes out[c0:c1].
         monkeypatch.setattr(spatial, "SLAB_CELLS", slab_cells)
         rng = np.random.default_rng(41)
         st = build_stencils(grid)
@@ -349,33 +351,54 @@ class TestStreaming:
             inv_s = 1.0 / rng.uniform(5.0, 15.0, grid.n_cells)
             apply_streaming(u, inv_s, st, ops, out, work)
             assert np.array_equal(out, whole_array_streaming(u, inv_s, st, ops))
+            assert apply_streaming(u, inv_s, st, ops, u, work) is u
+            assert np.array_equal(u, out)
 
     @pytest.mark.parametrize("grid", [
         Grid3D(1, 1, 24, 1.0, 1.0, 0.1),
         Grid3D(4, 5, 6, 0.25, 0.2, 0.3),
         Grid3D(3, 4, 5, 0.1, 0.1, 0.1),
+        Grid3D(3, 1, 25, 0.1, 1.0, 0.1),
     ])
     def test_plan_forms_each_row_once_before_it_is_read(self, grid, monkeypatch):
-        # the pair of axis d reads 2 stride_d cells ahead; per axis, the
-        # forward GEMMs cover every row once, in order, none of them on a
-        # single row, and each stencil slab finds the rows it reads formed
+        # the pair of axis d reads 2 stride_d cells ahead and behind. Run
+        # the plan on a model of the rings: per slab, the first pass forms
+        # each axis' rows in order, each row once, into ring row c mod R,
+        # none of the GEMMs on a single row; then the slab's stencil must
+        # find every row it reads in its ring, formed and not yet
+        # overwritten, also on the slab whose lookahead is bumped to n
         monkeypatch.setattr(spatial, "SLAB_CELLS", 7)
         st = build_stencils(grid)
-        work = StreamingWorkspace(st, PNOperators.build(1))
+        ops = PNOperators.build(1)
+        work = StreamingWorkspace(st, ops)
         n = grid.n_cells
         strides = (1, grid.nx, grid.nx * grid.ny)
-        assert len(work.plan) == len(st.active_axes)
-        for axis, pair, slabs in zip(st.active_axes, st.pairs, work.plan):
+        assert [(c0, c1) for c0, c1, _ in work.plan] == [
+            (c0, min(c0 + 7, n)) for c0 in range(0, n, 7)]
+        rows = [ring.size // ops.forward_rotation[a].shape[1]
+                for a, ring in zip(st.active_axes, work.rings)]
+        held = [np.full(r, -1) for r in rows]
+        formed = [0] * len(rows)
+        for c0, c1, forms in work.plan:
+            assert type(c0) is int and type(c1) is int and len(forms) == len(st.active_axes)
+            for j, pieces in enumerate(forms):
+                for r0, r1, p0 in pieces:
+                    assert all(type(b) is int for b in (r0, r1, p0))
+                    assert r0 == formed[j] and r1 - r0 > 1 and p0 + r1 - r0 <= rows[j]
+                    assert p0 == r0 % rows[j]
+                    held[j][p0:p0 + r1 - r0] = np.arange(r0, r1)
+                    formed[j] = r1
+            for j, pair in enumerate(st.pairs):
+                read = pair[2 * c0:2 * c1].indices >> 1
+                assert np.array_equal(held[j][read % rows[j]], read)
+        assert formed == [n] * len(rows)
+        for j, (axis, pair) in enumerate(zip(st.active_axes, st.pairs)):
+            # the ring spans one slab and the reach on either side, grown
+            # by a few rows where a wrap would leave a one-row GEMM
             assert pair_reach(pair) == 2 * strides[axis]
-            formed = 0
-            for c0, c1, f0, f1 in slabs:
-                assert f0 == formed <= f1 <= n and f1 - f0 != 1
-                formed = f1
-                assert (pair[2 * c0:2 * c1].indices >> 1).max() < formed
-            assert formed == n
-            assert [(c0, c1) for c0, c1, _, _ in slabs] == [
-                (c0, min(c0 + 7, n)) for c0 in range(0, n, 7)]
-            assert all(type(b) is int for slab in slabs for b in slab)
+            assert rows[j] <= min(n, 2 * (7 + 4 * strides[axis]))
+            cells = pair.indices >> 1
+            assert np.array_equal(work.columns[j], 2 * (cells % rows[j]) + (pair.indices & 1))
 
     @pytest.mark.parametrize("n_max, grid", [
         (7, Grid3D(4, 5, 6, 0.25, 0.2, 0.3)),

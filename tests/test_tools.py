@@ -19,7 +19,8 @@ def load_tool(name):
 
 
 def fingerprint_hashes(tool, capsys, *argv):
-    """{name: hash} of the one line dose_fingerprint prints for argv."""
+    """{name: value} of the one line dose_fingerprint prints for argv: the
+    hashes and the peak_transient_numbers."""
     assert tool.main(list(argv)) == 0
     (line,) = capsys.readouterr().out.splitlines()
     _, hashes = line.split(": ")
@@ -35,7 +36,10 @@ class TestDoseFingerprint:
         tool = load_tool("dose_fingerprint")
 
         first = fingerprint_hashes(tool, capsys, str(config))
-        assert set(first) == {"deposited", "rank_history", "diagnostics", "tables"}
+        assert set(first) == {"deposited", "rank_history", "diagnostics", "tables",
+                              "peak_transient_numbers"}
+        result = driver.run_simulation(driver.ProblemConfig.load(config))
+        assert first["peak_transient_numbers"] == str(result.diagnostics["peak_transient_numbers"])
         moments = driver.assemble_problem(driver.ProblemConfig.load(config)).moments
         tables = hashlib.sha256(moments.g.tobytes() + moments.xi1.tobytes())
         assert first["tables"] == tables.hexdigest()

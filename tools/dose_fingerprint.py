@@ -9,7 +9,10 @@ hash, of the run's scattering moment tables (the bytes of
 MomentTables.g, then of .xi1), shows a change to the tables without
 reading a dose. It covers all 12 element rows, including the rows of
 elements the phantom lacks, which the run leaves at zero rather than
-tabulating them.
+tabulating them. Beside the hashes the script prints the run's
+peak_transient_numbers, the float64 entries the solver held at its peak
+(state plus workspace), so that a change to the solvers' memory shows as
+a number, not only as a changed diagnostics hash.
 
 Run from the repository root, with the BLAS thread count pinned (doses
 depend on it):
@@ -77,6 +80,7 @@ def fingerprint(path: Path, solver: str, overrides, volumes):
             json.dumps(driver._jsonable(diagnostics), sort_keys=True).encode()
         ),
         "tables": sha256(moments.g.tobytes() + moments.xi1.tobytes()),
+        "peak_transient_numbers": result.diagnostics["peak_transient_numbers"],
     }
 
 
