@@ -3,23 +3,24 @@ outside tier-1.
 
 Each step case times one call of scattering_step, streaming_step, the
 K-phase right-hand side k_rhs (one sparse product of the stencil stack
-with S^-1 K and one batched contraction with the (terms, r, r) moment
-factors) or truncate at P7 (m = 64) on a random state: (n = 2520, r = 2) is the water90_lowrank benchmark grid at its
-rank, (n = 3000, r = 26) the preset30 grid at the mean rank a tight
+with S^-1 K and one batched contraction with the (axes, 2, r, r) moment
+factors) or truncate at P7 (m = 64) on a random state: (n = 2520,
+r = 2) is the water90_lowrank benchmark grid at its rank,
+(n = 3000, r = 26) the preset30 grid at the mean rank a tight
 truncation tolerance reaches there (~26 at 3e-4 with a Wentzel scattering
 kernel). truncate takes an augmented state of rank 2r back to r. Two
 more cases time the oracle's streaming right-hand side, apply_streaming,
 on a dense (n, m = 64) moment matrix in a StreamingWorkspace whose
-stencil pairs already hold the step's 1/S, and its whole streaming step
+stencil entries already hold the step's 1/S, and its whole streaming step
 (folding 1/S, four right-hand sides and the RK4 updates, in place in a
 FullRankWorkspace), each on the preset30 benchmark grid (n = 3000), the
 20 x 20 x 30 acceptance grid (n = 12000) and the 20 x 20 x 70 grid of
-configs/ (n = 28000), all P7. On the last, the z stencil pair reads 800
+configs/ (n = 28000), all P7. On the last, the z stencil rows read 800
 cells ahead, several slabs, so the workspace's slab plan forms the
 characteristic product well ahead of the stencil slab it serves. One
-more case forms the interleaved stencil pairs (UpwindStencils.pairs,
-sliced from the stack's rows, once per oracle run) on the preset30 grid
-and the 20 x 20 x 70 grid.
+more case writes the stencil stack that both solvers share
+(build_stencils, once per run) on the preset30 grid and the
+20 x 20 x 70 grid.
 The ray-tracer cases use the water90_lowrank beam: 441 rays through
 6 x 6 x 70 water cells that share one Crank-Nicolson march. They time
 assemble_energy_operators for water (128 groups), the one march_ray of
@@ -47,7 +48,9 @@ thread count pinned:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest benchmarks --benchmark-only
 
-The tier-1 suite does not collect this directory (pyproject's testpaths).
+The tier-1 suite does not collect this directory (pyproject's testpaths);
+tests/test_tools.py runs it once with benchmarking disabled, as a smoke
+test of the names it calls.
 """
 
 import dataclasses
@@ -87,7 +90,6 @@ from pndose.raytracer import (
 from pndose.spatial import (
     Grid3D,
     StreamingWorkspace,
-    UpwindStencils,
     apply_streaming,
     build_stencils,
 )
@@ -142,7 +144,7 @@ def test_k_rhs(benchmark, case):
     state, stream_ctx, _ = case
     k = state.u @ state.s
     factors = stream_ctx._moment_factors(state.v)
-    assert factors.shape == (6, state.rank, state.rank)
+    assert factors.shape == (3, 2, state.rank, state.rank)
     out = benchmark(stream_ctx.k_rhs, k, factors, np.empty_like(k))
     assert out.shape == k.shape
 
@@ -165,11 +167,9 @@ ORACLE_GRIDS = pytest.mark.parametrize("grid", [Grid3D(10, 10, 30, 0.1, 0.1, 0.1
 
 @pytest.mark.parametrize("grid", [Grid3D(10, 10, 30, 0.1, 0.1, 0.1),
                                   Grid3D(20, 20, 70, 0.1, 0.1, 0.1)], ids=["n3000", "n28000"])
-def test_stencil_pairs(benchmark, grid):
-    stencils = build_stencils(grid)
-    # the cached property's function, which forms the pairs on each call
-    pairs = benchmark(UpwindStencils.pairs.func, stencils)
-    assert len(pairs) == 3
+def test_build_stencils(benchmark, grid):
+    stencils = benchmark(build_stencils, grid)
+    assert stencils.stacked.shape == (6 * grid.n_cells, grid.n_cells)
 
 
 @ORACLE_GRIDS

@@ -12,10 +12,11 @@ The projected right-hand sides never form the full n x m matrix: the
 moment-side rotations are contracted at width r, so one evaluation costs
 O(n m r) instead of O(n m^2). Each phase is one batched contraction over
 the upwind terms: the stored stencil stack is applied to S^-1 x (never
-rescaled) by one sparse product, whose (terms, n, r) result meets the
-(terms, r, r) factors of the phase in one batched matmul and one sum
-over the terms. The Galerkin (S) phase precontracts its spatial factors
-once per step, so each of its RK4 stages costs O(r^3). The implicit
+rescaled) by one sparse product, whose result, viewed as
+(axes, 2, n, r), meets the (axes, 2, r, r) factors of the phase in one
+batched matmul and one sum over the terms. The Galerkin (S) phase
+precontracts its spatial factors once per step, so each of its RK4
+stages costs O(r^3). The implicit
 scattering substep forms its m projected r x r systems with two GEMMs
 and solves them as one batched solve. Bases are orthonormalized by
 LAPACK's Householder QR, called directly.
@@ -181,11 +182,11 @@ class StreamingContext:
 
     No step builds a stencil operator of its own: the low-rank phases
     apply the stored stencil stack to S^-1 x, and the oracle's dense
-    full_rhs the same stencils as per-axis pairs formed once per run
-    (spatial.apply_streaming). The low-rank phases view the
-    stack's product with an n x r input as (terms, n, r), over the upwind
-    terms plus_x, minus_x, plus_y, ... of the active axes, and meet it
-    with (terms, r, r) moment factors in one batched matmul, so every K-
+    full_rhs the same stack, with 1/S folded into a copy of its entries
+    once per step (spatial.apply_streaming). The low-rank phases view the
+    stack's product with an n x r input as (axes, 2, n, r), over the
+    upwind terms (plus, minus) of the active axes, and meet it with
+    (axes, 2, r, r) moment factors in one batched matmul, so every K-
     and L-phase right-hand side is one contraction at width r and every
     S-phase one is r x r products only; no n x m intermediate is ever
     formed.
@@ -196,9 +197,10 @@ class StreamingContext:
     ops: PNOperators
 
     def derivatives(self, x: np.ndarray) -> np.ndarray:
-        """D_j S^-1 x over the upwind terms j, (terms, n, r), from one sparse product."""
+        """D_j S^-1 x over the upwind terms j, (axes, 2, n, r), from one sparse product."""
         n, r = x.shape
-        return (self.stencils.stacked @ (self.inv_s[:, None] * x)).reshape(-1, n, r)
+        products = self.stencils.stacked @ (self.inv_s[:, None] * x)
+        return products.reshape(-1, n, 2, r).swapaxes(1, 2)
 
     def full_rhs(self, u: np.ndarray, out=None, work=None) -> np.ndarray:
         """F_S(u) on the dense n x m matrix, written into out, which may be u
@@ -206,29 +208,27 @@ class StreamingContext:
         return apply_streaming(u, self.inv_s, self.stencils, self.ops, out, work)
 
     def _moment_factors(self, w: np.ndarray) -> np.ndarray:
-        """W^T V_d L+-_d V_d^T W over the upwind terms, (terms, r, r), for a moment basis W."""
+        """W^T V_d L+-_d V_d^T W over the upwind terms, (axes, 2, r, r), for a moment basis W."""
         axes = list(self.stencils.active_axes)
         c = w.T @ self.ops.eig_v[axes]                                   # (axes, r, m)
         lam = self.ops.lam_split[axes][:, :, None, :]                    # (axes, 2, 1, m)
-        factors = (c[:, None] * lam) @ c.transpose(0, 2, 1)[:, None]     # (axes, 2, r, r)
-        return factors.reshape(-1, w.shape[1], w.shape[1])
+        return (c[:, None] * lam) @ c.transpose(0, 2, 1)[:, None]
 
     def k_rhs(self, k: np.ndarray, factors, out: np.ndarray) -> np.ndarray:
         """F_S(K V0^T) V0 = -sum_j (D_j S^-1 K) F_j, from the moment factors of V0, into out."""
-        return np.negative((self.derivatives(k) @ factors).sum(axis=0), out=out)
+        return np.negative((self.derivatives(k) @ factors).sum(axis=(0, 1)), out=out)
 
     def l_step_factors(self, u0: np.ndarray):
-        """(A, Q) for the L phase over the upwind terms j: A (terms, m, m)
-        stacks A+-_d = V_d L+-_d V_d^T, Q (terms, r, r) the (D_j S^-1 U0)^T U0."""
-        m = self.ops.basis.size
-        a = self.ops.a_split[list(self.stencils.active_axes)].reshape(-1, m, m)
-        return a, self.derivatives(u0).transpose(0, 2, 1) @ u0
+        """(A, Q) for the L phase over the upwind terms j: A (axes, 2, m, m)
+        stacks A+-_d = V_d L+-_d V_d^T, Q (axes, 2, r, r) the (D_j S^-1 U0)^T U0."""
+        a = self.ops.a_split[list(self.stencils.active_axes)]
+        return a, self.derivatives(u0).swapaxes(2, 3) @ u0
 
     def s_step_factors(self, u_hat: np.ndarray, v_hat: np.ndarray):
         """Precontracted Galerkin-phase factors (P, F) over the upwind terms j.
 
-        P (terms, ru, ru) stacks the spatial projections U^T D_j S^-1 U^ and
-        F (terms, rv, rv) the moment factors V^T V_d L+-_d V_d^T V^, so that
+        P (axes, 2, ru, ru) stacks the spatial projections U^T D_j S^-1 U^ and
+        F (axes, 2, rv, rv) the moment factors V^T V_d L+-_d V_d^T V^, so that
         F_S projects to -sum_j P_j S F_j.
         """
         return u_hat.T @ self.derivatives(u_hat), self._moment_factors(v_hat)
@@ -239,7 +239,7 @@ class StreamingContext:
         the upwind terms j: F_S(U0 L^T)^T U0 (m x r) from the l_step_factors
         of U0, and U^T F_S(U^ S V^T) V^ in O(r^3) from the s_step_factors."""
         left, right = factors
-        return np.negative((left @ (y @ right)).sum(axis=0), out=out)
+        return np.negative((left @ (y @ right)).sum(axis=(0, 1)), out=out)
 
 
 def streaming_step(state: LowRankState, dt: float, ctx: StreamingContext) -> LowRankState:

@@ -9,9 +9,10 @@ A step allocates no n x m array: it runs in a FullRankWorkspace made once
 per run. rk4 advances the state in place through two n x m buffers, the
 accumulator and the stage, and each stage's right-hand side
 (spatial.apply_streaming) writes over its own input, working in the
-workspace's StreamingWorkspace, whose stencil pairs get the step's 1/S
-folded in once, by the first stage; the scattering step forms its rates
-and source in the workspace's scratch, which rk4 leaves free.
+workspace's StreamingWorkspace, whose copy of the stencil entries gets
+the step's 1/S folded in once, by the first stage; the scattering step
+forms its rates and source in the workspace's scratch, which rk4 leaves
+free.
 The RK4 updates and the scattering step keep the order of the textbook
 form with fresh arrays (tests/oracles.py) bit for bit; the streaming
 right-hand side sums each axis' two upwind terms in one GEMM and scales
@@ -56,9 +57,10 @@ def fullrank_streaming_step(u: np.ndarray, dt: float, ctx: StreamingContext,
     """One RK4 step of u' = F_S(u) on the dense moment matrix, in place;
     raises NumericalError on a non-finite state: before the step, with u
     left as handed in, or after it. The first stage folds the step's 1/S
-    into the stencil pairs; the other three hand apply_streaming the same
-    inv_s array and reuse it. max |u| is taken as max(max u, -min u),
-    which writes nothing and is NaN when u holds a NaN."""
+    into the workspace's copy of the stencil entries; the other three
+    hand apply_streaming the same inv_s array and reuse it. max |u| is
+    taken as max(max u, -min u), which writes nothing and is NaN when u
+    holds a NaN."""
     scale0 = np.maximum(u.max(), -u.min())
     if not np.isfinite(scale0):
         raise NumericalError(f"non-finite streaming state: max |u| {scale0:g} before the step")

@@ -400,8 +400,11 @@ def lift_to_grid(d1, grid, axis):
 
 
 def kron_stencil_stack(grid):
-    """(data, indices, indptr) of spatial.build_stencils' stack, each block
-    Kronecker-lifted and put in scipy's product order by D @ diag(1)."""
+    """(data, indices, indptr) of spatial.build_stencils' stack: per active
+    axis, the Kronecker-lifted plus and minus blocks, each put in scipy's
+    product order by D @ diag(1), with their rows interleaved, so that
+    row 2 a n + 2 c + s is row c of axis a's plus (s = 0) or minus (s = 1)
+    block."""
     n = grid.n_cells
     blocks = [
         lift_to_grid(d1, grid, axis) @ sparse.diags(np.ones(n))
@@ -409,23 +412,28 @@ def kron_stencil_stack(grid):
         for d1 in (axis_stencil_1d(size, h, True), axis_stencil_1d(size, h, False))
         if d1.nnz
     ]
+    interleaved = np.arange(2 * n).reshape(2, n).T.ravel()       # 0, n, 1, n + 1, ...
+    axes = [sparse.vstack(blocks[j:j + 2], format="csr")[interleaved]
+            for j in range(0, len(blocks), 2)]
     nnz = sum(b.nnz for b in blocks)
     index_dtype = np.int32 if max(nnz, len(blocks) * n) < 2**31 else np.int64
     indptr = np.zeros(len(blocks) * n + 1, dtype=index_dtype)
     start = 0
-    for j, block in enumerate(blocks):
-        indptr[j * n + 1:(j + 1) * n + 1] = block.indptr[1:] + start
-        start += block.nnz
-    data = np.concatenate([np.empty(0)] + [b.data for b in blocks])
-    indices = np.concatenate([np.empty(0, index_dtype)] + [b.indices for b in blocks])
+    for a, rows in enumerate(axes):
+        indptr[2 * a * n + 1:2 * (a + 1) * n + 1] = rows.indptr[1:] + start
+        start += rows.nnz
+    data = np.concatenate([np.empty(0)] + [rows.data for rows in axes])
+    indices = np.concatenate([np.empty(0, index_dtype)] + [rows.indices for rows in axes])
     return data, indices.astype(index_dtype), indptr
 
 
 def stack_terms(stencils):
-    """The upwind terms of the stencil stack in stack order, (n, n) each:
-    term j is the rows stacked[j n:(j+1) n], entries in the stack's order."""
+    """The upwind terms of the stencil stack in (axis, sign) order, (n, n)
+    each: term 2a + s is the rows 2 a n + 2 c + s over the cells c, entries
+    in the stack's order."""
     stacked, n = stencils.stacked, stencils.stacked.shape[1]
-    return [stacked[j * n:(j + 1) * n] for j in range(stacked.shape[0] // n)]
+    return [stacked[j // 2 * 2 * n + j % 2:(j // 2 + 1) * 2 * n:2]
+            for j in range(stacked.shape[0] // n)]
 
 
 def naive_streaming_rhs(u, ctx):
@@ -446,24 +454,30 @@ def whole_array_streaming(u, inv_s, stencils, ops):
     u [V+ V-] formed by one whole-array GEMM before its first stencil slab.
 
     The stencil and back products run on the same slabs of
-    spatial.SLAB_CELLS cells (read at call time) with the pair entries
-    scaled by 1/S of their column cell, so only the forward product's
-    order of evaluation differs from apply_streaming.
+    spatial.SLAB_CELLS cells (read at call time) with the axis' rows of
+    the stack read at the columns 2c' + s of y viewed as (2n, k) and their
+    entries scaled by 1/S of their column cell c', so only the forward
+    product's order of evaluation differs from apply_streaming.
     """
     n, h = u.shape[0], min(spatial.SLAB_CELLS, u.shape[0])
+    stack = stencils.stacked
     out = np.zeros(u.shape)
-    for j, (axis, pair) in enumerate(zip(stencils.active_axes, stencils.pairs)):
+    for a, axis in enumerate(stencils.active_axes):
         forward, back = ops.forward_rotation[axis], ops.back_rotation[axis]
         width = forward.shape[1]
-        values = inv_s[pair.indices >> 1] * pair.data
+        ptr = stack.indptr[2 * a * n:2 * (a + 1) * n + 1]
+        cells = stack.indices[ptr[0]:ptr[-1]]
+        side = np.repeat(np.arange(2 * n) % 2, np.diff(ptr))
+        columns = (2 * cells + side).astype(ptr.dtype)
+        values = inv_s[cells] * stack.data[ptr[0]:ptr[-1]]
         y = u @ forward
         for c0 in range(0, n, h):
             c1 = min(c0 + h, n)
             z = np.zeros((c1 - c0, width))
             _sparsetools.csr_matvecs(2 * (c1 - c0), 2 * n, width // 2,
-                                     pair.indptr[2 * c0:2 * c1 + 1], pair.indices, values,
+                                     ptr[2 * c0:2 * c1 + 1] - ptr[0], columns, values,
                                      y.ravel(), z.ravel())
-            blas.dgemm(1.0, back.T, z.T, beta=float(j > 0),
+            blas.dgemm(1.0, back.T, z.T, beta=float(a > 0),
                        c=out[c0:c1].T, overwrite_c=True)
     return out
 

@@ -145,7 +145,8 @@ class TestStreamingStep:
 
     def test_projected_rhs_match_naive(self):
         # k/l/s right-hand sides agree with reconstructing the full matrix;
-        # each phase's factors stack the upwind terms on their first axis
+        # each phase's factors stack the upwind terms on their first two
+        # axes, (axis, sign)
         rng = np.random.default_rng(3)
         grid = Grid3D(5, 4, 6, 0.2, 0.25, 0.2)
         ops = PNOperators.build(2)
@@ -160,19 +161,19 @@ class TestStreamingStep:
         s = rng.standard_normal((r, r))
 
         k_factors = ctx._moment_factors(v0)
-        assert k_factors.shape == (6, r, r)
+        assert k_factors.shape == (3, 2, r, r)
         naive_k = ctx.full_rhs(k @ v0.T) @ v0
         np.testing.assert_allclose(
             ctx.k_rhs(k, k_factors, np.empty_like(k)), naive_k, atol=1e-12
         )
         a, q = ctx.l_step_factors(u0)
-        assert a.shape == (6, m, m) and q.shape == (6, r, r)
+        assert a.shape == (3, 2, m, m) and q.shape == (3, 2, r, r)
         naive_l = ctx.full_rhs(u0 @ l.T).T @ u0
         np.testing.assert_allclose(
             ctx.galerkin_rhs(l, (a, q), np.empty_like(l)), naive_l, atol=1e-12
         )
         p, f = ctx.s_step_factors(u0, v0)
-        assert p.shape == f.shape == (6, r, r)
+        assert p.shape == f.shape == (3, 2, r, r)
         naive_s = u0.T @ ctx.full_rhs(u0 @ s @ v0.T) @ v0
         np.testing.assert_allclose(
             ctx.galerkin_rhs(s, (p, f), np.empty_like(s)), naive_s, atol=1e-12
@@ -196,20 +197,20 @@ class TestStreamingStep:
         v0 = orthonormal_columns(rng.standard_normal((m, r)))
         k = rng.standard_normal((n, r))
         l = rng.standard_normal((m, r))
-        terms = 2 * len(ctx.stencils.active_axes)
+        axes = len(ctx.stencils.active_axes)
 
         def check(got, want):
             assert got.shape == np.shape(want)
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
         check(ctx._moment_factors(v0), np.reshape(per_term_moment_factors(ctx, v0),
-                                                  (terms, r, r)))
+                                                  (axes, 2, r, r)))
         check(ctx.k_rhs(k, ctx._moment_factors(v0), np.empty_like(k)),
               per_term_k_rhs(ctx, k, v0))
         check(ctx.galerkin_rhs(l, ctx.l_step_factors(u0), np.empty_like(l)),
               per_term_l_rhs(ctx, l, u0))
         for got, want in zip(ctx.s_step_factors(u0, v0), per_term_s_step_factors(ctx, u0, v0)):
-            check(got, np.reshape(want, (terms, r, r)))
+            check(got, np.reshape(want, (axes, 2, r, r)))
     def test_rank1_advection_matches_full_step(self):
         # single augmented BUG step vs the full-rank RK4 step; the S-phase
         # Galerkin projection deviates at O(dt^3), so a small step lands

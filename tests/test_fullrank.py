@@ -270,7 +270,7 @@ class TestWorkspaceStep:
     def test_workspace_numbers_on_the_preset30_grid(self):
         # 10 x 10 x 30 cells at P7 (m = 64, 2k = 56): the state and rk4's
         # two arrays, rings of 256 + 2 * 2 stride_d rows (260, 296 and 656),
-        # one 256-cell slab and the 49 800 folded pair entries
+        # one 256-cell slab and the 49 800 folded stencil entries
         grid = Grid3D(10, 10, 30, 0.1, 0.1, 0.1)
         stencils, ops = build_stencils(grid), PNOperators.build(7)
         work = FullRankWorkspace(stencils, ops)
@@ -282,22 +282,21 @@ class TestWorkspaceStep:
         # the state plus every workspace buffer, as tracemalloc sees the
         # solver allocate them: rk4's two (n, m) arrays, one ring of the
         # characteristic product per axis, one slab of its stencil product
-        # and the folded pair entries, one per stencil entry. With 256-cell
+        # and the folded stencil entries, one per stack entry. With 256-cell
         # slabs on n = 520 cells a ring spans, at its widest slab [256,
         # 512), from the lowest row the slab reads to c1 + 2 stride_d:
         # x from 256 (cell 256 starts an x row) to 514, y from 248 to 520
-        # and z from 216 to 520. Beside them the workspace holds the pairs'
+        # and z from 216 to 520. Beside them the workspace holds the stack's
         # column indices mapped to the rings, one int32 per stencil entry,
         # and a few KiB of Python objects, the slab plan and array headers.
-        # The pairs themselves are operators of the grid, like the stencil
-        # stack, and are formed before tracing starts.
+        # The stack itself is an operator of the grid, built before
+        # tracing starts, and the workspace holds no copy of it.
         grid = Grid3D(4, 5, 26, 0.1, 0.1, 0.1)
         stream_ctx, _ = oracle_contexts(grid, 7, 1, np.random.default_rng(31))
         ops, stencils = stream_ctx.ops, stream_ctx.stencils
         n, m = grid.n_cells, ops.basis.size
         width = ops.forward_rotation[0].shape[1]
         assert SLAB_CELLS == 256 and n == 520
-        assert sum(p.nnz for p in stencils.pairs) == stencils.stacked.nnz
         assert stencils.stacked.indices.dtype == np.int32
         tracemalloc.start()
         try:

@@ -21,7 +21,6 @@ from pndose.spatial import (
     StreamingWorkspace,
     apply_streaming,
     build_stencils,
-    pair_reach,
 )
 
 
@@ -172,38 +171,42 @@ class TestStencils:
 
     @pytest.mark.parametrize("grid", [Grid3D(*shape, 0.1, 0.2, 0.3) for shape in STACK_SHAPES])
     def test_pairs_interleave_the_blocks(self, grid):
-        # row 2c + s of axis j's pair holds the entries of stack row
-        # (2j + s) n + c, the row of cell c in the axis' plus (s = 0) or
-        # minus (s = 1) term, in the same order, at the columns 2c' + s
+        # stack row 2 a n + 2 c + s is row c of the kron-lifted term 2a + s,
+        # the axis' plus (s = 0) or minus (s = 1) stencil, with its entries
+        # in the order of D @ diag(1): each cell's two rows are a pair
         st = build_stencils(grid)
         n, stacked = grid.n_cells, st.stacked
-        assert len(st.pairs) == len(st.active_axes)
-        for j, pair in enumerate(st.pairs):
-            assert pair.shape == (2 * n, 2 * n)
-            assert pair.indices.dtype == pair.indptr.dtype == stacked.indices.dtype
-            for s in (0, 1):
-                ptr = stacked.indptr[(2 * j + s) * n:(2 * j + s + 1) * n + 1]
-                entries = slice(ptr[0], ptr[-1])
-                rows = pair[s::2]
-                assert np.array_equal(rows.indptr, ptr - ptr[0])
-                assert np.array_equal(rows.data, stacked.data[entries])
-                assert np.array_equal(rows.indices, 2 * stacked.indices[entries] + s)
-            assert pair.nnz == stacked.indptr[2 * (j + 1) * n] - stacked.indptr[2 * j * n]
+        terms = lifted_terms(grid, st.active_axes)
+        assert stacked.shape == (len(terms) * n, n)
+        ones = sparse.diags(np.ones(n))
+        for j, d in enumerate(terms):
+            rows = stacked[2 * (j // 2) * n + 2 * np.arange(n) + j % 2]
+            product = d @ ones
+            for got, want in zip((rows.data, rows.indices, rows.indptr),
+                                 (product.data, product.indices, product.indptr)):
+                assert np.array_equal(got, want)
 
     def test_pair_kernel_is_the_sparse_product(self):
-        # scipy's csr_matvecs, called on a zeroed slab with a slice of the
-        # pair's indptr, gives the rows of pair @ y bit for bit
+        # scipy's csr_matvecs, called on a zeroed slab with a slice of an
+        # axis' rows of the stack's indptr and the columns mapped to
+        # 2c' + s, gives on y viewed as (n, 2, k) the rows of each term's
+        # product with its half y[:, s], bit for bit
         rng = np.random.default_rng(12)
         grid = Grid3D(4, 3, 5, 0.1, 0.2, 0.3)
         n, k = grid.n_cells, 6
-        y = rng.standard_normal((2 * n, k))
-        for pair in build_stencils(grid).pairs:
-            want = pair @ y
+        y = rng.standard_normal((n, 2, k))
+        st = build_stencils(grid)
+        stacked, terms = st.stacked, stack_terms(st)
+        side = np.repeat(np.arange(stacked.shape[0]) % 2, np.diff(stacked.indptr))
+        columns = (2 * stacked.indices + side).astype(stacked.indices.dtype)
+        for a in range(len(st.active_axes)):
+            ptr = stacked.indptr[2 * a * n:2 * (a + 1) * n + 1]
             for c0, c1 in ((0, n), (7, 19), (n - 5, n)):
-                z = np.zeros((2 * (c1 - c0), k))
-                _sparsetools.csr_matvecs(2 * (c1 - c0), 2 * n, k, pair.indptr[2 * c0:2 * c1 + 1],
-                                         pair.indices, pair.data, y.ravel(), z.ravel())
-                assert np.array_equal(z, want[2 * c0:2 * c1])
+                z = np.zeros((c1 - c0, 2, k))
+                _sparsetools.csr_matvecs(2 * (c1 - c0), 2 * n, k, ptr[2 * c0:2 * c1 + 1],
+                                         columns, stacked.data, y.ravel(), z.ravel())
+                for s in (0, 1):
+                    assert np.array_equal(z[:, s], (terms[2 * a + s] @ y[:, s])[c0:c1])
 
     @pytest.mark.parametrize("shape", STACK_SHAPES)
     def test_stack_equals_kron_product(self, shape):
@@ -334,8 +337,8 @@ class TestStreaming:
     def test_slab_pipeline_is_the_whole_array_form(self, slab_cells, grid, monkeypatch):
         # forming each axis' characteristic product slab by slab, just
         # ahead of the stencil slabs that read it, changes no bit; with
-        # 7-cell slabs the z pair of the three-axis grid reads 40 cells,
-        # several slabs, ahead, and on the one-axis grid the pair's reach
+        # 7-cell slabs the z rows of the three-axis grid read 40 cells,
+        # several slabs, ahead, and on the one-axis grid the rows' reach
         # ends one row short of the last (24 = 3 * 7 + 2 + 1). One
         # workspace serves two stopping powers. With out = u the result is
         # the same: the first pass of each slab has read every row of u
@@ -354,6 +357,42 @@ class TestStreaming:
             assert apply_streaming(u, inv_s, st, ops, u, work) is u
             assert np.array_equal(u, out)
 
+    def test_workspace_holds_each_stencil_entry_twice_at_most(self):
+        # the stack is the one stored form of the stencils: per entry, the
+        # workspace holds only its ring column and its folded value
+        grid = Grid3D(4, 5, 6, 0.25, 0.2, 0.3)
+        st = build_stencils(grid)
+        work = StreamingWorkspace(st, PNOperators.build(3))
+        assert work.stencils is st
+        arrays = {}
+        for name, value in vars(work).items():
+            for i, item in enumerate(value if isinstance(value, tuple) else (value,)):
+                if isinstance(item, np.ndarray):
+                    arrays[f"{name}[{i}]"] = item
+        per_entry = {name for name, a in arrays.items() if a.size == st.stacked.nnz}
+        assert per_entry == {"columns[0]", "values[0]"}
+        assert len(arrays) > len(per_entry)
+
+    def test_workspace_of_other_stencils_is_refused(self):
+        # a workspace applies the stencils it was made for; handed others,
+        # here of half the cell size, it must not quietly apply its own
+        grid = Grid3D(4, 5, 6, 0.2, 0.2, 0.2)
+        ops = PNOperators.build(3)
+        work = StreamingWorkspace(build_stencils(grid), ops)
+        finer = build_stencils(Grid3D(4, 5, 6, 0.1, 0.1, 0.1))
+        u = np.ones((grid.n_cells, ops.basis.size))
+        with pytest.raises(ValueError, match="other stencils"):
+            apply_streaming(u, np.ones(grid.n_cells), finer, ops, np.empty_like(u), work)
+
+    def test_workspace_of_another_pn_order_is_refused(self):
+        grid = Grid3D(4, 5, 6, 0.2, 0.2, 0.2)
+        st = build_stencils(grid)
+        work = StreamingWorkspace(st, PNOperators.build(3))
+        ops = PNOperators.build(7)
+        u = np.ones((grid.n_cells, ops.basis.size))
+        with pytest.raises(ValueError, match="PN order 3, not 7"):
+            apply_streaming(u, np.ones(grid.n_cells), st, ops, np.empty_like(u), work)
+
     @pytest.mark.parametrize("grid", [
         Grid3D(1, 1, 24, 1.0, 1.0, 0.1),
         Grid3D(4, 5, 6, 0.25, 0.2, 0.3),
@@ -361,7 +400,7 @@ class TestStreaming:
         Grid3D(3, 1, 25, 0.1, 1.0, 0.1),
     ])
     def test_plan_forms_each_row_once_before_it_is_read(self, grid, monkeypatch):
-        # the pair of axis d reads 2 stride_d cells ahead and behind. Run
+        # the rows of axis d read 2 stride_d cells ahead and behind. Run
         # the plan on a model of the rings: per slab, the first pass forms
         # each axis' rows in order, each row once, into ring row c mod R,
         # none of the GEMMs on a single row; then the slab's stencil must
@@ -371,7 +410,7 @@ class TestStreaming:
         st = build_stencils(grid)
         ops = PNOperators.build(1)
         work = StreamingWorkspace(st, ops)
-        n = grid.n_cells
+        n, stacked = grid.n_cells, st.stacked
         strides = (1, grid.nx, grid.nx * grid.ny)
         assert [(c0, c1) for c0, c1, _ in work.plan] == [
             (c0, min(c0 + 7, n)) for c0 in range(0, n, 7)]
@@ -388,17 +427,22 @@ class TestStreaming:
                     assert p0 == r0 % rows[j]
                     held[j][p0:p0 + r1 - r0] = np.arange(r0, r1)
                     formed[j] = r1
-            for j, pair in enumerate(st.pairs):
-                read = pair[2 * c0:2 * c1].indices >> 1
+            for j in range(len(st.active_axes)):
+                read = stacked[2 * j * n + 2 * c0:2 * j * n + 2 * c1].indices
                 assert np.array_equal(held[j][read % rows[j]], read)
         assert formed == [n] * len(rows)
-        for j, (axis, pair) in enumerate(zip(st.active_axes, st.pairs)):
+        for j, axis in enumerate(st.active_axes):
             # the ring spans one slab and the reach on either side, grown
             # by a few rows where a wrap would leave a one-row GEMM
-            assert pair_reach(pair) == 2 * strides[axis]
+            ptr = stacked.indptr[2 * j * n:2 * (j + 1) * n + 1]
+            entries = slice(ptr[0], ptr[-1])
+            rows_of = np.repeat(np.arange(2 * n), np.diff(ptr))
+            reach = (stacked.indices[entries] - rows_of // 2).max()
+            assert reach == 2 * strides[axis]
             assert rows[j] <= min(n, 2 * (7 + 4 * strides[axis]))
-            cells = pair.indices >> 1
-            assert np.array_equal(work.columns[j], 2 * (cells % rows[j]) + (pair.indices & 1))
+            assert np.array_equal(work.columns[entries],
+                                  2 * (stacked.indices[entries] % rows[j]) + rows_of % 2)
+        assert work.columns.dtype == stacked.indices.dtype
 
     @pytest.mark.parametrize("n_max, grid", [
         (7, Grid3D(4, 5, 6, 0.25, 0.2, 0.3)),
@@ -415,7 +459,7 @@ class TestStreaming:
         assert np.linalg.norm(fast - slow) <= 1e-12 * np.linalg.norm(slow)
 
     def test_stacked_entries_keep_the_sparse_product_order(self):
-        # block j of the stack is D_j @ diag(1) as scipy forms it, entry
+        # term j of the stack is D_j @ diag(1) as scipy forms it, entry
         # for entry, over the active axes only: that order fixes the sums
         # of every product with the stack, the oracle's included
         for g, active in ((Grid3D(5, 1, 6, 0.1, 0.1, 0.2), (0, 2)),
@@ -426,16 +470,16 @@ class TestStreaming:
             n = g.n_cells
             terms = lifted_terms(g, active)
             assert st.stacked.shape == (len(terms) * n, n)
-            for j, d in enumerate(terms):
-                block = st.stacked[j * n:(j + 1) * n]
+            for block, d in zip(stack_terms(st), terms):
                 product = d @ sparse.diags(np.ones(n))
                 assert np.array_equal(block.data, product.data)
                 assert np.array_equal(block.indices, product.indices)
                 assert np.array_equal(block.indptr, product.indptr)
 
     def test_stacked_products_are_the_per_term_products(self):
-        # one sparse product of the stack with S^-1 x is, row block by row
-        # block, each term's product with it, bit for bit
+        # one sparse product of the stack with S^-1 x, viewed as
+        # (axes, 2, n, r), is at [a, s] the product of axis a's plus
+        # (s = 0) or minus (s = 1) term with it, bit for bit
         rng = np.random.default_rng(4)
         g = Grid3D(4, 1, 5, 0.1, 0.1, 0.2)
         st = build_stencils(g)
@@ -444,9 +488,9 @@ class TestStreaming:
         x = rng.standard_normal((g.n_cells, 3))
         products = ctx.derivatives(x)
         terms = lifted_terms(g, (0, 2))
-        assert products.shape == (len(terms), g.n_cells, 3)
+        assert products.shape == (2, 2, g.n_cells, 3)
         ones = sparse.diags(np.ones(g.n_cells))
-        for d, product in zip(terms, products):
+        for d, product in zip(terms, products.reshape(-1, g.n_cells, 3)):
             assert np.array_equal(product, (d @ ones) @ (inv_s[:, None] * x))
 
     def test_no_active_axis_stacks_nothing(self):
@@ -454,8 +498,7 @@ class TestStreaming:
         assert st.active_axes == ()
         assert st.stacked.shape == (0, 1)
         ctx = StreamingContext(np.ones(1), st, PNOperators.build(1))
-        assert ctx.derivatives(np.ones((1, 2))).shape == (0, 1, 2)
-        assert st.pairs == ()
+        assert ctx.derivatives(np.ones((1, 2))).shape == (0, 2, 1, 2)
         assert np.array_equal(apply_streaming(np.ones((1, 4)), np.ones(1), st, ctx.ops),
                               np.zeros((1, 4)))
 

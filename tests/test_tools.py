@@ -2,8 +2,12 @@
 
 import hashlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
 import yaml
 
 from pndose import driver
@@ -50,3 +54,20 @@ class TestDoseFingerprint:
         assert uncorrected["deposited"] != first["deposited"]
         # the correction acts after the tables, which stay as they were
         assert uncorrected["tables"] == first["tables"]
+
+
+class TestMicroBenchmarks:
+    def test_suite_runs_with_benchmarking_disabled(self):
+        # tier-1 does not collect benchmarks/; run each case once, so that a
+        # name the suite calls cannot go missing unnoticed. The CT-like ray
+        # trace, the slowest case, is left out (a bare -k "not ct" would
+        # also drop the Crank-Nicolson "factor" case).
+        pytest.importorskip("pytest_benchmark")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                            os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "benchmarks", "--benchmark-disable",
+             "-k", "not oblique30_ct", "-q", "-p", "no:cacheprovider"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-4000:]
