@@ -2,7 +2,11 @@
 
 The basis is the real combination of complex spherical harmonics (with
 Condon-Shortley phase in the associated Legendre functions), flattened
-with p = l^2 + l + k (0-based) for degree l and order k.
+with p = l^2 + l + k (0-based) for degree l and order k. The associated
+Legendre functions P_l^k(mu) come from the three-term recurrence in l
+(see _legendre_table), which is exact at mu = +-1, the direction of an
+axis-aligned beam; scipy.special is used only by the tests, as the
+independent reference for it.
 
 Flux matrices A_d = Int m m^T Omega_d dOmega are assembled in closed form
 from the complex-basis ladder identities and rotated to the real basis
@@ -25,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lpmv
 
 from .errors import ConfigError, NumericalError
 
@@ -64,10 +67,37 @@ class PNBasis:
         return ell * ell + ell + k
 
 
+def _legendre_table(n_max: int, mu: float) -> np.ndarray:
+    """P[l, k] = P_l^k(mu) for 0 <= k <= l <= N, with the Condon-Shortley phase.
+
+    One upward sweep in l per order k, started from the running product
+    P_k^k = (-1)^k (2k-1)!! ((1-mu)(1+mu))^(k/2) and
+    P_{k+1}^k = mu (2k+1) P_k^k, then
+    (l-k) P_l^k = (2l-1) mu P_{l-1}^k - (l+k-1) P_{l-2}^k.
+    At mu = +-1 every step is exact: P_l^0 = (+-1)^l and P_l^k = 0 for k > 0.
+    Entries above the diagonal (k > l) are zero.
+    """
+    p = np.zeros((n_max + 1, n_max + 1))
+    sine = math.sqrt((1.0 - mu) * (1.0 + mu))
+    diagonal = 1.0
+    for k in range(n_max + 1):
+        if k:
+            diagonal *= -(2 * k - 1) * sine
+        p[k, k] = diagonal
+        if k < n_max:
+            p[k + 1, k] = mu * (2 * k + 1) * diagonal
+        for ell in range(k + 2, n_max + 1):
+            p[ell, k] = ((2 * ell - 1) * mu * p[ell - 1, k]
+                         - (ell + k - 1) * p[ell - 2, k]) / (ell - k)
+    return p
+
+
 def real_sph_eval(n_max: int, omega) -> np.ndarray:
     """Evaluate the real basis vector m(Omega), shape ((N+1)^2,).
 
-    omega must be a unit vector (checked to 1e-12).
+    omega must be a unit vector (checked to 1e-12). The Legendre factors
+    come from _legendre_table at mu = omega_z, so along +-z the vector is
+    exact: sqrt((2l+1)/(4 pi)) (+-1)^l at order 0 and zero elsewhere.
     """
     omega = np.asarray(omega, dtype=float)
     norm = float(np.linalg.norm(omega))
@@ -75,15 +105,16 @@ def real_sph_eval(n_max: int, omega) -> np.ndarray:
         raise ValueError(f"direction must be a unit vector, got |omega| = {norm!r}")
     mu = omega[2]
     phi = math.atan2(omega[1], omega[0])
+    legendre = _legendre_table(n_max, mu)
 
     out = np.empty((n_max + 1) ** 2)
     for ell in range(n_max + 1):
         base = ell * ell + ell
-        out[base] = _norm_factor(ell, 0) * lpmv(0, ell, mu)
+        out[base] = _norm_factor(ell, 0) * legendre[ell, 0]
         for k in range(1, ell + 1):
-            # lpmv carries the Condon-Shortley phase; the printed real
+            # the table carries the Condon-Shortley phase; the printed real
             # combination contributes another (-1)^k
-            val = (-1.0) ** k * math.sqrt(2.0) * _norm_factor(ell, k) * lpmv(k, ell, mu)
+            val = (-1.0) ** k * math.sqrt(2.0) * _norm_factor(ell, k) * legendre[ell, k]
             out[base + k] = val * math.cos(k * phi)
             out[base - k] = val * math.sin(k * phi)
     return out

@@ -7,6 +7,7 @@ data, 4 numerical, 5 I/O.
 """
 
 import argparse
+import resource
 import sys
 
 import numpy as np
@@ -31,6 +32,11 @@ def _plural(count, singular, plural=None):
     return f"{count} {singular if count == 1 else plural or singular + 's'}"
 
 
+def _peak_rss_mib():
+    """This process's peak resident set size in MiB (Linux reports ru_maxrss in KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def _cmd_run(args, solver):
     config = ProblemConfig.load(args.config)
     validate_output_paths(config)
@@ -44,7 +50,8 @@ def _cmd_run(args, solver):
     )
     print(
         f"memory: peak state {d['peak_state_numbers'] * 8 / 2**20:.3f} MiB, "
-        f"peak with transients {d['peak_transient_numbers'] * 8 / 2**20:.3f} MiB"
+        f"peak with transients {d['peak_transient_numbers'] * 8 / 2**20:.3f} MiB, "
+        f"process peak RSS {_peak_rss_mib():.1f} MiB"
     )
     print(
         f"rays: {sum(d['rays_per_beam'])} hit, {sum(d['rays_missed_per_beam'])} missed; "

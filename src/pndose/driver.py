@@ -937,6 +937,39 @@ def _write_csv(path, header, rows, formats):
             fh.write(",".join(format(value, spec) for value, spec in zip(row, formats)) + "\n")
 
 
+# Diagnostics that hold wall times. The manifest writes them as %.6e
+# (_Seconds), so its size does not depend on how long the run took.
+TIMING_DIAGNOSTICS = ("runtime_s", "phase_s", "energy_operator_s", "cn_factor_s")
+
+
+class _Seconds(float):
+    """A wall time, which _ManifestEncoder writes in the fixed width of %.6e."""
+
+
+class _ManifestEncoder(json.JSONEncoder):
+    """JSON encoder that writes _Seconds as %.6e and other floats as json.dumps does."""
+
+    def iterencode(self, o, _one_shot=False):
+        def floatstr(value):
+            if isinstance(value, _Seconds):
+                return format(value, ".6e")
+            return json.dumps(float(value))
+        return json.encoder._make_iterencode(
+            {}, self.default, json.encoder.encode_basestring_ascii, self.indent, floatstr,
+            self.key_separator, self.item_separator, self.sort_keys, self.skipkeys, _one_shot,
+        )(o, 0)
+
+
+def _fixed_width_times(diagnostics: dict) -> dict:
+    """A copy of diagnostics with every TIMING_DIAGNOSTICS value marked as _Seconds."""
+    out = dict(diagnostics)
+    for key in TIMING_DIAGNOSTICS:
+        value = out[key]
+        out[key] = ({name: _Seconds(v) for name, v in value.items()}
+                    if isinstance(value, dict) else _Seconds(value))
+    return out
+
+
 def write_outputs(result: SimulationResult):
     """Dose volume, depth/lateral profiles, rank history, run manifest."""
     config = result.problem.config
@@ -963,10 +996,10 @@ def write_outputs(result: SimulationResult):
         "name": config.name,
         "config": _jsonable(config.resolved),
         "data_checksums": _data_file_checksums(config),
-        "diagnostics": _jsonable(result.diagnostics),
+        "diagnostics": _jsonable(_fixed_width_times(result.diagnostics)),
     }
     with open(out / names["manifest"], "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, cls=_ManifestEncoder)
         fh.write("\n")
     return out
 

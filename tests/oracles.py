@@ -1,19 +1,20 @@
 """Independent oracle computations shared by the test modules.
 
 Everything here deliberately avoids the library's closed-form assembly
-paths: sphere integrals use product quadrature over basis evaluations,
-the Laplace-Beltrami matrix uses the integration-by-parts form with
-the associated-Legendre derivative recurrence, CSDA ranges integrate
-the shipped stopping tables by cumulative trapezoid, the grid traversal
-walks one cell at a time, the ray tracer's energy operator is
-accumulated one group and one face block at a time, the ray march
-factors its dense Crank-Nicolson systems afresh in every march, the
-upwind stencils are Kronecker-lifted and put in scipy's product order by
-a product with diag(1), the full-rank oracle's step allocates a fresh
-array for every stage and term, its streaming right-hand side forms each
-axis' characteristic product over the whole array before any stencil
-product reads it, and the low-rank kernels apply one upwind term (and
-the implicit scattering one element) at a time.
+paths: the reference basis vector uses scipy's lpmv, sphere integrals
+use product quadrature over basis evaluations, the Laplace-Beltrami matrix
+uses the integration-by-parts form with the associated-Legendre
+derivative recurrence, CSDA ranges integrate the shipped stopping tables
+by cumulative trapezoid, the grid traversal walks one cell at a time,
+the ray tracer's energy operator is accumulated one group and one face
+block at a time, the ray march factors its dense Crank-Nicolson systems
+afresh in every march, the upwind stencils are Kronecker-lifted and put
+in scipy's product order by a product with diag(1), the full-rank
+oracle's step allocates a fresh array for every stage and term, its
+streaming right-hand side forms each axis' characteristic product over
+the whole array before any stencil product reads it, and the low-rank
+kernels apply one upwind term (and the implicit scattering one element)
+at a time.
 """
 
 import math
@@ -113,6 +114,17 @@ def _mu_part_and_derivative(n_max, mu):
                 f[idx] = val
                 omf[idx] = dval
     return f, omf
+
+
+def real_sph_by_lpmv(n_max, omega):
+    """m(Omega) from scipy's lpmv: each index's mu factor times cos(k phi),
+    1 or sin(|k| phi) for order k > 0, 0 or < 0."""
+    f, _ = _mu_part_and_derivative(n_max, omega[2])
+    orders = np.concatenate([np.arange(-l, l + 1) for l in range(n_max + 1)])
+    phi = math.atan2(omega[1], omega[0])
+    azimuthal = np.where(orders > 0, np.cos(orders * phi),
+                         np.where(orders < 0, np.sin(-orders * phi), 1.0))
+    return f * azimuthal
 
 
 def laplace_beltrami_matrix(n_max, n_mu=200, n_phi=None):

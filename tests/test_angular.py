@@ -17,9 +17,21 @@ from pndose.angular import (
 from pndose.constants import ELEMENT_INDEX, ELEMENTS
 from pndose.physics.moliere import legendre_moments
 
-from oracles import flux_matrices_by_quadrature, gram_matrix
+from oracles import flux_matrices_by_quadrature, gram_matrix, real_sph_by_lpmv
 
 Y00 = 1.0 / math.sqrt(4.0 * math.pi)
+
+
+def reference_directions():
+    """64 random unit vectors, the axes, a direction 1e-6 rad off +z and the
+    10-degree beam of the shipped oblique configs."""
+    rng = np.random.default_rng(26)
+    random = rng.normal(size=(64, 3))
+    random /= np.linalg.norm(random, axis=1)[:, None]
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+    near_pole = [math.sin(1e-6), 0.0, math.cos(1e-6)]
+    oblique = [0.17364817766693033, 0.0, 0.984807753012208]
+    return [*random, *axes, near_pole, oblique]
 
 
 class TestBasis:
@@ -44,6 +56,25 @@ class TestBasis:
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ValueError, match="unit"):
             real_sph_eval(2, [0.0, 0.0, 1.1])
+
+    @pytest.mark.parametrize("n_max", [1, 3, 7, 15])
+    def test_matches_lpmv_reference(self, n_max):
+        for om in reference_directions():
+            np.testing.assert_allclose(real_sph_eval(n_max, om), real_sph_by_lpmv(n_max, om),
+                                       rtol=0.0, atol=1e-13, err_msg=f"omega = {om}")
+
+    @pytest.mark.parametrize("n_max", [1, 3, 7, 15])
+    def test_exact_along_z(self, n_max):
+        # the direction of every axis-aligned shipped beam: order 0 holds
+        # sqrt((2l+1)/(4 pi)) (+-1)^l, every other order exactly zero
+        basis = PNBasis(n_max)
+        for sign in (1.0, -1.0):
+            t = real_sph_eval(n_max, [0.0, 0.0, sign])
+            assert np.array_equal(t, real_sph_by_lpmv(n_max, [0.0, 0.0, sign]))
+            closed = np.where(basis.orders == 0,
+                              [math.sqrt((2 * l + 1) / (4.0 * math.pi)) * sign**l
+                               for l in basis.degrees], 0.0)
+            assert np.array_equal(t, closed)
 
     @pytest.mark.parametrize("n_max", [2, 8, 20])
     def test_orthonormal_gram(self, n_max):

@@ -1,8 +1,12 @@
 """Command-line interface and exit codes."""
 
 import json
+import os
 import re
+import resource
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +20,14 @@ from pndose.spatial import Grid3D
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED_CONFIGS = sorted((ROOT / "configs").glob("*.yaml")) + sorted(
     (ROOT / "perfbench" / "configs").glob("*.yaml"))
+
+
+def assert_process_peak_rss(out):
+    """The memory line ends with the process's peak RSS, which never falls."""
+    found = re.search(r"^memory: .*, process peak RSS ([\d.]+) MiB$", out, re.MULTILINE)
+    assert found, out
+    now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert 0.0 < float(found.group(1)) <= now + 0.05
 
 
 def smoke_config(tmp_path, **overrides):
@@ -101,6 +113,7 @@ class TestRunCompare:
         assert re.search(r"^phases: assembly [\d.]+ s, ray trace [\d.]+ s, contexts [\d.]+ s, "
                          r"streaming [\d.]+ s, scattering [\d.]+ s, truncation [\d.]+ s, "
                          r"uncollided tally [\d.]+ s$", out, re.MULTILINE)
+        assert_process_peak_rss(out)
         dose_dlra = run_dir / "dose.vtk"
         assert dose_dlra.exists()
         dlra_copy = tmp_path / "dose_dlra.vtk"
@@ -111,8 +124,10 @@ class TestRunCompare:
         # the state plus its workspace, as the manifest counts them, in MiB
         d = json.loads((run_dir / "manifest.json").read_text())["diagnostics"]
         assert d["peak_state_numbers"] == 288 * 9 < d["peak_transient_numbers"]
+        out = capsys.readouterr().out
         assert (f"memory: peak state {288 * 9 * 8 / 2**20:.3f} MiB, peak with transients "
-                f"{d['peak_transient_numbers'] * 8 / 2**20:.3f} MiB\n") in capsys.readouterr().out
+                f"{d['peak_transient_numbers'] * 8 / 2**20:.3f} MiB, process peak RSS ") in out
+        assert_process_peak_rss(out)
         assert main(["compare", str(dlra_copy), str(dose_dlra)]) == 0
         out = capsys.readouterr().out
         line = [ln for ln in out.splitlines() if "relative L2" in ln][0]
@@ -210,3 +225,16 @@ class TestTables:
         monkeypatch.setenv("PNDOSE_DATA_DIR", str(tmp_path))
         assert main(["tables", "check"]) == 3
         assert f"{name}: deviates from leggauss(256)" in capsys.readouterr().err
+
+
+class TestImportFootprint:
+    def test_entry_points_do_not_load_scipy_special(self):
+        # scipy.special adds ~3.7 MiB to every run's peak RSS; only the
+        # tests use it. A fresh interpreter sees what a run imports.
+        code = "import sys, pndose.driver, pndose.cli; print('scipy.special' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "False"

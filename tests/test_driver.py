@@ -862,11 +862,33 @@ class TestOutputs:
             assert manifest["diagnostics"][key] == res2.diagnostics[key] > 0
         for key in ("energy_operator_s", "cn_factor_s"):
             assert isinstance(manifest["diagnostics"][key], float)
-        assert manifest["diagnostics"]["phase_s"] == res2.diagnostics["phase_s"]
+        # wall times are written to seven significant digits (%.6e)
+        assert manifest["diagnostics"]["phase_s"] == {
+            phase: float(f"{seconds:.6e}")
+            for phase, seconds in res2.diagnostics["phase_s"].items()}
         assert manifest["diagnostics"]["moment_table_elements"] == list(
             res2.problem.moments.elements)
         assert "H.csv" in manifest["data_checksums"]
         assert "gauss_legendre_512.csv" in manifest["data_checksums"]
+
+    def test_manifest_size_does_not_depend_on_wall_times(self, tmp_path):
+        raw = smoke_raw()
+        raw["output"] = {"directory": str(tmp_path / "run")}
+        res = run_simulation(ProblemConfig.from_dict(raw))
+        d = res.diagnostics
+        sizes = []
+        for seconds in (0.5, 12.25):
+            d["runtime_s"] = d["energy_operator_s"] = d["cn_factor_s"] = seconds
+            d["phase_s"] = dict.fromkeys(d["phase_s"], seconds)
+            text = (write_outputs(res) / "manifest.json").read_text()
+            sizes.append(len(text.encode()))
+            assert f'"runtime_s": {seconds:.6e},' in text
+            written = json.loads(text)["diagnostics"]
+            for key in ("runtime_s", "energy_operator_s", "cn_factor_s"):
+                assert written[key] == seconds and isinstance(written[key], float)
+            assert written["phase_s"] == d["phase_s"]
+            assert written["n_steps"] == d["n_steps"]
+        assert sizes[0] == sizes[1]
 
     def test_manifest_checksum_tracks_table_changes(self, tmp_path, monkeypatch):
         cfg = ProblemConfig.from_dict(smoke_raw())

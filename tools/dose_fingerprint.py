@@ -39,9 +39,6 @@ import yaml
 
 from pndose import driver
 
-# Diagnostics that hold wall times: they differ from run to run.
-TIMING_DIAGNOSTICS = ("runtime_s", "phase_s", "energy_operator_s", "cn_factor_s")
-
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -65,7 +62,8 @@ def fingerprint(path: Path, solver: str, overrides, volumes):
         apply_override(raw, assignment)
     config = driver.ProblemConfig.from_dict(raw, base_dir=path.parent)
     result = driver.run_simulation(config, solver=solver)
-    diagnostics = {k: v for k, v in result.diagnostics.items() if k not in TIMING_DIAGNOSTICS}
+    diagnostics = {k: v for k, v in result.diagnostics.items()
+                   if k not in driver.TIMING_DIAGNOSTICS}
     moments = result.problem.moments
     if volumes is not None:
         volumes.mkdir(parents=True, exist_ok=True)
