@@ -8,25 +8,27 @@ factors) or truncate at P7 (m = 64) on a random state: (n = 2520,
 r = 2) is the water90_lowrank benchmark grid at its rank,
 (n = 3000, r = 26) the preset30 grid at the mean rank a tight
 truncation tolerance reaches there (~26 at 3e-4 with a Wentzel scattering
-kernel). truncate takes an augmented state of rank 2r back to r. Two
+kernel). truncate takes an augmented state of rank 2r back to r. Three
 more cases time the oracle's streaming right-hand side, apply_streaming,
 on a dense (n, m = 64) moment matrix in a StreamingWorkspace whose
-stencil entries already hold the step's 1/S, and its whole streaming step
-(folding 1/S, four right-hand sides and the RK4 updates, in place in a
-FullRankWorkspace), each on the preset30 benchmark grid (n = 3000), the
-20 x 20 x 30 acceptance grid (n = 12000) and the 20 x 20 x 70 grid of
-configs/ (n = 28000), all P7. On the last, the z stencil rows read 800
-cells ahead, several slabs, so the workspace's slab plan forms the
-characteristic product well ahead of the stencil slab it serves. One
-more case writes the stencil stack that both solvers share
-(build_stencils, once per run) on the preset30 grid and the
-20 x 20 x 70 grid.
+stencil entries already hold the step's 1/S; its whole streaming step
+(folding 1/S and four fused Horner stages, each one apply_streaming call
+that adds its stage onto the state in the back GEMMs, with no RK4 update
+passes, in place in a FullRankWorkspace); and its scattering step (one
+beam, rates and source formed in the workspace's stage array), each on
+the preset30 benchmark grid (n = 3000), the 20 x 20 x 30 acceptance grid
+(n = 12000) and the 20 x 20 x 70 grid of configs/ (n = 28000), all P7.
+On the last, the z stencil rows read 800 cells ahead, several slabs,
+so the workspace's slab plan forms the characteristic product well
+ahead of the stencil slab it serves. One more case writes the stencil
+stack that both solvers share (build_stencils, once per run) on the
+preset30 grid and the 20 x 20 x 70 grid.
 The ray-tracer cases use the water90_lowrank beam: 441 rays through
 6 x 6 x 70 water cells that share one Crank-Nicolson march. They time
-assemble_energy_operators for water (128 groups), the one march_ray of
-the beam, and trace_beam; the last two with the trace's EnergyOperators
-table already holding the water operator and its factors, as the second
-beam of a trace finds it. Two more time the Crank-Nicolson operator of
+assemble_energy_operators for water (128 groups, G written as CSR), the
+one march_ray of the beam, and trace_beam; the last two with the
+trace's EnergyOperators table already holding the water operator and
+its factors, as the second beam of a trace finds it. Two more time the Crank-Nicolson operator of
 water at dz = 0.005 cm: its factorization, CrankNicolsonFactor.factor
 into a march's dense LU buffer, and a load of the stored pair,
 EnergyOperators.load, which expands the compact LU and writes the
@@ -76,7 +78,11 @@ from pndose.dlra import (
     streaming_step,
     truncate,
 )
-from pndose.fullrank import FullRankWorkspace, fullrank_streaming_step
+from pndose.fullrank import (
+    FullRankWorkspace,
+    fullrank_scattering_step,
+    fullrank_streaming_step,
+)
 from pndose.physics.moliere import DEFAULT_NODES, MomentTables, _gauss_nodes
 from pndose.raytracer import (
     CrankNicolsonFactor,
@@ -198,6 +204,26 @@ def test_fullrank_streaming_step(benchmark, grid):
     assert np.isfinite(u).all()
 
 
+@ORACLE_GRIDS
+def test_fullrank_scattering_step(benchmark, grid):
+    rng = np.random.default_rng(11)
+    ops = PNOperators.build(PN_ORDER)
+    n, m = grid.n_cells, ops.basis.size
+    g_diags = np.abs(rng.standard_normal((12, m))) * 1e-24
+    ctx = ScatteringContext(
+        element_weights=np.abs(rng.standard_normal((n, 12))) * 1e22,
+        inv_s=1.0 / rng.uniform(8.0, 20.0, n),
+        g_diags=g_diags,
+        sigma_t=g_diags.max(axis=1) * 1.5,
+        sources=[(np.abs(rng.standard_normal(n)), rng.standard_normal(m))],
+    )
+    u = rng.standard_normal((n, m))
+    work = FullRankWorkspace(build_stencils(grid), ops)
+    # a tiny step: the decay and the source stay bounded however often it runs
+    benchmark(fullrank_scattering_step, u, 1e-4, ctx, work.stage)
+    assert np.isfinite(u).all()
+
+
 # The water90_lowrank benchmark's moment-table energies and degree.
 WATER90_TABLE = (np.linspace(0.98 * 1.0, 1.02 * 94.5, 48), PN_ORDER + 1)
 
@@ -241,8 +267,8 @@ def water90():
 def test_assemble_energy_operators_water(benchmark, water90):
     problem, _, coefficients = water90
     (water,) = coefficients.values()
-    _, g_mat = benchmark(assemble_energy_operators, problem.space, *water)
-    assert g_mat.shape == (problem.space.n_dof, problem.space.n_dof)
+    _, g_csr = benchmark(assemble_energy_operators, problem.space, *water)
+    assert g_csr.shape == (problem.space.n_dof, problem.space.n_dof) and g_csr.nnz == 3_438
 
 
 def test_cn_factor_water(benchmark, water90):

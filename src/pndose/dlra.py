@@ -152,7 +152,9 @@ def rk4(f, y, dt, work=None):
     finite and dt/4 a normal number). The sums keep
     the textbook order, y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), so the
     result is bit for bit that of the four-stage form with fresh arrays.
-    Returns y.
+    Returns y. Only the low-rank K, L and S phases use it: the oracle's
+    linear streaming step runs the same polynomial in Horner form in
+    one stage array (fullrank.fullrank_streaming_step).
     """
     acc, stage = work if work is not None else (np.empty_like(y), np.empty_like(y))
     half = 0.5 * dt
@@ -202,10 +204,12 @@ class StreamingContext:
         products = self.stencils.stacked @ (self.inv_s[:, None] * x)
         return products.reshape(-1, n, 2, r).swapaxes(1, 2)
 
-    def full_rhs(self, u: np.ndarray, out=None, work=None) -> np.ndarray:
-        """F_S(u) on the dense n x m matrix, written into out, which may be u
-        (apply_streaming)."""
-        return apply_streaming(u, self.inv_s, self.stencils, self.ops, out, work)
+    def full_rhs(self, u: np.ndarray, out=None, work=None, scale=1.0, base=None) -> np.ndarray:
+        """base + scale F_S(u) on the dense n x m matrix (scale F_S(u)
+        without base), written into out, which may be u, base or both
+        (apply_streaming). The oracle's streaming step takes each of its
+        four Horner stages u + c dt F_S(s) as one call."""
+        return apply_streaming(u, self.inv_s, self.stencils, self.ops, out, work, scale, base)
 
     def _moment_factors(self, w: np.ndarray) -> np.ndarray:
         """W^T V_d L+-_d V_d^T W over the upwind terms, (axes, 2, r, r), for a moment basis W."""

@@ -693,7 +693,7 @@ class FullRankSolver:
         """Advance one step; returns (degree-0 moment (n,), rank)."""
         timed(self.phase_s, "streaming", fullrank_streaming_step, self.u, dt, stream_ctx, self.work)
         timed(self.phase_s, "scattering", fullrank_scattering_step, self.u, dt, scat_ctx,
-              self.work.scratch)
+              self.work.stage)
         return self.u[:, 0], min(self.u.shape)
 
 

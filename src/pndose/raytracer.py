@@ -195,7 +195,7 @@ def _outer(a, b):
 
 
 def assemble_energy_operators(space: EnergyDGSpace, s_star_fn, t_fn, sigma_t_fn):
-    """(mass diagonal, G) with M psi' + G psi = 0 along depth.
+    """(mass diagonal, G) with M psi' + G psi = 0 along depth, G as CSR.
 
     Coefficient callables map an energy array to values: the drift S*,
     the straggling T and the total cross section sigma_t.
@@ -209,6 +209,10 @@ def assemble_energy_operators(space: EnergyDGSpace, s_star_fn, t_fn, sigma_t_fn)
     per-group, per-face loop form (tests/oracles.py) bit for bit; that
     needs the Gram products scaled as (E * h/2) * (2/h), and each diagonal
     block to take its lower face's SIPG term before its upper face's.
+    The CSR arrays are written from the blocks, never from a dense G: row
+    (g, i) holds the columns of groups g-1, g and g+1 in ascending order,
+    exact zeros dropped, so they are the arrays of sparse.csr_matrix of
+    the dense G.
     """
     ng, nl, h = space.n_groups, space.n_local, space.width
     energies, w, p, dp = space.quadrature()
@@ -255,12 +259,19 @@ def assemble_energy_operators(space: EnergyDGSpace, s_star_fn, t_fn, sigma_t_fn)
     upper += sipg(0, 1)
     lower += sipg(1, 0)
 
-    g_mat = np.zeros((ng, nl, ng, nl))
-    groups = np.arange(ng)
-    g_mat[groups, :, groups] = diag
-    g_mat[groups[:-1], :, groups[1:]] = upper
-    g_mat[groups[1:], :, groups[:-1]] = lower
-    return space.mass_diagonal(), g_mat.reshape(space.n_dof, space.n_dof)
+    # row (g, i) of G: the blocks of groups g-1, g and g+1, zero off the grid
+    band = np.zeros((ng, nl, 3, nl))
+    band[1:, :, 0] = lower
+    band[:, :, 1] = diag
+    band[:-1, :, 2] = upper
+    first = np.arange(-nl, (ng - 1) * nl, nl, dtype=np.int32)[:, None, None, None]
+    columns = first + np.arange(3 * nl, dtype=np.int32).reshape(3, nl)
+    keep = band != 0.0
+    indptr = np.zeros(space.n_dof + 1, dtype=np.int32)
+    np.cumsum(keep.reshape(space.n_dof, -1).sum(axis=1), out=indptr[1:])
+    g_csr = sparse.csr_matrix((band[keep], np.broadcast_to(columns, band.shape)[keep], indptr),
+                              shape=(space.n_dof, space.n_dof))
+    return space.mass_diagonal(), g_csr
 
 
 def write_cn_rhs(mass, g_csr, dz, rhs_flat):
@@ -343,11 +354,10 @@ class EnergyOperators(dict):
     len(factors) the factorizations, cn_steps the Crank-Nicolson steps
     marched, and assembly_s and factor_s the seconds spent assembling
     and factoring. G is block-tridiagonal, so only its nonzeros are
-    stored (toarray gives the same matrix back bit for bit); an assembly
-    fills a dense G first, which lives only until the conversion. Hand
+    stored, as assemble_energy_operators writes them. Hand
     one table to the marches of a ray trace and drop it with the trace:
-    outside an assembly, the only dense operators of a trace are the two
-    buffers of its current march.
+    the only dense operators of a trace are the two buffers of its
+    current march.
     """
 
     def __init__(self, space: EnergyDGSpace, coefficients):
@@ -362,9 +372,9 @@ class EnergyOperators(dict):
     def __missing__(self, key):
         start = time.perf_counter()
         s_star_fn, t_fn, sigma_t_fn = self.coefficients[key]
-        g_mat = assemble_energy_operators(self.space, s_star_fn, t_fn, sigma_t_fn)[1]
+        g_csr = assemble_energy_operators(self.space, s_star_fn, t_fn, sigma_t_fn)[1]
         s_min = float(np.atleast_1d(s_star_fn(np.array([self.space.e_min])))[0])
-        self[key] = entry = (sparse.csr_matrix(g_mat), s_min)
+        self[key] = entry = (g_csr, s_min)
         self.assembly_s += time.perf_counter() - start
         return entry
 

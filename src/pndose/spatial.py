@@ -43,7 +43,10 @@ in one sparse product, in the same layout. The scaling is folded into a
 copy of the stack's entries once per step, not into the state on every
 call. A GEMM with the stacked back-rotation
 -[L^+ (V^+)^T; L^- (V^-)^T] then writes the output on the first axis and
-adds to it on the others.
+adds to it on the others. Handed a base array and a scale, the output
+slab takes base's rows and every axis' GEMM adds scale times its product
+(alpha = scale, beta = 1): base + scale F_S(u) with no elementwise pass,
+which is one Horner stage of the oracle's RK4 step.
 
 All products run on slabs of about SLAB_CELLS cells, so that each piece
 of y is still in cache when the stencil reads it, and each axis keeps of
@@ -325,29 +328,49 @@ class StreamingWorkspace:
         self.inv_s = inv_s
 
 
-def apply_streaming(u, inv_s, stencils: UpwindStencils, ops: PNOperators, out=None, work=None):
-    """F_S(u) for the transformed moments u (n, m); inv_s is 1/S per cell.
+def _overlaps(a, b) -> bool:
+    """Whether a and b share memory without being the same view of it
+    (one data pointer, shape and strides)."""
+    same = (a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
+            and a.shape == b.shape and a.strides == b.strides)
+    return not same and np.shares_memory(a, b)
+
+
+def apply_streaming(u, inv_s, stencils: UpwindStencils, ops: PNOperators, out=None, work=None,
+                    scale=1.0, base=None):
+    """base + scale F_S(u) for the transformed moments u (n, m), or
+    scale F_S(u) without base; inv_s is 1/S per cell.
 
     Linear in u, which is not checked for finiteness: the oracle's
-    streaming step checks its state once per step. The result is written
-    into out (n, m) and returned; out may be u itself, but no other array
-    that shares memory with u. work is a StreamingWorkspace made for these
-    stencils and the PN order of ops (ValueError otherwise); it is
-    allocated when not given, as is out. One stencil slab [c0, c1) of
-    cells at a time, following work.plan: first, per active axis, GEMMs
-    form the rows of y = u [V+ V-] (n, 2k) that the slab is the first to
-    read, into the axis' ring; then, per active axis, the axis' rows
-    2c + s of the stack for c in [c0, c1), with 1/S folded into their
-    entries and their columns mapped to the ring, act on the ring viewed
-    as (2R, k), which gives [D+ S^-1 y+, D- S^-1 y-] for rows c0..c1-1,
-    and one GEMM rotates that back, writing out[c0:c1] on the first axis
-    and adding to it (beta = 1) on the others.
+    streaming step checks its state once per step, and takes each of its
+    four Horner stages u + c dt F_S(s) as one call. The result is written
+    into out (n, m) and returned; out and base (n, m) may each be u
+    itself, and out may be base, but an array that shares memory with
+    another of the three without being the same view of it raises
+    ValueError. work is a StreamingWorkspace made for these stencils and
+    the PN order of ops (ValueError otherwise); it is allocated when not
+    given, as is out. One stencil slab [c0, c1) of cells at a time,
+    following work.plan: first, per active axis, GEMMs form the rows of
+    y = u [V+ V-] (n, 2k) that the slab is the first to read, into the
+    axis' ring; then out[c0:c1] takes base[c0:c1] (unless out is base),
+    and per active axis the axis' rows 2c + s of the stack for c in
+    [c0, c1), with 1/S folded into their entries and their columns mapped
+    to the ring, act on the ring viewed as (2R, k), which gives
+    [D+ S^-1 y+, D- S^-1 y-] for rows c0..c1-1, and one GEMM rotates that
+    back with alpha = scale, adding to out[c0:c1] (beta = 1), or, without
+    base, writing it on the first axis (beta = 0). The slab's rows of u
+    are in the rings before its rows of out are written, so out may be u.
+    With no active axis, out takes base, or zeros without it.
     """
     u = np.asarray(u)
     if out is None:
         out = np.empty(u.shape)
     elif not (out.flags.c_contiguous and out.dtype == np.float64):
         raise ValueError("apply_streaming writes only into a C-contiguous float64 out")
+    if base is not None and base.shape != u.shape:
+        raise ValueError(f"base has shape {base.shape}, not the state's {u.shape}")
+    if _overlaps(out, u) or base is not None and (_overlaps(base, u) or _overlaps(out, base)):
+        raise ValueError("out, base and u must each be the same array or share no memory")
     if work is None:
         work = StreamingWorkspace(stencils, ops)
     elif work.stencils is not stencils:
@@ -355,20 +378,27 @@ def apply_streaming(u, inv_s, stencils: UpwindStencils, ops: PNOperators, out=No
     elif work.n_max != ops.basis.n_max:
         raise ValueError(f"the StreamingWorkspace was made for PN order {work.n_max}, "
                          f"not {ops.basis.n_max}")
+    if not stencils.active_axes:
+        if base is None:
+            out.fill(0.0)
+        elif base is not out:
+            out[...] = base
+        return out
     if work.inv_s is not inv_s:
         work.fold(inv_s)
-    if not stencils.active_axes:
-        out.fill(0.0)
     n, indptr = u.shape[0], stencils.stacked.indptr
     axes = []
     for a, (axis, ring) in enumerate(zip(stencils.active_axes, work.rings)):
         forward, back = ops.forward_rotation[axis], ops.back_rotation[axis]
         axes.append((forward, back, 2 * a * n, ring, ring.reshape(-1, forward.shape[1])))
+    copy_base = base is not None and base is not out
     for c0, c1, forms in work.plan:
         for (forward, *_, rows), pieces in zip(axes, forms):
             for r0, r1, p0 in pieces:
                 np.matmul(u[r0:r1], forward, out=rows[p0:p0 + r1 - r0])
-        beta = 0.0                              # the first axis writes out
+        if copy_base:
+            out[c0:c1] = base[c0:c1]
+        beta = 0.0 if base is None else 1.0     # without base, the first axis writes out
         for forward, back, row0, ring, rows in axes:
             width = forward.shape[1]
             z = work.z[:(c1 - c0) * width]
@@ -378,8 +408,8 @@ def apply_streaming(u, inv_s, stencils: UpwindStencils, ops: PNOperators, out=No
             _sparsetools.csr_matvecs(2 * (c1 - c0), 2 * rows.shape[0], width // 2,
                                      indptr[row0 + 2 * c0:row0 + 2 * c1 + 1],
                                      work.columns, work.values, ring, z)
-            # out[c0:c1]^T (+)= back^T z^T, all transposes free views
-            blas.dgemm(1.0, back.T, z.reshape(c1 - c0, width).T, beta=beta,
+            # out[c0:c1]^T (+)= scale back^T z^T, all transposes free views
+            blas.dgemm(scale, back.T, z.reshape(c1 - c0, width).T, beta=beta,
                        c=out[c0:c1].T, overwrite_c=True)
             beta = 1.0
     return out

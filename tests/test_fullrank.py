@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import naive_fullrank_step, naive_rk4
+from pndose import dlra
 from pndose.angular import PNOperators
 from pndose.dlra import ScatteringContext, StreamingContext, rk4
 from pndose.driver import FullRankSolver
@@ -89,6 +90,38 @@ class TestStreaming:
             assert rk4(f, y, dt) is y
             assert np.array_equal(y, naive_rk4(textbook, y0, dt))
             assert aliased == [False, True, True, True]
+
+    def test_one_step_is_four_streaming_calls(self, monkeypatch):
+        # each Horner stage is one apply_streaming call, looked up as
+        # pndose.dlra's global, which perfbench's tracer probes
+        grid = Grid3D(4, 5, 6, 0.1, 0.1, 0.1)
+        stream_ctx, _ = oracle_contexts(grid, 3, 1, np.random.default_rng(5))
+        calls = []
+        original = dlra.apply_streaming
+
+        def counting(*args, **kwargs):
+            calls.append(args[4] is args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dlra, "apply_streaming", counting)
+        u = np.random.default_rng(6).standard_normal((grid.n_cells, stream_ctx.ops.basis.size))
+        fullrank_streaming_step(u, 0.1, stream_ctx, FullRankWorkspace(stream_ctx.stencils,
+                                                                      stream_ctx.ops))
+        # stages 2 and 3 write over their own input, the stage array
+        assert calls == [False, True, True, False]
+
+    def test_step_is_the_stability_polynomial(self):
+        # F_S is linear, so one step is R(hL) u = sum_k (hL)^k u / k!
+        grid = Grid3D(4, 5, 6, 0.1, 0.1, 0.1)
+        stream_ctx, _ = oracle_contexts(grid, 3, 1, np.random.default_rng(7))
+        u = np.random.default_rng(8).standard_normal((grid.n_cells, stream_ctx.ops.basis.size))
+        want, term = u.copy(), u
+        for k in range(1, 5):
+            term = 0.2 / k * stream_ctx.full_rhs(term)
+            want += term
+        work = FullRankWorkspace(stream_ctx.stencils, stream_ctx.ops)
+        got = fullrank_streaming_step(u.copy(), 0.2, stream_ctx, work)
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
     def test_blowup_detected(self):
         grid, ctx = advection_context()
@@ -204,6 +237,19 @@ class TestScattering:
         np.testing.assert_allclose(two, 2.0 * one, atol=1e-14)
 
 
+    def test_scratch_sharing_the_state_is_refused(self):
+        n, m = 6, 4
+        rng = np.random.default_rng(11)
+        g_diags = np.zeros((12, m))
+        ctx = ScatteringContext(np.abs(rng.standard_normal((n, 12))), np.ones(n), g_diags,
+                                np.ones(12), [(np.ones(n), np.ones(m))])
+        memory = np.zeros((n + 1, m))
+        u = memory[:n]
+        for scratch in (u, memory[1:]):
+            with pytest.raises(ValueError, match="share no memory"):
+                fullrank_scattering_step(u, 0.1, ctx, scratch)
+
+
 class TestWorkspaceStep:
     CASES = {
         "p7-three-axes": (Grid3D(5, 4, 6, 0.1, 0.12, 0.1), 7, 1),
@@ -213,10 +259,11 @@ class TestWorkspaceStep:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_the_naive_step(self, case):
-        # the workspace step sums each axis' two upwind terms in one back
-        # GEMM and scales the stencil entries, not the state, by 1/S, so
-        # it rounds differently from the form with fresh arrays, one term
-        # at a time; 4 steps stay within 3.1e-16 (max abs, relative)
+        # the workspace step runs RK4 in Horner form, sums each axis' two
+        # upwind terms in one back GEMM and scales the stencil entries,
+        # not the state, by 1/S, so it rounds differently from the
+        # textbook form with fresh arrays, one term at a time; 4 steps
+        # stay within 4.7e-16 (max abs, relative)
         grid, n_max, n_beams = self.CASES[case]
         rng = np.random.default_rng(23)
         stream_ctx, scat_ctx = oracle_contexts(grid, n_max, n_beams, rng)
@@ -268,19 +315,19 @@ class TestWorkspaceStep:
         assert max(peaks[1:]) <= 0.5 * state_bytes, [p / state_bytes for p in peaks]
 
     def test_workspace_numbers_on_the_preset30_grid(self):
-        # 10 x 10 x 30 cells at P7 (m = 64, 2k = 56): the state and rk4's
-        # two arrays, rings of 256 + 2 * 2 stride_d rows (260, 296 and 656),
-        # one 256-cell slab and the 49 800 folded stencil entries
+        # 10 x 10 x 30 cells at P7 (m = 64, 2k = 56): the state and the
+        # Horner stage array, rings of 256 + 2 * 2 stride_d rows (260, 296
+        # and 656), one 256-cell slab and the 49 800 folded stencil entries
         grid = Grid3D(10, 10, 30, 0.1, 0.1, 0.1)
         stencils, ops = build_stencils(grid), PNOperators.build(7)
         work = FullRankWorkspace(stencils, ops)
         assert stencils.stacked.nnz == 49_800
-        assert 3000 * 64 + work.numbers == 3 * 3000 * 64 + (260 + 296 + 656 + 256) * 56 + 49_800
-        assert 3000 * 64 + work.numbers == 708_008
+        assert 3000 * 64 + work.numbers == 2 * 3000 * 64 + (260 + 296 + 656 + 256) * 56 + 49_800
+        assert 3000 * 64 + work.numbers == 516_008
 
     def test_peak_transient_numbers_count_the_workspace(self):
         # the state plus every workspace buffer, as tracemalloc sees the
-        # solver allocate them: rk4's two (n, m) arrays, one ring of the
+        # solver allocate them: the (n, m) Horner stage array, one ring of the
         # characteristic product per axis, one slab of its stencil product
         # and the folded stencil entries, one per stack entry. With 256-cell
         # slabs on n = 520 cells a ring spans, at its widest slab [256,
@@ -306,6 +353,6 @@ class TestWorkspaceStep:
             tracemalloc.stop()
         assert solver.peak_state_numbers == n * m
         assert solver.peak_transient_numbers == (
-            3 * n * m + (258 + 272 + 304 + SLAB_CELLS) * width + stencils.stacked.nnz)
+            2 * n * m + (258 + 272 + 304 + SLAB_CELLS) * width + stencils.stacked.nnz)
         assert abs(allocated - 8 * solver.peak_transient_numbers
                    - 4 * stencils.stacked.nnz) < 8192

@@ -502,6 +502,56 @@ class TestStreaming:
         assert np.array_equal(apply_streaming(np.ones((1, 4)), np.ones(1), st, ctx.ops),
                               np.zeros((1, 4)))
 
+    @pytest.mark.parametrize("aliasing", ["apart", "out-is-u", "out-is-base", "base-is-u"])
+    @pytest.mark.parametrize("grid", [
+        Grid3D(4, 5, 6, 0.25, 0.2, 0.3),
+        Grid3D(1, 1, 1, 1.0, 1.0, 1.0),
+    ], ids=["three-axes", "no-active-axis"])
+    def test_scale_and_base(self, grid, aliasing, monkeypatch):
+        # base + scale F_S(u), formed in the back GEMMs and in out = u,
+        # out = base or apart from both, on 7-cell slabs; with no active
+        # axis out takes base
+        monkeypatch.setattr(spatial, "SLAB_CELLS", 7)
+        rng = np.random.default_rng(43)
+        st = build_stencils(grid)
+        ops = PNOperators.build(3)
+        work = StreamingWorkspace(st, ops)
+        inv_s = 1.0 / rng.uniform(5.0, 15.0, grid.n_cells)
+        u = rng.standard_normal((grid.n_cells, ops.basis.size))
+        base = u if aliasing == "base-is-u" else rng.standard_normal(u.shape)
+        want = base + 0.3 * apply_streaming(u, inv_s, st, ops)
+        out = {"out-is-u": u, "out-is-base": base}.get(aliasing, np.empty_like(u))
+        got = apply_streaming(u, inv_s, st, ops, out, work, scale=0.3, base=base)
+        assert got is out
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+    def test_scale_without_base(self):
+        rng = np.random.default_rng(47)
+        grid = Grid3D(4, 5, 6, 0.25, 0.2, 0.3)
+        st, ops = build_stencils(grid), PNOperators.build(3)
+        u = rng.standard_normal((grid.n_cells, ops.basis.size))
+        inv_s = 1.0 / rng.uniform(5.0, 15.0, grid.n_cells)
+        want = -2.5 * apply_streaming(u, inv_s, st, ops)
+        got = apply_streaming(u, inv_s, st, ops, scale=-2.5)
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("case", ["out-overlaps-u", "base-overlaps-u", "out-overlaps-base"])
+    def test_partial_overlap_is_refused(self, case):
+        # out and base may be u itself, but a view that shares some of the
+        # memory of another would read rows that an earlier slab overwrote
+        grid = Grid3D(4, 5, 6, 0.25, 0.2, 0.3)
+        st, ops = build_stencils(grid), PNOperators.build(1)
+        n, m = grid.n_cells, ops.basis.size
+        memory = np.ones((n + 1, m))
+        u = memory[:n] if case != "out-overlaps-base" else np.ones((n, m))
+        out, base = {"out-overlaps-u": (memory[1:], None),
+                     "base-overlaps-u": (None, memory[1:]),
+                     "out-overlaps-base": (memory[1:], memory[:n])}[case]
+        with pytest.raises(ValueError, match="share no memory"):
+            apply_streaming(u, np.ones(n), st, ops, out, base=base)
+        # equal views of the same memory count as the same array
+        apply_streaming(u, np.ones(n), st, ops, memory[:n], base=memory[:n])
+
     def test_eigen_rotation_roundtrip(self):
         rng = np.random.default_rng(5)
         ops = PNOperators.build(4)
