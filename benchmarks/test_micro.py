@@ -1,12 +1,14 @@
 """Micro-benchmarks of the step kernels, the ray tracer and the set-up,
 outside tier-1.
 
-Each step case times one call of scattering_step, streaming_step, the
-K-phase right-hand side k_rhs (one sparse product of the stencil stack
-with S^-1 K and one batched contraction with the (axes, 2, r, r) moment
-factors) or truncate at P7 (m = 64) on a random state: (n = 2520,
-r = 2) is the water90_lowrank benchmark grid at its rank,
-(n = 3000, r = 26) the preset30 grid at the mean rank a tight
+Each step case times one call of scattering_step, streaming_step (its
+K, L and S phases each four fused Horner stages of dlra.rk4 in one
+stage array, as the oracle's step), the K-phase right-hand side k_rhs
+(one sparse product of the stencil stack with S^-1 K, one batched
+contraction with the (axes, 2, r, r) moment factors, and one Horner
+stage base + scale F_S onto K) or truncate at P7 (m = 64) on a random
+state: (n = 2520, r = 2) is the water90_lowrank benchmark grid at its
+rank, (n = 3000, r = 26) the preset30 grid at the mean rank a tight
 truncation tolerance reaches there (~26 at 3e-4 with a Wentzel scattering
 kernel). truncate takes an augmented state of rank 2r back to r. Three
 more cases time the oracle's streaming right-hand side, apply_streaming,
@@ -151,7 +153,7 @@ def test_k_rhs(benchmark, case):
     k = state.u @ state.s
     factors = stream_ctx._moment_factors(state.v)
     assert factors.shape == (3, 2, state.rank, state.rank)
-    out = benchmark(stream_ctx.k_rhs, k, factors, np.empty_like(k))
+    out = benchmark(stream_ctx.k_rhs, k, factors, np.empty_like(k), 0.05, k)
     assert out.shape == k.shape
 
 

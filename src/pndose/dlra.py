@@ -1,12 +1,15 @@
 """Low-rank state and the augmented basis-update & Galerkin integrator.
 
 One pseudo-time step is a Lie split: a streaming substep integrating
-u' = F_S(u) with the augmented BUG integrator (RK4 for the K, L and S
-phases), then a scattering substep combining an implicit-Euler projector
-update for self-scattering of the collided flux with explicit-Euler
-K/L/S updates for inscattering of the uncollided flux. Each substep
-returns an augmented (up to rank 2r) state; the caller truncates with
-the singular-value tail rule.
+u' = F_S(u) with the augmented BUG integrator, then a scattering
+substep combining an implicit-Euler projector update for
+self-scattering of the collided flux with explicit-Euler K/L/S updates
+for inscattering of the uncollided flux. Each substep returns an
+augmented (up to rank 2r) state; the caller truncates with the
+singular-value tail rule. The K, L and S phases are each linear in their
+unknown with factors frozen over the step, so one RK4 step of a phase is
+its stability polynomial, which rk4 runs in Horner form in one stage
+array: the one RK4 of both solvers (the oracle's step calls it too).
 
 The projected right-hand sides never form the full n x m matrix: the
 moment-side rotations are contracted at width r, so one evaluation costs
@@ -16,10 +19,10 @@ rescaled) by one sparse product, whose result, viewed as
 (axes, 2, n, r), meets the (axes, 2, r, r) factors of the phase in one
 batched matmul and one sum over the terms. The Galerkin (S) phase
 precontracts its spatial factors once per step, so each of its RK4
-stages costs O(r^3). The implicit
-scattering substep forms its m projected r x r systems with two GEMMs
-and solves them as one batched solve. Bases are orthonormalized by
-LAPACK's Householder QR, called directly.
+stages costs O(r^3). The implicit scattering substep forms its m
+projected r x r systems with two GEMMs and solves them as one batched
+solve. Bases are orthonormalized by LAPACK's Householder QR, called
+directly.
 """
 
 from dataclasses import dataclass, field
@@ -138,43 +141,22 @@ def truncate(state: LowRankState, policy: TruncationPolicy):
     return new, tail
 
 
-def rk4(f, y, dt, work=None):
-    """One classical Runge-Kutta step of y' = f(y), written over y.
+def rk4(rhs, y, dt, stage):
+    """One classical Runge-Kutta step of y' = L y, written over y.
 
-    f(x, out) stores f(x) in out, which may be x itself. The step runs in
-    two arrays shaped like y, the accumulator and the stage, taken from
-    work or allocated; neither may share memory with y. Each slope k_i is
-    written over its own stage input, then doubled there for the sum and
-    scaled again into the next stage input. The scalings are powers of two
-    apart, so every product is the textbook one: 2 k_i is exact, and
-    (dt/4) (2 k_2) = (dt/2) k_2 and (dt/2) (2 k_3) = dt k_3 hold bit for bit,
-    both sides being one rounding of the same real number (while 2 k_i is
-    finite and dt/4 a normal number). The sums keep
-    the textbook order, y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), so the
-    result is bit for bit that of the four-stage form with fresh arrays.
-    Returns y. Only the low-rank K, L and S phases use it: the oracle's
-    linear streaming step runs the same polynomial in Horner form in
-    one stage array (fullrank.fullrank_streaming_step).
+    rhs(x, out, scale, base) writes base + scale L x into out, which may
+    be x or base. L must be linear in y with coefficients frozen over the
+    step, as every streaming phase is: then the step is exactly the
+    stability polynomial sum_{k <= 4} (dt L)^k / k!, which runs in Horner
+    form as four stages x = y + c dt L x with c = 1/4, 1/3, 1/2 and 1, the
+    first three in stage (shaped like y, sharing no memory with it) and
+    the last over y. A nonlinear right-hand side does not get the
+    classical step. Returns y.
     """
-    acc, stage = work if work is not None else (np.empty_like(y), np.empty_like(y))
-    half = 0.5 * dt
-    f(y, acc)                                      # acc = k1
-    np.multiply(acc, half, out=stage)
-    stage += y
-    f(stage, stage)                                # k2
-    stage *= 2.0
-    acc += stage
-    stage *= 0.25 * dt                             # (dt/2) k2
-    stage += y
-    f(stage, stage)                                # k3
-    stage *= 2.0
-    acc += stage
-    stage *= half                                  # dt k3
-    stage += y
-    f(stage, stage)                                # k4
-    acc += stage
-    acc *= dt / 6.0
-    y += acc
+    rhs(y, stage, 0.25 * dt, y)                  # stage = y + (dt/4) L y
+    rhs(stage, stage, dt / 3.0, y)               # stage = y + (dt/3) L stage
+    rhs(stage, stage, 0.5 * dt, y)               # stage = y + (dt/2) L stage
+    rhs(stage, y, dt, y)                         # y = y + dt L stage
     return y
 
 
@@ -191,7 +173,9 @@ class StreamingContext:
     (axes, 2, r, r) moment factors in one batched matmul, so every K-
     and L-phase right-hand side is one contraction at width r and every
     S-phase one is r x r products only; no n x m intermediate is ever
-    formed.
+    formed. Every right-hand side takes (x, ..., out, scale, base) and
+    writes base + scale F_S(x), projected for the low-rank phases, into
+    out: one RK4 Horner stage per call.
     """
 
     inv_s: np.ndarray
@@ -218,9 +202,13 @@ class StreamingContext:
         lam = self.ops.lam_split[axes][:, :, None, :]                    # (axes, 2, 1, m)
         return (c[:, None] * lam) @ c.transpose(0, 2, 1)[:, None]
 
-    def k_rhs(self, k: np.ndarray, factors, out: np.ndarray) -> np.ndarray:
-        """F_S(K V0^T) V0 = -sum_j (D_j S^-1 K) F_j, from the moment factors of V0, into out."""
-        return np.negative((self.derivatives(k) @ factors).sum(axis=(0, 1)), out=out)
+    def k_rhs(self, k: np.ndarray, factors, out: np.ndarray, scale: float,
+              base: np.ndarray) -> np.ndarray:
+        """base + scale F_S(K V0^T) V0 into out, which may be k or base, with
+        F_S(K V0^T) V0 = -sum_j (D_j S^-1 K) F_j from the moment factors of V0."""
+        terms = (self.derivatives(k) @ factors).sum(axis=(0, 1))
+        terms *= scale
+        return np.subtract(base, terms, out=out)
 
     def l_step_factors(self, u0: np.ndarray):
         """(A, Q) for the L phase over the upwind terms j: A (axes, 2, m, m)
@@ -238,26 +226,33 @@ class StreamingContext:
         return u_hat.T @ self.derivatives(u_hat), self._moment_factors(v_hat)
 
     @staticmethod
-    def galerkin_rhs(y: np.ndarray, factors, out: np.ndarray) -> np.ndarray:
-        """-sum_j Left_j Y Right_j into out, for the factors (Left, Right) over
-        the upwind terms j: F_S(U0 L^T)^T U0 (m x r) from the l_step_factors
-        of U0, and U^T F_S(U^ S V^T) V^ in O(r^3) from the s_step_factors."""
+    def galerkin_rhs(y: np.ndarray, factors, out: np.ndarray, scale: float,
+                     base: np.ndarray) -> np.ndarray:
+        """base - scale sum_j Left_j Y Right_j into out, which may be y or
+        base, for the factors (Left, Right) over the upwind terms j: the sum
+        is -F_S(U0 L^T)^T U0 (m x r) from the l_step_factors of U0, and
+        -U^T F_S(U^ S V^T) V^ in O(r^3) from the s_step_factors."""
         left, right = factors
-        return np.negative((left @ (y @ right)).sum(axis=(0, 1)), out=out)
+        terms = (left @ (y @ right)).sum(axis=(0, 1))
+        terms *= scale
+        return np.subtract(base, terms, out=out)
 
 
 def streaming_step(state: LowRankState, dt: float, ctx: StreamingContext) -> LowRankState:
     """Augmented BUG step for u' = F_S(u); returns the rank <= 2r state."""
     u0, s0, v0 = state.u, state.s, state.v
-    k_factors = ctx._moment_factors(v0)
-    k1 = rk4(lambda k, out: ctx.k_rhs(k, k_factors, out), u0 @ s0, dt)
-    l_factors = ctx.l_step_factors(u0)
-    l1 = rk4(lambda l, out: ctx.galerkin_rhs(l, l_factors, out), v0 @ s0.T, dt)
+
+    def phase(rhs, factors, y):
+        """rk4 over y of the phase's rhs(x, factors, out, scale, base)."""
+        return rk4(lambda x, out, scale, base: rhs(x, factors, out, scale, base),
+                   y, dt, np.empty_like(y))
+
+    k1 = phase(ctx.k_rhs, ctx._moment_factors(v0), u0 @ s0)
+    l1 = phase(ctx.galerkin_rhs, ctx.l_step_factors(u0), v0 @ s0.T)
     u_hat = orthonormal_columns(k1, u0)
     v_hat = orthonormal_columns(l1, v0)
     s_hat0 = (u_hat.T @ u0) @ s0 @ (v0.T @ v_hat)
-    s_factors = ctx.s_step_factors(u_hat, v_hat)
-    s_hat = rk4(lambda s, out: ctx.galerkin_rhs(s, s_factors, out), s_hat0, dt)
+    s_hat = phase(ctx.galerkin_rhs, ctx.s_step_factors(u_hat, v_hat), s_hat0)
     return LowRankState(u=u_hat, s=s_hat, v=v_hat)
 
 

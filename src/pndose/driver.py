@@ -29,6 +29,7 @@ import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 import yaml
@@ -187,7 +188,7 @@ BOX_KEYS = {"origin_cm": ("origin", _vector), "size_cm": ("size", _vector), "hu"
 BEAM_KEYS = {"direction": ("direction", _as_given), "energy_mev": ("energy_mev", _number),
              "position_cm": ("position_cm", _as_given), "weight": ("weight", _number),
              "sigma_xy_cm": ("sigma_xy_cm", _number), "sigma_e_rel": ("sigma_e_rel", _number)}
-# The output files by key, and the names that they take by default.
+# The output files by key, and their names.
 OUTPUT_NAMES = {"dose_volume": "dose.vtk", "depth_profile": "depth_profile.csv",
                 "lateral_profile": "lateral_profile.csv", "rank_history": "rank_history.csv",
                 "manifest": "manifest.json"}
@@ -215,9 +216,7 @@ SCHEMA = {
     "physics": (None, {"boltzmann_correction": ("boltzmann_correction", _as_given),
                        "fp_correction_scale": ("fp_correction_scale", _number)}),
     "rays": (None, {"n_side": ("ray_n_side", _integer)}),
-    "output": (None, {"directory": ("output_directory", _optional(_string)),
-                      **{name: (name, _string) for name in OUTPUT_NAMES},
-                      "lateral_depth_cm": ("lateral_depth_cm", _optional(_number))}),
+    "output": (None, {"directory": ("output_directory", _optional(_string))}),
 }
 
 
@@ -242,8 +241,7 @@ class ProblemConfig:
     fp_correction_scale: float = 0.5
     ray_n_side: int = 21
     output_directory: Path = None
-    output_names: dict = field(default_factory=lambda: dict(OUTPUT_NAMES))
-    lateral_depth_cm: float = None
+    output_names: ClassVar[dict] = OUTPUT_NAMES    # the files write_outputs writes, fixed
     name: str = "run"
     source_files: list = field(default_factory=list)
     resolved: dict = field(default_factory=dict)
@@ -272,6 +270,7 @@ class ProblemConfig:
             _require(n == 1 or n >= 3,
                      f"grid.{label}={n}: a used axis needs >= 3 cells for the "
                      f"second-order stencil (1 marks the axis inactive)")
+        _require(self.grid.n_cells > 1, "grid has no active axis: nx, ny and nz are all 1")
         if self.e_max_mev is None:
             self.e_max_mev = max(b.energy_mev + 5.0 * b.sigma_e_mev for b in self.beams)
         _require(math.isfinite(self.e_max_mev),
@@ -281,11 +280,6 @@ class ProblemConfig:
         for beam in self.beams:
             _require(beam.energy_mev < self.e_max_mev,
                      f"beam energy {beam.energy_mev} does not fit below e_max_mev={self.e_max_mev}")
-        if self.lateral_depth_cm is not None:
-            z0, z1 = self.grid.extent()[2]
-            _require(z0 <= self.lateral_depth_cm <= z1,
-                     f"output.lateral_depth_cm={self.lateral_depth_cm:g} lies outside "
-                     f"the grid's z extent [{z0:g}, {z1:g}] cm")
         self.hu_values = np.asarray(self.hu_values, dtype=float).ravel()
         _require(self.hu_values.size == self.grid.n_cells,
                  f"HU volume has {self.hu_values.size} cells, grid has {self.grid.n_cells}")
@@ -298,12 +292,10 @@ class ProblemConfig:
         grid = settings.pop("grid") if "grid" in settings else _grid(None, "grid")
         source_files = []
         hu = _build_phantom(settings.pop("phantom", {}), grid, base_dir, source_files)
-        names = {name: settings.pop(name) for name in OUTPUT_NAMES if name in settings}
         if settings.get("output_directory") is not None:
             settings["output_directory"] = base_dir / settings["output_directory"]
         return cls(grid=grid, hu_values=hu, beams=settings.pop("beams", []),
-                   output_names={**OUTPUT_NAMES, **names}, source_files=source_files,
-                   resolved=raw, **settings)
+                   source_files=source_files, resolved=raw, **settings)
 
     @classmethod
     def load(cls, path) -> "ProblemConfig":
@@ -553,8 +545,6 @@ def _cfl_step(problem: Problem) -> float:
     cfg = problem.config
     s_at_emax = problem.stopping_from(problem.element_stopping(np.array([cfg.e_max_mev]))[0])
     active = [h for n, h in zip(problem.grid.shape, problem.grid.spacings) if n > 1]
-    if not active:
-        raise ConfigError("grid has no active axis")
     return cfg.cfl_number * min(active) * float(s_at_emax.min()) / problem.ops.spectral_radius
 
 
@@ -888,15 +878,12 @@ def depth_profile(result: SimulationResult):
     return z, result.dose.deposited[idx], result.dose.dose[idx]
 
 
-def lateral_profile(result: SimulationResult, depth_cm=None):
-    """(lateral_cm, deposited, dose) along x at the peak (or given) depth."""
+def lateral_profile(result: SimulationResult):
+    """(lateral_cm, deposited, dose) along x at the depth-profile peak."""
     grid = result.problem.grid
-    ix, iy = _beam_axis_cells(result)
-    if depth_cm is None:
-        _, dep, _ = depth_profile(result)
-        kz = int(np.argmax(dep))
-    else:
-        kz = int(np.clip((depth_cm - grid.origin[2]) / grid.dz, 0, grid.nz - 1))
+    _, iy = _beam_axis_cells(result)
+    _, dep, _ = depth_profile(result)
+    kz = int(np.argmax(dep))
     idx = [grid.index(i, iy, kz) for i in range(grid.nx)]
     x = grid.origin[0] + (np.arange(grid.nx) + 0.5) * grid.dx
     return x, result.dose.deposited[idx], result.dose.dose[idx]
@@ -974,7 +961,7 @@ def write_outputs(result: SimulationResult):
     """Dose volume, depth/lateral profiles, rank history, run manifest."""
     config = result.problem.config
     out = validate_output_paths(config)
-    names = config.output_names
+    names = OUTPUT_NAMES
 
     write_volume(
         out / names["dose_volume"],
@@ -987,7 +974,7 @@ def write_outputs(result: SimulationResult):
     _write_csv(out / names["depth_profile"], "depth_cm,deposited_mev_cm3,dose",
                zip(*depth_profile(result)), profile)
     _write_csv(out / names["lateral_profile"], "lateral_cm,deposited_mev_cm3,dose",
-               zip(*lateral_profile(result, config.lateral_depth_cm)), profile)
+               zip(*lateral_profile(result)), profile)
     _write_csv(out / names["rank_history"], "step,E_MeV,rank", result.rank_history,
                ("", ".9g", ""))
 

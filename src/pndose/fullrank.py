@@ -7,12 +7,12 @@ is shared with the low-rank module.
 
 The streaming operator L = F_S is linear with coefficients frozen over
 the step, so one classical RK4 step is exactly its stability polynomial
-R(hL) = 1 + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, which the step
-evaluates in Horner form, four stages s = u + c h L s with c = 1/4, 1/3,
-1/2 and 1, each one call of spatial.apply_streaming that adds
-c h F_S(s) onto u in its back GEMMs. So a step needs the state and one
-stage array and no elementwise update pass; the low-rank phases keep
-dlra.rk4.
+R(hL) = 1 + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, which dlra.rk4, the
+RK4 of both solvers, evaluates in Horner form, four stages
+s = u + c h L s with c = 1/4, 1/3, 1/2 and 1, each one call of
+spatial.apply_streaming that adds c h F_S(s) onto u in its back GEMMs.
+So a step needs the state and one stage array and no elementwise update
+pass.
 
 A step allocates no n x m array: it runs in a FullRankWorkspace made once
 per run, whose StreamingWorkspace holds a copy of the stencil entries
@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import blas
 
 from .angular import PNOperators
-from .dlra import ScatteringContext, StreamingContext
+from .dlra import ScatteringContext, StreamingContext, rk4
 from .errors import NumericalError
 from .spatial import StreamingWorkspace, UpwindStencils
 
@@ -56,22 +56,18 @@ class FullRankWorkspace:
 def fullrank_streaming_step(u: np.ndarray, dt: float, ctx: StreamingContext,
                             work: FullRankWorkspace) -> np.ndarray:
     """One RK4 step of u' = F_S(u) on the dense moment matrix, in place,
-    as the four Horner stages s = u + c dt F_S(s) (c = 1/4, 1/3, 1/2)
-    in the workspace's stage array, s = u first, and u = u + dt F_S(s)
-    last; raises NumericalError on a non-finite state: before the step,
-    with u left as handed in, or after it. The first stage folds the
-    step's 1/S into the workspace's copy of the stencil entries; the
-    other three hand apply_streaming the same inv_s array and reuse it.
-    max |u| is taken as max(max u, -min u), which writes nothing and is
-    NaN when u holds a NaN."""
+    by dlra.rk4 in the workspace's stage array, each of its four Horner
+    stages one ctx.full_rhs call; raises NumericalError on a non-finite
+    state: before the step, with u left as handed in, or after it. The
+    first stage folds the step's 1/S into the workspace's copy of the
+    stencil entries; the other three hand apply_streaming the same inv_s
+    array and reuse it. max |u| is taken as max(max u, -min u), which
+    writes nothing and is NaN when u holds a NaN."""
     scale0 = np.maximum(u.max(), -u.min())
     if not np.isfinite(scale0):
         raise NumericalError(f"non-finite streaming state: max |u| {scale0:g} before the step")
-    s, rhs, streaming = work.stage, ctx.full_rhs, work.streaming
-    rhs(u, s, streaming, 0.25 * dt, u)           # s = u + (dt/4) L u
-    rhs(s, s, streaming, dt / 3.0, u)            # s = u + (dt/3) L s
-    rhs(s, s, streaming, 0.5 * dt, u)            # s = u + (dt/2) L s
-    rhs(s, u, streaming, dt, u)                  # u = u + dt L s
+    rk4(lambda x, out, scale, base: ctx.full_rhs(x, out, work.streaming, scale, base),
+        u, dt, work.stage)
     scale1 = np.maximum(u.max(), -u.min())
     if not np.isfinite(scale1):
         raise NumericalError(f"non-finite streaming state: max |u| {scale0:g} -> {scale1:g}")

@@ -14,7 +14,8 @@ import pytest
 import yaml
 
 from pndose.cli import main
-from pndose.driver import read_volume
+from pndose.driver import ProblemConfig, read_volume
+from pndose.errors import ConfigError
 from pndose.spatial import Grid3D
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -93,6 +94,15 @@ class TestValidate:
         assert main(["validate", str(copy)]) == 0
         assert "config ok" in capsys.readouterr().out
 
+    def test_grid_without_active_axis_fails_at_load(self, tmp_path, capsys):
+        # refused when the config is read, before assembly and the ray trace
+        path = smoke_config(tmp_path, grid={"nx": 1, "ny": 1, "nz": 1, "delta_x_cm": 0.25,
+                                            "delta_y_cm": 0.25, "delta_z_cm": 0.25})
+        with pytest.raises(ConfigError, match="grid has no active axis"):
+            ProblemConfig.load(path)
+        assert main(["validate", str(path)]) == 2
+        assert "grid has no active axis" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.yaml")]) == 2
 
@@ -134,10 +144,11 @@ class TestRunCompare:
         assert float(line.split()[-1]) < 0.02
 
     def test_bad_output_name_fails_before_compute(self, tmp_path, capsys):
+        # the output files' names are fixed, so a key naming one is unknown
         path = smoke_config(tmp_path, output={"directory": str(tmp_path / "out"),
-                                              "dose_volume": 5})
+                                              "dose_volume": "d.vtk"})
         assert main(["run", str(path)]) == 2
-        assert "output.dose_volume must be a string" in capsys.readouterr().err
+        assert "unknown config key 'output.dose_volume'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.usefixtures("nan_uncollided_flux")

@@ -37,6 +37,11 @@ def zero_streaming_context():
     return StreamingContext(np.ones(1), build_stencils(grid), PNOperators.build(1))
 
 
+def projected(rhs, x, factors):
+    """A phase's projected operator applied to x: rhs with scale 1 onto a zero base."""
+    return rhs(x, factors, np.empty_like(x), 1.0, np.zeros_like(x))
+
+
 def advection_setup(nz=64, n_max=3):
     grid = Grid3D(1, 1, nz, 1.0, 1.0, 0.1)
     stencils = build_stencils(grid)
@@ -164,19 +169,19 @@ class TestStreamingStep:
         assert k_factors.shape == (3, 2, r, r)
         naive_k = ctx.full_rhs(k @ v0.T) @ v0
         np.testing.assert_allclose(
-            ctx.k_rhs(k, k_factors, np.empty_like(k)), naive_k, atol=1e-12
+            projected(ctx.k_rhs, k, k_factors), naive_k, atol=1e-12
         )
         a, q = ctx.l_step_factors(u0)
         assert a.shape == (3, 2, m, m) and q.shape == (3, 2, r, r)
         naive_l = ctx.full_rhs(u0 @ l.T).T @ u0
         np.testing.assert_allclose(
-            ctx.galerkin_rhs(l, (a, q), np.empty_like(l)), naive_l, atol=1e-12
+            projected(ctx.galerkin_rhs, l, (a, q)), naive_l, atol=1e-12
         )
         p, f = ctx.s_step_factors(u0, v0)
         assert p.shape == f.shape == (3, 2, r, r)
         naive_s = u0.T @ ctx.full_rhs(u0 @ s @ v0.T) @ v0
         np.testing.assert_allclose(
-            ctx.galerkin_rhs(s, (p, f), np.empty_like(s)), naive_s, atol=1e-12
+            projected(ctx.galerkin_rhs, s, (p, f)), naive_s, atol=1e-12
         )
 
     @pytest.mark.parametrize("r", [2, 7])
@@ -205,12 +210,49 @@ class TestStreamingStep:
 
         check(ctx._moment_factors(v0), np.reshape(per_term_moment_factors(ctx, v0),
                                                   (axes, 2, r, r)))
-        check(ctx.k_rhs(k, ctx._moment_factors(v0), np.empty_like(k)),
+        check(projected(ctx.k_rhs, k, ctx._moment_factors(v0)),
               per_term_k_rhs(ctx, k, v0))
-        check(ctx.galerkin_rhs(l, ctx.l_step_factors(u0), np.empty_like(l)),
+        check(projected(ctx.galerkin_rhs, l, ctx.l_step_factors(u0)),
               per_term_l_rhs(ctx, l, u0))
         for got, want in zip(ctx.s_step_factors(u0, v0), per_term_s_step_factors(ctx, u0, v0)):
             check(got, np.reshape(want, (axes, 2, r, r)))
+
+    @pytest.mark.parametrize("phase", ["K", "L", "S"])
+    def test_phase_is_the_stability_polynomial(self, phase):
+        # each phase is linear in its unknown with factors frozen over the
+        # step, so its RK4 step is sum_{k <= 4} (dt A)^k y / k! of its
+        # projected operator A. The K and L results lie in the new bases,
+        # the S result is the new coefficient
+        rng = np.random.default_rng(21)
+        grid = Grid3D(5, 4, 6, 0.2, 0.25, 0.2)
+        ops = PNOperators.build(2)
+        ctx = StreamingContext(
+            1.0 / rng.uniform(8.0, 20.0, grid.n_cells), build_stencils(grid), ops
+        )
+        n, m, r, dt = grid.n_cells, ops.basis.size, 3, 0.2
+        state = LowRankState(u=orthonormal_columns(rng.standard_normal((n, r))),
+                             s=rng.standard_normal((r, r)),
+                             v=orthonormal_columns(rng.standard_normal((m, r))))
+        out = streaming_step(state, dt, ctx)
+        u0, s0, v0 = state.u, state.s, state.v
+        rhs, factors, y = {
+            "K": (ctx.k_rhs, ctx._moment_factors(v0), u0 @ s0),
+            "L": (ctx.galerkin_rhs, ctx.l_step_factors(u0), v0 @ s0.T),
+            "S": (ctx.galerkin_rhs, ctx.s_step_factors(out.u, out.v),
+                  (out.u.T @ u0) @ s0 @ (v0.T @ out.v)),
+        }[phase]
+        want, term = y.copy(), y
+        for k in range(1, 5):
+            term = dt / k * projected(rhs, term, factors)
+            want += term
+        assert np.linalg.norm(want - y) > 0.05 * np.linalg.norm(y)
+        if phase == "S":
+            got = out.s
+        else:
+            basis = out.u if phase == "K" else out.v
+            got = basis @ (basis.T @ want)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
     def test_rank1_advection_matches_full_step(self):
         # single augmented BUG step vs the full-rank RK4 step; the S-phase
         # Galerkin projection deviates at O(dt^3), so a small step lands

@@ -102,6 +102,12 @@ class TestConfigValidation:
         (None, "pn_ordre", 3),
         (None, "seed", 7),
         ("beams", "energy", 20.0),
+        ("output", "dose_volume", "d.vtk"),
+        ("output", "depth_profile", "z.csv"),
+        ("output", "lateral_profile", "x.csv"),
+        ("output", "rank_history", "r.csv"),
+        ("output", "manifest", "m.json"),
+        ("output", "lateral_depth_cm", 1.5),
     ])
     def test_unknown_key_names_itself(self, section, key, value):
         raw = smoke_raw()
@@ -277,14 +283,6 @@ class TestConfigValidation:
             beam.energy_mev + 5.0 * beam.sigma_e_mev
         )
 
-    @pytest.mark.parametrize("depth", [-0.1, 3.01, 100.0])
-    def test_lateral_depth_outside_grid(self, depth):
-        # the smoke grid spans z in [0, 3] cm
-        raw = smoke_raw(output={"lateral_depth_cm": depth})
-        with pytest.raises(ConfigError, match=re.escape("output.lateral_depth_cm") + ".*"
-                           + re.escape("z extent [0, 3] cm")):
-            ProblemConfig.from_dict(raw)
-
     def test_hu_volume_size_checked(self):
         raw = smoke_raw()
         raw["phantom"] = {"background_hu": 0.0}
@@ -352,9 +350,7 @@ class TestSchema:
         "energy": {"e_min_mev": 2.0, "e_max_mev": 35.0, "groups": 16},
         "physics": {"boltzmann_correction": False, "fp_correction_scale": 0.25},
         "rays": {"n_side": 7},
-        "output": {"directory": "out", "dose_volume": "d.vtk", "depth_profile": "z.csv",
-                   "lateral_profile": "x.csv", "rank_history": "r.csv", "manifest": "m.json",
-                   "lateral_depth_cm": 1.5},
+        "output": {"directory": "out"},
     }
 
     def test_every_key_reaches_its_field(self, tmp_path):
@@ -373,17 +369,12 @@ class TestSchema:
         settings = {name: getattr(cfg, name) for name in (
             "pn_order", "truncation_tolerance", "rank_min", "rank_max", "cfl_number",
             "e_min_mev", "e_max_mev", "energy_groups", "boltzmann_correction",
-            "fp_correction_scale", "ray_n_side", "output_directory", "output_names",
-            "lateral_depth_cm")}
+            "fp_correction_scale", "ray_n_side", "output_directory")}
         assert settings == {
             "pn_order": 3, "truncation_tolerance": 0.05, "rank_min": 3, "rank_max": 9,
             "cfl_number": 0.3, "e_min_mev": 2.0, "e_max_mev": 35.0, "energy_groups": 16,
             "boltzmann_correction": False, "fp_correction_scale": 0.25, "ray_n_side": 7,
             "output_directory": tmp_path / "out",
-            "output_names": {"dose_volume": "d.vtk", "depth_profile": "z.csv",
-                             "lateral_profile": "x.csv", "rank_history": "r.csv",
-                             "manifest": "m.json"},
-            "lateral_depth_cm": 1.5,
         }
         defaults = ProblemConfig(grid=cfg.grid, hu_values=hu, beams=cfg.beams)
         for name in settings:
@@ -447,10 +438,8 @@ class TestSchema:
         with pytest.raises(ConfigError, match=re.escape(message)):
             ProblemConfig.from_dict(smoke_raw(**{section: value}))
 
-    @pytest.mark.parametrize("section, key", [
-        ("output", "directory"), ("phantom", "volume_file"),
-        *(("output", name) for name in OUTPUT_NAMES),
-    ])
+    @pytest.mark.parametrize("section, key", [("output", "directory"),
+                                              ("phantom", "volume_file")])
     def test_string_setting_names_key(self, section, key):
         raw = smoke_raw()
         raw.setdefault(section, {})[key] = 5
@@ -458,7 +447,7 @@ class TestSchema:
             ProblemConfig.from_dict(raw)
 
     def test_python_built_config_writes_outputs(self, tmp_path):
-        # the output names default on the field, as they do in a file
+        # a config built in Python writes the same fixed files as a file's
         cfg = ProblemConfig(
             grid=Grid3D(3, 3, 4, 0.2, 0.2, 0.2), hu_values=np.zeros(36),
             beams=[BeamSource((0, 0, 1), 8.0, (0.3, 0.3, 0.0), sigma_xy_cm=0.05)],
