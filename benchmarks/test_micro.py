@@ -3,7 +3,10 @@ outside tier-1.
 
 Each step case times one call of scattering_step, streaming_step (its
 K, L and S phases each four fused Horner stages of dlra.rk4 in one
-stage array, as the oracle's step), the K-phase right-hand side k_rhs
+stage array, as the oracle's step, with five stencil products), the
+stencil product derivatives (D_j S^-1 K over the upwind terms: at r = 2
+scipy's single-vector kernel once per column, at r = 26 its
+multi-vector kernel), the K-phase right-hand side k_rhs
 (one sparse product of the stencil stack with S^-1 K, one batched
 contraction with the (axes, 2, r, r) moment factors, and one Horner
 stage base + scale F_S onto K) or truncate at P7 (m = 64) on a random
@@ -146,6 +149,13 @@ def test_streaming_step(benchmark, case):
     state, stream_ctx, _ = case
     out = benchmark(streaming_step, state, 0.2, stream_ctx)
     assert out.rank == 2 * state.rank
+
+
+def test_derivatives(benchmark, case):
+    state, stream_ctx, _ = case
+    k = state.u @ state.s
+    products = benchmark(stream_ctx.derivatives, k)
+    assert products.shape == (3, 2, *k.shape)
 
 
 def test_k_rhs(benchmark, case):

@@ -13,23 +13,34 @@ array: the one RK4 of both solvers (the oracle's step calls it too).
 
 The projected right-hand sides never form the full n x m matrix: the
 moment-side rotations are contracted at width r, so one evaluation costs
-O(n m r) instead of O(n m^2). Each phase is one batched contraction over
-the upwind terms: the stored stencil stack is applied to S^-1 x (never
-rescaled) by one sparse product, whose result, viewed as
-(axes, 2, n, r), meets the (axes, 2, r, r) factors of the phase in one
-batched matmul and one sum over the terms. The Galerkin (S) phase
-precontracts its spatial factors once per step, so each of its RK4
-stages costs O(r^3). The implicit scattering substep forms its m
-projected r x r systems with two GEMMs and solves them as one batched
-solve. Bases are orthonormalized by LAPACK's Householder QR, called
-directly.
+O(n m r) instead of O(n m^2). Each K-phase evaluation is one batched
+contraction over the upwind terms: the stored stencil stack is applied
+to S^-1 x (never rescaled) by one sparse product, whose result, viewed
+as (axes, 2, n, r), meets the (axes, 2, r, r) factors of the phase in
+one batched matmul and one sum over the terms. The Galerkin (L and S)
+phases precontract their spatial factors once per step, each from one
+sparse product, so each of their RK4 stages makes none. The K and L
+phases both start from U0: the product D_j S^-1 U0 of the L factors also
+gives the K phase's first stage, D_j S^-1 (U0 S0) F_j = (D_j S^-1 U0)
+(S0 F_j), so a streaming step makes five sparse products: one of U0,
+three for the later K stages and one of the augmented basis for the S
+factors. A product of width r <= 2 runs scipy's single-vector CSR kernel
+once per column, wider ones its multi-vector kernel; both sum each row
+in the same order, so the products keep their bits. The width-2 result
+is a strided view, so the batched matmul that reads it may round
+differently in the last bits, as does the reused first K stage. The
+implicit scattering substep forms its m projected r x r systems with two
+GEMMs and solves them as one batched solve. Bases are orthonormalized by
+LAPACK's Householder QR, called directly.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
+from scipy.sparse import _sparsetools
 
 from .angular import PNOperators
 from .errors import NumericalError
@@ -100,7 +111,8 @@ class LowRankState:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Tail-sum truncation threshold in solution-norm units."""
+    """Tail-sum truncation threshold in solution-norm units; rank_min ==
+    rank_max fixes the rank instead (truncate)."""
 
     threshold: float
     rank_min: int
@@ -120,13 +132,15 @@ def truncate(state: LowRankState, policy: TruncationPolicy):
     smallest r1 with sum_{i > r1} sigma_i <= threshold, raised to
     rank_min if needed; needing more than rank_max is a hard error (a
     larger threshold is the remedy), so the tail contract never degrades
-    silently.
+    silently. With rank_min == rank_max the rank is fixed: that rank is
+    kept (or all of a smaller state's) whatever the threshold, and the
+    tail returned may exceed it.
     """
     p, sigma, qt = np.linalg.svd(state.s, full_matrices=False)
     q_avail = sigma.size
     tails = np.concatenate([np.cumsum(sigma[::-1])[::-1], [0.0]])  # tails[k] = sum_{i>=k}
     r1 = int(np.argmax(tails <= policy.threshold))
-    if r1 > policy.rank_max:
+    if r1 > policy.rank_max > policy.rank_min:
         raise NumericalError(
             f"adaptive rank {r1} exceeds rank_max={policy.rank_max}; "
             f"increase the truncation threshold"
@@ -141,7 +155,7 @@ def truncate(state: LowRankState, policy: TruncationPolicy):
     return new, tail
 
 
-def rk4(rhs, y, dt, stage):
+def rk4(rhs, y, dt, stage, ly=None):
     """One classical Runge-Kutta step of y' = L y, written over y.
 
     rhs(x, out, scale, base) writes base + scale L x into out, which may
@@ -150,14 +164,28 @@ def rk4(rhs, y, dt, stage):
     stability polynomial sum_{k <= 4} (dt L)^k / k!, which runs in Horner
     form as four stages x = y + c dt L x with c = 1/4, 1/3, 1/2 and 1, the
     first three in stage (shaped like y, sharing no memory with it) and
-    the last over y. A nonlinear right-hand side does not get the
-    classical step. Returns y.
+    the last over y. ly, if given, is L y formed by the caller, and the
+    first stage reads it (and may overwrite it) instead of calling rhs. A
+    nonlinear right-hand side does not get the classical step. Returns y.
     """
-    rhs(y, stage, 0.25 * dt, y)                  # stage = y + (dt/4) L y
+    if ly is None:
+        rhs(y, stage, 0.25 * dt, y)              # stage = y + (dt/4) L y
+    else:
+        ly *= 0.25 * dt
+        np.add(y, ly, out=stage)
     rhs(stage, stage, dt / 3.0, y)               # stage = y + (dt/3) L stage
     rhs(stage, stage, 0.5 * dt, y)               # stage = y + (dt/2) L stage
     rhs(stage, y, dt, y)                         # y = y + dt L stage
     return y
+
+
+@lru_cache(maxsize=16)
+def _triu_indices(r: int):
+    """np.triu_indices(r), made once per rank and read-only."""
+    indices = np.triu_indices(r)
+    for index in indices:
+        index.flags.writeable = False
+    return indices
 
 
 @dataclass(frozen=True)
@@ -165,17 +193,18 @@ class StreamingContext:
     """Frozen per-step streaming coefficients: 1/S field and operators.
 
     No step builds a stencil operator of its own: the low-rank phases
-    apply the stored stencil stack to S^-1 x, and the oracle's dense
-    full_rhs the same stack, with 1/S folded into a copy of its entries
-    once per step (spatial.apply_streaming). The low-rank phases view the
-    stack's product with an n x r input as (axes, 2, n, r), over the
-    upwind terms (plus, minus) of the active axes, and meet it with
-    (axes, 2, r, r) moment factors in one batched matmul, so every K-
-    and L-phase right-hand side is one contraction at width r and every
-    S-phase one is r x r products only; no n x m intermediate is ever
-    formed. Every right-hand side takes (x, ..., out, scale, base) and
-    writes base + scale F_S(x), projected for the low-rank phases, into
-    out: one RK4 Horner stage per call.
+    apply the stored stencil stack to S^-1 x (derivatives), and the
+    oracle's dense full_rhs the same stack, with 1/S folded into a copy
+    of its entries once per step (spatial.apply_streaming). The low-rank
+    phases view the stack's product with an n x r input as
+    (axes, 2, n, r), over the upwind terms (plus, minus) of the active
+    axes, and meet it with (axes, 2, r, r) moment factors in one batched
+    matmul, so every K-phase right-hand side is one contraction at
+    width r and every L- and S-phase one is r x r products only; no
+    n x m intermediate is ever formed. A streaming step makes five such
+    products (streaming_step). Every right-hand side takes
+    (x, ..., out, scale, base) and writes base + scale F_S(x), projected
+    for the low-rank phases, into out: one RK4 Horner stage per call.
     """
 
     inv_s: np.ndarray
@@ -183,10 +212,34 @@ class StreamingContext:
     ops: PNOperators
 
     def derivatives(self, x: np.ndarray) -> np.ndarray:
-        """D_j S^-1 x over the upwind terms j, (axes, 2, n, r), from one sparse product."""
+        """D_j S^-1 x over the upwind terms j, (axes, 2, n, r), from one sparse product.
+
+        A width r <= 2 runs scipy's single-vector CSR kernel once per
+        column of (S^-1 x)^T, faster there than the multi-vector kernel
+        that wider inputs run, and the result is a strided view of the
+        (r, 2 axes n) products. Both kernels sum each row in the same
+        order, so either result equals stacked @ (S^-1 x) bit for bit.
+        """
         n, r = x.shape
-        products = self.stencils.stacked @ (self.inv_s[:, None] * x)
-        return products.reshape(-1, n, 2, r).swapaxes(1, 2)
+        stack = self.stencils.stacked
+        if r > 2:
+            products = stack @ (self.inv_s[:, None] * x)
+            return products.reshape(-1, n, 2, r).swapaxes(1, 2)
+        rows = stack.shape[0]
+        products = np.zeros((r, rows))
+        for column, out in zip(self.inv_s * x.T, products):
+            _sparsetools.csr_matvec(rows, n, stack.indptr, stack.indices, stack.data,
+                                    column, out)
+        return products.reshape(r, -1, n, 2).transpose(1, 3, 2, 0)
+
+    def _axes(self):
+        """Index of the active axes into the per-axis operators: a slice,
+        whose operator views copy nothing, when they form a range (as on
+        every grid with no inactive middle axis), the list otherwise."""
+        axes = self.stencils.active_axes
+        if axes and axes == tuple(range(axes[0], axes[0] + len(axes))):
+            return slice(axes[0], axes[0] + len(axes))
+        return list(axes)
 
     def full_rhs(self, u: np.ndarray, out=None, work=None, scale=1.0, base=None) -> np.ndarray:
         """base + scale F_S(u) on the dense n x m matrix (scale F_S(u)
@@ -197,7 +250,7 @@ class StreamingContext:
 
     def _moment_factors(self, w: np.ndarray) -> np.ndarray:
         """W^T V_d L+-_d V_d^T W over the upwind terms, (axes, 2, r, r), for a moment basis W."""
-        axes = list(self.stencils.active_axes)
+        axes = self._axes()
         c = w.T @ self.ops.eig_v[axes]                                   # (axes, r, m)
         lam = self.ops.lam_split[axes][:, :, None, :]                    # (axes, 2, 1, m)
         return (c[:, None] * lam) @ c.transpose(0, 2, 1)[:, None]
@@ -210,11 +263,11 @@ class StreamingContext:
         terms *= scale
         return np.subtract(base, terms, out=out)
 
-    def l_step_factors(self, u0: np.ndarray):
-        """(A, Q) for the L phase over the upwind terms j: A (axes, 2, m, m)
-        stacks A+-_d = V_d L+-_d V_d^T, Q (axes, 2, r, r) the (D_j S^-1 U0)^T U0."""
-        a = self.ops.a_split[list(self.stencils.active_axes)]
-        return a, self.derivatives(u0).swapaxes(2, 3) @ u0
+    def l_step_factors(self, u0: np.ndarray, p0: np.ndarray):
+        """(A, Q) for the L phase over the upwind terms j from p0 =
+        derivatives(u0): A (axes, 2, m, m) stacks A+-_d = V_d L+-_d V_d^T,
+        Q (axes, 2, r, r) the (D_j S^-1 U0)^T U0."""
+        return self.ops.a_split[self._axes()], p0.swapaxes(2, 3) @ u0
 
     def s_step_factors(self, u_hat: np.ndarray, v_hat: np.ndarray):
         """Precontracted Galerkin-phase factors (P, F) over the upwind terms j.
@@ -239,16 +292,30 @@ class StreamingContext:
 
 
 def streaming_step(state: LowRankState, dt: float, ctx: StreamingContext) -> LowRankState:
-    """Augmented BUG step for u' = F_S(u); returns the rank <= 2r state."""
+    """Augmented BUG step for u' = F_S(u); returns the rank <= 2r state.
+
+    Five stencil products: p0 = D_j S^-1 U0 serves the L factors and the
+    K phase's first stage, whose F_S(U0 S0 V0^T) V0 is
+    -sum_j p0_j (S0 F_j) by associativity; the other three K stages and
+    the S factors make one each.
+    """
     u0, s0, v0 = state.u, state.s, state.v
 
-    def phase(rhs, factors, y):
+    def phase(rhs, factors, y, ly=None):
         """rk4 over y of the phase's rhs(x, factors, out, scale, base)."""
         return rk4(lambda x, out, scale, base: rhs(x, factors, out, scale, base),
-                   y, dt, np.empty_like(y))
+                   y, dt, np.empty_like(y), ly)
 
-    k1 = phase(ctx.k_rhs, ctx._moment_factors(v0), u0 @ s0)
-    l1 = phase(ctx.galerkin_rhs, ctx.l_step_factors(u0), v0 @ s0.T)
+    p0 = ctx.derivatives(u0)
+    l_factors = ctx.l_step_factors(u0, p0)
+    k_factors = ctx._moment_factors(v0)
+    k_ly = (p0 @ (s0 @ k_factors)).sum(axis=(0, 1))
+    k_ly *= -1.0
+    # p0 is freed before the K stages allocate products of its size: held
+    # across them, it made glibc trim and page-fault the heap on every step
+    del p0
+    k1 = phase(ctx.k_rhs, k_factors, u0 @ s0, k_ly)
+    l1 = phase(ctx.galerkin_rhs, l_factors, v0 @ s0.T)
     u_hat = orthonormal_columns(k1, u0)
     v_hat = orthonormal_columns(l1, v0)
     s_hat0 = (u_hat.T @ u0) @ s0 @ (v0.T @ v_hat)
@@ -311,7 +378,7 @@ def implicit_l_step(u0: np.ndarray, l0: np.ndarray, dt: float,
     """
     n, r = u0.shape
     m = l0.shape[0]
-    rows, cols = np.triu_indices(r)
+    rows, cols = _triu_indices(r)
     # the products in triu order, filled one basis vector a at a time as
     # contiguous rows u_a u_b, b >= a: one array, no gathered copies
     basis = u0.T.copy()

@@ -15,6 +15,7 @@ from pndose.dlra import (
     TruncationPolicy,
     implicit_l_step,
     orthonormal_columns,
+    rk4,
     scattering_step,
     streaming_step,
     truncate,
@@ -67,6 +68,29 @@ def random_scattering_context(n, m, rng, homogeneous=True, with_source=True):
         sigma_t=sigma_t,
         sources=sources,
     )
+
+
+def direct_streaming_step(state, dt, ctx):
+    """streaming_step with the K phase's first stage making its own
+    stencil product of U0 S0, as every other stage does: six products."""
+    u0, s0, v0 = state.u, state.s, state.v
+
+    def phase(rhs, factors, y):
+        return rk4(lambda x, out, scale, base: rhs(x, factors, out, scale, base),
+                   y, dt, np.empty_like(y))
+
+    k1 = phase(ctx.k_rhs, ctx._moment_factors(v0), u0 @ s0)
+    l1 = phase(ctx.galerkin_rhs, ctx.l_step_factors(u0, ctx.derivatives(u0)), v0 @ s0.T)
+    u_hat, v_hat = orthonormal_columns(k1, u0), orthonormal_columns(l1, v0)
+    s_hat0 = (u_hat.T @ u0) @ s0 @ (v0.T @ v_hat)
+    s_hat = phase(ctx.galerkin_rhs, ctx.s_step_factors(u_hat, v_hat), s_hat0)
+    return LowRankState(u=u_hat, s=s_hat, v=v_hat)
+
+
+# The water90_lowrank benchmark grid (perfbench/configs), all axes active,
+# and one whose active axes x and z do not form a range.
+WATER90_GRID = Grid3D(6, 6, 70, 0.1, 0.1, 0.1)
+XZ_GRID = Grid3D(5, 1, 6, 0.2, 1.0, 0.2)
 
 
 def full_rank_state(u_full):
@@ -171,7 +195,7 @@ class TestStreamingStep:
         np.testing.assert_allclose(
             projected(ctx.k_rhs, k, k_factors), naive_k, atol=1e-12
         )
-        a, q = ctx.l_step_factors(u0)
+        a, q = ctx.l_step_factors(u0, ctx.derivatives(u0))
         assert a.shape == (3, 2, m, m) and q.shape == (3, 2, r, r)
         naive_l = ctx.full_rhs(u0 @ l.T).T @ u0
         np.testing.assert_allclose(
@@ -212,7 +236,7 @@ class TestStreamingStep:
                                                   (axes, 2, r, r)))
         check(projected(ctx.k_rhs, k, ctx._moment_factors(v0)),
               per_term_k_rhs(ctx, k, v0))
-        check(projected(ctx.galerkin_rhs, l, ctx.l_step_factors(u0)),
+        check(projected(ctx.galerkin_rhs, l, ctx.l_step_factors(u0, ctx.derivatives(u0))),
               per_term_l_rhs(ctx, l, u0))
         for got, want in zip(ctx.s_step_factors(u0, v0), per_term_s_step_factors(ctx, u0, v0)):
             check(got, np.reshape(want, (axes, 2, r, r)))
@@ -237,7 +261,7 @@ class TestStreamingStep:
         u0, s0, v0 = state.u, state.s, state.v
         rhs, factors, y = {
             "K": (ctx.k_rhs, ctx._moment_factors(v0), u0 @ s0),
-            "L": (ctx.galerkin_rhs, ctx.l_step_factors(u0), v0 @ s0.T),
+            "L": (ctx.galerkin_rhs, ctx.l_step_factors(u0, ctx.derivatives(u0)), v0 @ s0.T),
             "S": (ctx.galerkin_rhs, ctx.s_step_factors(out.u, out.v),
                   (out.u.T @ u0) @ s0 @ (v0.T @ out.v)),
         }[phase]
@@ -252,6 +276,66 @@ class TestStreamingStep:
             basis = out.u if phase == "K" else out.v
             got = basis @ (basis.T @ want)
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("grid", [WATER90_GRID, XZ_GRID], ids=["water90", "xz"])
+    def test_derivatives_equal_the_stack_product(self, grid, r):
+        # widths 1 and 2 take the single-vector kernel, 3 the multi-vector
+        # one; both keep the bits of the stack product
+        rng = np.random.default_rng(31 + r)
+        ctx = StreamingContext(1.0 / rng.uniform(8.0, 20.0, grid.n_cells),
+                               build_stencils(grid), PNOperators.build(1))
+        n, axes = grid.n_cells, len(ctx.stencils.active_axes)
+        x = rng.standard_normal((n, r))
+        want = ctx.stencils.stacked @ (ctx.inv_s[:, None] * x)
+        got = ctx.derivatives(x)
+        assert got.shape == (axes, 2, n, r)
+        assert np.array_equal(got.swapaxes(1, 2).reshape(-1, r), want)
+
+    @pytest.mark.parametrize("grid", [WATER90_GRID, XZ_GRID], ids=["water90", "xz"])
+    def test_operator_slices_are_views_when_the_axes_form_a_range(self, grid):
+        ctx = StreamingContext(np.ones(grid.n_cells), build_stencils(grid), PNOperators.build(1))
+        index = ctx._axes()
+        assert isinstance(index, slice) == (grid is WATER90_GRID)
+        a_split = ctx.ops.a_split[index]
+        assert a_split.shape[0] == len(ctx.stencils.active_axes)
+        assert np.shares_memory(a_split, ctx.ops.a_split) == (grid is WATER90_GRID)
+        assert np.array_equal(a_split, ctx.ops.a_split[list(ctx.stencils.active_axes)])
+
+    @pytest.mark.parametrize("r", [2, 5])
+    @pytest.mark.parametrize("grid", [WATER90_GRID, XZ_GRID], ids=["water90", "xz"])
+    def test_reused_first_k_stage_matches_the_direct_form(self, grid, r):
+        # D_j S^-1 (U0 S0) F_j = (D_j S^-1 U0)(S0 F_j) differs from the
+        # direct product in rounding only
+        rng = np.random.default_rng(41 + r)
+        ops = PNOperators.build(3)
+        ctx = StreamingContext(1.0 / rng.uniform(8.0, 20.0, grid.n_cells),
+                               build_stencils(grid), ops)
+        state = LowRankState(u=orthonormal_columns(rng.standard_normal((grid.n_cells, r))),
+                             s=rng.standard_normal((r, r)),
+                             v=orthonormal_columns(rng.standard_normal((ops.basis.size, r))))
+        got = streaming_step(state, 0.2, ctx).matrix()
+        want = direct_streaming_step(state, 0.2, ctx).matrix()
+        assert np.linalg.norm(want - state.matrix()) > 0.05 * np.linalg.norm(want)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_streaming_step_makes_five_stencil_products(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        ops = PNOperators.build(3)
+        ctx = StreamingContext(1.0 / rng.uniform(8.0, 20.0, WATER90_GRID.n_cells),
+                               build_stencils(WATER90_GRID), ops)
+        state = LowRankState.zero(WATER90_GRID.n_cells, ops.basis.size, 2)
+        widths = []
+        derivatives = StreamingContext.derivatives
+
+        def counted(self, x):
+            widths.append(x.shape[1])
+            return derivatives(self, x)
+
+        monkeypatch.setattr(StreamingContext, "derivatives", counted)
+        streaming_step(state, 0.2, ctx)
+        # U0, the three later K stages, the augmented basis of the S phase
+        assert widths == [2, 2, 2, 2, 4]
 
     def test_rank1_advection_matches_full_step(self):
         # single augmented BUG step vs the full-rank RK4 step; the S-phase
@@ -454,6 +538,24 @@ class TestTruncation:
         assert out.rank == 3  # clamped up to rank_min
         with pytest.raises(NumericalError, match="rank_max"):
             truncate(state, TruncationPolicy(1e-9, rank_min=1, rank_max=2))
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-9, 100.0])
+    def test_fixed_rank_keeps_that_rank(self, threshold):
+        # rank_min == rank_max: the rank is kept whatever the threshold,
+        # and the discarded tail is reported even above it
+        rng = np.random.default_rng(31)
+        u = orthonormal_columns(rng.standard_normal((20, 6)))
+        v = orthonormal_columns(rng.standard_normal((10, 6)))
+        sigma = np.array([4.0, 2.0, 1.0, 0.5, 0.1, 0.01])
+        state = LowRankState(u, np.diag(sigma), v)
+        out, tail = truncate(state, TruncationPolicy(threshold, rank_min=2, rank_max=2))
+        assert out.rank == 2
+        assert tail == pytest.approx(sigma[2:].sum(), rel=1e-12)
+        np.testing.assert_allclose(out.matrix(), (u[:, :2] * sigma[:2]) @ v[:, :2].T,
+                                   atol=1e-12)
+        # a state below the fixed rank keeps all of its rank
+        small, tail = truncate(state, TruncationPolicy(threshold, rank_min=8, rank_max=8))
+        assert small.rank == 6 and tail == 0.0
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):

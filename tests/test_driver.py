@@ -493,6 +493,17 @@ class TestSimulation:
             <= 1e-11 * scale
         )
 
+    def test_fixed_rank_with_zero_threshold(self):
+        # rank_min == rank_max below the augmented rank 2r: every step keeps
+        # that rank, where an adaptive rank_max would raise
+        raw = smoke_raw()
+        raw["transport"] = {"cfl_number": 0.2, "truncation_tolerance": 0.0,
+                            "rank_min": 2, "rank_max": 2}
+        res = run_simulation(ProblemConfig.from_dict(raw), solver="dlra")
+        assert {rank for _, _, rank in res.rank_history} == {2}
+        assert res.diagnostics["max_truncation_tail"] > 0.0
+        assert np.isfinite(res.dose.deposited).all()
+
     def test_energy_balance_uncollided(self, tmp_path):
         # single central ray through a water column; the beam exits, so
         # deposited energy = weight * (E_mean - E_exit) with E_exit from a
