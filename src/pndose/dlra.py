@@ -35,7 +35,6 @@ LAPACK's Householder QR, called directly.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -179,15 +178,6 @@ def rk4(rhs, y, dt, stage, ly=None):
     return y
 
 
-@lru_cache(maxsize=16)
-def _triu_indices(r: int):
-    """np.triu_indices(r), made once per rank and read-only."""
-    indices = np.triu_indices(r)
-    for index in indices:
-        index.flags.writeable = False
-    return indices
-
-
 @dataclass(frozen=True)
 class StreamingContext:
     """Frozen per-step streaming coefficients: 1/S field and operators.
@@ -215,8 +205,9 @@ class StreamingContext:
         """D_j S^-1 x over the upwind terms j, (axes, 2, n, r), from one sparse product.
 
         A width r <= 2 runs scipy's single-vector CSR kernel once per
-        column of (S^-1 x)^T, faster there than the multi-vector kernel
-        that wider inputs run, and the result is a strided view of the
+        row of (S^-1 x)^T, formed C-contiguous so that the kernel copies
+        none, faster there than the multi-vector kernel that wider
+        inputs run, and the result is a strided view of the
         (r, 2 axes n) products. Both kernels sum each row in the same
         order, so either result equals stacked @ (S^-1 x) bit for bit.
         """
@@ -227,19 +218,18 @@ class StreamingContext:
             return products.reshape(-1, n, 2, r).swapaxes(1, 2)
         rows = stack.shape[0]
         products = np.zeros((r, rows))
-        for column, out in zip(self.inv_s * x.T, products):
+        for column, out in zip(np.multiply(x.T, self.inv_s, order="C"), products):
             _sparsetools.csr_matvec(rows, n, stack.indptr, stack.indices, stack.data,
                                     column, out)
         return products.reshape(r, -1, n, 2).transpose(1, 3, 2, 0)
 
-    def _axes(self):
-        """Index of the active axes into the per-axis operators: a slice,
-        whose operator views copy nothing, when they form a range (as on
-        every grid with no inactive middle axis), the list otherwise."""
+    def _axes(self) -> slice:
+        """Index of the active axes into the per-axis operators. They are a
+        sorted subset of (0, 1, 2), so evenly spaced: one stepped slice,
+        whose operator views copy nothing."""
         axes = self.stencils.active_axes
-        if axes and axes == tuple(range(axes[0], axes[0] + len(axes))):
-            return slice(axes[0], axes[0] + len(axes))
-        return list(axes)
+        step = axes[1] - axes[0] if len(axes) > 1 else 1
+        return slice(axes[0], axes[-1] + 1, step) if axes else slice(0)
 
     def full_rhs(self, u: np.ndarray, out=None, work=None, scale=1.0, base=None) -> np.ndarray:
         """base + scale F_S(u) on the dense n x m matrix (scale F_S(u)
@@ -309,8 +299,7 @@ def streaming_step(state: LowRankState, dt: float, ctx: StreamingContext) -> Low
     p0 = ctx.derivatives(u0)
     l_factors = ctx.l_step_factors(u0, p0)
     k_factors = ctx._moment_factors(v0)
-    k_ly = (p0 @ (s0 @ k_factors)).sum(axis=(0, 1))
-    k_ly *= -1.0
+    k_ly = (p0 @ (s0 @ -k_factors)).sum(axis=(0, 1))          # L y at y = U0 S0
     # p0 is freed before the K stages allocate products of its size: held
     # across them, it made glibc trim and page-fault the heap on every step
     del p0
@@ -378,7 +367,7 @@ def implicit_l_step(u0: np.ndarray, l0: np.ndarray, dt: float,
     """
     n, r = u0.shape
     m = l0.shape[0]
-    rows, cols = _triu_indices(r)
+    rows, cols = np.triu_indices(r)
     # the products in triu order, filled one basis vector a at a time as
     # contiguous rows u_a u_b, b >= a: one array, no gathered copies
     basis = u0.T.copy()
